@@ -29,7 +29,6 @@ from .tensor_core import (
     validate_top,
 )
 from .channels import (
-    AdjointChannel,
     Channel,
     adjoint,
     apply,

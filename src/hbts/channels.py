@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import ShapeError
 from .tensor_core import TAU_ISO, DensityOp, Isometry, Observable, require_isometry
-from .reporting import format_float, write_text_atomic
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -77,11 +76,6 @@ class Channel:
 
 
 @dataclass(frozen=True)
-class AdjointChannel(Channel):
-    """Heisenberg-picture dual of a Channel; unital when its source preserves trace."""
-
-
-@dataclass(frozen=True)
 class DescendChannels:
     left: Channel
     right: Channel
@@ -90,11 +84,6 @@ class DescendChannels:
 
 def _kraus_superop(kraus: list[np.ndarray]) -> np.ndarray:
     return sum(np.kron(k.conj(), k) for k in kraus)
-
-
-def identity_channel(d: int, nu: int) -> Channel:
-    dim = d ** nu
-    return Channel(d, nu, nu, np.eye(dim * dim, dtype=complex), name="identity")
 
 
 def growth_channel(lam: Isometry, tol: float = TAU_ISO) -> Channel:
@@ -173,9 +162,12 @@ def compose(outer: Channel, inner: Channel) -> Channel:
     return Channel(outer.d, inner.nu_in, outer.nu_out, outer.matrix @ inner.matrix, name=name)
 
 
-def adjoint(ch: Channel) -> AdjointChannel:
-    """Hilbert-Schmidt dual: conjugate transpose of the superoperator matrix."""
-    return AdjointChannel(
+def adjoint(ch: Channel) -> Channel:
+    """Hilbert-Schmidt dual: conjugate transpose of the superoperator matrix.
+
+    The dual is unital when its source preserves trace.
+    """
+    return Channel(
         ch.d, ch.nu_out, ch.nu_in, ch.matrix.conj().T, name="adj%s" % (("-" + ch.name) if ch.name else "")
     )
 
@@ -234,22 +226,3 @@ def choi_check(ch: Channel, tol: float = 1e-10) -> ChoiReport:
         herm_residual=herm_residual,
         tol=tol,
     )
-
-
-def export_channel(ch: Channel, path: str) -> None:
-    """Debug dump: row-major matrix entries as interleaved re/im pairs."""
-    flat = ch.matrix.reshape(-1)
-    cells = []
-    for z in flat:
-        cells.append(format_float(float(z.real)))
-        cells.append(format_float(float(z.imag)))
-    lines = [
-        "{",
-        '  "d": %d,' % ch.d,
-        '  "nu_in": %d,' % ch.nu_in,
-        '  "nu_out": %d,' % ch.nu_out,
-        '  "name": "%s",' % ch.name,
-        '  "matrix": [%s]' % ", ".join(cells),
-        "}",
-    ]
-    write_text_atomic(path, "\n".join(lines) + "\n")

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 validation failure, 2 resource/argument error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from importlib import resources
 
@@ -17,7 +16,13 @@ import numpy as np
 from . import channels, correlators, finite_state, mera_bounds, parent_ham, thermo
 from . import tensor_core as tc
 from . import reporting
-from .errors import DegenerateFixedPointError, ResourceLimitError, ValidationError
+from .errors import (
+    DegenerateFixedPointError,
+    KernelNotFoundError,
+    ResourceLimitError,
+    ShapeError,
+    ValidationError,
+)
 
 OBSERVABLES = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -35,7 +40,7 @@ def paper_lambda_path() -> str:
 
 def _load_isometry(spec: str, d: int | None = None) -> tc.Isometry:
     if spec == "paper":
-        return tc.load_isometry(paper_lambda_path())
+        return tc.paper_isometry()
     if spec == "product":
         return tc.product_isometry(d or 2)
     return tc.load_isometry(spec)
@@ -74,14 +79,16 @@ def _re_im(z: complex) -> list:
 def cmd_validate(args) -> int:
     report = {}
     ok = True
+    lam = None
     if args.isometry:
         lam = _load_isometry(args.isometry, args.d)
         rep = tc.validate_isometry(lam, args.tol)
         report["isometry"] = {"passed": rep.passed, "residual": rep.residual, "tol": rep.tol}
         ok = ok and rep.passed
     if args.top:
-        d = args.d or (report and _load_isometry(args.isometry, args.d).d) or 2
-        top = _load_top(args.top, d)
+        top = _load_top(args.top, args.d or (lam.d if lam else 2))
+        if lam is not None and top.d != lam.d:
+            raise ShapeError("top tensor has d=%d but the isometry has d=%d" % (top.d, lam.d))
         rep = tc.validate_top(top, args.tol)
         report["top"] = {"passed": rep.passed, "residual": rep.residual, "tol": rep.tol}
         ok = ok and rep.passed
@@ -128,16 +135,13 @@ def cmd_correlate(args) -> int:
     lam = _load_isometry(args.isometry, args.d)
     theta = _load_observable(args.theta, lam.d)
     theta_prime = _load_observable(args.theta_prime, lam.d)
-    rows = []
-    diff = correlators.pair_difference_infinity(lam)
-    pair = channels.pair_descend_channel(lam)
-    block = np.kron(theta.matrix, theta_prime.matrix)
-    current = diff
-    for m in range(args.m_max + 1):
-        if m > 0:
-            current = channels.unvec(pair.matrix @ channels.vec(current), pair.dim_out)
-        value = complex(np.trace(block @ current))
-        rows.append((2 ** m, float(value.real), float(value.imag)))
+    series = correlators.pair_descend_series(
+        channels.pair_descend_channel(lam),
+        correlators.pair_difference_infinity(lam),
+        np.kron(theta.matrix, theta_prime.matrix),
+        range(args.m_max + 1),
+    )
+    rows = [(delta, float(value.real), float(value.imag)) for delta, value in series]
     header = ["delta_alpha", "re", "im"]
     if args.output:
         reporting.write_csv(args.output, header, rows)
@@ -350,7 +354,7 @@ def main(argv=None) -> int:
     except (ValidationError, DegenerateFixedPointError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, ResourceLimitError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, ResourceLimitError, KernelNotFoundError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

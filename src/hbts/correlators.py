@@ -10,7 +10,7 @@ adjoint's eigenvalues; eigenoperators are the corresponding primary blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -77,12 +77,29 @@ def pair_difference_infinity(lam: Isometry) -> np.ndarray:
     return rho2.matrix - eta.matrix
 
 
+def pair_descend_series(
+    pair: ch.Channel, diff: np.ndarray, block: np.ndarray, m_values: Iterable[int]
+) -> Iterator[tuple[int, complex]]:
+    """Yield ``(2**m, Tr[block P^m(diff)])`` for ascending ``m``, P the pair-descend channel.
+
+    P is applied once per step of m, so a whole series costs one
+    superoperator-vector product per distance doubling.
+    """
+    current = diff
+    last_m = 0
+    for m in m_values:
+        for _ in range(m - last_m):
+            current = ch.unvec(pair.matrix @ ch.vec(current), pair.dim_out)
+        last_m = m
+        yield 2 ** m, complex(np.trace(block @ current))
+
+
 def correlator_thermo(lam: Isometry, query: CorrelatorQuery) -> complex:
     """Connected correlator at distance 2**query.m in the infinite-depth limit."""
-    diff = pair_difference_infinity(lam)
-    pair = ch.pair_descend_channel(lam)
-    moved = ch.unvec(np.linalg.matrix_power(pair.matrix, query.m) @ ch.vec(diff), pair.dim_out)
-    return complex(np.trace(query.block() @ moved))
+    series = pair_descend_series(
+        ch.pair_descend_channel(lam), pair_difference_infinity(lam), query.block(), [query.m]
+    )
+    return next(series)[1]
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -99,20 +116,18 @@ def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
-def _spectral_structure(matrix: np.ndarray, cluster_tol: float, tau_rank: float):
-    """Cluster the spectrum and measure algebraic/geometric multiplicities."""
+def _eigenvalue_clusters(matrix: np.ndarray, cluster_tol: float) -> list[tuple[complex, int]]:
+    """(kappa, algebraic multiplicity) per eigenvalue cluster, by |kappa| descending."""
     evals = np.linalg.eigvals(matrix)
-    dim = matrix.shape[0]
-    out = []
-    for cluster in _cluster(evals, cluster_tol):
-        kappa = complex(np.mean(evals[cluster]))
-        shifted = matrix - kappa * np.eye(dim)
-        s = np.linalg.svd(shifted, compute_uv=False)
-        top = s[0] if s[0] > 0 else 1.0
-        geometric = int(np.count_nonzero(s <= tau_rank * top))
-        out.append((kappa, len(cluster), geometric, shifted))
+    out = [(complex(np.mean(evals[c])), len(c)) for c in _cluster(evals, cluster_tol)]
     out.sort(key=lambda item: (-abs(item[0]), -item[0].real, -item[0].imag))
     return out
+
+
+def _geometric(singular_values: np.ndarray, tau_rank: float) -> int:
+    """Nullity of A - kappa I: singular values at or below tau_rank times the largest."""
+    top = singular_values[0] if singular_values[0] > 0 else 1.0
+    return int(np.count_nonzero(singular_values <= tau_rank * top))
 
 
 def _log2_or_none(kappa: complex) -> complex | None:
@@ -135,10 +150,12 @@ def exponent_spectrum(
     adj = ch.adjoint(ch.pair_descend_channel(lam))
     mat = adj.matrix
     dim_op = adj.dim_out  # operators live on d^2-dimensional pair space
+    eye = np.eye(mat.shape[0])
     entries = []
     diagonalizable = True
-    for kappa, algebraic, geometric, shifted in _spectral_structure(mat, cluster_tol, tau_rank):
-        _, _, vh = np.linalg.svd(shifted)
+    for kappa, algebraic in _eigenvalue_clusters(mat, cluster_tol):
+        _, s, vh = np.linalg.svd(mat - kappa * eye)
+        geometric = _geometric(s, tau_rank)
         ops = tuple(ch.unvec(vh[dim_op * dim_op - 1 - k].conj(), dim_op) for k in range(geometric))
         entries.append(
             SpectrumEntry(
@@ -152,22 +169,6 @@ def exponent_spectrum(
         if algebraic != geometric:
             diagonalizable = False
     return SpectrumReport(d=lam.d, entries=tuple(entries), diagonalizable=diagonalizable)
-
-
-def _series(lam: Isometry, block: np.ndarray, m_values: Sequence[int]) -> list[tuple[int, complex]]:
-    diff = pair_difference_infinity(lam)
-    pair = ch.pair_descend_channel(lam)
-    dim = pair.dim_out
-    points = []
-    current = np.array(diff)
-    last_m = 0
-    for m in m_values:
-        steps = m - last_m
-        if steps:
-            current = ch.unvec(np.linalg.matrix_power(pair.matrix, steps) @ ch.vec(current), dim)
-            last_m = m
-        points.append((2 ** m, complex(np.trace(block @ current))))
-    return points
 
 
 def powerlaw_check(
@@ -196,8 +197,9 @@ def powerlaw_check(
     if block.shape != (dim, dim):
         raise ValueError("observable block must be %d x %d" % (dim, dim))
 
-    points = _series(lam, block, m_values)
-    g = points[0][1] if m_values[0] == 0 else _series(lam, block, [0])[0][1]
+    series = list(pair_descend_series(pair, pair_difference_infinity(lam), block, sorted({0, *m_values})))
+    g = series[0][1]
+    points = series if m_values[0] == 0 else series[1:]
     values = np.array([v for _, v in points])
     scale = float(np.abs(values).max()) if values.size else 0.0
 
@@ -239,12 +241,16 @@ def powerlaw_check(
         )
 
     # general block: decompose over the spectrum of the forward map
-    structure = _spectral_structure(pair.matrix, CLUSTER_TOL, TAU_RANK)
-    jordan = any(alg != geo for _, alg, geo, _ in structure)
+    eye = np.eye(pair.matrix.shape[0])
+    structure = [
+        (kappa, alg, _geometric(np.linalg.svd(pair.matrix - kappa * eye, compute_uv=False), TAU_RANK))
+        for kappa, alg in _eigenvalue_clusters(pair.matrix, CLUSTER_TOL)
+    ]
+    jordan = any(alg != geo for _, alg, geo in structure)
     ms = np.array(m_values, dtype=float)
     columns = []
     labels = []
-    for kappa, alg, geo, _ in structure:
+    for kappa, alg, geo in structure:
         if abs(kappa) == 0.0:
             columns.append(np.array([1.0 + 0j if m == 0 else 0.0 for m in m_values]))
             labels.append((kappa, 0))

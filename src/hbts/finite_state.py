@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .tensor_core import (
-    TAU_TRACE,
     DensityOp,
     Isometry,
     LatticeSpec,
@@ -26,6 +25,7 @@ from .tensor_core import (
     require_top,
 )
 from . import channels as ch
+from . import correlators as co
 
 DEFAULT_MAX_AMPLITUDES = 1 << 16
 
@@ -223,7 +223,6 @@ def recursion_check(
     grow = ch.growth_channel(lam)
     rl = ch.tensor(dc.right, dc.left)
     ext3 = ch.extension_channel(lam, 3)
-    ext4 = ch.extension_channel(lam, 4)
 
     res1 = 0.0
     res2 = 0.0
@@ -281,11 +280,6 @@ def correlator_level(
     if m < 0 or m > n - 1:
         raise ValueError("distance exponent m must satisfy 0 <= m <= n-1")
     lv = level_states(lam, c, n - m)
-    pair = ch.pair_descend_channel(lam)
     diff = lv.pair.matrix - lv.classical_pair.matrix
-    moved = ch.unvec(np.linalg.matrix_power(pair.matrix, m) @ ch.vec(diff), pair.dim_out)
-    return complex(np.trace(np.kron(theta.matrix, theta_prime.matrix) @ moved))
-
-
-def state_norm_check(psi: PureState, tol: float = TAU_TRACE) -> bool:
-    return abs(psi.norm() - 1.0) <= tol
+    block = np.kron(theta.matrix, theta_prime.matrix)
+    return next(co.pair_descend_series(ch.pair_descend_channel(lam), diff, block, [m]))[1]

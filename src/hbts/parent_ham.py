@@ -32,7 +32,6 @@ class HamiltonianSpec:
     h_term: np.ndarray
     kernel_dim: int
     weights: np.ndarray
-    normalize: bool = True
 
     def __post_init__(self):
         dim = self.d ** self.nu
@@ -125,7 +124,8 @@ def build_interaction(
                 )
             return HamiltonianSpec(d=lam.d, nu=window, h_term=h, kernel_dim=k, weights=w)
     raise KernelNotFoundError(
-        "no nontrivial kernel up to window 4; numerically impossible for a valid isometry"
+        "no nontrivial kernel in window %s; by window 4 a valid isometry always has one"
+        % "/".join(str(w) for w in candidates)
     )
 
 
@@ -141,8 +141,7 @@ def embedded_term(h: np.ndarray, d: int, nu: int, N: int, start: int) -> np.ndar
     return t.reshape(d ** N, d ** N)
 
 
-def assemble(hs: HamiltonianSpec, N: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Cyclic sum of the interaction over all starting sites, 1/N-normalized."""
+def _require_ring(hs: HamiltonianSpec, N: int, max_dim: int) -> None:
     if N < hs.nu:
         raise ValueError("lattice of %d sites cannot host a %d-site interaction" % (N, hs.nu))
     dim = hs.d ** N
@@ -151,12 +150,26 @@ def assemble(hs: HamiltonianSpec, N: int, max_dim: int = DEFAULT_MAX_DIM) -> np.
             "dense assembly needs a %d x %d matrix, budget is %d" % (dim, dim, max_dim),
             required=dim,
         )
+
+
+def _cyclic_sum(hs: HamiltonianSpec, N: int, visit=None) -> np.ndarray:
+    """Cyclic sum of the interaction, 1/N-normalized; ``visit`` sees each term once, in site order."""
+    dim = hs.d ** N
     total = np.zeros((dim, dim), dtype=complex)
     for alpha in range(N):
-        total += embedded_term(hs.h_term, hs.d, hs.nu, N, alpha)
-    if hs.normalize:
-        total /= N
+        term = embedded_term(hs.h_term, hs.d, hs.nu, N, alpha)
+        total += term
+        if visit is not None:
+            visit(term)
+        del term  # else it stays alive while the next term is built: one more d^N x d^N matrix
+    total /= N
     return (total + total.conj().T) / 2.0
+
+
+def assemble(hs: HamiltonianSpec, N: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
+    """Cyclic sum of the interaction over all starting sites, 1/N-normalized."""
+    _require_ring(hs, N, max_dim)
+    return _cyclic_sum(hs, N)
 
 
 def diagonalize(h: np.ndarray, tau_gs: float = TAU_GS, bins: int = 50) -> GroundSpaceReport:
@@ -224,16 +237,17 @@ def grown_subspace_check(
     """
     if N % 2 != 0:
         raise ValueError("the grown-subspace construction needs even N, got %d" % N)
-    ham = assemble(hs, N, max_dim=max_dim)
+    _require_ring(hs, N, max_dim)
     basis = grown_basis(lam, N)
-    h_images = ham @ basis
-    max_h_residual = float(np.linalg.norm(h_images, axis=0).max())
+    local = []
 
-    max_local = 0.0
-    for alpha in range(N):
-        term = embedded_term(hs.h_term, hs.d, hs.nu, N, alpha)
+    def local_energy(term):
         energies = np.einsum("ij,ij->j", basis.conj(), term @ basis)
-        max_local = max(max_local, float(np.abs(energies).max()))
+        local.append(float(np.abs(energies).max()))
+
+    ham = _cyclic_sum(hs, N, visit=local_energy)
+    max_h_residual = float(np.linalg.norm(ham @ basis, axis=0).max())
+    max_local = max(local)
 
     translated = np.stack([translate_state(basis[:, j], hs.d, N) for j in range(basis.shape[1])], axis=1)
     dim_grown = svd_rank(basis)

@@ -287,81 +287,59 @@ def product_isometry(d: int) -> Isometry:
 # JSON file formats (sparse entry lists, interleaved re/im)
 # ----------------------------------------------------------------------------
 
-def _dump_entries(d: int, rows) -> str:
-    lines = ['{', '  "d": %d,' % d, '  "entries": [']
-    rendered = []
-    for idx, z in rows:
-        cells = [str(i) for i in idx] + [format_float(z.real), format_float(z.imag)]
-        rendered.append("    [%s]" % ", ".join(cells))
-    lines.append(",\n".join(rendered))
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _save_entries(path: str, array: np.ndarray) -> None:
+    """Write {"d": d, "entries": [[i1, ..., ik, re, im], ...]} for a (d,)*k array, zeros omitted."""
+    d = array.shape[0]
+    rows = []
+    for idx in np.ndindex(array.shape):
+        z = array[idx]
+        if z != 0:
+            cells = [str(i) for i in idx] + [format_float(z.real), format_float(z.imag)]
+            rows.append("    [%s]" % ", ".join(cells))
+    text = "\n".join(['{', '  "d": %d,' % d, '  "entries": [', ",\n".join(rows), "  ]", "}"])
+    write_text_atomic(path, text + "\n")
+
+
+def _load_entries(path: str, arity: int) -> tuple[int, np.ndarray]:
+    """Read an entry file into a (d,)*arity complex array; indices must lie in 0..d-1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    d = int(doc["d"])
+    array = np.zeros((d,) * arity, dtype=complex)
+    for entry in doc["entries"]:
+        if len(entry) != arity + 2:
+            raise ShapeError("%s: entry %s needs %d indices and re, im" % (path, entry, arity))
+        idx = entry[:arity]
+        if not all(type(i) is int and 0 <= i < d for i in idx):
+            raise ShapeError("%s: entry %s has an index outside the integers 0..%d" % (path, entry, d - 1))
+        re, im = entry[arity:]
+        array[tuple(idx)] = complex(re, im)
+    return d, array
 
 
 def save_isometry(lam: Isometry, path: str) -> None:
     """Write {"d": d, "entries": [[l1, l2, u, re, im], ...]}, zeros omitted."""
-    d = lam.d
-    t = lam.as_tensor()
-    rows = []
-    for l1 in range(d):
-        for l2 in range(d):
-            for u in range(d):
-                z = t[l1, l2, u]
-                if z != 0:
-                    rows.append(((l1, l2, u), z))
-    write_text_atomic(path, _dump_entries(d, rows))
+    _save_entries(path, lam.as_tensor())
 
 
 def load_isometry(path: str) -> Isometry:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    d = int(doc["d"])
-    v = np.zeros((d * d, d), dtype=complex)
-    for entry in doc["entries"]:
-        l1, l2, u, re, im = entry
-        v[int(l1) * d + int(l2), int(u)] = complex(re, im)
-    return Isometry(d, v)
+    d, t = _load_entries(path, 3)
+    return Isometry(d, t.reshape(d * d, d))
 
 
 def save_top(c: TopTensor, path: str) -> None:
     """Write {"d": d, "entries": [[l1, l2, re, im], ...]}, zeros omitted."""
-    rows = []
-    for l1 in range(c.d):
-        for l2 in range(c.d):
-            z = c.c[l1, l2]
-            if z != 0:
-                rows.append(((l1, l2), z))
-    write_text_atomic(path, _dump_entries(c.d, rows))
+    _save_entries(path, c.c)
 
 
 def load_top(path: str) -> TopTensor:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    d = int(doc["d"])
-    c = np.zeros((d, d), dtype=complex)
-    for entry in doc["entries"]:
-        l1, l2, re, im = entry
-        c[int(l1), int(l2)] = complex(re, im)
-    return TopTensor(d, c)
+    return TopTensor(*_load_entries(path, 2))
 
 
 def save_observable(obs: Observable, path: str) -> None:
-    rows = []
-    for r in range(obs.d):
-        for cidx in range(obs.d):
-            z = obs.matrix[r, cidx]
-            if z != 0:
-                rows.append(((r, cidx), z))
-    write_text_atomic(path, _dump_entries(obs.d, rows))
+    """Write {"d": d, "entries": [[row, col, re, im], ...]}, zeros omitted."""
+    _save_entries(path, obs.matrix)
 
 
 def load_observable(path: str) -> Observable:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    d = int(doc["d"])
-    m = np.zeros((d, d), dtype=complex)
-    for entry in doc["entries"]:
-        r, cidx, re, im = entry
-        m[int(r), int(cidx)] = complex(re, im)
-    return Observable(d, m)
+    return Observable(*_load_entries(path, 2))

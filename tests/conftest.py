@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,13 @@ def rand_top(d, seed):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return tc.TopTensor(d, c / np.linalg.norm(c))
+
+
+def write_entries(path, d, entries):
+    """Write an entry file (isometry, top tensor or observable) from raw JSON lists."""
+    with open(path, "w") as fh:
+        json.dump({"d": d, "entries": entries}, fh)
+    return str(path)
 
 
 def power_iteration_fixed_point(superop, dim, tol=1e-12, max_iter=100_000, seed=0):

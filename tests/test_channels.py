@@ -139,7 +139,7 @@ class TestExtension:
 
 class TestAdjoint:
     def test_adjoint_of_identity(self):
-        ident = ch.identity_channel(2, 1)
+        ident = ch.Channel(2, 1, 1, np.eye(4))
         assert np.abs(ch.adjoint(ident).matrix - np.eye(4)).max() == 0
 
     def test_descend_adjoint_is_unital(self, bundled_lam):
@@ -174,7 +174,7 @@ class TestApply:
     def test_identity_channel_is_identity(self):
         rng = np.random.default_rng(9)
         rho = rand_density(rng, 4)
-        assert np.abs(ch.apply(ch.identity_channel(2, 2), rho) - rho).max() == 0
+        assert np.abs(ch.apply(ch.Channel(2, 2, 2, np.eye(16)), rho) - rho).max() == 0
 
     def test_dimension_mismatch_raises(self, bundled_lam):
         with pytest.raises(ShapeError):
@@ -255,13 +255,3 @@ class TestAlgebra:
         lhs = ch.tensor(dc.average, dc.left).matrix
         rhs = (ch.tensor(dc.left, dc.left).matrix + ch.tensor(dc.right, dc.left).matrix) / 2
         assert np.abs(lhs - rhs).max() < 1e-14
-
-
-def test_export_channel(tmp_path, bundled_lam):
-    import json
-
-    path = str(tmp_path / "growth.json")
-    ch.export_channel(ch.growth_channel(bundled_lam), path)
-    doc = json.loads(open(path).read())
-    assert doc["nu_in"] == 1 and doc["nu_out"] == 2
-    assert len(doc["matrix"]) == 2 * 16 * 4

@@ -7,11 +7,18 @@ from hbts import parent_ham as ph
 from hbts import tensor_core as tc
 from hbts.cli import main, paper_lambda_path
 
+from conftest import write_entries
+
 
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out
+
+
+def run_err(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().err
 
 
 def test_validate_paper_fixture(tmp_path, capsys):
@@ -141,3 +148,41 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
         assert main(["diag", "--isometry", "paper", "--N", "6", "-o", target]) == 0
     capsys.readouterr()
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_bundled_file_matches_code():
+    lam = tc.load_isometry(paper_lambda_path())
+    assert lam.d == 2
+    assert np.array_equal(lam.v, tc.paper_isometry().v)
+
+
+@pytest.mark.parametrize(
+    "entries, argv",
+    [
+        ([[0, 2, 0, 1, 0]], ["validate", "--isometry", "{}"]),
+        ([[-1, 0, 0, 1, 0]], ["validate", "--isometry", "{}"]),
+        ([[0, 2, 1, 0]], ["validate", "--top", "{}"]),
+        ([[-1, 0, 1, 0]], ["correlate", "--isometry", "paper", "--theta", "{}", "--theta-prime", "z"]),
+    ],
+)
+def test_out_of_range_index_exits_two(tmp_path, capsys, entries, argv):
+    path = write_entries(tmp_path / "bad.json", 2, entries)
+    code, err = run_err([a.format(path) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_missing_kernel_exits_two(tmp_path, capsys):
+    path = str(tmp_path / "r.json")
+    assert main(["random-isometry", "--d", "2", "--seed", "3", "-o", path]) == 0
+    code, err = run_err(["parent", "--isometry", path, "--nu", "2"], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_validate_rejects_top_of_other_dimension(tmp_path, capsys):
+    path = str(tmp_path / "r3.json")
+    tc.save_isometry(tc.random_isometry(3, 1), path)
+    code, err = run_err(["validate", "--isometry", path, "--top", "diag", "--d", "2"], capsys)
+    assert code == 2
+    assert err.startswith("error:")

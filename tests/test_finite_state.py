@@ -35,7 +35,7 @@ class TestBuildState:
     def test_norm_preserved_at_every_depth(self, bundled_lam):
         top = rand_top(2, 3)
         for n in range(1, 5):
-            assert fs.state_norm_check(fs.build_state(bundled_lam, top, n))
+            assert abs(fs.build_state(bundled_lam, top, n).norm() - 1.0) <= 1e-10
 
     def test_budget_exceeded(self, bundled_lam, diag_top):
         with pytest.raises(ResourceLimitError) as err:

@@ -4,7 +4,7 @@ import pytest
 from hbts import tensor_core as tc
 from hbts.errors import ShapeError, ValidationError
 
-from conftest import rand_density
+from conftest import rand_density, write_entries
 
 
 def basis_projector(dim, index):
@@ -176,3 +176,29 @@ class TestFileRoundTrips:
         tc.save_observable(sigma_z, path)
         again = tc.load_observable(path)
         assert np.abs(again.matrix - sigma_z.matrix).max() == 0
+
+
+
+BAD_INDICES = {
+    "isometry": (tc.load_isometry, [[0, 2, 0, 1, 0], [-1, 0, 0, 1, 0], [0, 0, 2, 1, 0], [0, 0.5, 0, 1, 0]]),
+    "top": (tc.load_top, [[2, 0, 1, 0], [0, -1, 1, 0], [0.0, 1, 1, 0]]),
+    "observable": (tc.load_observable, [[0, 2, 1, 0], [-1, 0, 1, 0], [True, 0, 1, 0]]),
+}
+
+
+class TestEntryIndexRange:
+    @pytest.mark.parametrize(
+        "kind, entry",
+        [(kind, entry) for kind, (_, entries) in BAD_INDICES.items() for entry in entries],
+    )
+    def test_index_outside_range_is_a_shape_error(self, tmp_path, kind, entry):
+        load = BAD_INDICES[kind][0]
+        path = write_entries(tmp_path / "bad.json", 2, [entry])
+        with pytest.raises(ShapeError):
+            load(path)
+
+    @pytest.mark.parametrize("load", [tc.load_isometry, tc.load_top, tc.load_observable])
+    def test_wrong_entry_length_is_a_shape_error(self, tmp_path, load):
+        path = write_entries(tmp_path / "bad.json", 2, [[0, 0, 0, 0, 1, 0]])
+        with pytest.raises(ShapeError):
+            load(path)
