@@ -116,18 +116,33 @@ def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
-def _eigenvalue_clusters(matrix: np.ndarray, cluster_tol: float) -> list[tuple[complex, int]]:
-    """(kappa, algebraic multiplicity) per eigenvalue cluster, by |kappa| descending."""
-    evals = np.linalg.eigvals(matrix)
-    out = [(complex(np.mean(evals[c])), len(c)) for c in _cluster(evals, cluster_tol)]
-    out.sort(key=lambda item: (-abs(item[0]), -item[0].real, -item[0].imag))
-    return out
-
-
 def _geometric(singular_values: np.ndarray, tau_rank: float) -> int:
     """Nullity of A - kappa I: singular values at or below tau_rank times the largest."""
     top = singular_values[0] if singular_values[0] > 0 else 1.0
     return int(np.count_nonzero(singular_values <= tau_rank * top))
+
+
+def _spectral_structure(matrix: np.ndarray) -> list[tuple[complex, int, int, list[np.ndarray]]]:
+    """(kappa, algebraic, geometric, null vectors) per eigenvalue cluster, by |kappa| descending.
+
+    One eigendecomposition gives the clusters.  A simple eigenvalue has
+    geometric multiplicity 1 and its eigenvector as null vector; a cluster of
+    two or more is resolved by the SVD rank of (matrix - kappa I), whose null
+    vectors are its last right singular vectors.
+    """
+    evals, evecs = np.linalg.eig(matrix)
+    eye = np.eye(matrix.shape[0])
+    out = []
+    for members in _cluster(evals, CLUSTER_TOL):
+        kappa = complex(np.mean(evals[members]))
+        if len(members) == 1:
+            out.append((kappa, 1, 1, [evecs[:, members[0]]]))
+            continue
+        _, s, vh = np.linalg.svd(matrix - kappa * eye)
+        geometric = _geometric(s, TAU_RANK)
+        out.append((kappa, len(members), geometric, [vh[-1 - k].conj() for k in range(geometric)]))
+    out.sort(key=lambda item: (-abs(item[0]), -item[0].real, -item[0].imag))
+    return out
 
 
 def _log2_or_none(kappa: complex) -> complex | None:
@@ -136,39 +151,26 @@ def _log2_or_none(kappa: complex) -> complex | None:
     return complex(np.log(kappa) / np.log(2.0))
 
 
-def exponent_spectrum(
-    lam: Isometry,
-    cluster_tol: float = CLUSTER_TOL,
-    tau_rank: float = TAU_RANK,
-) -> SpectrumReport:
+def exponent_spectrum(lam: Isometry) -> SpectrumReport:
     """Full eigenstructure of the pair-descend adjoint, sorted by |kappa| descending.
 
-    Geometric multiplicities come from the SVD rank of (A - kappa I) at the
-    rank tolerance; eigenoperators are the corresponding null vectors,
-    reshaped to two-site operators.
+    Geometric multiplicities of degenerate clusters come from the SVD rank of
+    (A - kappa I) at the rank tolerance; eigenoperators are the corresponding
+    null vectors, reshaped to two-site operators.
     """
     adj = ch.adjoint(ch.pair_descend_channel(lam))
-    mat = adj.matrix
-    dim_op = adj.dim_out  # operators live on d^2-dimensional pair space
-    eye = np.eye(mat.shape[0])
-    entries = []
-    diagonalizable = True
-    for kappa, algebraic in _eigenvalue_clusters(mat, cluster_tol):
-        _, s, vh = np.linalg.svd(mat - kappa * eye)
-        geometric = _geometric(s, tau_rank)
-        ops = tuple(ch.unvec(vh[dim_op * dim_op - 1 - k].conj(), dim_op) for k in range(geometric))
-        entries.append(
-            SpectrumEntry(
-                kappa=kappa,
-                exponent=_log2_or_none(kappa),
-                algebraic=algebraic,
-                geometric=geometric,
-                eigenoperators=ops,
-            )
+    entries = tuple(
+        SpectrumEntry(
+            kappa=kappa,
+            exponent=_log2_or_none(kappa),
+            algebraic=algebraic,
+            geometric=geometric,
+            eigenoperators=tuple(ch.unvec(x, adj.dim_out) for x in null),
         )
-        if algebraic != geometric:
-            diagonalizable = False
-    return SpectrumReport(d=lam.d, entries=tuple(entries), diagonalizable=diagonalizable)
+        for kappa, algebraic, geometric, null in _spectral_structure(adj.matrix)
+    )
+    diagonalizable = all(e.algebraic == e.geometric for e in entries)
+    return SpectrumReport(d=lam.d, entries=entries, diagonalizable=diagonalizable)
 
 
 def powerlaw_check(
@@ -241,11 +243,7 @@ def powerlaw_check(
         )
 
     # general block: decompose over the spectrum of the forward map
-    eye = np.eye(pair.matrix.shape[0])
-    structure = [
-        (kappa, alg, _geometric(np.linalg.svd(pair.matrix - kappa * eye, compute_uv=False), TAU_RANK))
-        for kappa, alg in _eigenvalue_clusters(pair.matrix, CLUSTER_TOL)
-    ]
+    structure = [(kappa, alg, geo) for kappa, alg, geo, _ in _spectral_structure(pair.matrix)]
     jordan = any(alg != geo for _, alg, geo in structure)
     ms = np.array(m_values, dtype=float)
     columns = []

@@ -301,18 +301,32 @@ def _save_entries(path: str, array: np.ndarray) -> None:
 
 
 def _load_entries(path: str, arity: int) -> tuple[int, np.ndarray]:
-    """Read an entry file into a (d,)*arity complex array; indices must lie in 0..d-1."""
+    """Read an entry file into a (d,)*arity complex array.
+
+    The file must be an object whose ``d`` is a positive integer and whose
+    ``entries`` is a list of lists, each with arity integer indices in
+    0..d-1 followed by the real numbers re, im.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    d = int(doc["d"])
+    if not isinstance(doc, dict):
+        raise ShapeError("%s: expected an object with keys d and entries" % path)
+    d = doc.get("d")
+    if type(d) is not int or d < 1:
+        raise ShapeError("%s: d must be a positive integer, got %r" % (path, d))
+    entries = doc.get("entries")
+    if not isinstance(entries, list):
+        raise ShapeError("%s: entries must be a list, got %r" % (path, entries))
     array = np.zeros((d,) * arity, dtype=complex)
-    for entry in doc["entries"]:
-        if len(entry) != arity + 2:
-            raise ShapeError("%s: entry %s needs %d indices and re, im" % (path, entry, arity))
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != arity + 2:
+            raise ShapeError("%s: entry %r needs %d indices and re, im" % (path, entry, arity))
         idx = entry[:arity]
         if not all(type(i) is int and 0 <= i < d for i in idx):
             raise ShapeError("%s: entry %s has an index outside the integers 0..%d" % (path, entry, d - 1))
         re, im = entry[arity:]
+        if not all(type(x) in (int, float) for x in (re, im)):
+            raise ShapeError("%s: entry %r needs real numbers re, im" % (path, entry))
         array[tuple(idx)] = complex(re, im)
     return d, array
 

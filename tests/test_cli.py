@@ -54,13 +54,16 @@ def test_thermo_report(tmp_path, capsys):
 
 
 def test_exponents_sorted_by_modulus(tmp_path, capsys):
-    out_file = str(tmp_path / "e.json")
-    code, _ = run(["exponents", "--isometry", "paper", "-o", out_file], capsys)
-    assert code == 0
-    doc = json.loads(open(out_file).read())
-    mods = [e["modulus"] for e in doc["entries"]]
-    assert mods == sorted(mods, reverse=True)
-    assert doc["diagonalizable"] is True
+    seeded = str(tmp_path / "r3.json")
+    assert main(["random-isometry", "--d", "3", "--seed", "7", "-o", seeded]) == 0
+    for isometry in ("paper", seeded):
+        out_file = str(tmp_path / "e.json")
+        code, _ = run(["exponents", "--isometry", isometry, "-o", out_file], capsys)
+        assert code == 0
+        doc = json.loads(open(out_file).read())
+        mods = [e["modulus"] for e in doc["entries"]]
+        assert mods == sorted(mods, reverse=True)
+        assert doc["diagonalizable"] is True
 
 
 def test_correlate_row_count(tmp_path, capsys):
@@ -186,3 +189,20 @@ def test_validate_rejects_top_of_other_dimension(tmp_path, capsys):
     code, err = run_err(["validate", "--isometry", path, "--top", "diag", "--d", "2"], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[0, 0, 0, 1, 0]],
+        {"d": 2, "entries": None},
+        {"d": 2, "entries": [[0, 0, 0, "1", 0]]},
+        {"d": 2.7, "entries": [[0, 0, 0, 1, 0]]},
+    ],
+)
+def test_malformed_entry_file_exits_two(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_err(["validate", "--isometry", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "bad.json" in err

@@ -158,3 +158,54 @@ class TestPowerlawCheck:
             co.powerlaw_check(bundled_lam, co.CorrelatorQuery(sigma_z, sigma_z), [])
         with pytest.raises(ValueError):
             co.powerlaw_check(bundled_lam, np.eye(2))
+
+
+def assert_null_vectors(matrix, structure):
+    for kappa, _, geometric, null in structure:
+        assert len(null) == geometric
+        for x in null:
+            assert np.linalg.norm(matrix @ x - kappa * x) <= 1e-12 * np.linalg.norm(x)
+
+
+class TestSpectralStructure:
+    def test_diagonal_with_a_double_eigenvalue(self):
+        a = np.diag([1.0, 0.5, 0.5, 0.25])
+        structure = co._spectral_structure(a)
+        assert [(k, alg, geo) for k, alg, geo, _ in structure] == [(1, 1, 1), (0.5, 2, 2), (0.25, 1, 1)]
+        assert_null_vectors(a, structure)
+
+    def test_jordan_block_has_one_eigenvector(self):
+        # a 2x2 Jordan block at 1/2 plus the eigenvalue 1, in a rotated basis
+        q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
+        a = q @ np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]]) @ q.T
+        structure = co._spectral_structure(a)
+        assert [(alg, geo) for _, alg, geo, _ in structure] == [(1, 1), (2, 1)]
+        assert abs(structure[0][0] - 1.0) < 1e-12 and abs(structure[1][0] - 0.5) < 1e-7
+        assert_null_vectors(a, structure)
+
+    def test_non_normal_matrix_with_simple_eigenvalues(self):
+        rng = np.random.default_rng(5)
+        a = np.diag([0.9, 0.6, 0.3, 0.1]) + np.triu(rng.standard_normal((4, 4)), 1)
+        s = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+        a = s @ a @ np.linalg.inv(s)
+        structure = co._spectral_structure(a)
+        assert [(alg, geo) for _, alg, geo, _ in structure] == [(1, 1)] * 4
+        assert np.abs(np.array([k for k, _, _, _ in structure]) - [0.9, 0.6, 0.3, 0.1]).max() < 1e-12
+        assert_null_vectors(a, structure)
+
+
+@pytest.mark.parametrize("d, seed", [(d, seed) for d in (2, 3, 4) for seed in (0, 1, 2)])
+def test_seeded_spectrum_properties(d, seed):
+    lam = tc.random_isometry(d, seed)
+    adj = ch.adjoint(ch.pair_descend_channel(lam))
+    spec = co.exponent_spectrum(lam)
+    assert sum(e.algebraic for e in spec.entries) == d ** 4
+    assert all(1 <= e.geometric <= e.algebraic for e in spec.entries)
+    assert abs(spec.entries[0].kappa - 1.0) < 1e-10
+    assert max(e.modulus for e in spec.entries) <= 1 + 1e-10
+    for entry in spec.entries:
+        for x in entry.eigenoperators:
+            assert np.abs(ch.apply(adj, x) - entry.kappa * x).max() <= 1e-8 * np.abs(x).max()
+    kappas = np.array([e.kappa for e in spec.entries])
+    dist = np.abs(np.linalg.eigvals(adj.matrix)[:, None] - kappas[None, :])
+    assert dist.min(axis=1).max() <= 1e-10 and dist.min(axis=0).max() <= 1e-10

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,34 @@ class TestEntryIndexRange:
         path = write_entries(tmp_path / "bad.json", 2, [[0, 0, 0, 0, 1, 0]])
         with pytest.raises(ShapeError):
             load(path)
+
+
+LOADERS = {"isometry": (tc.load_isometry, 3), "top": (tc.load_top, 2), "observable": (tc.load_observable, 2)}
+
+
+def malformed_docs(arity):
+    """Entry-file documents with one defect each, by name, for files with arity indices."""
+    entry = [0] * arity + [1, 0]
+    return {
+        "top-level list": [entry],
+        "null entries": {"d": 2, "entries": None},
+        "bare number entry": {"d": 2, "entries": [1.5]},
+        "string re": {"d": 2, "entries": [entry[:arity] + ["1", 0]]},
+        "string im": {"d": 2, "entries": [entry[:arity] + [1, "0"]]},
+        "fractional d": {"d": 2.7, "entries": [entry]},
+        "string d": {"d": "2", "entries": [entry]},
+        "boolean d": {"d": True, "entries": [entry]},
+        "zero d": {"d": 0, "entries": []},
+        "negative d": {"d": -1, "entries": []},
+    }
+
+
+class TestMalformedEntryFiles:
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    @pytest.mark.parametrize("case", list(malformed_docs(2)))
+    def test_malformed_file_is_a_shape_error_naming_the_file(self, tmp_path, kind, case):
+        load, arity = LOADERS[kind]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(malformed_docs(arity)[case]))
+        with pytest.raises(ShapeError, match="bad.json"):
+            load(str(path))
