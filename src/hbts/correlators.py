@@ -128,7 +128,11 @@ def _spectral_structure(matrix: np.ndarray) -> list[tuple[complex, int, int, lis
     One eigendecomposition gives the clusters.  A simple eigenvalue has
     geometric multiplicity 1 and its eigenvector as null vector; a cluster of
     two or more is resolved by the SVD rank of (matrix - kappa I), whose null
-    vectors are its last right singular vectors.
+    vectors are its last right singular vectors.  The channels here preserve
+    Hermiticity, so their spectra are closed under conjugation: two clusters
+    that are conjugate to CLUSTER_TOL get exactly conjugate kappas.  Moduli
+    that agree to CLUSTER_TOL are ordered by Re kappa, then Im kappa,
+    descending, so the order does not hang on the last bit.
     """
     evals, evecs = np.linalg.eig(matrix)
     eye = np.eye(matrix.shape[0])
@@ -141,8 +145,16 @@ def _spectral_structure(matrix: np.ndarray) -> list[tuple[complex, int, int, lis
         _, s, vh = np.linalg.svd(matrix - kappa * eye)
         geometric = _geometric(s, TAU_RANK)
         out.append((kappa, len(members), geometric, [vh[-1 - k].conj() for k in range(geometric)]))
-    out.sort(key=lambda item: (-abs(item[0]), -item[0].real, -item[0].imag))
-    return out
+    kappas = np.array([item[0] for item in out])
+    for i in np.flatnonzero(kappas.imag > CLUSTER_TOL):
+        j = int(np.argmin(np.abs(kappas - kappas[i].conjugate())))
+        if abs(kappas[j] - kappas[i].conjugate()) <= CLUSTER_TOL and out[j][1] == out[i][1]:
+            upper = complex(kappas[i] + kappas[j].conjugate()) / 2.0
+            out[i], out[j] = (upper,) + out[i][1:], (upper.conjugate(),) + out[j][1:]
+    out.sort(key=lambda item: -abs(item[0]))
+    cuts = [k for k in range(1, len(out)) if abs(out[k - 1][0]) - abs(out[k][0]) > CLUSTER_TOL]
+    runs = [out[a:b] for a, b in zip([0] + cuts, cuts + [len(out)])]
+    return [item for run in runs for item in sorted(run, key=lambda r: (-r[0].real, -r[0].imag))]
 
 
 def _log2_or_none(kappa: complex) -> complex | None:

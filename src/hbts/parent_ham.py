@@ -4,11 +4,13 @@ The interaction term is a weighted sum of projectors onto the kernel of the
 infinite-depth reduced state, so the full Hamiltonian is PSD and kills the
 tree state.  Everything ground-space related (degeneracy, the grown
 subspace and its translate, unfrustration, adjoint nullity) is verified
-numerically on dense matrices.
+numerically: the spectrum by dense diagonalization, in real arithmetic when
+the term is real, and the grown subspace term by term without forming H.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -117,6 +119,8 @@ def build_interaction(
                     raise ValueError("kernel weights must be strictly positive")
             h = kernel @ np.diag(w.astype(complex)) @ kernel.conj().T
             h = (h + h.conj().T) / 2.0
+            if not lam.v.imag.any():
+                h = h.real  # every state and projector of a real tree is real; drop the roundoff
             annihilation = float(np.abs(h @ rho.matrix).max())
             if annihilation > 1e-10:
                 raise ValidationError(
@@ -129,16 +133,43 @@ def build_interaction(
     )
 
 
+def _window_index(d: int, nu: int, N: int, start: int) -> np.ndarray:
+    """Where the nu-site window at start sits on the ring: kron(h, I)'s index map, rotated by start.
+
+    Entry [a, r] is the ring index of |a> on sites start..start+nu-1 (cyclic)
+    times |r> on the other sites, read in ring order from start+nu, i.e. of
+    row a*d^(N-nu)+r of kron(h, I).
+    """
+    i = np.arange(d ** N)
+    low = d ** start
+    return ((i % low) * (d ** N // low) + i // low).reshape(d ** nu, -1)
+
+
+def _add_term(out: np.ndarray, h: np.ndarray, d: int, nu: int, N: int, start: int) -> None:
+    """Add h on the window at start into the d^N x d^N matrix out, entry by entry."""
+    ring = _window_index(d, nu, N, start)
+    np.add.at(out, (ring[:, None, :], ring[None, :, :]), h[:, :, None])
+
+
+def _apply_term(h: np.ndarray, d: int, nu: int, N: int, start: int, states: np.ndarray) -> np.ndarray:
+    """h on the window at start, applied to each column of states without forming it on the ring."""
+    ring = _window_index(d, nu, N, start)
+    out = np.empty(states.shape, dtype=np.result_type(h, states))
+    out[ring] = np.tensordot(h, states[ring], axes=1)
+    return out
+
+
+def _hermitian_term(hs: HamiltonianSpec) -> np.ndarray:
+    """The Hermitian part of the interaction, as a real matrix when it has no imaginary part."""
+    h = (hs.h_term + hs.h_term.conj().T) / 2.0
+    return h if h.imag.any() else h.real
+
+
 def embedded_term(h: np.ndarray, d: int, nu: int, N: int, start: int) -> np.ndarray:
     """The interaction placed on sites start..start+nu-1 (0-based, cyclic) of N sites."""
-    sites = [(start + j) % N for j in range(nu)]
-    rest = [s for s in range(N) if s not in sites]
-    m = np.kron(h, np.eye(d ** (N - nu), dtype=complex))
-    t = m.reshape((d,) * (2 * N))
-    order = sites + rest
-    inv = np.argsort(order)
-    t = t.transpose(tuple(inv) + tuple(N + i for i in inv))
-    return t.reshape(d ** N, d ** N)
+    out = np.zeros((d ** N, d ** N), dtype=complex)
+    _add_term(out, np.asarray(h), d, nu, N, start)
+    return out
 
 
 def _require_ring(hs: HamiltonianSpec, N: int, max_dim: int) -> None:
@@ -152,24 +183,19 @@ def _require_ring(hs: HamiltonianSpec, N: int, max_dim: int) -> None:
         )
 
 
-def _cyclic_sum(hs: HamiltonianSpec, N: int, visit=None) -> np.ndarray:
-    """Cyclic sum of the interaction, 1/N-normalized; ``visit`` sees each term once, in site order."""
-    dim = hs.d ** N
-    total = np.zeros((dim, dim), dtype=complex)
-    for alpha in range(N):
-        term = embedded_term(hs.h_term, hs.d, hs.nu, N, alpha)
-        total += term
-        if visit is not None:
-            visit(term)
-        del term  # else it stays alive while the next term is built: one more d^N x d^N matrix
-    total /= N
-    return (total + total.conj().T) / 2.0
-
-
 def assemble(hs: HamiltonianSpec, N: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Cyclic sum of the interaction over all starting sites, 1/N-normalized."""
+    """Cyclic sum of the interaction over all starting sites, 1/N-normalized.
+
+    Real (float64) when the interaction term is real, so that ``diagonalize``
+    runs real LAPACK; complex otherwise.
+    """
     _require_ring(hs, N, max_dim)
-    return _cyclic_sum(hs, N)
+    h = _hermitian_term(hs)
+    total = np.zeros((hs.d ** N, hs.d ** N), dtype=h.dtype)
+    for start in range(N):
+        _add_term(total, h, hs.d, hs.nu, N, start)
+    total /= N
+    return total
 
 
 def diagonalize(h: np.ndarray, tau_gs: float = TAU_GS, bins: int = 50) -> GroundSpaceReport:
@@ -198,28 +224,17 @@ def grown_basis(lam: Isometry, N: int) -> np.ndarray:
     """
     if N % 2 != 0:
         raise ValueError("growing a layer needs an even target size, got N=%d" % N)
-    d = lam.d
-    half = N // 2
-    v = lam.v
-    basis = np.zeros((d ** N, d ** half), dtype=complex)
-    for j in range(d ** half):
-        digits = []
-        x = j
-        for _ in range(half):
-            digits.append(x % d)
-            x //= d
-        digits.reverse()
-        phi = np.ones(1, dtype=complex)
-        for u in digits:
-            phi = np.kron(phi, v[:, u])
-        basis[:, j] = phi
-    return basis
+    return functools.reduce(np.kron, [lam.v] * (N // 2), np.ones((1, 1)))
 
 
 def translate_state(vec: np.ndarray, d: int, N: int) -> np.ndarray:
-    """One-site cyclic translation: site contents move one position to the right."""
-    t = np.asarray(vec).reshape((d,) * N)
-    return np.moveaxis(t, -1, 0).reshape(-1)
+    """One-site cyclic translation: site contents move one position to the right.
+
+    ``vec`` is one state of d^N amplitudes, or a d^N x k matrix of states as columns.
+    """
+    vec = np.asarray(vec)
+    t = vec.reshape((d,) * N + vec.shape[1:])
+    return np.moveaxis(t, N - 1, 0).reshape(vec.shape)
 
 
 def grown_subspace_check(
@@ -231,25 +246,25 @@ def grown_subspace_check(
 ) -> SubspaceReport:
     """Verify the grown subspace is annihilated term by term, and measure its span.
 
-    Checks every basis image against the assembled Hamiltonian and against
-    each local term separately (unfrustration), then ranks the union of the
-    subspace with its one-site translate.
+    Applies each local term to every basis image, without forming H: their
+    sum is H|phi>, each alone gives the local energy (unfrustration).  Then
+    ranks the union of the subspace with its one-site translate.
     """
     if N % 2 != 0:
         raise ValueError("the grown-subspace construction needs even N, got %d" % N)
     _require_ring(hs, N, max_dim)
     basis = grown_basis(lam, N)
-    local = []
+    h = _hermitian_term(hs)
+    image = np.zeros(basis.shape, dtype=complex)
+    max_local = 0.0
+    for start in range(N):
+        term_image = _apply_term(h, hs.d, hs.nu, N, start, basis)
+        image += term_image
+        energies = np.einsum("ij,ij->j", basis.conj(), term_image)
+        max_local = max(max_local, float(np.abs(energies).max()))
+    max_h_residual = float(np.linalg.norm(image / N, axis=0).max())
 
-    def local_energy(term):
-        energies = np.einsum("ij,ij->j", basis.conj(), term @ basis)
-        local.append(float(np.abs(energies).max()))
-
-    ham = _cyclic_sum(hs, N, visit=local_energy)
-    max_h_residual = float(np.linalg.norm(ham @ basis, axis=0).max())
-    max_local = max(local)
-
-    translated = np.stack([translate_state(basis[:, j], hs.d, N) for j in range(basis.shape[1])], axis=1)
+    translated = translate_state(basis, hs.d, N)
     dim_grown = svd_rank(basis)
     dim_translated = svd_rank(translated)
     dim_union = svd_rank(np.hstack([basis, translated]))

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ResourceLimitError, ShapeError, ValidationError
 from .reporting import format_float, write_text_atomic
 
 TAU_ISO = 1e-10
@@ -30,6 +30,7 @@ TAU_HERM = 1e-10
 TAU_PSD = 1e-10
 TAU_TRACE = 1e-10
 TAU_RANK = 1e-10
+MAX_FILE_ENTRIES = 1 << 24    # largest d^arity array an entry file may declare (256 MB complex)
 
 
 def _frozen_complex(a, shape=None, what="array") -> np.ndarray:
@@ -305,7 +306,8 @@ def _load_entries(path: str, arity: int) -> tuple[int, np.ndarray]:
 
     The file must be an object whose ``d`` is a positive integer and whose
     ``entries`` is a list of lists, each with arity integer indices in
-    0..d-1 followed by the real numbers re, im.
+    0..d-1 followed by the real numbers re, im.  A d with more than
+    MAX_FILE_ENTRIES array entries is refused before anything is allocated.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -317,6 +319,11 @@ def _load_entries(path: str, arity: int) -> tuple[int, np.ndarray]:
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise ShapeError("%s: entries must be a list, got %r" % (path, entries))
+    if d ** arity > MAX_FILE_ENTRIES:
+        raise ResourceLimitError(
+            "%s: d=%d needs %d entries, budget is %d" % (path, d, d ** arity, MAX_FILE_ENTRIES),
+            required=d ** arity,
+        )
     array = np.zeros((d,) * arity, dtype=complex)
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != arity + 2:

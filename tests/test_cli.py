@@ -122,6 +122,25 @@ def test_subspace_check(tmp_path, capsys):
     assert doc["dim_union"] == 32 and doc["unfrustrated"] is True
 
 
+def test_parent_hamiltonian_reports_are_pinned(tmp_path, capsys):
+    # figures of the dense complex assembly these commands used before real arithmetic;
+    # a drift beyond roundoff in either command fails here
+    out_file = str(tmp_path / "d.json")
+    assert main(["diag", "--isometry", "paper", "--N", "8", "-o", out_file]) == 0
+    doc = json.loads(open(out_file).read())
+    assert doc["degeneracy"] == 32
+    spectrum = doc["spectrum"]
+    assert abs(doc["ground_energy"] - -3.1972960094995956e-16) < 1e-12
+    assert abs(spectrum[32] - 0.031369809623281314) < 1e-12
+    assert abs(spectrum[-1] - 0.7687390907274507) < 1e-12
+    assert main(["subspace-check", "--isometry", "paper", "--N", "8", "-o", out_file]) == 0
+    doc = json.loads(open(out_file).read())
+    assert (doc["dim_grown"], doc["dim_translated"], doc["dim_union"]) == (16, 16, 32)
+    assert doc["unfrustrated"] is True
+    assert abs(doc["max_h_residual"] - 5.1989240931163111e-16) < 1e-12
+    assert abs(doc["max_local_energy"] - 5.0749047318559832e-17) < 1e-12
+
+
 def test_mera_bounds_stdout(capsys):
     code, out = run(["mera-bounds", "--topology", "ternary", "--d", "2"], capsys)
     assert code == 0
@@ -206,3 +225,11 @@ def test_malformed_entry_file_exits_two(tmp_path, capsys, doc):
     code, err = run_err(["validate", "--isometry", str(path)], capsys)
     assert code == 2
     assert err.startswith("error:") and "bad.json" in err
+
+
+@pytest.mark.parametrize("flag", ["--isometry", "--top"])
+def test_huge_d_exits_two(tmp_path, capsys, flag):
+    path = write_entries(tmp_path / "huge.json", 10 ** 5, [])
+    code, err = run_err(["validate", flag, path], capsys)
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1

@@ -209,3 +209,14 @@ def test_seeded_spectrum_properties(d, seed):
     kappas = np.array([e.kappa for e in spec.entries])
     dist = np.abs(np.linalg.eigvals(adj.matrix)[:, None] - kappas[None, :])
     assert dist.min(axis=1).max() <= 1e-10 and dist.min(axis=0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_conjugate_pairs_are_exact_and_list_the_upper_member_first(seed):
+    # the order within a pair must not hang on the last bit of |kappa| or Re kappa
+    kappas = [e.kappa for e in co.exponent_spectrum(tc.random_isometry(3, seed)).entries]
+    lower = [i for i, k in enumerate(kappas) if k.imag < -co.CLUSTER_TOL]
+    assert lower
+    for i in lower:
+        assert kappas[i - 1] == kappas[i].conjugate()
+    assert [abs(k) for k in kappas] == sorted((abs(k) for k in kappas), reverse=True)

@@ -8,7 +8,7 @@ from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import ResourceLimitError
 
-from conftest import rand_top
+from conftest import rand_herm, rand_top
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +110,74 @@ class TestAssemble:
         assert abs(out[0b011, 0b011]) < 1e-15
 
 
+def kron_embedding(h, d, nu, N, start):
+    """Reference placement: kron(h, I) with its tensor axes moved to the window's sites."""
+    sites = [(start + j) % N for j in range(nu)]
+    order = sites + [s for s in range(N) if s not in sites]
+    inv = list(np.argsort(order))
+    t = np.kron(h, np.eye(d ** (N - nu))).reshape((d,) * (2 * N))
+    return t.transpose(inv + [N + i for i in inv]).reshape(d ** N, d ** N)
+
+
+RINGS = [(2, 2, 5), (2, 3, 6), (2, 4, 7), (3, 2, 4), (3, 3, 5)]
+
+
+class TestRingPlacement:
+    @pytest.mark.parametrize("d, nu, N", RINGS)
+    @pytest.mark.parametrize("real", [True, False])
+    def test_assemble_is_the_mean_of_embedded_terms(self, d, nu, N, real):
+        h = rand_herm(np.random.default_rng(10 * N + d), d ** nu)
+        if real:
+            h = h.real
+        hs = ph.HamiltonianSpec(d=d, nu=nu, h_term=h, kernel_dim=1, weights=np.ones(1))
+        terms = [ph.embedded_term(h, d, nu, N, start) for start in range(N)]
+        for start, term in enumerate(terms):  # starts past N - nu wrap around the ring
+            assert np.abs(term - kron_embedding(h, d, nu, N, start)).max() < 1e-15
+        ham = ph.assemble(hs, N)
+        assert ham.dtype == (np.float64 if real else np.complex128)
+        assert np.abs(ham - sum(terms) / N).max() < 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_real_isometry_gives_a_real_term(self, d):
+        q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d * d, d)))
+        hs = ph.build_interaction(tc.Isometry(d, q))
+        assert not hs.h_term.imag.any()
+        N = hs.nu + 2
+        ham = ph.assemble(hs, N)
+        assert ham.dtype == np.float64
+        as_complex = sum(ph.embedded_term(hs.h_term, d, hs.nu, N, s) for s in range(N)) / N
+        assert as_complex.dtype == np.complex128
+        reference = np.linalg.eigvalsh(as_complex)
+        assert np.abs(ph.diagonalize(ham).spectrum - reference).max() < 1e-12
+
+    @pytest.mark.parametrize("which, N", [("paper", 4), ("paper", 6), ("paper", 8), ("spin1", 4), ("spin1", 6)])
+    def test_subspace_check_matches_the_dense_reference(self, bundled_lam, which, N):
+        lam = bundled_lam if which == "paper" else tc.random_isometry(3, 7)
+        hs = ph.build_interaction(lam)
+        rep = ph.grown_subspace_check(lam, hs, N)
+        basis = ph.grown_basis(lam, N)
+        residual = np.linalg.norm(ph.assemble(hs, N) @ basis, axis=0).max()
+        local = max(
+            np.abs(np.einsum("ij,ij->j", basis.conj(), ph.embedded_term(hs.h_term, lam.d, hs.nu, N, s) @ basis)).max()
+            for s in range(N)
+        )
+        assert abs(rep.max_h_residual - residual) < 1e-13
+        assert abs(rep.max_local_energy - local) < 1e-13
+
+    def test_grown_basis_columns_are_products_of_isometry_columns(self):
+        lam = tc.random_isometry(3, 2)
+        basis = ph.grown_basis(lam, 4)
+        for j in range(9):
+            assert np.array_equal(basis[:, j], np.kron(lam.v[:, j // 3], lam.v[:, j % 3]))
+
+    def test_translation_of_columns_matches_single_states(self, bundled_lam):
+        basis = ph.grown_basis(bundled_lam, 6)
+        columns = np.stack([ph.translate_state(basis[:, j], 2, 6) for j in range(basis.shape[1])], axis=1)
+        assert np.array_equal(ph.translate_state(basis, 2, 6), columns)
+
+
 class TestDiagonalize:
-    @pytest.mark.parametrize("N,degeneracy", [(4, 8), (6, 16), (8, 32)])
+    @pytest.mark.parametrize("N,degeneracy", [(4, 8), (6, 16), (8, 32), (10, 64)])
     def test_even_lattices_degeneracy(self, paper_interaction, N, degeneracy):
         rep = ph.diagonalize(ph.assemble(paper_interaction, N))
         assert abs(rep.ground_energy) <= 1e-10

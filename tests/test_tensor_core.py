@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hbts import tensor_core as tc
-from hbts.errors import ShapeError, ValidationError
+from hbts.errors import ResourceLimitError, ShapeError, ValidationError
 
 from conftest import rand_density, write_entries
 
@@ -235,3 +235,11 @@ class TestMalformedEntryFiles:
         path.write_text(json.dumps(malformed_docs(arity)[case]))
         with pytest.raises(ShapeError, match="bad.json"):
             load(str(path))
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_huge_d_is_refused_before_allocation(self, tmp_path, kind):
+        # d = 10^5 asks for 10^10 (top, observable) or 10^15 (isometry) complex entries
+        load, _ = LOADERS[kind]
+        path = write_entries(tmp_path / "huge.json", 10 ** 5, [])
+        with pytest.raises(ResourceLimitError, match="huge.json"):
+            load(path)
