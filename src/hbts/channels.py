@@ -17,11 +17,17 @@ operators.  The maps built here from a tree isometry ``v`` (d^2 x d):
   correlators at distances 2^m;
 * extension 2 -> 3 and 2 -> 4: the maps taking the two-site state of one
   tree level to three- and four-site states of the level below.
+
+The extensions are applied in Kraus form, ``rho -> sum_k K_k rho K_k^dag``
+on the ``d^2 x d^2`` state; only :func:`extension_channel` builds their dense
+matrices.  Channels and Kraus stacks are derived once per isometry and kept
+on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +88,61 @@ class DescendChannels:
     average: Channel
 
 
-def _kraus_superop(kraus: list[np.ndarray]) -> np.ndarray:
-    return sum(np.kron(k.conj(), k) for k in kraus)
+def _kraus_superop(kraus: np.ndarray) -> np.ndarray:
+    """Superoperator matrix of rho -> sum_k K_k rho K_k^dag, from the stack ``kraus[out, k, in]``.
+
+    Entry ``[(c, r), (c', r')]`` is ``sum_k conj(K_k[c, c']) K_k[r, r']``: one
+    ``A^dag A`` product with ``A[k, (r, r')] = K_k[r, r']``, then a reordering.
+    """
+    dout, n, din = kraus.shape
+    a = kraus.transpose(1, 0, 2).reshape(n, dout * din)
+    gram = a.conj().T @ a
+    return gram.reshape(dout, din, dout, din).transpose(0, 2, 1, 3).reshape(dout * dout, din * din)
+
+
+def _apply_kraus(kraus: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """sum_k K_k op K_k^dag for the stack ``kraus[out, k, in]``, as two matrix products."""
+    dout, n, din = kraus.shape
+    left = (kraus.reshape(dout * n, din) @ op).reshape(dout, n * din)
+    return left @ kraus.reshape(dout, n * din).conj().T
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _ExtensionKraus(NamedTuple):
+    """Stacked Kraus operators ``[out, k, in]`` of the extension maps of one isometry.
+
+    The 2->3 extension is ``ext3``; the 2->4 extension is
+    ``(grow_grow + middle) / 2`` on one two-site state, where ``middle`` is
+    the 3->4 map ``R (x) grow (x) L`` after the 2->3 extension.
+    """
+
+    ext3: np.ndarray       # 2d operators of d^3 x d^2: (R_k (x) v, v (x) L_k) / sqrt 2
+    middle: np.ndarray     # 2d^3 operators of d^4 x d^2: (R_a (x) v (x) L_b) after each ext3 operator
+    grow_grow: np.ndarray  # 1 operator of d^4 x d^2: v (x) v
+
+
+def _build_extension_kraus(lam: Isometry) -> _ExtensionKraus:
+    d = lam.d
+    v = lam.v
+    t = lam.as_tensor()  # (l1, l2, u): R_k = t[k], L_k = t[:, k]
+    right_grow = np.einsum("kau,bw->abkuw", t, v).reshape(d ** 3, d, d * d)
+    grow_left = np.einsum("bu,ckw->bckuw", v, t).reshape(d ** 3, d, d * d)
+    ext3 = np.concatenate([right_grow, grow_left], axis=1) * np.sqrt(0.5)
+    e = ext3.reshape(d, d, d, 2 * d, d * d)  # (s1, s2, s3, k, in)
+    middle = np.einsum("axp,yq,zbr,pqrki->xyzabki", t, v, t, e, optimize=True)
+    middle = middle.reshape(d ** 4, 2 * d ** 3, d * d)
+    grow_grow = np.kron(v, v)[:, None, :]
+    return _ExtensionKraus(_frozen(ext3), _frozen(middle), _frozen(grow_grow))
+
+
+def _extension_kraus(lam: Isometry) -> _ExtensionKraus:
+    """The extension Kraus stacks of ``lam``, validated on every call and built once."""
+    require_isometry(lam)
+    return lam._derive("extension-kraus", lambda: _build_extension_kraus(lam))
 
 
 def growth_channel(lam: Isometry, tol: float = TAU_ISO) -> Channel:
@@ -93,49 +152,50 @@ def growth_channel(lam: Isometry, tol: float = TAU_ISO) -> Channel:
     return Channel(lam.d, 1, 2, np.kron(v.conj(), v), name="growth")
 
 
+def _build_descend(lam: Isometry) -> DescendChannels:
+    d = lam.d
+    t = lam.as_tensor()  # (l1, l2, u)
+    left = Channel(d, 1, 1, _kraus_superop(t), name="descend-left")
+    right = Channel(d, 1, 1, _kraus_superop(t.transpose(1, 0, 2)), name="descend-right")
+    average = Channel(d, 1, 1, (left.matrix + right.matrix) / 2.0, name="descend")
+    return DescendChannels(left, right, average)
+
+
 def descend_channels(lam: Isometry, tol: float = TAU_ISO) -> DescendChannels:
     """Left/right single-site descents and their equal-weight mixture.
 
     Left keeps the left child (traces the right), right keeps the right
-    child; both are CPT with Kraus operators sliced out of the isometry.
+    child; both are CPT with Kraus operators sliced out of the isometry:
+    ``t[:, k, :]`` for left, ``t[k, :, :]`` for right.
     """
     require_isometry(lam, tol)
-    d = lam.d
-    t = lam.as_tensor()  # (l1, l2, u)
-    kraus_left = [t[:, k, :] for k in range(d)]
-    kraus_right = [t[k, :, :] for k in range(d)]
-    left = Channel(d, 1, 1, _kraus_superop(kraus_left), name="descend-left")
-    right = Channel(d, 1, 1, _kraus_superop(kraus_right), name="descend-right")
-    average = Channel(d, 1, 1, (left.matrix + right.matrix) / 2.0, name="descend")
-    return DescendChannels(left, right, average)
+    return lam._derive("descend", lambda: _build_descend(lam))
 
 
 def pair_descend_channel(lam: Isometry) -> Channel:
     """Two sites to two: (left (x) left + right (x) right)/2."""
     dc = descend_channels(lam)
-    mat = (tensor(dc.left, dc.left).matrix + tensor(dc.right, dc.right).matrix) / 2.0
-    return Channel(lam.d, 2, 2, mat, name="pair-descend")
+
+    def build():
+        mat = (tensor(dc.left, dc.left).matrix + tensor(dc.right, dc.right).matrix) / 2.0
+        return Channel(lam.d, 2, 2, mat, name="pair-descend")
+
+    return lam._derive("pair-descend", build)
 
 
 def extension_channel(lam: Isometry, nu: int) -> Channel:
-    """Two-site state of one level to the nu-site state of the level below.
+    """Two-site state of one level to the nu-site state of the level below, as a dense matrix.
 
     Only nu in {3, 4} is defined; larger windows have no stated construction.
     """
-    dc = descend_channels(lam)
-    grow = growth_channel(lam)
-    ext3 = Channel(
-        lam.d, 2, 3,
-        (tensor(dc.right, grow).matrix + tensor(grow, dc.left).matrix) / 2.0,
-        name="extend-2to3",
-    )
+    if nu not in (3, 4):
+        raise ValueError("extension is defined for nu in {3, 4}, got %r" % (nu,))
+    kraus = _extension_kraus(lam)
     if nu == 3:
-        return ext3
-    if nu == 4:
-        middle = tensor(tensor(dc.right, grow), dc.left)  # 3 -> 4
-        mat = (tensor(grow, grow).matrix + middle.matrix @ ext3.matrix) / 2.0
-        return Channel(lam.d, 2, 4, mat, name="extend-2to4")
-    raise ValueError("extension is defined for nu in {3, 4}, got %r" % (nu,))
+        mat = _kraus_superop(kraus.ext3)
+    else:
+        mat = (_kraus_superop(kraus.grow_grow) + _kraus_superop(kraus.middle)) / 2.0
+    return Channel(lam.d, 2, nu, mat, name="extend-2to%d" % nu)
 
 
 def tensor(a: Channel, b: Channel) -> Channel:
@@ -150,16 +210,6 @@ def tensor(a: Channel, b: Channel) -> Channel:
     mat = np.einsum("aAcC,bBdD->abABcdCD", m1, m2).reshape((ao * bo) ** 2, (ai * bi) ** 2)
     name = "(%s (x) %s)" % (a.name or "?", b.name or "?")
     return Channel(a.d, a.nu_in + b.nu_in, a.nu_out + b.nu_out, mat, name=name)
-
-
-def compose(outer: Channel, inner: Channel) -> Channel:
-    """outer after inner."""
-    if outer.d != inner.d or outer.nu_in != inner.nu_out:
-        raise ShapeError(
-            "cannot compose %d-site output into %d-site input" % (inner.nu_out, outer.nu_in)
-        )
-    name = "(%s o %s)" % (outer.name or "?", inner.name or "?")
-    return Channel(outer.d, inner.nu_in, outer.nu_out, outer.matrix @ inner.matrix, name=name)
 
 
 def adjoint(ch: Channel) -> Channel:

@@ -74,7 +74,13 @@ def pair_difference_infinity(lam: Isometry) -> np.ndarray:
     """Quantum-minus-classical two-site state; traceless, drives all decay."""
     rho2 = thermo.two_site_infinity(lam)
     eta = thermo.classical_pair_infinity(lam)
-    return rho2.matrix - eta.matrix
+
+    def build():
+        diff = rho2.matrix - eta.matrix
+        diff.setflags(write=False)
+        return diff
+
+    return lam._derive("pair-difference", build)
 
 
 def pair_descend_series(

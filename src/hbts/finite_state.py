@@ -222,7 +222,7 @@ def recursion_check(
     dc = ch.descend_channels(lam)
     grow = ch.growth_channel(lam)
     rl = ch.tensor(dc.right, dc.left)
-    ext3 = ch.extension_channel(lam, 3)
+    kraus = ch._extension_kraus(lam)
 
     res1 = 0.0
     res2 = 0.0
@@ -234,15 +234,12 @@ def recursion_check(
     res3 = 0.0
     for n in range(2, n_max + 1):
         brute = reduced_avg(states[n], 3).matrix
-        res3 = max(res3, float(np.abs(ch.apply(ext3, rho2[n - 1]) - brute).max()))
+        res3 = max(res3, float(np.abs(ch._apply_kraus(kraus.ext3, rho2[n - 1]) - brute).max()))
 
     res4 = 0.0
     for n in range(3, n_max + 1):
         brute = reduced_avg(states[n], 4).matrix
-        pred = (
-            ch.apply(ch.tensor(grow, grow), rho2[n - 1])
-            + ch.apply(ch.compose(ch.tensor(ch.tensor(dc.right, grow), dc.left), ext3), rho2[n - 2])
-        ) / 2.0
+        pred = (ch._apply_kraus(kraus.grow_grow, rho2[n - 1]) + ch._apply_kraus(kraus.middle, rho2[n - 2])) / 2.0
         res4 = max(res4, float(np.abs(pred - brute).max()))
 
     return RecursionReport(n_max=n_max, single_site=res1, pair=res2, triple=res3, quad=res4)

@@ -198,10 +198,34 @@ def assemble(hs: HamiltonianSpec, N: int, max_dim: int = DEFAULT_MAX_DIM) -> np.
     return total
 
 
+def _is_hermitian(h: np.ndarray) -> bool:
+    """Whether the square matrix h equals its conjugate transpose exactly.
+
+    Compares each 128 x 128 tile on or above the diagonal with its mirror
+    tile, so no second full-size copy of h is made and both reads stay in
+    cache.
+    """
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        return False
+    n, tile = h.shape[0], 128
+    return all(
+        np.array_equal(h[i:i + tile, j:j + tile], h[j:j + tile, i:i + tile].conj().T)
+        for i in range(0, n, tile)
+        for j in range(i, n, tile)
+    )
+
+
 def diagonalize(h: np.ndarray, tau_gs: float = TAU_GS, bins: int = 50) -> GroundSpaceReport:
-    """Full spectrum, ground degeneracy at absolute tolerance, rescaled histogram."""
+    """Full spectrum, ground degeneracy at absolute tolerance, rescaled histogram.
+
+    A matrix that is not exactly Hermitian is replaced by its Hermitian part
+    first; an exactly Hermitian one, such as the output of ``assemble``, is
+    diagonalized as it is (its Hermitian part is itself, bit for bit).
+    """
     h = np.asarray(h)
-    spectrum = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
+    if not _is_hermitian(h):
+        h = (h + h.conj().T) / 2.0
+    spectrum = np.linalg.eigvalsh(h)
     ground = float(spectrum[0])
     degeneracy = int(np.count_nonzero(spectrum <= ground + tau_gs))
     top = float(spectrum[-1])

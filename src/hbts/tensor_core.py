@@ -17,7 +17,7 @@ Conventions shared by every module in this package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -60,13 +60,28 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class Isometry:
-    """One-site-into-two embedding, stored as the d^2 x d matrix ``v``."""
+    """One-site-into-two embedding, stored as the d^2 x d matrix ``v``.
+
+    Channels and states derived from ``v`` are kept in a private memo on the
+    instance (see :meth:`_derive`); ``v`` is read-only, so no entry goes stale.
+    """
 
     d: int
     v: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "v", _frozen_complex(self.v, (self.d * self.d, self.d), "isometry"))
+
+    def _derive(self, key: str, build):
+        """The quantity ``key`` of this isometry, built by ``build()`` on first use.
+
+        Callers validate the isometry before asking; a builder that raises
+        stores nothing.  Builders return read-only arrays.
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def as_tensor(self) -> np.ndarray:
         """View with explicit child indices: shape (d, d, d) = (l1, l2, u)."""

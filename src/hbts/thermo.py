@@ -78,7 +78,7 @@ def _require_mixing(result: FixedPointResult, what: str) -> FixedPointResult:
 def single_site_infinity(lam: Isometry) -> FixedPointResult:
     """Fixed point of the averaged descend channel: the infinite-depth one-site state."""
     dc = ch.descend_channels(lam)
-    return fixed_point(dc.average)
+    return lam._derive("single-site", lambda: fixed_point(dc.average))
 
 
 def _resolvent_solve(lam: Isometry, rhs_matrix: np.ndarray, label: str) -> DensityOp:
@@ -101,8 +101,10 @@ def two_site_infinity(lam: Isometry) -> DensityOp:
     solve; the series converges because descend maps are non-expansive.
     """
     rho1 = _require_mixing(single_site_infinity(lam), "averaged descend channel").state
-    grow = ch.growth_channel(lam)
-    return _resolvent_solve(lam, ch.apply(grow, rho1), label="thermodynamic nu=2")
+    return lam._derive(
+        "two-site",
+        lambda: _resolvent_solve(lam, ch.apply(ch.growth_channel(lam), rho1), label="thermodynamic nu=2"),
+    )
 
 
 def classical_pair_infinity(lam: Isometry) -> DensityOp:
@@ -113,23 +115,34 @@ def classical_pair_infinity(lam: Isometry) -> DensityOp:
     left (x) right.
     """
     pair = ch.pair_descend_channel(lam)
-    sigma = _require_mixing(fixed_point(pair), "pair-descend channel").state
-    dc = ch.descend_channels(lam)
-    src = ch.apply(ch.tensor(dc.left, dc.right), sigma)
-    return _resolvent_solve(lam, src, label="thermodynamic classical pair")
+
+    def build():
+        sigma = _require_mixing(fixed_point(pair), "pair-descend channel").state
+        dc = ch.descend_channels(lam)
+        src = ch.apply(ch.tensor(dc.left, dc.right), sigma)
+        return _resolvent_solve(lam, src, label="thermodynamic classical pair")
+
+    return lam._derive("classical-pair", build)
 
 
 def reduced_infinity(lam: Isometry, nu: int) -> DensityOp:
-    """Infinite-depth averaged nu-consecutive-site state, nu in 1..4."""
+    """Infinite-depth averaged nu-consecutive-site state, nu in 1..4.
+
+    The three- and four-site states are the two-site state pushed through
+    the Kraus operators of the 2->3 and 2->4 extensions.
+    """
     if nu == 1:
         res = _require_mixing(single_site_infinity(lam), "averaged descend channel")
         return DensityOp(lam.d, 1, res.state.matrix, label="thermodynamic nu=1")
     if nu == 2:
         return two_site_infinity(lam)
     if nu in (3, 4):
-        rho2 = two_site_infinity(lam)
-        ext = ch.extension_channel(lam, nu)
-        mat = ch.apply(ext, rho2)
+        rho2 = two_site_infinity(lam).matrix
+        kraus = ch._extension_kraus(lam)
+        if nu == 3:
+            mat = ch._apply_kraus(kraus.ext3, rho2)
+        else:
+            mat = (ch._apply_kraus(kraus.grow_grow, rho2) + ch._apply_kraus(kraus.middle, rho2)) / 2.0
         mat = (mat + mat.conj().T) / 2.0
         return density_op(mat, lam.d, nu, label="thermodynamic nu=%d" % nu)
     raise ValueError("thermodynamic states are available for nu in 1..4, got %r" % (nu,))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hbts import channels as ch
 from hbts import tensor_core as tc
 
 
@@ -77,3 +82,33 @@ def power_iteration_fixed_point(superop, dim, tol=1e-12, max_iter=100_000, seed=
     rho = x.reshape(dim, dim, order="F")
     rho = rho / np.trace(rho)
     return (rho + rho.conj().T) / 2.0
+
+
+def dense_extension(lam, nu):
+    """The 2->3 and 2->4 extensions built from dense superoperators by tensor products and matmuls."""
+    dc = ch.descend_channels(lam)
+    grow = ch.growth_channel(lam)
+    ext3 = (ch.tensor(dc.right, grow).matrix + ch.tensor(grow, dc.left).matrix) / 2.0
+    if nu == 3:
+        return ext3
+    middle = ch.tensor(ch.tensor(dc.right, grow), dc.left).matrix  # 3 -> 4
+    return (ch.tensor(grow, grow).matrix + middle @ ext3) / 2.0
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_capped(args, cap_bytes, timeout=120):
+    """Run ``python *args`` with the package importable, one BLAS thread and the
+    child's address space capped at ``cap_bytes``, so an oversized allocation
+    fails with MemoryError instead of exhausting the host."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
+
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p)
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, preexec_fn=cap, timeout=timeout
+    )

@@ -5,7 +5,7 @@ from hbts import channels as ch
 from hbts import tensor_core as tc
 from hbts.errors import ShapeError, ValidationError
 
-from conftest import rand_density, rand_herm
+from conftest import dense_extension, rand_density, rand_herm
 
 
 def proj(dim, index):
@@ -137,6 +137,31 @@ class TestExtension:
         assert tc.numerical_rank(out) <= 2 * 2 * 2
 
 
+class TestKrausForm:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_extension_matches_dense_construction(self, d, seed):
+        lam = tc.random_isometry(d, seed)
+        for nu in (3, 4):
+            ext = ch.extension_channel(lam, nu)
+            assert np.abs(ext.matrix - dense_extension(lam, nu)).max() < 1e-13, nu
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_extension_kraus_shapes(self, d):
+        kraus = ch._extension_kraus(tc.random_isometry(d, 0))
+        assert kraus.ext3.shape == (d ** 3, 2 * d, d * d)
+        assert kraus.middle.shape == (d ** 4, 2 * d ** 3, d * d)
+        assert kraus.grow_grow.shape == (d ** 4, 1, d * d)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_descend_matches_kron_sum(self, d):
+        t = tc.random_isometry(d, 5).as_tensor()
+        dc = ch.descend_channels(tc.random_isometry(d, 5))
+        for kraus, channel in (([t[:, k, :] for k in range(d)], dc.left), ([t[k] for k in range(d)], dc.right)):
+            reference = sum(np.kron(k.conj(), k) for k in kraus)
+            assert np.abs(channel.matrix - reference).max() < 1e-14
+
+
 class TestAdjoint:
     def test_adjoint_of_identity(self):
         ident = ch.Channel(2, 1, 1, np.eye(4))
@@ -236,19 +261,6 @@ class TestAlgebra:
         left = ch.tensor(ch.tensor(dc.right, grow), dc.left)
         right = ch.tensor(dc.right, ch.tensor(grow, dc.left))
         assert np.abs(left.matrix - right.matrix).max() < 1e-14
-
-    def test_compose_associativity(self, bundled_lam):
-        dc = ch.descend_channels(bundled_lam)
-        pair = ch.pair_descend_channel(bundled_lam)
-        ext3 = ch.extension_channel(bundled_lam, 3)
-        a = ch.compose(ext3, ch.compose(pair, pair))
-        b = ch.compose(ch.compose(ext3, pair), pair)
-        assert np.abs(a.matrix - b.matrix).max() < 1e-13
-
-    def test_compose_dimension_mismatch(self, bundled_lam):
-        grow = ch.growth_channel(bundled_lam)
-        with pytest.raises(ShapeError):
-            ch.compose(grow, grow)
 
     def test_tensor_bilinearity(self, bundled_lam):
         dc = ch.descend_channels(bundled_lam)

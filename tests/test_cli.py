@@ -7,7 +7,7 @@ from hbts import parent_ham as ph
 from hbts import tensor_core as tc
 from hbts.cli import main, paper_lambda_path
 
-from conftest import write_entries
+from conftest import run_capped, write_entries
 
 
 def run(argv, capsys):
@@ -151,6 +151,15 @@ def test_mera_bounds_stdout(capsys):
 def test_resource_error_exits_two(capsys):
     code, _ = run(["diag", "--isometry", "paper", "--N", "20"], capsys)
     assert code == 2
+
+
+def test_out_of_memory_exits_two():
+    # a 2^14-site dense ring is a 2 GiB float64 matrix, beyond the child's 1.5 GiB address space
+    argv = ["-m", "hbts", "diag", "--isometry", "paper", "--N", "14", "--max-dim", "20000"]
+    proc = run_capped(argv, 3 << 29)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("error: out of memory")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_missing_file_exits_two(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,31 @@ class TestDiagonalize:
         for N in (4, 6, 8):
             rep = ph.diagonalize(ph.assemble(paper_interaction, N))
             assert rep.degeneracy >= 2 ** (N // 2)
+
+    def test_hermitian_input_is_not_copied(self, paper_interaction):
+        h = ph.assemble(paper_interaction, 10)
+        tracemalloc.start()
+        try:
+            ph.diagonalize(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < h.nbytes / 4
+
+    @pytest.mark.parametrize("case", ["paper-8", "d3-5"])
+    def test_spectrum_equals_that_of_the_hermitian_part(self, paper_interaction, case):
+        if case == "paper-8":
+            h = ph.assemble(paper_interaction, 8)
+        else:
+            h = ph.assemble(ph.build_interaction(tc.random_isometry(3, 7)), 5)
+        assert np.array_equal(ph.diagonalize(h).spectrum, np.linalg.eigvalsh((h + h.conj().T) / 2.0))
+
+    def test_non_hermitian_input_is_symmetrized(self):
+        rng = np.random.default_rng(3)
+        for a in (rng.standard_normal((6, 6)), rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))):
+            expect = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+            assert np.array_equal(ph.diagonalize(a).spectrum, expect)
+            assert not np.allclose(np.linalg.eigvalsh(a), expect)
 
     def test_weight_rescaling_scales_spectrum_keeps_ground_space(self, bundled_lam, paper_interaction):
         scaled = ph.build_interaction(bundled_lam, weights=[3.0] * paper_interaction.kernel_dim)

@@ -1,13 +1,17 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from hbts import channels as ch
+from hbts import correlators as co
 from hbts import finite_state as fs
 from hbts import tensor_core as tc
 from hbts import thermo
-from hbts.errors import DegenerateFixedPointError
+from hbts.errors import DegenerateFixedPointError, ValidationError
 
-from conftest import power_iteration_fixed_point, rand_top
+from conftest import dense_extension, power_iteration_fixed_point, rand_top, run_capped
 
 
 def copy_isometry():
@@ -154,6 +158,115 @@ class TestReducedInfinity:
         for nu in (2, 3, 4):
             state = thermo.reduced_infinity(bundled_lam, nu)
             assert thermo.marginal_deviation(state, rho1) < 1e-10
+
+
+FOUR_SITE_AT_D4 = """
+import json, tracemalloc
+import numpy as np
+from hbts import tensor_core as tc, thermo
+out = []
+for seed in (0, 1):
+    lam = tc.random_isometry(4, seed)
+    tracemalloc.start()
+    rho4 = thermo.reduced_infinity(lam, 4)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    rho3 = thermo.reduced_infinity(lam, 3).matrix
+    gaps = [float(np.abs(tc.partial_trace(rho4, keep).matrix - rho3).max()) for keep in ([1, 2, 3], [2, 3, 4])]
+    m = rho4.matrix
+    out.append({
+        "peak_mb": peak / 1e6,
+        "shape": list(m.shape),
+        "herm": float(np.abs(m - m.conj().T).max()),
+        "trace": abs(complex(np.trace(m)) - 1.0),
+        "min_eig": float(np.linalg.eigvalsh(m)[0]),
+        "marginal_gap": max(gaps),
+    })
+print(json.dumps(out))
+"""
+
+
+class TestKrausExtensions:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_states_match_dense_extensions(self, d, seed):
+        lam = tc.random_isometry(d, seed)
+        rho2 = thermo.two_site_infinity(lam).matrix
+        for nu in (3, 4):
+            dense = ch.unvec(dense_extension(lam, nu) @ ch.vec(rho2), d ** nu)
+            assert np.abs(thermo.reduced_infinity(lam, nu).matrix - dense).max() < 1e-13, nu
+
+    def test_four_site_state_at_d4_fits_small_memory(self):
+        # The dense 3->4 superoperator alone would be 4^14 complex entries (4 GiB): under the
+        # 3 GiB cap only a construction that never forms it can finish.
+        proc = run_capped(["-c", FOUR_SITE_AT_D4], 3 << 30)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        for rep in json.loads(proc.stdout):
+            assert rep["shape"] == [256, 256]
+            assert rep["herm"] <= 1e-12 and rep["trace"] <= 1e-12 and rep["min_eig"] >= -1e-12
+            assert rep["marginal_gap"] <= 1e-12
+            assert rep["peak_mb"] < 200.0
+
+
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+
+
+def _derive_everything(lam):
+    ch.descend_channels(lam)
+    ch.pair_descend_channel(lam)
+    for nu in (1, 2, 3, 4):
+        thermo.reduced_infinity(lam, nu)
+        if nu > 2:
+            ch.extension_channel(lam, nu)
+    thermo.classical_pair_infinity(lam)
+    co.pair_difference_infinity(lam)
+
+
+class TestPerIsometryMemo:
+    def test_each_quantity_is_derived_once(self):
+        lam = tc.random_isometry(3, 2)
+        for fn in (ch.descend_channels, ch.pair_descend_channel, thermo.single_site_infinity,
+                   thermo.two_site_infinity, thermo.classical_pair_infinity, co.pair_difference_infinity):
+            assert fn(lam) is fn(lam), fn.__name__
+        again = tc.Isometry(3, lam.v)
+        assert thermo.two_site_infinity(again) is not thermo.two_site_infinity(lam)
+        assert np.array_equal(thermo.two_site_infinity(again).matrix, thermo.two_site_infinity(lam).matrix)
+
+    def test_cached_arrays_are_read_only(self):
+        lam = tc.random_isometry(3, 2)
+        _derive_everything(lam)
+        arrays = list(_arrays(tuple(lam._memo.values())))
+        assert len(arrays) >= 10
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
+        with pytest.raises(ValueError):
+            co.pair_difference_infinity(lam)[0, 0] = 0.0
+
+    def test_looser_tolerance_is_not_remembered(self):
+        v = np.array(tc.random_isometry(2, 0).v) * (1.0 + 5e-10)  # isometry residual about 1e-9
+        lam = tc.Isometry(2, v)
+        assert 5e-10 < tc.validate_isometry(lam).residual < 5e-9
+        ch.descend_channels(lam, tol=1e-6)
+        calls = [
+            lambda: ch.descend_channels(lam),
+            lambda: ch.pair_descend_channel(lam),
+            lambda: ch.extension_channel(lam, 4),
+            lambda: thermo.single_site_infinity(lam),
+            lambda: thermo.reduced_infinity(lam, 4),
+            lambda: co.pair_difference_infinity(lam),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError):
+                call()
 
 
 class TestTopIndependence:
