@@ -136,9 +136,12 @@ def _spectral_structure(matrix: np.ndarray) -> list[tuple[complex, int, int, lis
     two or more is resolved by the SVD rank of (matrix - kappa I), whose null
     vectors are its last right singular vectors.  The channels here preserve
     Hermiticity, so their spectra are closed under conjugation: two clusters
-    that are conjugate to CLUSTER_TOL get exactly conjugate kappas.  Moduli
-    that agree to CLUSTER_TOL are ordered by Re kappa, then Im kappa,
-    descending, so the order does not hang on the last bit.
+    that are conjugate to CLUSTER_TOL get exactly conjugate kappas, and a
+    cluster within CLUSTER_TOL of the real axis with no conjugate partner is
+    real, with imaginary part +0.0 (so log kappa of a negative kappa is +i pi
+    whatever the sign of the roundoff).  Moduli that agree to CLUSTER_TOL are
+    ordered by Re kappa, then Im kappa, descending, so the order does not
+    hang on the last bit.
     """
     evals, evecs = np.linalg.eig(matrix)
     eye = np.eye(matrix.shape[0])
@@ -157,6 +160,11 @@ def _spectral_structure(matrix: np.ndarray) -> list[tuple[complex, int, int, lis
         if abs(kappas[j] - kappas[i].conjugate()) <= CLUSTER_TOL and out[j][1] == out[i][1]:
             upper = complex(kappas[i] + kappas[j].conjugate()) / 2.0
             out[i], out[j] = (upper,) + out[i][1:], (upper.conjugate(),) + out[j][1:]
+    for i in np.flatnonzero(np.abs(kappas.imag) <= CLUSTER_TOL):
+        partners = np.abs(kappas - kappas[i].conjugate()) <= CLUSTER_TOL
+        partners[i] = False
+        if not partners.any():
+            out[i] = (complex(kappas[i].real, 0.0),) + out[i][1:]
     out.sort(key=lambda item: -abs(item[0]))
     cuts = [k for k in range(1, len(out)) if abs(out[k - 1][0]) - abs(out[k][0]) > CLUSTER_TOL]
     runs = [out[a:b] for a, b in zip([0] + cuts, cuts + [len(out)])]

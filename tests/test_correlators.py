@@ -220,3 +220,20 @@ def test_conjugate_pairs_are_exact_and_list_the_upper_member_first(seed):
     for i in lower:
         assert kappas[i - 1] == kappas[i].conjugate()
     assert [abs(k) for k in kappas] == sorted((abs(k) for k in kappas), reverse=True)
+
+
+def test_real_negative_kappas_take_one_branch_of_the_log():
+    spec = co.exponent_spectrum(tc.random_isometry(3, 1))
+    negative = [e for e in spec.entries if e.kappa.real < 0 and abs(e.kappa.imag) <= co.CLUSTER_TOL]
+    assert negative
+    assert {np.copysign(1.0, e.kappa.imag) for e in negative} == {1.0}
+    branches = {e.exponent.imag for e in negative}
+    assert len(branches) == 1 and abs(branches.pop() - np.pi / np.log(2.0)) < 1e-14
+
+
+@pytest.mark.parametrize("roundoff", [1e-16, -1e-16, 0.0, -0.0])
+def test_real_negative_kappa_ignores_the_sign_of_roundoff(roundoff):
+    structure = co._spectral_structure(np.diag([1.0, complex(-0.5, roundoff), 0.25]))
+    kappa = structure[1][0]
+    assert kappa.real == -0.5 and kappa.imag == 0.0 and np.copysign(1.0, kappa.imag) == 1.0
+    assert abs(co._log2_or_none(kappa) - complex(-1.0, np.pi / np.log(2.0))) < 1e-15
