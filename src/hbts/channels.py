@@ -27,7 +27,6 @@ on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,37 +111,58 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _ExtensionKraus(NamedTuple):
+def _build_ext3(lam: Isometry) -> np.ndarray:
+    d = lam.d
+    t = lam.as_tensor()  # (l1, l2, u): R_k = t[k], L_k = t[:, k]
+    right_grow = np.einsum("kau,bw->abkuw", t, lam.v).reshape(d ** 3, d, d * d)
+    grow_left = np.einsum("bu,ckw->bckuw", lam.v, t).reshape(d ** 3, d, d * d)
+    return np.concatenate([right_grow, grow_left], axis=1) * np.sqrt(0.5)
+
+
+def _build_middle(lam: Isometry, ext3: np.ndarray) -> np.ndarray:
+    d = lam.d
+    t = lam.as_tensor()
+    e = ext3.reshape(d, d, d, 2 * d, d * d)  # (s1, s2, s3, k, in)
+    middle = np.einsum("axp,yq,zbr,pqrki->xyzabki", t, lam.v, t, e, optimize=True)
+    return middle.reshape(d ** 4, 2 * d ** 3, d * d)
+
+
+class _ExtensionKraus:
     """Stacked Kraus operators ``[out, k, in]`` of the extension maps of one isometry.
 
     The 2->3 extension is ``ext3``; the 2->4 extension is
     ``(grow_grow + middle) / 2`` on one two-site state, where ``middle`` is
-    the 3->4 map ``R (x) grow (x) L`` after the 2->3 extension.
+    the 3->4 map ``R (x) grow (x) L`` after the 2->3 extension.  Each stack
+    is built on first use and kept on the isometry, so the three-site state
+    never pays for the ``2d^3`` operators of ``middle``.
     """
 
-    ext3: np.ndarray       # 2d operators of d^3 x d^2: (R_k (x) v, v (x) L_k) / sqrt 2
-    middle: np.ndarray     # 2d^3 operators of d^4 x d^2: (R_a (x) v (x) L_b) after each ext3 operator
-    grow_grow: np.ndarray  # 1 operator of d^4 x d^2: v (x) v
+    def __init__(self, lam: Isometry):
+        self._lam = lam
 
+    @property
+    def ext3(self) -> np.ndarray:
+        """2d operators of d^3 x d^2: (R_k (x) v, v (x) L_k) / sqrt 2."""
+        lam = self._lam
+        return lam._derive("kraus-ext3", lambda: _frozen(_build_ext3(lam)))
 
-def _build_extension_kraus(lam: Isometry) -> _ExtensionKraus:
-    d = lam.d
-    v = lam.v
-    t = lam.as_tensor()  # (l1, l2, u): R_k = t[k], L_k = t[:, k]
-    right_grow = np.einsum("kau,bw->abkuw", t, v).reshape(d ** 3, d, d * d)
-    grow_left = np.einsum("bu,ckw->bckuw", v, t).reshape(d ** 3, d, d * d)
-    ext3 = np.concatenate([right_grow, grow_left], axis=1) * np.sqrt(0.5)
-    e = ext3.reshape(d, d, d, 2 * d, d * d)  # (s1, s2, s3, k, in)
-    middle = np.einsum("axp,yq,zbr,pqrki->xyzabki", t, v, t, e, optimize=True)
-    middle = middle.reshape(d ** 4, 2 * d ** 3, d * d)
-    grow_grow = np.kron(v, v)[:, None, :]
-    return _ExtensionKraus(_frozen(ext3), _frozen(middle), _frozen(grow_grow))
+    @property
+    def middle(self) -> np.ndarray:
+        """2d^3 operators of d^4 x d^2: (R_a (x) v (x) L_b) after each ext3 operator."""
+        lam = self._lam
+        return lam._derive("kraus-middle", lambda: _frozen(_build_middle(lam, self.ext3)))
+
+    @property
+    def grow_grow(self) -> np.ndarray:
+        """1 operator of d^4 x d^2: v (x) v."""
+        lam = self._lam
+        return lam._derive("kraus-grow-grow", lambda: _frozen(np.kron(lam.v, lam.v)[:, None, :]))
 
 
 def _extension_kraus(lam: Isometry) -> _ExtensionKraus:
-    """The extension Kraus stacks of ``lam``, validated on every call and built once."""
+    """The extension Kraus stacks of ``lam``, validated on every call and each built once."""
     require_isometry(lam)
-    return lam._derive("extension-kraus", lambda: _build_extension_kraus(lam))
+    return _ExtensionKraus(lam)
 
 
 def growth_channel(lam: Isometry, tol: float = TAU_ISO) -> Channel:

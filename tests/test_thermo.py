@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,18 @@ class TestKrausExtensions:
         for nu in (3, 4):
             dense = ch.unvec(dense_extension(lam, nu) @ ch.vec(rho2), d ** nu)
             assert np.abs(thermo.reduced_infinity(lam, nu).matrix - dense).max() < 1e-13, nu
+
+    def test_three_site_state_builds_no_four_site_stack(self):
+        # The 2->4 stacks (62 MB of `middle` at d = 5) are built only when rho_4 asks for them.
+        lam = tc.random_isometry(5, 0)
+        thermo.two_site_infinity(lam)
+        tracemalloc.start()
+        try:
+            thermo.reduced_infinity(lam, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_four_site_state_at_d4_fits_small_memory(self):
         # The dense 3->4 superoperator alone would be 4^14 complex entries (4 GiB): under the
