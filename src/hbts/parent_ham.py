@@ -165,13 +165,6 @@ def _hermitian_term(hs: HamiltonianSpec) -> np.ndarray:
     return h if h.imag.any() else h.real
 
 
-def embedded_term(h: np.ndarray, d: int, nu: int, N: int, start: int) -> np.ndarray:
-    """The interaction placed on sites start..start+nu-1 (0-based, cyclic) of N sites."""
-    out = np.zeros((d ** N, d ** N), dtype=complex)
-    _add_term(out, np.asarray(h), d, nu, N, start)
-    return out
-
-
 def _require_ring(hs: HamiltonianSpec, N: int, max_dim: int) -> None:
     if N < hs.nu:
         raise ValueError("lattice of %d sites cannot host a %d-site interaction" % (N, hs.nu))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hbts import channels as ch
+from hbts import parent_ham as ph
 from hbts import tensor_core as tc
 
 
@@ -93,6 +94,13 @@ def dense_extension(lam, nu):
         return ext3
     middle = ch.tensor(ch.tensor(dc.right, grow), dc.left).matrix  # 3 -> 4
     return (ch.tensor(grow, grow).matrix + middle @ ext3) / 2.0
+
+
+def embedded_term(h, d, nu, N, start):
+    """The interaction placed on sites start..start+nu-1 (0-based, cyclic) of N sites, as a dense matrix."""
+    out = np.zeros((d ** N, d ** N), dtype=complex)
+    ph._add_term(out, np.asarray(h), d, nu, N, start)
+    return out
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

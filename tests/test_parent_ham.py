@@ -10,7 +10,7 @@ from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import ResourceLimitError
 
-from conftest import rand_herm, rand_top
+from conftest import embedded_term, rand_herm, rand_top
 
 
 @pytest.fixture(scope="module")
@@ -96,15 +96,15 @@ class TestAssemble:
         h2 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h2 = (h2 + h2.conj().T) / 2
         # trailing placement on 3 sites is a plain kron with the identity
-        embedded = ph.embedded_term(h2, 2, 2, 3, 1)
+        embedded = embedded_term(h2, 2, 2, 3, 1)
         assert np.abs(embedded - np.kron(np.eye(2), h2)).max() < 1e-14
-        leading = ph.embedded_term(h2, 2, 2, 3, 0)
+        leading = embedded_term(h2, 2, 2, 3, 0)
         assert np.abs(leading - np.kron(h2, np.eye(2))).max() < 1e-14
 
     def test_wraparound_embedding_involves_edge_sites(self):
         h = np.zeros((4, 4), dtype=complex)
         h[0b11, 0b11] = 1.0
-        out = ph.embedded_term(h, 2, 2, 3, 2)  # sites 3 and 1
+        out = embedded_term(h, 2, 2, 3, 2)  # sites 3 and 1
         # |1 l 1> states pick up the projector for every middle digit l
         for middle in (0, 1):
             idx = 0b101 if middle == 0 else 0b111
@@ -132,7 +132,7 @@ class TestRingPlacement:
         if real:
             h = h.real
         hs = ph.HamiltonianSpec(d=d, nu=nu, h_term=h, kernel_dim=1, weights=np.ones(1))
-        terms = [ph.embedded_term(h, d, nu, N, start) for start in range(N)]
+        terms = [embedded_term(h, d, nu, N, start) for start in range(N)]
         for start, term in enumerate(terms):  # starts past N - nu wrap around the ring
             assert np.abs(term - kron_embedding(h, d, nu, N, start)).max() < 1e-15
         ham = ph.assemble(hs, N)
@@ -147,7 +147,7 @@ class TestRingPlacement:
         N = hs.nu + 2
         ham = ph.assemble(hs, N)
         assert ham.dtype == np.float64
-        as_complex = sum(ph.embedded_term(hs.h_term, d, hs.nu, N, s) for s in range(N)) / N
+        as_complex = sum(embedded_term(hs.h_term, d, hs.nu, N, s) for s in range(N)) / N
         assert as_complex.dtype == np.complex128
         reference = np.linalg.eigvalsh(as_complex)
         assert np.abs(ph.diagonalize(ham).spectrum - reference).max() < 1e-12
@@ -160,7 +160,7 @@ class TestRingPlacement:
         basis = ph.grown_basis(lam, N)
         residual = np.linalg.norm(ph.assemble(hs, N) @ basis, axis=0).max()
         local = max(
-            np.abs(np.einsum("ij,ij->j", basis.conj(), ph.embedded_term(hs.h_term, lam.d, hs.nu, N, s) @ basis)).max()
+            np.abs(np.einsum("ij,ij->j", basis.conj(), embedded_term(hs.h_term, lam.d, hs.nu, N, s) @ basis)).max()
             for s in range(N)
         )
         assert abs(rep.max_h_residual - residual) < 1e-13
@@ -254,7 +254,7 @@ class TestGroundSpace:
         evals, evecs = np.linalg.eigh(ham)
         zero_modes = evecs[:, evals <= 1e-10]
         for alpha in range(6):
-            term = ph.embedded_term(paper_interaction.h_term, 2, 4, 6, alpha)
+            term = embedded_term(paper_interaction.h_term, 2, 4, 6, alpha)
             energies = np.einsum("ij,ij->j", zero_modes.conj(), term @ zero_modes)
             assert np.abs(energies).max() <= 1e-10
 
