@@ -111,49 +111,38 @@ def correlator_thermo(lam: Isometry, query: CorrelatorQuery) -> complex:
 def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
     """Greedy connected-component clustering of complex values at tolerance tol."""
     order = sorted(range(len(values)), key=lambda i: (-abs(values[i]), values[i].real, values[i].imag))
+    close = np.abs(values[:, None] - values[None, :]) <= tol
+    label = np.full(len(values), -1)
     clusters: list[list[int]] = []
     for i in order:
-        for cluster in clusters:
-            if any(abs(values[i] - values[j]) <= tol for j in cluster):
-                cluster.append(i)
-                break
+        near = label[close[i] & (label >= 0)]
+        if near.size:
+            label[i] = near.min()
+            clusters[label[i]].append(i)
         else:
+            label[i] = len(clusters)
             clusters.append([i])
     return clusters
 
 
-def _geometric(singular_values: np.ndarray, tau_rank: float) -> int:
-    """Nullity of A - kappa I: singular values at or below tau_rank times the largest."""
-    top = singular_values[0] if singular_values[0] > 0 else 1.0
-    return int(np.count_nonzero(singular_values <= tau_rank * top))
+def _resolve_cluster(matrix: np.ndarray, kappa: complex, algebraic: int) -> tuple:
+    """(kappa, algebraic, geometric, null vectors) of a cluster, from the SVD of matrix - kappa I."""
+    _, s, vh = np.linalg.svd(matrix - kappa * np.eye(matrix.shape[0]))
+    geometric = int(np.count_nonzero(s <= TAU_RANK * (s[0] if s[0] > 0 else 1.0)))
+    return kappa, algebraic, geometric, [vh[-1 - k].conj() for k in range(geometric)]
 
 
-def _spectral_structure(matrix: np.ndarray) -> list[tuple[complex, int, int, list[np.ndarray]]]:
-    """(kappa, algebraic, geometric, null vectors) per eigenvalue cluster, by |kappa| descending.
+def _canonical(out: list) -> list:
+    """Clusters with exact conjugate pairs and real axis, sorted by |kappa| descending.
 
-    One eigendecomposition gives the clusters.  A simple eigenvalue has
-    geometric multiplicity 1 and its eigenvector as null vector; a cluster of
-    two or more is resolved by the SVD rank of (matrix - kappa I), whose null
-    vectors are its last right singular vectors.  The channels here preserve
-    Hermiticity, so their spectra are closed under conjugation: two clusters
-    that are conjugate to CLUSTER_TOL get exactly conjugate kappas, and a
-    cluster within CLUSTER_TOL of the real axis with no conjugate partner is
-    real, with imaginary part +0.0 (so log kappa of a negative kappa is +i pi
-    whatever the sign of the roundoff).  Moduli that agree to CLUSTER_TOL are
-    ordered by Re kappa, then Im kappa, descending, so the order does not
-    hang on the last bit.
+    The channels here preserve Hermiticity, so their spectra are closed
+    under conjugation: two clusters that are conjugate to CLUSTER_TOL get
+    exactly conjugate kappas, and a cluster within CLUSTER_TOL of the real
+    axis with no conjugate partner is real, with imaginary part +0.0 (so
+    log kappa of a negative kappa is +i pi whatever the sign of the
+    roundoff).  Moduli that agree to CLUSTER_TOL are ordered by Re kappa,
+    then Im kappa, descending, so the order does not hang on the last bit.
     """
-    evals, evecs = np.linalg.eig(matrix)
-    eye = np.eye(matrix.shape[0])
-    out = []
-    for members in _cluster(evals, CLUSTER_TOL):
-        kappa = complex(np.mean(evals[members]))
-        if len(members) == 1:
-            out.append((kappa, 1, 1, [evecs[:, members[0]]]))
-            continue
-        _, s, vh = np.linalg.svd(matrix - kappa * eye)
-        geometric = _geometric(s, TAU_RANK)
-        out.append((kappa, len(members), geometric, [vh[-1 - k].conj() for k in range(geometric)]))
     kappas = np.array([item[0] for item in out])
     for i in np.flatnonzero(kappas.imag > CLUSTER_TOL):
         j = int(np.argmin(np.abs(kappas - kappas[i].conjugate())))
@@ -171,6 +160,106 @@ def _spectral_structure(matrix: np.ndarray) -> list[tuple[complex, int, int, lis
     return [item for run in runs for item in sorted(run, key=lambda r: (-r[0].real, -r[0].imag))]
 
 
+def _spectral_structure(matrix: np.ndarray) -> list[tuple[complex, int, int, list[np.ndarray]]]:
+    """(kappa, algebraic, geometric, null vectors) per eigenvalue cluster, in the order of _canonical.
+
+    One eigendecomposition gives the clusters.  A simple eigenvalue has
+    geometric multiplicity 1 and its eigenvector as null vector; a cluster of
+    two or more goes to :func:`_resolve_cluster`.
+    """
+    evals, evecs = np.linalg.eig(matrix)
+    out = []
+    for members in _cluster(evals, CLUSTER_TOL):
+        kappa = complex(np.mean(evals[members]))
+        if len(members) == 1:
+            out.append((kappa, 1, 1, [evecs[:, members[0]]]))
+        else:
+            out.append(_resolve_cluster(matrix, kappa, len(members)))
+    return _canonical(out)
+
+
+def _hermitian_frame(d: int) -> np.ndarray:
+    """Unitary d^2 x d^2 matrix of vectorized orthonormal Hermitian operators E_i, E_0 = -1/sqrt(d).
+
+    A Householder reflection gives real orthonormal operators X; the map
+    X -> ((1 + i) X + (1 - i) X^T)/2 keeps them orthonormal and makes them
+    Hermitian, so Hermiticity-preserving maps are real in this basis.
+    """
+    w = ch.vec(np.eye(d)) / np.sqrt(d)
+    w[0] += 1.0
+    real = np.eye(d * d) - np.outer(w, w) / w[0]
+    transposed = real.reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
+    return ((1 + 1j) * real + (1 - 1j) * transposed) / 2.0
+
+
+def _sector_basis(d: int) -> tuple:
+    """Swap-(anti)symmetrized products of E_i (x) E_j (product index i d^2 + j), as 1, S+, S-, K_sym, K_anti.
+
+    Column q is ``w1[q] e[p1[q]] + w2[q] e[p2[q]]``.  1, S+ and S- span the
+    O (x) 1 and 1 (x) O; K, the doubly traceless rest, splits by the swap.
+    Each sector comes with the slices of its copies and of the invariant part below it.
+    """
+    n = d * d
+    grid = np.arange(n * n).reshape(n, n)
+    si, sj = np.triu_indices(n)
+    ai, aj = np.triu_indices(n, 1)
+    order = np.r_[0:n, si.size:si.size + n - 1, n:si.size, si.size + n - 1:n * n]
+    p1 = np.concatenate([grid[si, sj], grid[ai, aj]])[order]
+    p2 = np.concatenate([grid[sj, si], grid[aj, ai]])[order]
+    w1 = np.concatenate([np.where(si == sj, 0.5, np.sqrt(0.5)), np.full(ai.size, np.sqrt(0.5))])[order]
+    w2 = np.where(order < si.size, w1, -w1)
+    s, k = 2 * n - 1, n * (n + 1) // 2 + n - 1
+    sectors = [((slice(0, 1),), slice(0, 0)), ((slice(1, n), slice(n, s)), slice(0, 1)),
+               ((slice(s, k),), slice(0, s)), ((slice(k, n * n),), slice(0, s))]
+    return (p1, p2, w1, w2), sectors
+
+
+def _sector_structure(lam: Isometry) -> list[tuple[complex, int, int, list[np.ndarray]]]:
+    """(kappa, algebraic, geometric, eigenoperators) of the pair-descend adjoint A, in the order of _canonical.
+
+    In the basis of :func:`_sector_basis`, A is real and block upper-triangular
+    with diagonal blocks 1, D, D, A_sym, A_anti (D: the averaged descend adjoint
+    on traceless operators), and each small block gets its own spectral structure.
+    A null vector y of a block lifts to x = (x_low, y), (A_low,low - kappa) x_low =
+    -A_low,block y.  Clusters shared by sectors are resolved on the whole matrix.
+    """
+    d = lam.d
+    frame = _hermitian_frame(d)
+    dc = ch.descend_channels(lam)
+    left, right = ((frame.conj().T @ c.matrix.conj().T @ frame).real for c in (dc.left, dc.right))
+    (p1, p2, w1, w2), sectors = _sector_basis(d)
+    adj = (np.kron(left, left) + np.kron(right, right)) / 2.0
+    cols = adj[:, p1] * w1 + adj[:, p2] * w2
+    b = w1[:, None] * cols[p1] + w2[:, None] * cols[p2]
+
+    items = [(kappa, alg * len(copies), geo * len(copies), null, copies, low)
+             for copies, low in sectors for kappa, alg, geo, null in _spectral_structure(b[copies[0], copies[0]])]
+    out = []
+    for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):
+        alg = sum(items[k][1] for k in members)
+        kappa = complex(sum(items[k][0] * items[k][1] for k in members) / alg)
+        if len(members) > 1:
+            out.append(_resolve_cluster(b, kappa, alg))
+            continue
+        _, _, geo, null, copies, low = items[members[0]]
+        shifted = b[low, low] - kappa * np.eye(low.stop - low.start)
+        x = np.zeros((b.shape[0], len(copies) * len(null)), dtype=complex)
+        for c, where in enumerate(copies):
+            part = slice(c * len(null), (c + 1) * len(null))
+            x[where, part] = np.stack(null, axis=1)
+            x[low, part] = np.linalg.solve(shifted, -b[low, where] @ x[where, part])
+        out.append((kappa, alg, geo, list(x.T)))
+
+    coords = np.stack([x for item in out for x in item[3]], axis=1)
+    product = np.zeros(coords.shape, dtype=complex)
+    np.add.at(product, p1, w1[:, None] * coords)
+    np.add.at(product, p2, w2[:, None] * coords)
+    ops = frame @ product.T.reshape(-1, d * d, d * d) @ frame.T  # [q, (c1, r1), (c2, r2)]
+    ops = list(ops.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(-1, d * d, d * d))
+    bounds = np.cumsum([0] + [len(item[3]) for item in out])
+    return _canonical([item[:3] + (ops[a:z],) for item, a, z in zip(out, bounds, bounds[1:])])
+
+
 def _log2_or_none(kappa: complex) -> complex | None:
     if abs(kappa) <= 1e-14:
         return None
@@ -180,23 +269,12 @@ def _log2_or_none(kappa: complex) -> complex | None:
 def exponent_spectrum(lam: Isometry) -> SpectrumReport:
     """Full eigenstructure of the pair-descend adjoint, sorted by |kappa| descending.
 
-    Geometric multiplicities of degenerate clusters come from the SVD rank of
-    (A - kappa I) at the rank tolerance; eigenoperators are the corresponding
-    null vectors, reshaped to two-site operators.
+    Computed sector by sector (:func:`_sector_structure`); a geometric
+    multiplicity below the algebraic one is Jordan structure.
     """
-    adj = ch.adjoint(ch.pair_descend_channel(lam))
-    entries = tuple(
-        SpectrumEntry(
-            kappa=kappa,
-            exponent=_log2_or_none(kappa),
-            algebraic=algebraic,
-            geometric=geometric,
-            eigenoperators=tuple(ch.unvec(x, adj.dim_out) for x in null),
-        )
-        for kappa, algebraic, geometric, null in _spectral_structure(adj.matrix)
-    )
-    diagonalizable = all(e.algebraic == e.geometric for e in entries)
-    return SpectrumReport(d=lam.d, entries=entries, diagonalizable=diagonalizable)
+    entries = tuple(SpectrumEntry(kappa, _log2_or_none(kappa), alg, geo, tuple(ops))
+                    for kappa, alg, geo, ops in _sector_structure(lam))
+    return SpectrumReport(d=lam.d, entries=entries, diagonalizable=all(e.algebraic == e.geometric for e in entries))
 
 
 def powerlaw_check(
@@ -268,8 +346,8 @@ def powerlaw_check(
             residual=float(max(abs(r - kappa_est) for r in ratios)),
         )
 
-    # general block: decompose over the spectrum of the forward map
-    structure = [(kappa, alg, geo) for kappa, alg, geo, _ in _spectral_structure(pair.matrix)]
+    # general block: decompose over the spectrum, the same for the forward map and its adjoint
+    structure = [(kappa, alg, geo) for kappa, alg, geo, _ in _sector_structure(lam)]
     jordan = any(alg != geo for _, alg, geo in structure)
     ms = np.array(m_values, dtype=float)
     columns = []

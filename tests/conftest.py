@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hbts import channels as ch
+from hbts import correlators as co
 from hbts import parent_ham as ph
 from hbts import tensor_core as tc
 
@@ -101,6 +102,13 @@ def embedded_term(h, d, nu, N, start):
     out = np.zeros((d ** N, d ** N), dtype=complex)
     ph._add_term(out, np.asarray(h), d, nu, N, start)
     return out
+
+
+def full_exponent_structure(lam):
+    """Reference spectrum: (kappa, algebraic, geometric) per cluster of the whole d^4 x d^4
+    pair-descend adjoint, from one eigendecomposition and an SVD per degenerate cluster."""
+    adj = ch.adjoint(ch.pair_descend_channel(lam)).matrix
+    return [(kappa, alg, geo) for kappa, alg, geo, _ in co._spectral_structure(adj)]
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

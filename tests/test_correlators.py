@@ -6,7 +6,7 @@ from hbts import correlators as co
 from hbts import finite_state as fs
 from hbts import tensor_core as tc
 
-from conftest import rand_herm
+from conftest import full_exponent_structure, rand_herm
 
 
 class TestCorrelatorThermo:
@@ -237,3 +237,82 @@ def test_real_negative_kappa_ignores_the_sign_of_roundoff(roundoff):
     kappa = structure[1][0]
     assert kappa.real == -0.5 and kappa.imag == 0.0 and np.copysign(1.0, kappa.imag) == 1.0
     assert abs(co._log2_or_none(kappa) - complex(-1.0, np.pi / np.log(2.0))) < 1e-15
+
+
+SECTOR_CASES = [("paper", None), ("product", 2), ("product", 3)] + [
+    (d, seed) for d in (2, 3, 4) for seed in range(16)
+]
+
+
+def _case_isometry(kind, arg):
+    if kind == "paper":
+        return tc.paper_isometry()
+    if kind == "product":
+        return tc.product_isometry(arg)
+    return tc.random_isometry(kind, arg)
+
+
+class TestSectorResolvedSpectrum:
+    @pytest.mark.parametrize("kind, arg", SECTOR_CASES)
+    def test_matches_the_full_matrix_and_gives_eigenoperators(self, kind, arg):
+        lam = _case_isometry(kind, arg)
+        spec = co.exponent_spectrum(lam)
+        reference = full_exponent_structure(lam)
+        assert [(e.algebraic, e.geometric) for e in spec.entries] == [(alg, geo) for _, alg, geo in reference]
+        assert spec.diagonalizable == all(alg == geo for _, alg, geo in reference)
+        assert max(abs(e.kappa - kappa) for e, (kappa, _, _) in zip(spec.entries, reference)) <= 1e-12
+        adj = ch.adjoint(ch.pair_descend_channel(lam)).matrix
+        for e in spec.entries:
+            assert len(e.eigenoperators) == e.geometric
+            for op in e.eigenoperators:
+                x = ch.vec(op)
+                assert np.linalg.norm(adj @ x - e.kappa * x) <= 1e-8 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_sectors_are_invariant(self, d):
+        # the sector basis rebuilt in the standard basis, column by column from products of
+        # frame operators; 1 + S and each copy of S with 1 are invariant under the adjoint,
+        # K_sym and K_anti under the map itself
+        frame = co._hermitian_frame(d)
+        (p1, p2, w1, w2), sectors = co._sector_basis(d)
+        ops = [ch.unvec(frame[:, i], d) for i in range(d * d)]
+        product = np.stack([ch.vec(np.kron(a, b)) for a in ops for b in ops], axis=1)
+        u = np.zeros((d ** 4, d ** 4))
+        q = np.arange(d ** 4)
+        u[p1, q] += w1
+        u[p2, q] += w2
+        basis = product @ u
+        assert np.abs(basis.conj().T @ basis - np.eye(d ** 4)).max() <= 1e-13
+        pair = ch.pair_descend_channel(tc.random_isometry(d, 1)).matrix
+        (unit,), _ = sectors[0]
+        (s1, s2), _ = sectors[1]
+        (k_sym,), _ = sectors[2]
+        (k_anti,), _ = sectors[3]
+        for mat, cols in [
+            (pair.conj().T, np.r_[unit, s1, s2]),
+            (pair.conj().T, np.r_[unit, s1]),
+            (pair.conj().T, np.r_[unit, s2]),
+            (pair, np.r_[k_sym]),
+            (pair, np.r_[k_anti]),
+        ]:
+            w = basis[:, cols]
+            assert np.linalg.norm(mat @ w - w @ (w.conj().T @ mat @ w)) <= 1e-13
+        assert [s.stop - s.start for s in (s1, k_sym, k_anti)] == [
+            d * d - 1, d * d * (d * d - 1) // 2, (d * d - 1) * (d * d - 2) // 2
+        ]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_no_svd_for_seeded_isometries(self, d, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD ran")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for seed in range(16):
+            co.exponent_spectrum(tc.random_isometry(d, seed))
+
+    def test_five_site_dimension_matches_eigvals(self):
+        lam = tc.random_isometry(5, 0)
+        kappas = np.array([e.kappa for e in co.exponent_spectrum(lam).entries])
+        evals = np.linalg.eigvals(ch.adjoint(ch.pair_descend_channel(lam)).matrix)
+        dist = np.abs(evals[:, None] - kappas[None, :])
+        assert dist.min(axis=1).max() <= 1e-10 and dist.min(axis=0).max() <= 1e-10
