@@ -243,12 +243,13 @@ def _sector_structure(lam: Isometry) -> list[tuple[complex, int, int, list[np.nd
             continue
         _, _, geo, null, copies, low = items[members[0]]
         shifted = b[low, low] - kappa * np.eye(low.stop - low.start)
-        x = np.zeros((b.shape[0], len(copies) * len(null)), dtype=complex)
-        for c, where in enumerate(copies):
-            part = slice(c * len(null), (c + 1) * len(null))
-            x[where, part] = np.stack(null, axis=1)
-            x[low, part] = np.linalg.solve(shifted, -b[low, where] @ x[where, part])
-        out.append((kappa, alg, geo, list(x.T)))
+        vectors = []
+        for where in copies:
+            x = np.zeros((b.shape[0], len(null)), dtype=complex)
+            x[where] = np.stack(null, axis=1)
+            x[low] = np.linalg.solve(shifted, -b[low, where] @ x[where])
+            vectors += list(x.T)
+        out.append((kappa, alg, geo, vectors))
 
     coords = np.stack([x for item in out for x in item[3]], axis=1)
     product = np.zeros(coords.shape, dtype=complex)

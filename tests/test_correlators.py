@@ -167,6 +167,30 @@ def assert_null_vectors(matrix, structure):
             assert np.linalg.norm(matrix @ x - kappa * x) <= 1e-12 * np.linalg.norm(x)
 
 
+def greedy_clusters(values, tol):
+    """Reference for co._cluster: each value joins the first earlier cluster with a member within tol."""
+    order = sorted(range(len(values)), key=lambda i: (-abs(values[i]), values[i].real, values[i].imag))
+    clusters = []
+    for i in order:
+        for cluster in clusters:
+            if any(abs(values[i] - values[j]) <= tol for j in cluster):
+                cluster.append(i)
+                break
+        else:
+            clusters.append([i])
+    return clusters
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cluster_matches_the_greedy_loop(seed):
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    near = np.repeat(centres, 3) + 4e-8 * (rng.standard_normal(90) + 1j * rng.standard_normal(90))
+    chain = 0.5 + 0.8e-7 * rng.permutation(6)  # neighbours within tol, ends beyond it
+    values = np.concatenate([near, chain, [0.0, 0.0]])
+    assert co._cluster(values, co.CLUSTER_TOL) == greedy_clusters(values, co.CLUSTER_TOL)
+
+
 class TestSpectralStructure:
     def test_diagonal_with_a_double_eigenvalue(self):
         a = np.diag([1.0, 0.5, 0.5, 0.25])
