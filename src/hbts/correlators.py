@@ -236,12 +236,11 @@ def _sector_structure(lam: Isometry) -> list[tuple[complex, int, int, list[np.nd
              for copies, low in sectors for kappa, alg, geo, null in _spectral_structure(b[copies[0], copies[0]])]
     out = []
     for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):
-        alg = sum(items[k][1] for k in members)
-        kappa = complex(sum(items[k][0] * items[k][1] for k in members) / alg)
         if len(members) > 1:
-            out.append(_resolve_cluster(b, kappa, alg))
+            alg = sum(items[k][1] for k in members)
+            out.append(_resolve_cluster(b, complex(sum(items[k][0] * items[k][1] for k in members) / alg), alg))
             continue
-        _, _, geo, null, copies, low = items[members[0]]
+        kappa, alg, geo, null, copies, low = items[members[0]]
         shifted = b[low, low] - kappa * np.eye(low.stop - low.start)
         vectors = []
         for where in copies:
