@@ -65,6 +65,7 @@ from .finite_state import (
 from .parent_ham import (
     GroundSpaceReport,
     HamiltonianSpec,
+    RingHamiltonian,
     adjoint_nullity_check,
     assemble,
     build_interaction,

@@ -4,8 +4,8 @@ The interaction term is a weighted sum of projectors onto the kernel of the
 infinite-depth reduced state, so the full Hamiltonian is PSD and kills the
 tree state.  Everything ground-space related (degeneracy, the grown
 subspace and its translate, unfrustration, adjoint nullity) is verified
-numerically: the spectrum by dense diagonalization, in real arithmetic when
-the term is real, and the grown subspace term by term without forming H.
+numerically: the spectrum one translation sector at a time, and the grown
+subspace term by term, neither forming H.
 """
 
 from __future__ import annotations
@@ -145,12 +145,6 @@ def _window_index(d: int, nu: int, N: int, start: int) -> np.ndarray:
     return ((i % low) * (d ** N // low) + i // low).reshape(d ** nu, -1)
 
 
-def _add_term(out: np.ndarray, h: np.ndarray, d: int, nu: int, N: int, start: int) -> None:
-    """Add h on the window at start into the d^N x d^N matrix out, entry by entry."""
-    ring = _window_index(d, nu, N, start)
-    np.add.at(out, (ring[:, None, :], ring[None, :, :]), h[:, :, None])
-
-
 def _apply_term(h: np.ndarray, d: int, nu: int, N: int, start: int, states: np.ndarray) -> np.ndarray:
     """h on the window at start, applied to each column of states without forming it on the ring."""
     ring = _window_index(d, nu, N, start)
@@ -171,54 +165,76 @@ def _require_ring(hs: HamiltonianSpec, N: int, max_dim: int) -> None:
     dim = hs.d ** N
     if dim > max_dim:
         raise ResourceLimitError(
-            "dense assembly needs a %d x %d matrix, budget is %d" % (dim, dim, max_dim),
+            "a ring of %d sites has dimension d^N = %d^%d = %d, budget is %d" % (N, hs.d, N, dim, max_dim),
             required=dim,
         )
 
 
-def assemble(hs: HamiltonianSpec, N: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Cyclic sum of the interaction over all starting sites, 1/N-normalized.
+@dataclass(frozen=True)
+class RingHamiltonian:
+    """A ring Hamiltonian as its momentum-sector blocks; block j's eigenvalues occur multiplicity[j] times.
 
-    Real (float64) when the interaction term is real, so that ``diagonalize``
-    runs real LAPACK; complex otherwise.
+    A real term makes sectors k and -k complex conjugates, so only k = 0..N//2 are kept.
+    """
+
+    blocks: tuple
+    multiplicity: tuple
+
+
+def _orbits(d: int, N: int) -> tuple:
+    """Orbits of the d^N basis states under the one-site shift T: each orbit's smallest
+    state and period, and for each state s its orbit and the l < period with T^l s smallest."""
+    images = [np.arange(d ** N)]
+    for _ in range(N - 1):
+        images.append(images[-1] // d + images[-1] % d * d ** (N - 1))
+    images = np.array(images)
+    reps, orbit = np.unique(images.min(axis=0), return_inverse=True)
+    period = N // np.count_nonzero(images == images[0], axis=0)
+    return reps, period[reps], orbit, images.argmin(axis=0)
+
+
+def assemble(hs: HamiltonianSpec, N: int, max_dim: int = DEFAULT_MAX_DIM) -> RingHamiltonian:
+    """Cyclic sum of the interaction over all starting sites, 1/N-normalized, one translation sector at a time.
+
+    Applies every term to the orbit representatives a, folds the rows of each
+    orbit b with one FFT over the shift, and keeps in sector k the orbits
+    whose period allows k:
+    ``B_k[b, a] = sqrt(p_a p_b) / N * sum_l exp(ikl) H[T^l b, a]``.
+    The d^N x d^N matrix is never formed.
     """
     _require_ring(hs, N, max_dim)
     h = _hermitian_term(hs)
-    total = np.zeros((hs.d ** N, hs.d ** N), dtype=h.dtype)
+    reps, period, orbit, shift = _orbits(hs.d, N)
+    n = len(reps)
+    folded = np.zeros((N, n, n), dtype=h.dtype)     # [l, b, a]: N H[T^-l b, a], l < p_b
+    where = np.empty(hs.d ** N, dtype=int)
     for start in range(N):
-        _add_term(total, h, hs.d, hs.nu, N, start)
-    total /= N
-    return total
+        ring = _window_index(hs.d, hs.nu, N, start)
+        where[ring.reshape(-1)] = np.arange(hs.d ** N)
+        row, col = divmod(where[reps], ring.shape[1])
+        out = ring[:, col]                           # the states each representative's term reaches
+        folded[shift[out], orbit[out], np.arange(n)] += h[:, row]
+    real = not np.iscomplexobj(h)
+    sectors = (np.fft.rfft if real else np.fft.fft)(folded, axis=0)
+    del folded
+    sectors *= np.sqrt(np.outer(1.0 / period, period)) / N
+    blocks, multiplicity = [], []
+    for k, sector in enumerate(sectors):
+        kept = np.flatnonzero(k * period % N == 0)
+        block = sector[np.ix_(kept, kept)]
+        if real and 2 * k % N == 0:
+            block = block.real                       # sectors 0 and N/2 of a real term are real
+        blocks.append(block)
+        multiplicity.append(2 if real and 2 * k % N else 1)
+    return RingHamiltonian(blocks=tuple(blocks), multiplicity=tuple(multiplicity))
 
 
-def _is_hermitian(h: np.ndarray) -> bool:
-    """Whether the square matrix h equals its conjugate transpose exactly.
-
-    Compares each 128 x 128 tile on or above the diagonal with its mirror
-    tile, so no second full-size copy of h is made and both reads stay in
-    cache.
-    """
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        return False
-    n, tile = h.shape[0], 128
-    return all(
-        np.array_equal(h[i:i + tile, j:j + tile], h[j:j + tile, i:i + tile].conj().T)
-        for i in range(0, n, tile)
-        for j in range(i, n, tile)
-    )
-
-
-def diagonalize(h: np.ndarray, tau_gs: float = TAU_GS, bins: int = 50) -> GroundSpaceReport:
-    """Full spectrum, ground degeneracy at absolute tolerance, rescaled histogram.
-
-    A matrix that is not exactly Hermitian is replaced by its Hermitian part
-    first; an exactly Hermitian one, such as the output of ``assemble``, is
-    diagonalized as it is (its Hermitian part is itself, bit for bit).
-    """
-    h = np.asarray(h)
-    if not _is_hermitian(h):
-        h = (h + h.conj().T) / 2.0
-    spectrum = np.linalg.eigvalsh(h)
+def diagonalize(ring: RingHamiltonian, tau_gs: float = TAU_GS, bins: int = 50) -> GroundSpaceReport:
+    """Full spectrum (the sorted union of the sector spectra), ground degeneracy at absolute
+    tolerance, rescaled histogram."""
+    spectrum = np.sort(np.concatenate([
+        np.tile(np.linalg.eigvalsh(block), m) for block, m in zip(ring.blocks, ring.multiplicity)
+    ]))
     ground = float(spectrum[0])
     degeneracy = int(np.count_nonzero(spectrum <= ground + tau_gs))
     top = float(spectrum[-1])

@@ -97,11 +97,27 @@ def dense_extension(lam, nu):
     return (ch.tensor(grow, grow).matrix + middle @ ext3) / 2.0
 
 
+def _add_term(out, h, d, nu, N, start):
+    """Add h on the window at start into the d^N x d^N matrix out, entry by entry."""
+    ring = ph._window_index(d, nu, N, start)
+    np.add.at(out, (ring[:, None, :], ring[None, :, :]), np.asarray(h)[:, :, None])
+
+
 def embedded_term(h, d, nu, N, start):
     """The interaction placed on sites start..start+nu-1 (0-based, cyclic) of N sites, as a dense matrix."""
     out = np.zeros((d ** N, d ** N), dtype=complex)
-    ph._add_term(out, np.asarray(h), d, nu, N, start)
+    _add_term(out, h, d, nu, N, start)
     return out
+
+
+def dense_ring(hs, N):
+    """Reference ring Hamiltonian: the 1/N-normalized cyclic sum of the Hermitian term as one
+    dense d^N x d^N matrix, real when the term is real."""
+    h = ph._hermitian_term(hs)
+    total = np.zeros((hs.d ** N, hs.d ** N), dtype=h.dtype)
+    for start in range(N):
+        _add_term(total, h, hs.d, hs.nu, N, start)
+    return total / N
 
 
 def full_exponent_structure(lam):

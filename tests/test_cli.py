@@ -154,8 +154,8 @@ def test_resource_error_exits_two(capsys):
 
 
 def test_out_of_memory_exits_two():
-    # a 2^14-site dense ring is a 2 GiB float64 matrix, beyond the child's 1.5 GiB address space
-    argv = ["-m", "hbts", "diag", "--isometry", "paper", "--N", "14", "--max-dim", "20000"]
+    # a 20-site ring has sector blocks of 52488 x 52488, tens of GiB each, beyond the child's 1.5 GiB
+    argv = ["-m", "hbts", "diag", "--isometry", "paper", "--N", "20", "--max-dim", "2000000"]
     proc = run_capped(argv, 3 << 29)
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("error: out of memory")

@@ -10,7 +10,7 @@ from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import ResourceLimitError
 
-from conftest import embedded_term, rand_herm, rand_top
+from conftest import dense_ring, embedded_term, rand_herm, rand_top
 
 
 @pytest.fixture(scope="module")
@@ -69,17 +69,17 @@ class TestAssemble:
     def test_identity_term_assembles_to_identity(self):
         hs = ph.HamiltonianSpec(d=2, nu=2, h_term=np.eye(4), kernel_dim=4, weights=np.ones(4))
         for N in (2, 4, 5):
-            assert np.abs(ph.assemble(hs, N) - np.eye(2 ** N)).max() < 1e-14
+            assert np.abs(dense_ring(hs, N) - np.eye(2 ** N)).max() < 1e-14
 
     def test_pair_projector_on_two_sites(self):
         h = np.zeros((4, 4), dtype=complex)
         h[0b11, 0b11] = 1.0
         hs = ph.HamiltonianSpec(d=2, nu=2, h_term=h, kernel_dim=1, weights=np.ones(1))
-        out = ph.assemble(hs, 2)
+        out = dense_ring(hs, 2)
         assert np.abs(out - h).max() < 1e-15
 
     def test_bundled_hamiltonian_is_psd(self, paper_interaction):
-        ham = ph.assemble(paper_interaction, 8)
+        ham = dense_ring(paper_interaction, 8)
         assert ham.shape == (256, 256)
         assert np.linalg.eigvalsh(ham)[0] >= -1e-12
 
@@ -88,7 +88,7 @@ class TestAssemble:
             ph.assemble(paper_interaction, 3)
 
     def test_budget(self, paper_interaction):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=r"dimension d\^N = 2\^16 = 65536, budget is 4096"):
             ph.assemble(paper_interaction, 16)
 
     def test_embedding_matches_explicit_kron(self):
@@ -135,9 +135,10 @@ class TestRingPlacement:
         terms = [embedded_term(h, d, nu, N, start) for start in range(N)]
         for start, term in enumerate(terms):  # starts past N - nu wrap around the ring
             assert np.abs(term - kron_embedding(h, d, nu, N, start)).max() < 1e-15
-        ham = ph.assemble(hs, N)
+        ham = dense_ring(hs, N)
         assert ham.dtype == (np.float64 if real else np.complex128)
         assert np.abs(ham - sum(terms) / N).max() < 1e-13
+        assert np.abs(ph.diagonalize(ph.assemble(hs, N)).spectrum - np.linalg.eigvalsh(ham)).max() < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_real_isometry_gives_a_real_term(self, d):
@@ -145,12 +146,13 @@ class TestRingPlacement:
         hs = ph.build_interaction(tc.Isometry(d, q))
         assert not hs.h_term.imag.any()
         N = hs.nu + 2
-        ham = ph.assemble(hs, N)
-        assert ham.dtype == np.float64
+        ring = ph.assemble(hs, N)
+        assert len(ring.blocks) == N // 2 + 1  # sectors 0..N/2; the rest are their conjugates
+        assert ring.blocks[0].dtype == np.float64
         as_complex = sum(embedded_term(hs.h_term, d, hs.nu, N, s) for s in range(N)) / N
         assert as_complex.dtype == np.complex128
         reference = np.linalg.eigvalsh(as_complex)
-        assert np.abs(ph.diagonalize(ham).spectrum - reference).max() < 1e-12
+        assert np.abs(ph.diagonalize(ring).spectrum - reference).max() < 1e-12
 
     @pytest.mark.parametrize("which, N", [("paper", 4), ("paper", 6), ("paper", 8), ("spin1", 4), ("spin1", 6)])
     def test_subspace_check_matches_the_dense_reference(self, bundled_lam, which, N):
@@ -158,7 +160,7 @@ class TestRingPlacement:
         hs = ph.build_interaction(lam)
         rep = ph.grown_subspace_check(lam, hs, N)
         basis = ph.grown_basis(lam, N)
-        residual = np.linalg.norm(ph.assemble(hs, N) @ basis, axis=0).max()
+        residual = np.linalg.norm(dense_ring(hs, N) @ basis, axis=0).max()
         local = max(
             np.abs(np.einsum("ij,ij->j", basis.conj(), embedded_term(hs.h_term, lam.d, hs.nu, N, s) @ basis)).max()
             for s in range(N)
@@ -178,8 +180,43 @@ class TestRingPlacement:
         assert np.array_equal(ph.translate_state(basis, 2, 6), columns)
 
 
+def _qr_isometry(d, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d * d, d)))
+    return tc.Isometry(d, q)
+
+
+SECTOR_CASES = (
+    [("paper", N) for N in range(4, 12)]
+    + [("product", N) for N in range(2, 7)]
+    + [("spin1-complex", N) for N in range(3, 7)]
+    + [("spin1-real", N) for N in range(3, 7)]
+    + [("identity", N) for N in (2, 3, 4, 5)]
+)
+
+
+class TestSectors:
+    @pytest.fixture(scope="class")
+    def interactions(self, bundled_lam, product_lam):
+        return {
+            "paper": ph.build_interaction(bundled_lam),
+            "product": ph.build_interaction(product_lam),
+            "spin1-complex": ph.build_interaction(tc.random_isometry(3, 7)),
+            "spin1-real": ph.build_interaction(_qr_isometry(3, 3)),
+            "identity": ph.HamiltonianSpec(d=2, nu=2, h_term=np.eye(4), kernel_dim=4, weights=np.ones(4)),
+        }
+
+    @pytest.mark.parametrize("which, N", SECTOR_CASES)
+    def test_sector_spectrum_matches_dense_eigvalsh(self, interactions, which, N):
+        hs = interactions[which]
+        reference = np.linalg.eigvalsh(dense_ring(hs, N))
+        rep = ph.diagonalize(ph.assemble(hs, N))
+        assert rep.spectrum.shape == reference.shape
+        assert np.abs(rep.spectrum - reference).max() < 1e-12
+        assert rep.degeneracy == np.count_nonzero(reference <= reference[0] + ph.TAU_GS)
+
+
 class TestDiagonalize:
-    @pytest.mark.parametrize("N,degeneracy", [(4, 8), (6, 16), (8, 32), (10, 64)])
+    @pytest.mark.parametrize("N,degeneracy", [(4, 8), (6, 16), (8, 32), (10, 64), (12, 128)])
     def test_even_lattices_degeneracy(self, paper_interaction, N, degeneracy):
         rep = ph.diagonalize(ph.assemble(paper_interaction, N))
         assert abs(rep.ground_energy) <= 1e-10
@@ -199,30 +236,14 @@ class TestDiagonalize:
             rep = ph.diagonalize(ph.assemble(paper_interaction, N))
             assert rep.degeneracy >= 2 ** (N // 2)
 
-    def test_hermitian_input_is_not_copied(self, paper_interaction):
-        h = ph.assemble(paper_interaction, 10)
+    def test_no_ring_sized_matrix_is_allocated(self, paper_interaction):
         tracemalloc.start()
         try:
-            ph.diagonalize(h)
+            ph.diagonalize(ph.assemble(paper_interaction, 11))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < h.nbytes / 4
-
-    @pytest.mark.parametrize("case", ["paper-8", "d3-5"])
-    def test_spectrum_equals_that_of_the_hermitian_part(self, paper_interaction, case):
-        if case == "paper-8":
-            h = ph.assemble(paper_interaction, 8)
-        else:
-            h = ph.assemble(ph.build_interaction(tc.random_isometry(3, 7)), 5)
-        assert np.array_equal(ph.diagonalize(h).spectrum, np.linalg.eigvalsh((h + h.conj().T) / 2.0))
-
-    def test_non_hermitian_input_is_symmetrized(self):
-        rng = np.random.default_rng(3)
-        for a in (rng.standard_normal((6, 6)), rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))):
-            expect = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-            assert np.array_equal(ph.diagonalize(a).spectrum, expect)
-            assert not np.allclose(np.linalg.eigvalsh(a), expect)
+        assert peak < 2 ** 11 * 2 ** 11 * 8  # the dense float64 ring matrix alone
 
     def test_weight_rescaling_scales_spectrum_keeps_ground_space(self, bundled_lam, paper_interaction):
         scaled = ph.build_interaction(bundled_lam, weights=[3.0] * paper_interaction.kernel_dim)
@@ -237,20 +258,20 @@ class TestGroundSpace:
     def test_tree_state_is_ground_state(self, bundled_lam, paper_interaction, diag_top):
         for n, N in ((2, 4), (3, 8)):
             psi = fs.build_state(bundled_lam, diag_top, n).amplitudes
-            ham = ph.assemble(paper_interaction, N)
+            ham = dense_ring(paper_interaction, N)
             assert abs(np.vdot(psi, ham @ psi)) <= 1e-10
 
     def test_translation_orbit_in_ground_space(self, bundled_lam, paper_interaction):
         top = rand_top(2, 17)
         psi = fs.build_state(bundled_lam, top, 3).amplitudes
-        ham = ph.assemble(paper_interaction, 8)
+        ham = dense_ring(paper_interaction, 8)
         current = psi
         for _ in range(8):
             assert np.linalg.norm(ham @ current) <= 1e-10
             current = ph.translate_state(current, 2, 8)
 
     def test_zero_modes_are_locally_unfrustrated(self, paper_interaction):
-        ham = ph.assemble(paper_interaction, 6)
+        ham = dense_ring(paper_interaction, 6)
         evals, evecs = np.linalg.eigh(ham)
         zero_modes = evecs[:, evals <= 1e-10]
         for alpha in range(6):
@@ -283,7 +304,7 @@ class TestGrownSubspace:
         rep = ph.grown_subspace_check(product_lam, hs, 4)
         assert rep.dim_grown == 4
         assert not rep.unfrustrated
-        ham = ph.assemble(hs, 4)
+        ham = dense_ring(hs, 4)
         phi0 = ph.grown_basis(product_lam, 4)[:, 0]  # image of |00>: the |0000> product
         assert np.linalg.norm(ham @ phi0) <= 1e-12
 
