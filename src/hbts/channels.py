@@ -254,13 +254,6 @@ def apply(ch: Channel, op) -> np.ndarray:
     return unvec(ch.matrix @ vec(mat), ch.dim_out)
 
 
-def choi_matrix(ch: Channel) -> np.ndarray:
-    """Choi operator on (input (x) output), J = sum_ij |i><j| (x) ch(|i><j|)."""
-    m, n = ch.dim_in, ch.dim_out
-    t = ch.matrix.reshape(n, n, m, m)  # (col_out, row_out, col_in, row_in)
-    return t.transpose(3, 1, 2, 0).reshape(m * n, m * n)
-
-
 @dataclass(frozen=True)
 class ChoiReport:
     completely_positive: bool
@@ -275,9 +268,13 @@ class ChoiReport:
 
 
 def choi_check(ch: Channel, tol: float = 1e-10) -> ChoiReport:
-    """CP/TP diagnostics: Choi positivity and unitality of the adjoint."""
+    """CP/TP diagnostics: Choi positivity and unitality of the adjoint.
+
+    The Choi operator on (input (x) output) is J = sum_ij |i><j| (x) ch(|i><j|).
+    """
     m, n = ch.dim_in, ch.dim_out
-    choi = choi_matrix(ch)
+    t = ch.matrix.reshape(n, n, m, m)  # (col_out, row_out, col_in, row_in)
+    choi = t.transpose(3, 1, 2, 0).reshape(m * n, m * n)
     herm_residual = float(np.abs(choi - choi.conj().T).max())
     min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0])
     cp = herm_residual <= tol and min_eig >= -tol

@@ -10,6 +10,7 @@ adjoint's eigenvalues; eigenoperators are the corresponding primary blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ from . import thermo
 CLUSTER_TOL = 1e-7
 EIGENOPERATOR_TOL = 1e-8
 SERIES_FLOOR = 1e-14
+CONTRIBUTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class CorrelatorSeries:
     kappa: complex | None
     degenerate: bool
     log_corrections: bool
-    decomposition: tuple | None        # ((kappa, coefficient), ...) when fitted spectrally
+    decomposition: tuple | None        # ((kappa, weight of kappa^m), ...) unless degenerate
     residual: float | None
 
 
@@ -178,6 +180,31 @@ def _spectral_structure(matrix: np.ndarray) -> list[tuple[complex, int, int, lis
     return _canonical(out)
 
 
+def _cluster_terms(matrix: np.ndarray, x: np.ndarray, u: np.ndarray, m_values: Sequence[int]) -> list[tuple]:
+    """(kappa, algebraic, geometric, coefficient, terms) per cluster c of matrix, in the order of _canonical.
+
+    u^T matrix^m x = sum_c u_c^T J_c^m w_c, w the coordinates of x on the cluster bases V_c, u_c = V_c^T u.
+    V_c holds eigenvectors and J_c = kappa, or for a defective cluster the generalized eigenspace (last
+    right singular vectors of (matrix - kappa)^algebraic) and J_c = matrix on it.  ``terms`` are at m_values.
+    """
+    structure = _spectral_structure(matrix)
+    bases = [np.stack(null, axis=1) if geo == alg else
+             np.linalg.svd(np.linalg.matrix_power(matrix - kappa * np.eye(len(matrix)), alg))[2][-alg:].conj().T
+             for kappa, alg, geo, null in structure]
+    vectors = np.concatenate(bases, axis=1)
+    w, v = np.linalg.solve(vectors, x), vectors.T @ u
+    out, start = [], 0
+    for (kappa, alg, geo, _), basis in zip(structure, bases):
+        c, start = slice(start, start + alg), start + alg
+        if geo == alg:
+            terms = (v[c] @ w[c]) * kappa ** np.array(m_values)
+        else:
+            j = np.linalg.solve(vectors, matrix @ basis)[c]
+            terms = np.array([v[c] @ np.linalg.matrix_power(j, m) @ w[c] for m in m_values])
+        out.append((kappa, alg, geo, complex(v[c] @ w[c]), terms))
+    return out
+
+
 def _hermitian_frame(d: int) -> np.ndarray:
     """Unitary d^2 x d^2 matrix of vectorized orthonormal Hermitian operators E_i, E_0 = -1/sqrt(d).
 
@@ -192,11 +219,13 @@ def _hermitian_frame(d: int) -> np.ndarray:
     return ((1 + 1j) * real + (1 - 1j) * transposed) / 2.0
 
 
+@cache
 def _sector_basis(d: int) -> tuple:
     """Swap-(anti)symmetrized products of E_i (x) E_j (product index i d^2 + j), as 1, S+, S-, K_sym, K_anti.
 
-    Column q is ``w1[q] e[p1[q]] + w2[q] e[p2[q]]``.  1, S+ and S- span the
-    O (x) 1 and 1 (x) O; K, the doubly traceless rest, splits by the swap.
+    Returns (frame, (p1, p2, w1, w2), sectors), built once per d and read-only: the E_i are the
+    columns of :func:`_hermitian_frame` and column q is ``w1[q] e[p1[q]] + w2[q] e[p2[q]]``.
+    1, S+ and S- span the O (x) 1 and 1 (x) O; K, the doubly traceless rest, splits by the swap.
     Each sector comes with the slices of its copies and of the invariant part below it.
     """
     n = d * d
@@ -209,9 +238,30 @@ def _sector_basis(d: int) -> tuple:
     w1 = np.concatenate([np.where(si == sj, 0.5, np.sqrt(0.5)), np.full(ai.size, np.sqrt(0.5))])[order]
     w2 = np.where(order < si.size, w1, -w1)
     s, k = 2 * n - 1, n * (n + 1) // 2 + n - 1
-    sectors = [((slice(0, 1),), slice(0, 0)), ((slice(1, n), slice(n, s)), slice(0, 1)),
-               ((slice(s, k),), slice(0, s)), ((slice(k, n * n),), slice(0, s))]
-    return (p1, p2, w1, w2), sectors
+    sectors = (((slice(0, 1),), slice(0, 0)), ((slice(1, n), slice(n, s)), slice(0, 1)),
+               ((slice(s, k),), slice(0, s)), ((slice(k, n * n),), slice(0, s)))
+    frame = _hermitian_frame(d)
+    for a in (frame, p1, p2, w1, w2):
+        a.setflags(write=False)
+    return frame, (p1, p2, w1, w2), sectors
+
+
+def _sector_matrix(lam: Isometry) -> np.ndarray:
+    """The pair-descend adjoint A in the basis of :func:`_sector_basis`: real and block upper-triangular."""
+    frame, (p1, p2, w1, w2), _ = _sector_basis(lam.d)
+    dc = ch.descend_channels(lam)
+    left, right = ((frame.conj().T @ c.matrix.conj().T @ frame).real for c in (dc.left, dc.right))
+    adj = (np.kron(left, left) + np.kron(right, right)) / 2.0
+    cols = adj[:, p1] * w1 + adj[:, p2] * w2
+    return w1[:, None] * cols[p1] + w2[:, None] * cols[p2]
+
+
+def _sector_coordinates(ops: np.ndarray, d: int) -> np.ndarray:
+    """Coordinates Tr[G_q X] of stacked two-site operators X; the inverse of the lift in _sector_structure."""
+    frame, (p1, p2, w1, w2), _ = _sector_basis(d)
+    y = ops.reshape(-1, d, d, d, d).transpose(0, 3, 1, 4, 2).reshape(-1, d * d, d * d)
+    product = (frame.conj().T @ y @ frame.conj()).reshape(len(y), -1)
+    return product[:, p1] * w1 + product[:, p2] * w2
 
 
 def _sector_structure(lam: Isometry) -> list[tuple[complex, int, int, list[np.ndarray]]]:
@@ -224,13 +274,8 @@ def _sector_structure(lam: Isometry) -> list[tuple[complex, int, int, list[np.nd
     -A_low,block y.  Clusters shared by sectors are resolved on the whole matrix.
     """
     d = lam.d
-    frame = _hermitian_frame(d)
-    dc = ch.descend_channels(lam)
-    left, right = ((frame.conj().T @ c.matrix.conj().T @ frame).real for c in (dc.left, dc.right))
-    (p1, p2, w1, w2), sectors = _sector_basis(d)
-    adj = (np.kron(left, left) + np.kron(right, right)) / 2.0
-    cols = adj[:, p1] * w1 + adj[:, p2] * w2
-    b = w1[:, None] * cols[p1] + w2[:, None] * cols[p2]
+    b = _sector_matrix(lam)
+    frame, (p1, p2, w1, w2), sectors = _sector_basis(d)
 
     items = [(kappa, alg * len(copies), geo * len(copies), null, copies, low)
              for copies, low in sectors for kappa, alg, geo, null in _spectral_structure(b[copies[0], copies[0]])]
@@ -282,32 +327,28 @@ def powerlaw_check(
     query,
     m_range: Sequence[int] = range(0, 16),
 ) -> CorrelatorSeries:
-    """Correlator series over distances 2^m with a power-law consistency fit.
+    """Correlator series over distances 2^m, split exactly into powers kappa^m.
 
-    ``query`` is a CorrelatorQuery or a raw two-site block.  If the block is
-    an eigenoperator of the pair-descend adjoint, successive ratios must
-    reproduce its eigenvalue and the fitted exponent is the base-2 log of
-    the mean ratio.  Otherwise the series is decomposed over the spectrum;
-    Jordan structure (log corrections) is flagged and the decomposition is
-    fitted with polynomial coefficients, reporting the residual.
+    ``query`` is a CorrelatorQuery or a raw two-site block B.  rho2 - eta lies in K_sym + K_anti,
+    where the pair-descend map is the transpose of the adjoint's blocks (:func:`_sector_matrix`);
+    :func:`_cluster_terms` splits the series over each block's clusters, merged where blocks share one.
+    ``fitted_exponent`` is log2 of the largest |kappa| whose term exceeds CONTRIBUTION_TOL times the
+    series scale; ``log_corrections`` flags a defective cluster; ``is_eigenoperator`` tests B.
     """
     m_values = sorted(set(int(m) for m in m_range))
     if not m_values or m_values[0] < 0:
         raise ValueError("m_range must contain nonnegative integers")
-    if isinstance(query, CorrelatorQuery):
-        block = query.block()
-    else:
-        block = np.asarray(query, dtype=complex)
+    block = query.block() if isinstance(query, CorrelatorQuery) else np.asarray(query, dtype=complex)
     pair = ch.pair_descend_channel(lam)
-    dim = pair.dim_out
-    if block.shape != (dim, dim):
-        raise ValueError("observable block must be %d x %d" % (dim, dim))
+    if block.shape != (pair.dim_out,) * 2:
+        raise ValueError("observable block must be %d x %d" % ((pair.dim_out,) * 2))
 
-    series = list(pair_descend_series(pair, pair_difference_infinity(lam), block, sorted({0, *m_values})))
+    diff = pair_difference_infinity(lam)
+    series = list(pair_descend_series(pair, diff, block, sorted({0, *m_values})))
     g = series[0][1]
     points = series if m_values[0] == 0 else series[1:]
     values = np.array([v for _, v in points])
-    scale = float(np.abs(values).max()) if values.size else 0.0
+    scale = float(np.abs(values).max())
 
     if scale < SERIES_FLOOR:
         return CorrelatorSeries(
@@ -316,66 +357,24 @@ def powerlaw_check(
             log_corrections=False, decomposition=None, residual=None,
         )
 
-    # eigenoperator membership against the adjoint map
-    adj_mat = pair.matrix.conj().T
-    x = ch.vec(block)
-    ax = adj_mat @ x
-    kappa_est = complex(np.vdot(x, ax) / np.vdot(x, x))
-    member = float(np.linalg.norm(ax - kappa_est * x)) <= EIGENOPERATOR_TOL * float(np.linalg.norm(x))
-
-    if member:
-        floor = max(SERIES_FLOOR, 1e-6 * scale)
-        ratios = [
-            points[i + 1][1] / points[i][1]
-            for i in range(len(points) - 1)
-            if m_values[i + 1] == m_values[i] + 1
-            and abs(points[i][1]) >= floor and abs(points[i + 1][1]) >= floor
-        ]
-        if not ratios:
-            return CorrelatorSeries(
-                points=tuple(points), prefactor=g, fitted_exponent=None,
-                is_eigenoperator=True, kappa=kappa_est, degenerate=True,
-                log_corrections=False, decomposition=None, residual=None,
-            )
-        kappa_fit = complex(np.mean(ratios))
-        return CorrelatorSeries(
-            points=tuple(points), prefactor=g,
-            fitted_exponent=_log2_or_none(kappa_fit),
-            is_eigenoperator=True, kappa=kappa_est, degenerate=False,
-            log_corrections=False, decomposition=None,
-            residual=float(max(abs(r - kappa_est) for r in ratios)),
-        )
-
-    # general block: decompose over the spectrum, the same for the forward map and its adjoint
-    structure = [(kappa, alg, geo) for kappa, alg, geo, _ in _sector_structure(lam)]
-    jordan = any(alg != geo for _, alg, geo in structure)
-    ms = np.array(m_values, dtype=float)
-    columns = []
-    labels = []
-    for kappa, alg, geo in structure:
-        if abs(kappa) == 0.0:
-            columns.append(np.array([1.0 + 0j if m == 0 else 0.0 for m in m_values]))
-            labels.append((kappa, 0))
-            continue
-        width = max(1, alg - geo + 1) if jordan else 1
-        for p in range(width):
-            columns.append((kappa ** ms) * (ms ** p))
-            labels.append((kappa, p))
-    design = np.stack(columns, axis=1)
-    coeffs, _, _, _ = np.linalg.lstsq(design, values, rcond=None)
-    reconstructed = design @ coeffs
-    residual = float(np.abs(reconstructed - values).max())
-    decomposition = tuple(
-        (labels[i][0], complex(coeffs[i]))
-        for i in range(len(labels))
-        if labels[i][1] == 0
-    )
-    contributing = [
-        (kappa, coeff) for (kappa, coeff) in decomposition if abs(coeff) > 1e-12 and abs(kappa) > 0
-    ]
-    fitted = _log2_or_none(max(contributing, key=lambda t: abs(t[0]))[0]) if contributing else None
+    b = _sector_matrix(lam)
+    x, u = _sector_coordinates(np.stack([diff, block]), lam.d)
+    bu = b @ u  # the adjoint applied to B
+    kappa_est = complex(np.vdot(u, bu) / np.vdot(u, u))
+    member = float(np.linalg.norm(bu - kappa_est * u)) <= EIGENOPERATOR_TOL * float(np.linalg.norm(u))
+    items = [item for (where,), _ in _sector_basis(lam.d)[2][2:]
+             for item in _cluster_terms(b[where, where].T, x[where], u[where], m_values)]
+    clusters = []
+    for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):
+        alg, coefficient, terms = (sum(items[k][i] for k in members) for i in (1, 3, 4))
+        clusters.append((sum(items[k][0] * items[k][1] for k in members) / alg, alg, coefficient, terms))
+    clusters = _canonical(clusters)
+    contributing = [kappa for kappa, _, _, terms in clusters if np.abs(terms).max() > CONTRIBUTION_TOL * scale]
     return CorrelatorSeries(
-        points=tuple(points), prefactor=g, fitted_exponent=fitted,
-        is_eigenoperator=False, kappa=None, degenerate=False,
-        log_corrections=jordan, decomposition=decomposition, residual=residual,
+        points=tuple(points), prefactor=g,
+        fitted_exponent=_log2_or_none(max(contributing, key=abs)) if contributing else None,
+        is_eigenoperator=member, kappa=kappa_est if member else None, degenerate=False,
+        log_corrections=any(geo < alg for _, alg, geo, _, _ in items),
+        decomposition=tuple((kappa, coefficient) for kappa, _, coefficient, _ in clusters),
+        residual=float(np.abs(sum(terms for *_, terms in clusters) - values).max()),
     )

@@ -203,12 +203,9 @@ def density_op(
     return DensityOp(d, nu, mat, label)
 
 
-def partial_trace_matrix(mat: np.ndarray, d: int, nu: int, keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a nu-site operator down to the (1-based) sites in ``keep``.
-
-    The result's site order follows ``keep``.
-    """
-    keep = list(keep)
+def partial_trace(op: DensityOp, keep: Sequence[int]) -> DensityOp:
+    """Reduce a DensityOp to the given (1-based) site subset; the result's site order follows ``keep``."""
+    d, nu, keep = op.d, op.nu, list(keep)
     if not keep:
         raise ValueError("keep must be a nonempty site subset")
     if len(set(keep)) != len(keep):
@@ -216,10 +213,7 @@ def partial_trace_matrix(mat: np.ndarray, d: int, nu: int, keep: Sequence[int]) 
     for s in keep:
         if not 1 <= s <= nu:
             raise ValueError("site %d out of range 1..%d" % (s, nu))
-    mat = np.asarray(mat)
-    if mat.shape != (d ** nu, d ** nu):
-        raise ShapeError("expected %d x %d operator, got %s" % (d ** nu, d ** nu, mat.shape))
-    t = mat.reshape((d,) * (2 * nu))
+    t = op.matrix.reshape((d,) * (2 * nu))
     keep0 = [s - 1 for s in keep]
     traced = [s for s in range(nu) if s not in keep0]
     for offset, s in enumerate(sorted(traced, reverse=True)):
@@ -230,14 +224,8 @@ def partial_trace_matrix(mat: np.ndarray, d: int, nu: int, keep: Sequence[int]) 
     rank = np.argsort(np.argsort(keep0))
     k = len(keep0)
     t = t.transpose(tuple(rank) + tuple(k + r for r in rank))
-    return t.reshape(d ** k, d ** k)
-
-
-def partial_trace(op: DensityOp, keep: Sequence[int]) -> DensityOp:
-    """Reduce a DensityOp to the given (1-based, ordered) site subset."""
-    reduced = partial_trace_matrix(op.matrix, op.d, op.nu, keep)
     label = op.label + "|tr" if op.label else "partial-trace"
-    return DensityOp(op.d, len(list(keep)), reduced, label)
+    return DensityOp(d, k, t.reshape(d ** k, d ** k), label)
 
 
 def numerical_rank(op: DensityOp, tau_rank: float = TAU_RANK, tol_herm: float = TAU_HERM) -> int:

@@ -276,6 +276,19 @@ def _case_isometry(kind, arg):
     return tc.random_isometry(kind, arg)
 
 
+def _explicit_sector_basis(d):
+    """Columns: the vectorized sector basis operators G_q, built from kron products of frame operators."""
+    frame = co._hermitian_frame(d)
+    _, (p1, p2, w1, w2), _ = co._sector_basis(d)
+    ops = [ch.unvec(frame[:, i], d) for i in range(d * d)]
+    product = np.stack([ch.vec(np.kron(a, b)) for a in ops for b in ops], axis=1)
+    u = np.zeros((d ** 4, d ** 4))
+    q = np.arange(d ** 4)
+    u[p1, q] += w1
+    u[p2, q] += w2
+    return product @ u
+
+
 class TestSectorResolvedSpectrum:
     @pytest.mark.parametrize("kind, arg", SECTOR_CASES)
     def test_matches_the_full_matrix_and_gives_eigenoperators(self, kind, arg):
@@ -297,15 +310,8 @@ class TestSectorResolvedSpectrum:
         # the sector basis rebuilt in the standard basis, column by column from products of
         # frame operators; 1 + S and each copy of S with 1 are invariant under the adjoint,
         # K_sym and K_anti under the map itself
-        frame = co._hermitian_frame(d)
-        (p1, p2, w1, w2), sectors = co._sector_basis(d)
-        ops = [ch.unvec(frame[:, i], d) for i in range(d * d)]
-        product = np.stack([ch.vec(np.kron(a, b)) for a in ops for b in ops], axis=1)
-        u = np.zeros((d ** 4, d ** 4))
-        q = np.arange(d ** 4)
-        u[p1, q] += w1
-        u[p2, q] += w2
-        basis = product @ u
+        _, _, sectors = co._sector_basis(d)
+        basis = _explicit_sector_basis(d)
         assert np.abs(basis.conj().T @ basis - np.eye(d ** 4)).max() <= 1e-13
         pair = ch.pair_descend_channel(tc.random_isometry(d, 1)).matrix
         (unit,), _ = sectors[0]
@@ -340,3 +346,115 @@ class TestSectorResolvedSpectrum:
         evals = np.linalg.eigvals(ch.adjoint(ch.pair_descend_channel(lam)).matrix)
         dist = np.abs(evals[:, None] - kappas[None, :])
         assert dist.min(axis=1).max() <= 1e-10 and dist.min(axis=0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sector_coordinates_invert_the_basis(d):
+    rng = np.random.default_rng(d)
+    ops = rng.standard_normal((3, d * d, d * d)) + 1j * rng.standard_normal((3, d * d, d * d))
+    coords = co._sector_coordinates(ops, d)
+    basis = _explicit_sector_basis(d)
+    for op, c in zip(ops, coords):
+        assert np.abs(basis @ c - ch.vec(op)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d, seed", [(d, seed) for d in (2, 3, 4) for seed in range(4)])
+def test_pair_difference_lies_in_the_doubly_traceless_sectors(d, seed):
+    lam = tc.random_isometry(d, seed)
+    diff = co.pair_difference_infinity(lam)
+    x = co._sector_coordinates(diff[None], d)[0]
+    n = d * d
+    assert np.abs(x[:2 * n - 1]).max() <= 1e-14 * np.abs(diff).max()
+
+
+# log2 of the largest |kappa| of the K blocks of seeded trees: a generic block weighs every eigenvalue
+# of K and none outside it, so neither kappa = 1 (exponent 0) nor a one-site eigenvalue (at d = 2,
+# seed 3: kappa = 0.293, exponent -1.770) leads
+LEADING_EXPONENTS = [(3, 0, -1.56647026), (3, 1, -1.50102797), (3, 2, -1.79253104), (3, 3, -1.75543917),
+                     (2, 3, -2.71239566)]
+
+
+@pytest.mark.parametrize("d, seed, exponent", LEADING_EXPONENTS)
+def test_generic_block_reports_its_leading_exponent(d, seed, exponent):
+    lam = tc.random_isometry(d, seed)
+    series = co.powerlaw_check(lam, rand_herm(np.random.default_rng(seed), d * d))
+    assert not series.is_eigenoperator and not series.degenerate
+    assert abs(series.fitted_exponent - exponent) <= 1e-6
+    assert all(abs(kappa - 1.0) > co.CLUSTER_TOL for kappa, _ in series.decomposition)
+
+
+def test_two_site_z_block_has_one_exact_weight(bundled_lam, sigma_z):
+    series = co.powerlaw_check(bundled_lam, co.CorrelatorQuery(sigma_z, sigma_z))
+    heavy = [(k, c) for k, c in series.decomposition if abs(c) > 1e-12]
+    assert len(heavy) == 1
+    assert abs(heavy[0][0] - 0.25) <= 1e-12 and abs(heavy[0][1] - 4.0 / 27.0) <= 1e-12
+
+
+def test_eigenoperators_carry_only_their_own_power(bundled_lam):
+    checked = 0
+    for entry in co.exponent_spectrum(bundled_lam).entries:
+        for op in entry.eigenoperators:
+            series = co.powerlaw_check(bundled_lam, op)
+            if series.degenerate:
+                continue
+            assert series.is_eigenoperator and abs(series.kappa - entry.kappa) <= 1e-12
+            assert abs(series.fitted_exponent - entry.exponent) <= 1e-12
+            scale = max(abs(v) for _, v in series.points)
+            heavy = [k for k, c in series.decomposition if abs(c) > 1e-12 * scale]
+            assert len(heavy) == 1 and abs(heavy[0] - entry.kappa) <= 1e-12
+            checked += 1
+    assert checked >= 3
+
+
+DECOMPOSITION_CASES = [("paper", None), ("product", 2), ("product", 3)] + [
+    (d, seed) for d in (2, 3, 4) for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("kind, arg", DECOMPOSITION_CASES)
+def test_decomposition_is_exact(kind, arg):
+    lam = _case_isometry(kind, arg)
+    d = lam.d
+    block = rand_herm(np.random.default_rng(7), d * d)
+    m_values = range(21)
+    series = co.powerlaw_check(lam, block, m_values)
+    reference = np.array([v for _, v in co.pair_descend_series(
+        ch.pair_descend_channel(lam), co.pair_difference_infinity(lam), block, m_values)])
+    scale = np.abs(reference).max()
+    if kind == "product":  # a product tree is uncorrelated: rho2 - eta is exactly zero
+        assert scale == 0.0 and series.degenerate and series.decomposition is None
+        return
+    assert not series.log_corrections
+    kappas = np.array([k for k, _ in series.decomposition])
+    coefficients = np.array([c for _, c in series.decomposition])
+    rebuilt = (kappas[None, :] ** np.arange(21)[:, None]) @ coefficients
+    assert np.abs(rebuilt - reference).max() <= 1e-12 * scale
+    assert series.residual <= 1e-12 * scale
+    assert abs(coefficients.sum() - series.prefactor) <= 1e-12 * scale
+    spectrum = np.array([e.kappa for e in co.exponent_spectrum(lam).entries])
+    assert np.abs(kappas[:, None] - spectrum[None, :]).min(axis=1).max() <= 1e-10
+    for kappa, coefficient in series.decomposition:  # a Hermitian block gives a real series
+        partner = np.argmin(np.abs(kappas - np.conj(kappa)))
+        assert abs(kappas[partner] - np.conj(kappa)) <= 1e-10
+        assert abs(coefficients[partner] - np.conj(coefficient)) <= 1e-12 * scale
+
+
+def test_jordan_cluster_terms_reproduce_the_series():
+    # a 2x2 Jordan block at 1/2 among simple real and complex eigenvalues, in a rotated basis
+    rng = np.random.default_rng(8)
+    a = np.zeros((8, 8))
+    a[:2, :2] = [[0.5, 1.0], [0.0, 0.5]]
+    a[2:4, 2:4] = [[0.3, -0.4], [0.4, 0.3]]
+    a[4:, 4:] = np.diag([0.9, -0.6, 0.2, 0.0])
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    matrix = q @ a @ q.T
+    x, u = rng.standard_normal(8), rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    m_values = range(21)
+    series = np.array([u @ np.linalg.matrix_power(matrix, m) @ x for m in m_values])
+    terms = co._cluster_terms(matrix, x, u, m_values)
+    assert [(alg, geo) for kappa, alg, geo, _, _ in terms if abs(kappa - 0.5) < 1e-6] == [(2, 1)]
+    assert sum(alg for _, alg, _, _, _ in terms) == 8
+    assert np.abs(sum(t for *_, t in terms) - series).max() <= 1e-12 * np.abs(series).max()
+    assert abs(sum(c for _, _, _, c, _ in terms) - series[0]) <= 1e-12 * np.abs(series).max()
+    powers_only = sum(c * kappa ** np.arange(21) for kappa, _, _, c, _ in terms)
+    assert np.abs(powers_only - series).max() > 1e-3 * np.abs(series).max()  # the m kappa^(m-1) part matters
