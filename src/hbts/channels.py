@@ -1,31 +1,34 @@
-"""Completely positive trace-preserving maps as dense superoperator matrices.
+"""Completely positive trace-preserving maps of a binary tree, named by words.
 
 Vectorization is column-stacking: ``vec(X)[j*rows + i] = X[i, j]``, so the
 map ``X -> A X B^dag`` has superoperator matrix ``conj(B) (x) A`` and the
 Hilbert-Schmidt adjoint of a channel is exactly the conjugate transpose of
 its superoperator matrix.
 
-A channel from nu_in sites to nu_out sites (local dimension d) is stored as
-the dense ``d**(2*nu_out) x d**(2*nu_in)`` matrix acting on vectorized
-operators.  The maps built here from a tree isometry ``v`` (d^2 x d):
+Every map between tree levels is a product of one-site maps, written as a
+word with one letter per input site (site 1 first):
 
-* growth: one site to two, ``rho -> v rho v^dag``;
-* descend left/right: trace the right/left child of the growth output,
-  with averaged mixture ``(left + right)/2``;
-* pair descend: both members of a site pair descend through the same child
-  slot, ``(left (x) left + right (x) right)/2`` — the map whose powers give
-  correlators at distances 2^m;
-* extension 2 -> 3 and 2 -> 4: the maps taking the two-site state of one
-  tree level to three- and four-site states of the level below.
+* ``L`` / ``R``: descend, keep the left / right child of the growth output
+  (one site to one, Kraus operators ``t[:, k, :]`` / ``t[k, :, :]``);
+* ``g``: growth, ``rho -> v rho v^dag`` (one site to two).
 
-The extensions are applied in Kraus form, ``rho -> sum_k K_k rho K_k^dag``
-on the ``d^2 x d^2`` state; only :func:`extension_channel` builds their dense
-matrices.  Channels and Kraus stacks are derived once per isometry and kept
-on it.
+Descend is ``(L + R)/2``; pair descend is ``(LL + RR)/2``, the map whose
+powers give correlators at distances 2^m; the two-site recursion runs on
+``RL``; the 2->3 extension is ``(Rg + gL)/2`` and the 2->4 extension is
+``(gg + RgL after (Rg + gL)/2)/2``.
+
+States are pushed through a word one site at a time (``_local``), so no
+product of one-site maps is ever formed for them.  A channel from nu_in to
+nu_out sites (local dimension d) is the dense ``d**(2*nu_out) x
+d**(2*nu_in)`` matrix of :class:`Channel`, built from the word's product
+Kraus stack only where a spectrum, a solve or a caller needs it.  The
+descend and pair-descend channels are derived once per isometry and kept on
+it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +90,22 @@ class DescendChannels:
     average: Channel
 
 
+def _site_kraus(lam: Isometry, word: str) -> list[np.ndarray]:
+    """One stack ``[out, k, in]`` per letter: ``L`` keeps the left child, ``R`` the right, ``g`` grows."""
+    t = lam.as_tensor()  # (l1, l2, u)
+    stacks = {"L": t, "R": t.transpose(1, 0, 2), "g": lam.v[:, None, :]}
+    return [stacks[letter] for letter in word]
+
+
+def _kraus(lam: Isometry, word: str) -> np.ndarray:
+    """Product stack ``[out, k, in]`` of the word's one-site stacks, site 1 most significant."""
+    out = np.ones((1, 1, 1))
+    for k in _site_kraus(lam, word):
+        (o, n, i), (p, m, j) = out.shape, k.shape
+        out = np.einsum("oki,pmj->opkmij", out, k).reshape(o * p, n * m, i * j)
+    return out
+
+
 def _kraus_superop(kraus: np.ndarray) -> np.ndarray:
     """Superoperator matrix of rho -> sum_k K_k rho K_k^dag, from the stack ``kraus[out, k, in]``.
 
@@ -99,84 +118,50 @@ def _kraus_superop(kraus: np.ndarray) -> np.ndarray:
     return gram.reshape(dout, din, dout, din).transpose(0, 2, 1, 3).reshape(dout * dout, din * din)
 
 
-def _apply_kraus(kraus: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """sum_k K_k op K_k^dag for the stack ``kraus[out, k, in]``, as two matrix products."""
-    dout, n, din = kraus.shape
-    left = (kraus.reshape(dout * n, din) @ op).reshape(dout, n * din)
-    return left @ kraus.reshape(dout, n * din).conj().T
+def _local(lam: Isometry, op: np.ndarray, word: str) -> np.ndarray:
+    """The operator ``op`` on ``len(word)`` sites pushed through the map ``word``, one site at a time.
 
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-def _build_ext3(lam: Isometry) -> np.ndarray:
-    d = lam.d
-    t = lam.as_tensor()  # (l1, l2, u): R_k = t[k], L_k = t[:, k]
-    right_grow = np.einsum("kau,bw->abkuw", t, lam.v).reshape(d ** 3, d, d * d)
-    grow_left = np.einsum("bu,ckw->bckuw", lam.v, t).reshape(d ** 3, d, d * d)
-    return np.concatenate([right_grow, grow_left], axis=1) * np.sqrt(0.5)
-
-
-def _build_middle(lam: Isometry, ext3: np.ndarray) -> np.ndarray:
-    d = lam.d
-    t = lam.as_tensor()
-    e = ext3.reshape(d, d, d, 2 * d, d * d)  # (s1, s2, s3, k, in)
-    middle = np.einsum("axp,yq,zbr,pqrki->xyzabki", t, lam.v, t, e, optimize=True)
-    return middle.reshape(d ** 4, 2 * d ** 3, d * d)
-
-
-class _ExtensionKraus:
-    """Stacked Kraus operators ``[out, k, in]`` of the extension maps of one isometry.
-
-    The 2->3 extension is ``ext3``; the 2->4 extension is
-    ``(grow_grow + middle) / 2`` on one two-site state, where ``middle`` is
-    the 3->4 map ``R (x) grow (x) L`` after the 2->3 extension.  Each stack
-    is built on first use and kept on the isometry, so the three-site state
-    never pays for the ``2d^3`` operators of ``middle``.
+    Each site gets ``x -> sum_k K_k x K_k^dag`` with its own stack, as two
+    matrix products; the descents go first, so growth acts on the smallest
+    operator.
     """
-
-    def __init__(self, lam: Isometry):
-        self._lam = lam
-
-    @property
-    def ext3(self) -> np.ndarray:
-        """2d operators of d^3 x d^2: (R_k (x) v, v (x) L_k) / sqrt 2."""
-        lam = self._lam
-        return lam._derive("kraus-ext3", lambda: _frozen(_build_ext3(lam)))
-
-    @property
-    def middle(self) -> np.ndarray:
-        """2d^3 operators of d^4 x d^2: (R_a (x) v (x) L_b) after each ext3 operator."""
-        lam = self._lam
-        return lam._derive("kraus-middle", lambda: _frozen(_build_middle(lam, self.ext3)))
-
-    @property
-    def grow_grow(self) -> np.ndarray:
-        """1 operator of d^4 x d^2: v (x) v."""
-        lam = self._lam
-        return lam._derive("kraus-grow-grow", lambda: _frozen(np.kron(lam.v, lam.v)[:, None, :]))
+    stacks = _site_kraus(lam, word)
+    n = len(stacks)
+    dims = [k.shape[2] for k in stacks] * 2  # row then column dimension of each site
+    x = np.asarray(op)
+    for j in sorted(range(n), key=lambda j: word[j] == "g"):
+        k = stacks[j]
+        o, m, i = k.shape
+        a, b, e = math.prod(dims[:j]), math.prod(dims[j + 1:n + j]), math.prod(dims[n + j + 1:])
+        y = (k.reshape(o * m, i) @ x.reshape(a, i, b * i * e)).reshape(a, o, m, b, i, e)
+        y = y.transpose(0, 1, 3, 5, 2, 4).reshape(-1, m * i) @ k.reshape(o, m * i).conj().T
+        x = y.reshape(a, o, b, e, o).transpose(0, 1, 2, 4, 3)
+        dims[j] = dims[n + j] = o
+    dim = math.prod(dims[:n])
+    return x.reshape(dim, dim)
 
 
-def _extension_kraus(lam: Isometry) -> _ExtensionKraus:
-    """The extension Kraus stacks of ``lam``, validated on every call and each built once."""
-    require_isometry(lam)
-    return _ExtensionKraus(lam)
+def _extend(lam: Isometry, rho2: np.ndarray, rho3: np.ndarray | None = None) -> np.ndarray:
+    """The 2->3 extension ``(Rg + gL)/2`` of rho2, or with rho3 the 2->4 extension ``(gg rho2 + RgL rho3)/2``.
+
+    For the four-site state, ``rho3`` is the 2->3 extension of the two-site
+    state one level further up, the input of the middle map ``RgL``.
+    """
+    if rho3 is None:
+        return (_local(lam, rho2, "Rg") + _local(lam, rho2, "gL")) / 2.0
+    return (_local(lam, rho2, "gg") + _local(lam, rho3, "RgL")) / 2.0
 
 
 def growth_channel(lam: Isometry, tol: float = TAU_ISO) -> Channel:
     """One site to two: rho -> v rho v^dag.  Trace- and rank-preserving."""
     require_isometry(lam, tol)
-    v = lam.v
-    return Channel(lam.d, 1, 2, np.kron(v.conj(), v), name="growth")
+    return Channel(lam.d, 1, 2, _kraus_superop(_kraus(lam, "g")), name="growth")
 
 
 def _build_descend(lam: Isometry) -> DescendChannels:
     d = lam.d
-    t = lam.as_tensor()  # (l1, l2, u)
-    left = Channel(d, 1, 1, _kraus_superop(t), name="descend-left")
-    right = Channel(d, 1, 1, _kraus_superop(t.transpose(1, 0, 2)), name="descend-right")
+    left = Channel(d, 1, 1, _kraus_superop(_kraus(lam, "L")), name="descend-left")
+    right = Channel(d, 1, 1, _kraus_superop(_kraus(lam, "R")), name="descend-right")
     average = Channel(d, 1, 1, (left.matrix + right.matrix) / 2.0, name="descend")
     return DescendChannels(left, right, average)
 
@@ -194,10 +179,10 @@ def descend_channels(lam: Isometry, tol: float = TAU_ISO) -> DescendChannels:
 
 def pair_descend_channel(lam: Isometry) -> Channel:
     """Two sites to two: (left (x) left + right (x) right)/2."""
-    dc = descend_channels(lam)
+    require_isometry(lam)
 
     def build():
-        mat = (tensor(dc.left, dc.left).matrix + tensor(dc.right, dc.right).matrix) / 2.0
+        mat = (_kraus_superop(_kraus(lam, "LL")) + _kraus_superop(_kraus(lam, "RR"))) / 2.0
         return Channel(lam.d, 2, 2, mat, name="pair-descend")
 
     return lam._derive("pair-descend", build)
@@ -207,29 +192,19 @@ def extension_channel(lam: Isometry, nu: int) -> Channel:
     """Two-site state of one level to the nu-site state of the level below, as a dense matrix.
 
     Only nu in {3, 4} is defined; larger windows have no stated construction.
+    The 2->4 map composes the Kraus stacks of ``RgL`` and the 2->3 extension.
     """
     if nu not in (3, 4):
         raise ValueError("extension is defined for nu in {3, 4}, got %r" % (nu,))
-    kraus = _extension_kraus(lam)
+    require_isometry(lam)
+    d = lam.d
+    ext3 = np.concatenate([_kraus(lam, "Rg"), _kraus(lam, "gL")], axis=1) * np.sqrt(0.5)
     if nu == 3:
-        mat = _kraus_superop(kraus.ext3)
+        mat = _kraus_superop(ext3)
     else:
-        mat = (_kraus_superop(kraus.grow_grow) + _kraus_superop(kraus.middle)) / 2.0
-    return Channel(lam.d, 2, nu, mat, name="extend-2to%d" % nu)
-
-
-def tensor(a: Channel, b: Channel) -> Channel:
-    """Parallel action on adjacent site blocks (a on the left block)."""
-    if a.d != b.d:
-        raise ShapeError("tensor factors have different local dimension")
-    ao, ai = a.dim_out, a.dim_in
-    bo, bi = b.dim_out, b.dim_in
-    m1 = a.matrix.reshape(ao, ao, ai, ai)
-    m2 = b.matrix.reshape(bo, bo, bi, bi)
-    # vec index of an operator on a joint block is (col_a, col_b, row_a, row_b)
-    mat = np.einsum("aAcC,bBdD->abABcdCD", m1, m2).reshape((ao * bo) ** 2, (ai * bi) ** 2)
-    name = "(%s (x) %s)" % (a.name or "?", b.name or "?")
-    return Channel(a.d, a.nu_in + b.nu_in, a.nu_out + b.nu_out, mat, name=name)
+        middle = _kraus(lam, "RgL").reshape(-1, d ** 3) @ ext3.reshape(d ** 3, -1)
+        mat = (_kraus_superop(_kraus(lam, "gg")) + _kraus_superop(middle.reshape(d ** 4, -1, d * d))) / 2.0
+    return Channel(d, 2, nu, mat, name="extend-2to%d" % nu)
 
 
 def adjoint(ch: Channel) -> Channel:

@@ -164,14 +164,11 @@ def level_states(lam: Isometry, c: TopTensor, n: int) -> LevelStates:
     omega = (np.kron(m1, m1) + np.kron(m2, m2)) / 2.0
 
     dc = ch.descend_channels(lam)
-    grow = ch.growth_channel(lam)
-    rl = ch.tensor(dc.right, dc.left)
-    lr = ch.tensor(dc.left, dc.right)
     pair = ch.pair_descend_channel(lam)
     for _ in range(n - 1):
         rho1_next = ch.apply(dc.average, rho1)
-        rho2_next = (ch.apply(rl, rho2) + ch.apply(grow, rho1)) / 2.0
-        eta_next = (ch.apply(rl, eta) + ch.apply(lr, omega)) / 2.0
+        rho2_next = (ch._local(lam, rho2, "RL") + ch._local(lam, rho1, "g")) / 2.0
+        eta_next = (ch._local(lam, eta, "RL") + ch._local(lam, omega, "LR")) / 2.0
         omega_next = ch.apply(pair, omega)
         rho1, rho2, eta, omega = rho1_next, rho2_next, eta_next, omega_next
 
@@ -220,26 +217,23 @@ def recursion_check(
     rho2 = {n: reduced_avg(states[n], 2).matrix for n in range(1, n_max + 1)}
 
     dc = ch.descend_channels(lam)
-    grow = ch.growth_channel(lam)
-    rl = ch.tensor(dc.right, dc.left)
-    kraus = ch._extension_kraus(lam)
 
     res1 = 0.0
     res2 = 0.0
     for n in range(1, n_max):
         res1 = max(res1, float(np.abs(ch.apply(dc.average, rho1[n]) - rho1[n + 1]).max()))
-        pred = (ch.apply(rl, rho2[n]) + ch.apply(grow, rho1[n])) / 2.0
+        pred = (ch._local(lam, rho2[n], "RL") + ch._local(lam, rho1[n], "g")) / 2.0
         res2 = max(res2, float(np.abs(pred - rho2[n + 1]).max()))
 
     res3 = 0.0
     for n in range(2, n_max + 1):
         brute = reduced_avg(states[n], 3).matrix
-        res3 = max(res3, float(np.abs(ch._apply_kraus(kraus.ext3, rho2[n - 1]) - brute).max()))
+        res3 = max(res3, float(np.abs(ch._extend(lam, rho2[n - 1]) - brute).max()))
 
     res4 = 0.0
     for n in range(3, n_max + 1):
         brute = reduced_avg(states[n], 4).matrix
-        pred = (ch._apply_kraus(kraus.grow_grow, rho2[n - 1]) + ch._apply_kraus(kraus.middle, rho2[n - 2])) / 2.0
+        pred = ch._extend(lam, rho2[n - 1], ch._extend(lam, rho2[n - 2]))
         res4 = max(res4, float(np.abs(pred - brute).max()))
 
     return RecursionReport(n_max=n_max, single_site=res1, pair=res2, triple=res3, quad=res4)

@@ -253,11 +253,13 @@ def grown_basis(lam: Isometry, N: int) -> np.ndarray:
     """Orthonormal basis (columns) of the subspace grown by one tree layer.
 
     Column j is the image of the j-th computational basis state of N/2
-    sites under one layer of isometries; orthonormality is inherited.
+    sites under one layer of isometries; orthonormality is inherited.  A
+    real isometry gives a real basis.
     """
     if N % 2 != 0:
         raise ValueError("growing a layer needs an even target size, got N=%d" % N)
-    return functools.reduce(np.kron, [lam.v] * (N // 2), np.ones((1, 1)))
+    v = lam.v if lam.v.imag.any() else lam.v.real
+    return functools.reduce(np.kron, [v] * (N // 2), np.ones((1, 1)))
 
 
 def translate_state(vec: np.ndarray, d: int, N: int) -> np.ndarray:
@@ -288,7 +290,7 @@ def grown_subspace_check(
     _require_ring(hs, N, max_dim)
     basis = grown_basis(lam, N)
     h = _hermitian_term(hs)
-    image = np.zeros(basis.shape, dtype=complex)
+    image = np.zeros(basis.shape, dtype=np.result_type(h, basis))
     max_local = 0.0
     for start in range(N):
         term_image = _apply_term(h, hs.d, hs.nu, N, start, basis)

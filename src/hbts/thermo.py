@@ -82,9 +82,8 @@ def single_site_infinity(lam: Isometry) -> FixedPointResult:
 
 
 def _resolvent_solve(lam: Isometry, rhs_matrix: np.ndarray, label: str) -> DensityOp:
-    """Solve (Id - M/2) x = vec(rhs)/2 with M = right (x) left descend."""
-    dc = ch.descend_channels(lam)
-    m = ch.tensor(dc.right, dc.left).matrix
+    """Solve (Id - M/2) x = vec(rhs)/2 with M = right (x) left descend, the word RL."""
+    m = ch._kraus_superop(ch._kraus(lam, "RL"))
     dim = lam.d ** 2
     a = np.eye(dim * dim, dtype=complex) - m / 2.0
     x = np.linalg.solve(a, ch.vec(rhs_matrix) / 2.0)
@@ -103,7 +102,7 @@ def two_site_infinity(lam: Isometry) -> DensityOp:
     rho1 = _require_mixing(single_site_infinity(lam), "averaged descend channel").state
     return lam._derive(
         "two-site",
-        lambda: _resolvent_solve(lam, ch.apply(ch.growth_channel(lam), rho1), label="thermodynamic nu=2"),
+        lambda: _resolvent_solve(lam, ch._local(lam, rho1.matrix, "g"), label="thermodynamic nu=2"),
     )
 
 
@@ -118,9 +117,7 @@ def classical_pair_infinity(lam: Isometry) -> DensityOp:
 
     def build():
         sigma = _require_mixing(fixed_point(pair), "pair-descend channel").state
-        dc = ch.descend_channels(lam)
-        src = ch.apply(ch.tensor(dc.left, dc.right), sigma)
-        return _resolvent_solve(lam, src, label="thermodynamic classical pair")
+        return _resolvent_solve(lam, ch._local(lam, sigma.matrix, "LR"), label="thermodynamic classical pair")
 
     return lam._derive("classical-pair", build)
 
@@ -129,7 +126,7 @@ def reduced_infinity(lam: Isometry, nu: int) -> DensityOp:
     """Infinite-depth averaged nu-consecutive-site state, nu in 1..4.
 
     The three- and four-site states are the two-site state pushed through
-    the Kraus operators of the 2->3 and 2->4 extensions.
+    the 2->3 and 2->4 extensions, one site at a time.
     """
     if nu == 1:
         res = _require_mixing(single_site_infinity(lam), "averaged descend channel")
@@ -138,11 +135,9 @@ def reduced_infinity(lam: Isometry, nu: int) -> DensityOp:
         return two_site_infinity(lam)
     if nu in (3, 4):
         rho2 = two_site_infinity(lam).matrix
-        kraus = ch._extension_kraus(lam)
-        if nu == 3:
-            mat = ch._apply_kraus(kraus.ext3, rho2)
-        else:
-            mat = (ch._apply_kraus(kraus.grow_grow, rho2) + ch._apply_kraus(kraus.middle, rho2)) / 2.0
+        mat = ch._extend(lam, rho2)
+        if nu == 4:
+            mat = ch._extend(lam, rho2, mat)
         mat = (mat + mat.conj().T) / 2.0
         return density_op(mat, lam.d, nu, label="thermodynamic nu=%d" % nu)
     raise ValueError("thermodynamic states are available for nu in 1..4, got %r" % (nu,))
@@ -165,10 +160,7 @@ def thermo_report(lam: Isometry, nu: int) -> dict:
     if nu == 1:
         residual = fp.residual
     elif nu == 2:
-        dc = ch.descend_channels(lam)
-        grow = ch.growth_channel(lam)
-        rl = ch.tensor(dc.right, dc.left)
-        again = (ch.apply(rl, state) + ch.apply(grow, fp.state)) / 2.0
+        again = (ch._local(lam, state.matrix, "RL") + ch._local(lam, fp.state.matrix, "g")) / 2.0
         residual = float(np.abs(again - state.matrix).max())
     else:
         residual = marginal_deviation(state, fp.state.matrix)

@@ -86,15 +86,28 @@ def power_iteration_fixed_point(superop, dim, tol=1e-12, max_iter=100_000, seed=
     return (rho + rho.conj().T) / 2.0
 
 
+def tensor(a, b):
+    """Reference dense tensor product of two channels: parallel action on adjacent site blocks
+    (a on the left block)."""
+    assert a.d == b.d
+    ao, ai = a.dim_out, a.dim_in
+    bo, bi = b.dim_out, b.dim_in
+    m1 = a.matrix.reshape(ao, ao, ai, ai)
+    m2 = b.matrix.reshape(bo, bo, bi, bi)
+    # vec index of an operator on a joint block is (col_a, col_b, row_a, row_b)
+    mat = np.einsum("aAcC,bBdD->abABcdCD", m1, m2).reshape((ao * bo) ** 2, (ai * bi) ** 2)
+    return ch.Channel(a.d, a.nu_in + b.nu_in, a.nu_out + b.nu_out, mat)
+
+
 def dense_extension(lam, nu):
     """The 2->3 and 2->4 extensions built from dense superoperators by tensor products and matmuls."""
     dc = ch.descend_channels(lam)
     grow = ch.growth_channel(lam)
-    ext3 = (ch.tensor(dc.right, grow).matrix + ch.tensor(grow, dc.left).matrix) / 2.0
+    ext3 = (tensor(dc.right, grow).matrix + tensor(grow, dc.left).matrix) / 2.0
     if nu == 3:
         return ext3
-    middle = ch.tensor(ch.tensor(dc.right, grow), dc.left).matrix  # 3 -> 4
-    return (ch.tensor(grow, grow).matrix + middle @ ext3) / 2.0
+    middle = tensor(tensor(dc.right, grow), dc.left).matrix  # 3 -> 4
+    return (tensor(grow, grow).matrix + middle @ ext3) / 2.0
 
 
 def _add_term(out, h, d, nu, N, start):

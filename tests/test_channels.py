@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from hbts import channels as ch
 from hbts import tensor_core as tc
 from hbts.errors import ShapeError, ValidationError
 
-from conftest import dense_extension, rand_density, rand_herm
+from conftest import dense_extension, rand_density, rand_herm, tensor
 
 
 def proj(dim, index):
@@ -20,6 +22,16 @@ def bell_projector():
         for c in (0b00, 0b11):
             b[a, c] = 0.5
     return b
+
+
+WORDS = ("L", "R", "g", "LL", "RR", "RL", "LR", "gg", "Rg", "gL", "RgL")
+
+
+def site_channel(lam, letter):
+    """Reference one-site map of a word letter, as the kron sum of its Kraus operators."""
+    t = lam.as_tensor()
+    kraus = {"L": [t[:, k, :] for k in range(lam.d)], "R": [t[k] for k in range(lam.d)], "g": [lam.v]}[letter]
+    return ch.Channel(lam.d, 1, 2 if letter == "g" else 1, sum(np.kron(k.conj(), k) for k in kraus))
 
 
 def all_channels(lam):
@@ -146,12 +158,27 @@ class TestKrausForm:
             ext = ch.extension_channel(lam, nu)
             assert np.abs(ext.matrix - dense_extension(lam, nu)).max() < 1e-13, nu
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_extension_kraus_shapes(self, d):
-        kraus = ch._extension_kraus(tc.random_isometry(d, 0))
-        assert kraus.ext3.shape == (d ** 3, 2 * d, d * d)
-        assert kraus.middle.shape == (d ** 4, 2 * d ** 3, d * d)
-        assert kraus.grow_grow.shape == (d ** 4, 1, d * d)
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_words_match_dense_tensor_products(self, d, seed):
+        lam = tc.random_isometry(d, seed)
+        rng = np.random.default_rng(seed)
+        for word in WORDS:
+            dense = functools.reduce(tensor, [site_channel(lam, letter) for letter in word])
+            dim = d ** len(word)
+            op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            assert np.abs(ch._local(lam, op, word) - ch.apply(dense, op)).max() < 1e-13, word
+            assert np.abs(ch._kraus_superop(ch._kraus(lam, word)) - dense.matrix).max() < 1e-13, word
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_words_preserve_trace_and_hermiticity_at_d4(self, seed):
+        lam = tc.random_isometry(4, seed)
+        rng = np.random.default_rng(seed)
+        for word in WORDS:
+            x = rand_herm(rng, 4 ** len(word))
+            out = ch._local(lam, x, word)
+            assert abs(np.trace(out) - np.trace(x)) < 1e-12, word
+            assert np.abs(out - out.conj().T).max() < 1e-12, word
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_descend_matches_kron_sum(self, d):
@@ -249,7 +276,7 @@ class TestAlgebra:
         rng = np.random.default_rng(12)
         dc = ch.descend_channels(bundled_lam)
         grow = ch.growth_channel(bundled_lam)
-        joint = ch.tensor(dc.right, grow)
+        joint = tensor(dc.right, grow)
         a, b = rand_density(rng, 2), rand_density(rng, 2)
         out = ch.apply(joint, np.kron(a, b))
         expect = np.kron(ch.apply(dc.right, a), ch.apply(grow, b))
@@ -258,12 +285,12 @@ class TestAlgebra:
     def test_tensor_associativity(self, bundled_lam):
         dc = ch.descend_channels(bundled_lam)
         grow = ch.growth_channel(bundled_lam)
-        left = ch.tensor(ch.tensor(dc.right, grow), dc.left)
-        right = ch.tensor(dc.right, ch.tensor(grow, dc.left))
+        left = tensor(tensor(dc.right, grow), dc.left)
+        right = tensor(dc.right, tensor(grow, dc.left))
         assert np.abs(left.matrix - right.matrix).max() < 1e-14
 
     def test_tensor_bilinearity(self, bundled_lam):
         dc = ch.descend_channels(bundled_lam)
-        lhs = ch.tensor(dc.average, dc.left).matrix
-        rhs = (ch.tensor(dc.left, dc.left).matrix + ch.tensor(dc.right, dc.left).matrix) / 2
+        lhs = tensor(dc.average, dc.left).matrix
+        rhs = (tensor(dc.left, dc.left).matrix + tensor(dc.right, dc.left).matrix) / 2
         assert np.abs(lhs - rhs).max() < 1e-14

@@ -114,11 +114,15 @@ class TestRecursionCheck:
 
 
 class TestLevelStates:
-    def test_all_four_states_match_brute_force(self, bundled_lam):
-        top = rand_top(2, 77)
-        for n in range(1, 5):
-            psi = fs.build_state(bundled_lam, top, n)
-            lv = fs.level_states(bundled_lam, top, n)
+    @pytest.mark.parametrize(
+        "d, seed, n_max", [(2, None, 4)] + [(2, s, 4) for s in range(3)] + [(3, s, 3) for s in range(3)]
+    )
+    def test_all_four_states_match_brute_force(self, bundled_lam, d, seed, n_max):
+        lam = bundled_lam if seed is None else tc.random_isometry(d, seed)
+        top = rand_top(d, 77)
+        for n in range(1, n_max + 1):
+            psi = fs.build_state(lam, top, n)
+            lv = fs.level_states(lam, top, n)
             assert np.abs(lv.single.matrix - fs.reduced_avg(psi, 1).matrix).max() < 1e-12
             assert np.abs(lv.pair.matrix - fs.reduced_avg(psi, 2).matrix).max() < 1e-12
             assert np.abs(lv.classical_pair.matrix - fs.classical_pair_avg(psi).matrix).max() < 1e-12

@@ -174,6 +174,19 @@ class TestRingPlacement:
         for j in range(9):
             assert np.array_equal(basis[:, j], np.kron(lam.v[:, j // 3], lam.v[:, j % 3]))
 
+    @pytest.mark.parametrize("N", [8, 10])
+    def test_real_isometry_checks_its_subspace_in_real_arithmetic(self, bundled_lam, paper_interaction, N):
+        # a global phase on v leaves the subspace alone but keeps the basis complex
+        phased = tc.Isometry(2, 1j * bundled_lam.v)
+        assert ph.grown_basis(bundled_lam, N).dtype == np.float64
+        assert ph.grown_basis(phased, N).dtype == np.complex128
+        rep = ph.grown_subspace_check(bundled_lam, paper_interaction, N)
+        reference = ph.grown_subspace_check(phased, paper_interaction, N)
+        for field in ("dim_grown", "dim_translated", "dim_union", "unfrustrated"):
+            assert getattr(rep, field) == getattr(reference, field), field
+        assert abs(rep.max_h_residual - reference.max_h_residual) < 1e-12
+        assert abs(rep.max_local_energy - reference.max_local_energy) < 1e-12
+
     def test_translation_of_columns_matches_single_states(self, bundled_lam):
         basis = ph.grown_basis(bundled_lam, 6)
         columns = np.stack([ph.translate_state(basis[:, j], 2, 6) for j in range(basis.shape[1])], axis=1)
