@@ -20,7 +20,6 @@ from .tensor_core import (
     LatticeSpec,
     Observable,
     TopTensor,
-    density_op,
     require_isometry,
     require_top,
 )
@@ -98,7 +97,7 @@ def reduced_avg(psi: PureState, nu: int) -> DensityOp:
     for alpha in range(N):
         acc += _reduced(psi, [(alpha + j) % N for j in range(nu)])
     acc /= N
-    return density_op(acc, psi.spec.d, nu, label="finite n=%d averaged" % (psi.spec.n or 0))
+    return DensityOp(psi.spec.d, nu, acc, label="finite n=%d averaged" % (psi.spec.n or 0))
 
 
 def site_marginals(psi: PureState) -> list[np.ndarray]:
@@ -111,7 +110,7 @@ def classical_pair_avg(psi: PureState) -> DensityOp:
     N = psi.spec.N
     margs = site_marginals(psi)
     acc = sum(np.kron(margs[a], margs[(a + 1) % N]) for a in range(N)) / N
-    return density_op(acc, psi.spec.d, 2, label="finite classical pair")
+    return DensityOp(psi.spec.d, 2, acc, label="finite classical pair")
 
 
 def same_site_pair_avg(psi: PureState) -> DensityOp:
@@ -119,7 +118,7 @@ def same_site_pair_avg(psi: PureState) -> DensityOp:
     N = psi.spec.N
     margs = site_marginals(psi)
     acc = sum(np.kron(m, m) for m in margs) / N
-    return density_op(acc, psi.spec.d, 2, label="finite same-site pair")
+    return DensityOp(psi.spec.d, 2, acc, label="finite same-site pair")
 
 
 def single_site_base(c: TopTensor) -> DensityOp:
@@ -127,7 +126,7 @@ def single_site_base(c: TopTensor) -> DensityOp:
     require_top(c)
     first = c.c @ c.c.conj().T        # entries sum_k C[l,k] conj(C[u,k])
     second = c.c.T @ c.c.conj()       # entries sum_k C[k,l] conj(C[k,u])
-    return density_op((first + second) / 2.0, c.d, 1, label="depth-1 single site")
+    return DensityOp(c.d, 1, (first + second) / 2.0, label="depth-1 single site")
 
 
 @dataclass(frozen=True)
@@ -175,10 +174,10 @@ def level_states(lam: Isometry, c: TopTensor, n: int) -> LevelStates:
     label = "level n=%d" % n
     return LevelStates(
         n=n,
-        single=density_op(rho1, d, 1, label=label + " single"),
-        pair=density_op(rho2, d, 2, label=label + " pair"),
-        classical_pair=density_op(eta, d, 2, label=label + " classical pair"),
-        same_site_pair=density_op(omega, d, 2, label=label + " same-site pair"),
+        single=DensityOp(d, 1, rho1, label=label + " single"),
+        pair=DensityOp(d, 2, rho2, label=label + " pair"),
+        classical_pair=DensityOp(d, 2, eta, label=label + " classical pair"),
+        same_site_pair=DensityOp(d, 2, omega, label=label + " same-site pair"),
     )
 
 

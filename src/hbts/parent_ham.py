@@ -75,14 +75,9 @@ class NullityReport:
 
 
 def kernel_basis(rho: DensityOp, tau: float = TAU_RANK) -> np.ndarray:
-    """Orthonormal kernel vectors (columns) of a PSD operator at relative tolerance."""
-    mat = (rho.matrix + rho.matrix.conj().T) / 2.0
-    evals, evecs = np.linalg.eigh(mat)
-    top = float(evals[-1])
-    if top <= 0.0:
-        return np.array(evecs)  # the zero operator: everything is kernel
-    mask = evals <= tau * top
-    return np.array(evecs[:, mask])
+    """Orthonormal kernel vectors (columns) of a state at relative tolerance."""
+    evals, evecs = np.linalg.eigh(rho.matrix)
+    return np.array(evecs[:, evals <= tau * evals[-1]])
 
 
 def build_interaction(

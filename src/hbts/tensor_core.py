@@ -12,11 +12,15 @@ Conventions shared by every module in this package:
 * The isometry embedding one site into two is stored as the d^2 x d matrix
   ``v`` with ``v[(l1, l2), u]`` the amplitude of ``|l1 l2>`` in the image
   of ``|u>``; the isometric condition reads ``v^dag v = identity``.
+* Every reduced state is a ``DensityOp``, and its constructor is the one
+  place a state is checked, made Hermitian and diagonalized: rank,
+  spectrum and kernel readers take the stored matrix and eigenvalues.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -101,16 +105,41 @@ class TopTensor:
 
 @dataclass(frozen=True)
 class DensityOp:
-    """A labeled nu-site density operator (Hermitian, PSD, unit trace)."""
+    """A labeled nu-site density operator, checked at construction.
+
+    The input must be finite, Hermitian within TAU_HERM, of unit trace
+    within TAU_TRACE and PSD within TAU_PSD.  ``matrix`` holds the exact
+    Hermitian part of the input and ``eigenvalues`` its ascending spectrum,
+    both read-only, so readers of the spectrum never decompose it again.
+    """
 
     d: int
     nu: int
     matrix: np.ndarray
     label: str = ""
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim = self.d ** self.nu
-        object.__setattr__(self, "matrix", _frozen_complex(self.matrix, (dim, dim), "density operator"))
+        mat = np.asarray(self.matrix, dtype=complex)
+        if mat.shape != (dim, dim):
+            raise ShapeError("density operator must have shape %s, got %s" % ((dim, dim), mat.shape))
+        if not np.isfinite(mat).all():
+            raise ValidationError("density operator has a non-finite entry")
+        herm = float(np.abs(mat - mat.conj().T).max())
+        if herm > TAU_HERM:
+            raise ValidationError("density operator not Hermitian: deviation %s" % format_float(herm))
+        tr = complex(np.trace(mat))
+        if abs(tr - 1.0) > TAU_TRACE:
+            raise ValidationError("density operator trace %s is not 1" % format_float(abs(tr)))
+        mat = (mat + mat.conj().T) / 2.0
+        evals = np.linalg.eigvalsh(mat)
+        if evals[0] < -TAU_PSD:
+            raise ValidationError("density operator not PSD: min eigenvalue %s" % format_float(float(evals[0])))
+        mat.setflags(write=False)
+        evals.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "eigenvalues", evals)
 
     @property
     def dim(self) -> int:
@@ -119,13 +148,15 @@ class DensityOp:
 
 @dataclass(frozen=True)
 class Observable:
-    """Single-site Hermitian observable."""
+    """Single-site Hermitian observable with finite entries."""
 
     d: int
     matrix: np.ndarray
 
     def __post_init__(self):
         mat = _frozen_complex(self.matrix, (self.d, self.d), "observable")
+        if not np.isfinite(mat).all():
+            raise ValidationError("observable has a non-finite entry")
         if np.abs(mat - mat.conj().T).max() > TAU_HERM:
             raise ValidationError("observable is not Hermitian within %g" % TAU_HERM)
         object.__setattr__(self, "matrix", mat)
@@ -171,38 +202,6 @@ def require_top(c: TopTensor, tol: float = TAU_ISO) -> None:
         )
 
 
-def density_op(
-    matrix: np.ndarray,
-    d: int,
-    nu: int | None = None,
-    label: str = "",
-    tol_herm: float = TAU_HERM,
-    tol_psd: float = TAU_PSD,
-    tol_trace: float = TAU_TRACE,
-) -> DensityOp:
-    """Validate and wrap a raw matrix as a DensityOp.
-
-    Raises ValidationError on hermiticity, positivity, or trace violations.
-    """
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ShapeError("density operator must be square, got %s" % (mat.shape,))
-    if nu is None:
-        nu = round(np.log(mat.shape[0]) / np.log(d))
-    if d ** nu != mat.shape[0]:
-        raise ShapeError("matrix of dimension %d is not d**nu for d=%d" % (mat.shape[0], d))
-    herm = float(np.abs(mat - mat.conj().T).max())
-    if herm > tol_herm:
-        raise ValidationError("density operator not Hermitian: deviation %s" % format_float(herm))
-    tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > tol_trace:
-        raise ValidationError("density operator trace %s is not 1" % format_float(abs(tr)))
-    evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    if evals[0] < -tol_psd:
-        raise ValidationError("density operator not PSD: min eigenvalue %s" % format_float(float(evals[0])))
-    return DensityOp(d, nu, mat, label)
-
-
 def partial_trace(op: DensityOp, keep: Sequence[int]) -> DensityOp:
     """Reduce a DensityOp to the given (1-based) site subset; the result's site order follows ``keep``."""
     d, nu, keep = op.d, op.nu, list(keep)
@@ -228,17 +227,10 @@ def partial_trace(op: DensityOp, keep: Sequence[int]) -> DensityOp:
     return DensityOp(d, k, t.reshape(d ** k, d ** k), label)
 
 
-def numerical_rank(op: DensityOp, tau_rank: float = TAU_RANK, tol_herm: float = TAU_HERM) -> int:
+def numerical_rank(op: DensityOp, tau_rank: float = TAU_RANK) -> int:
     """Count eigenvalues above tau_rank times the largest eigenvalue."""
-    mat = op.matrix
-    herm = float(np.abs(mat - mat.conj().T).max())
-    if herm > tol_herm:
-        raise ValidationError("rank is defined for Hermitian operators; deviation %s" % format_float(herm))
-    evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    top = float(evals[-1])
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(evals > tau_rank * top))
+    evals = op.eigenvalues
+    return int(np.count_nonzero(evals > tau_rank * evals[-1]))
 
 
 def svd_rank(a: np.ndarray, tol: float = TAU_RANK) -> int:
@@ -309,7 +301,7 @@ def _load_entries(path: str, arity: int) -> tuple[int, np.ndarray]:
 
     The file must be an object whose ``d`` is a positive integer and whose
     ``entries`` is a list of lists, each with arity integer indices in
-    0..d-1 followed by the real numbers re, im.  A d with more than
+    0..d-1 followed by the finite real numbers re, im.  A d with more than
     MAX_FILE_ENTRIES array entries is refused before anything is allocated.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -335,8 +327,9 @@ def _load_entries(path: str, arity: int) -> tuple[int, np.ndarray]:
         if not all(type(i) is int and 0 <= i < d for i in idx):
             raise ShapeError("%s: entry %s has an index outside the integers 0..%d" % (path, entry, d - 1))
         re, im = entry[arity:]
-        if not all(type(x) in (int, float) for x in (re, im)):
-            raise ShapeError("%s: entry %r needs real numbers re, im" % (path, entry))
+        # the bound is False for nan, inf and ints too large for a float
+        if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in (re, im)):
+            raise ShapeError("%s: entry %r needs finite real numbers re, im" % (path, entry))
         array[tuple(idx)] = complex(re, im)
     return d, array
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFixedPointError, ValidationError
-from .tensor_core import DensityOp, Isometry, density_op, numerical_rank, partial_trace
+from .tensor_core import DensityOp, Isometry, numerical_rank, partial_trace
 from . import channels as ch
 
 TAU_FIX = 1e-10
@@ -56,10 +56,8 @@ def fixed_point(channel: ch.Channel, tau_fix: float = TAU_FIX, tau_spec: float =
             "unit eigenvector of %s is traceless; stationary state undefined" % (channel.name or "?"),
             multiplicity,
         )
-    x = x / tr
-    x = (x + x.conj().T) / 2.0
-    state = density_op(x, channel.d, channel.nu_out, label="fixed-point")
-    residual = float(np.abs(ch.apply(channel, x) - x).max())
+    state = DensityOp(channel.d, channel.nu_out, x / tr, label="fixed-point")
+    residual = float(np.abs(ch.apply(channel, state.matrix) - state.matrix).max())
     if mixing and residual > tau_fix:
         raise ValidationError(
             "stationary state of %s fails its own equation: residual %g" % (channel.name or "?", residual)
@@ -88,9 +86,7 @@ def _resolvent_solve(lam: Isometry, rhs_matrix: np.ndarray, label: str) -> Densi
     a = np.eye(dim * dim, dtype=complex) - m / 2.0
     x = np.linalg.solve(a, ch.vec(rhs_matrix) / 2.0)
     mat = ch.unvec(x, dim)
-    mat = (mat + mat.conj().T) / 2.0
-    mat = mat / np.trace(mat).real
-    return density_op(mat, lam.d, 2, label=label)
+    return DensityOp(lam.d, 2, mat / np.trace(mat).real, label=label)
 
 
 def two_site_infinity(lam: Isometry) -> DensityOp:
@@ -138,8 +134,7 @@ def reduced_infinity(lam: Isometry, nu: int) -> DensityOp:
         mat = ch._extend(lam, rho2)
         if nu == 4:
             mat = ch._extend(lam, rho2, mat)
-        mat = (mat + mat.conj().T) / 2.0
-        return density_op(mat, lam.d, nu, label="thermodynamic nu=%d" % nu)
+        return DensityOp(lam.d, nu, mat, label="thermodynamic nu=%d" % nu)
     raise ValueError("thermodynamic states are available for nu in 1..4, got %r" % (nu,))
 
 
@@ -156,7 +151,6 @@ def thermo_report(lam: Isometry, nu: int) -> dict:
     """Plain-dict summary: rank, spectrum, consistency residual, mixing flag."""
     fp = single_site_infinity(lam)
     state = reduced_infinity(lam, nu)
-    evals = np.linalg.eigvalsh((state.matrix + state.matrix.conj().T) / 2.0)
     if nu == 1:
         residual = fp.residual
     elif nu == 2:
@@ -167,7 +161,7 @@ def thermo_report(lam: Isometry, nu: int) -> dict:
     return {
         "nu": nu,
         "rank": numerical_rank(state),
-        "eigenvalues": [float(x) for x in evals[::-1]],
+        "eigenvalues": [float(x) for x in state.eigenvalues[::-1]],
         "residual": residual,
         "mixing": fp.mixing,
     }

@@ -1,7 +1,12 @@
+import copy
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbts import parent_ham as ph
 from hbts import tensor_core as tc
@@ -226,6 +231,7 @@ def test_validate_rejects_top_of_other_dimension(tmp_path, capsys):
         {"d": 2, "entries": None},
         {"d": 2, "entries": [[0, 0, 0, "1", 0]]},
         {"d": 2.7, "entries": [[0, 0, 0, 1, 0]]},
+        {"d": 2, "entries": [[0, 0, 0, 10 ** 400, 0]]},
     ],
 )
 def test_malformed_entry_file_exits_two(tmp_path, capsys, doc):
@@ -242,3 +248,58 @@ def test_huge_d_exits_two(tmp_path, capsys, flag):
     code, err = run_err(["validate", flag, path], capsys)
     assert code == 2
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["NaN", "1e400"])
+def test_non_finite_observable_exits_two(tmp_path, capsys, value):
+    path = tmp_path / "theta.json"
+    path.write_text('{"d": 2, "entries": [[0, 0, %s, 0]]}' % value)
+    code, err = run_err(["correlate", "--isometry", "paper", "--theta", str(path), "--theta-prime", "z"], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "theta.json" in err
+
+
+# Moderate integers stay small so no example allocates a large array; the
+# huge ones must be refused before anything is allocated.
+JSON_NUMBERS = st.sampled_from([2 ** 63, 10 ** 400, -(10 ** 400)]) | st.integers(-64, 64) | st.floats()
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | JSON_NUMBERS | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.sampled_from(["d", "entries", "x"]), kids, max_size=3),
+    max_leaves=12,
+)
+VALID_FILES = [
+    {"d": 2, "entries": [[0, 1, 0, 1.0, 0.0], [0, 0, 1, 0.7071067811865476, 0.0], [1, 1, 1, 0.7071067811865476, 0.0]]},
+    {"d": 2, "entries": [[0, 0, 0.7071067811865476, 0.0], [1, 1, 0.7071067811865476, 0.0]]},
+]
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid isometry or two-index file with one key, entry or cell replaced by a fuzzed value."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_FILES)))
+    value = draw(JSON_NUMBERS | st.integers(0, 3) | st.floats(-2, 2) | JSON_DOCS)
+    target = draw(st.sampled_from(["d", "entries", "entry", "cell", "cell"]))  # twice: most mutants keep the shape
+    if target in ("d", "entries"):
+        doc[target] = value
+    else:
+        entry = draw(st.sampled_from(doc["entries"]))
+        if target == "entry":
+            doc["entries"][doc["entries"].index(entry)] = value
+        else:
+            entry[draw(st.integers(0, len(entry) - 1))] = value
+    return doc
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(doc=JSON_DOCS | mutated_files())
+def test_fuzzed_entry_files_exit_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in (
+            ["validate", "--isometry", path],
+            ["validate", "--top", path],
+            ["correlate", "--isometry", "paper", "--theta", path, "--theta-prime", "z", "--m-max", "1"],
+        ):
+            assert main(argv) in (0, 1, 2)

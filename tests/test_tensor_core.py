@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hbts import tensor_core as tc
+from hbts import thermo
 from hbts.errors import ResourceLimitError, ShapeError, ValidationError
 
 from conftest import rand_density, write_entries
@@ -144,15 +145,56 @@ class TestDensityOpValidation:
         mat = np.eye(2, dtype=complex) / 2
         mat[0, 1] = 0.2
         with pytest.raises(ValidationError):
-            tc.density_op(mat, 2)
+            tc.DensityOp(2, 1, mat)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValidationError):
-            tc.density_op(np.eye(2, dtype=complex), 2)
+            tc.DensityOp(2, 1, np.eye(2, dtype=complex))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError):
-            tc.density_op(np.diag([1.5, -0.5]).astype(complex), 2)
+            tc.DensityOp(2, 1, np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entry(self, bad, where):
+        mat = np.eye(2, dtype=complex) / 2
+        mat[where] = bad
+        with pytest.raises(ValidationError):
+            tc.DensityOp(2, 1, mat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_observable_rejects_non_finite_entry(self, bad, where):
+        mat = np.diag([1.0, -1.0]).astype(complex)
+        mat[where] = bad
+        with pytest.raises(ValidationError):
+            tc.Observable(2, mat)
+
+
+class TestDensityOpInvariants:
+    def test_nearly_hermitian_input_is_stored_exactly_hermitian(self):
+        rho = rand_density(np.random.default_rng(5), 4)
+        rho[0, 1] += 1e-12
+        op = tc.DensityOp(2, 2, rho)
+        assert np.array_equal(op.matrix, op.matrix.conj().T)
+        assert np.abs(op.matrix - rho).max() <= 1e-12
+
+    def test_eigenvalues_are_read_only_ascending_spectrum(self):
+        op = tc.DensityOp(2, 3, rand_density(np.random.default_rng(6), 8, rank=5))
+        assert not op.eigenvalues.flags.writeable and not op.matrix.flags.writeable
+        assert np.all(np.diff(op.eigenvalues) >= 0)
+        assert np.array_equal(op.eigenvalues, np.linalg.eigvalsh(op.matrix))
+
+    def test_partial_trace_returns_a_checked_state(self):
+        op = tc.DensityOp(2, 3, rand_density(np.random.default_rng(7), 8))
+        out = tc.partial_trace(op, [3, 1])
+        assert np.array_equal(out.eigenvalues, np.linalg.eigvalsh(out.matrix))
+
+    def test_one_site_thermodynamic_state_is_a_checked_state(self, bundled_lam):
+        out = thermo.reduced_infinity(bundled_lam, 1)
+        assert out.label == "thermodynamic nu=1"
+        assert np.array_equal(out.eigenvalues, np.linalg.eigvalsh(out.matrix))
 
 
 class TestFileRoundTrips:
@@ -223,6 +265,9 @@ def malformed_docs(arity):
         "boolean d": {"d": True, "entries": [entry]},
         "zero d": {"d": 0, "entries": []},
         "negative d": {"d": -1, "entries": []},
+        "NaN re": {"d": 2, "entries": [entry[:arity] + [float("nan"), 0]]},
+        "infinite im": {"d": 2, "entries": [entry[:arity] + [1, float("inf")]]},
+        "huge integer re": {"d": 2, "entries": [entry[:arity] + [10 ** 400, 0]]},
     }
 
 

@@ -332,3 +332,22 @@ def test_thermo_report_contents(bundled_lam):
     assert rep["residual"] <= 1e-10
     assert len(rep["eigenvalues"]) == 16
     assert rep["eigenvalues"][0] >= rep["eigenvalues"][-1]
+
+
+def test_four_site_report_decomposes_its_state_once(monkeypatch):
+    # rank, spectrum and positivity check all read the eigenvalues the state stored
+    lam = tc.random_isometry(3, 0)
+    thermo.two_site_infinity(lam)
+    sizes = []
+
+    def spy(real):
+        def call(a, *args, **kwargs):
+            sizes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+        return call
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+    rep = thermo.thermo_report(lam, 4)
+    assert sizes.count((81, 81)) == 1
+    assert len(rep["eigenvalues"]) == 81
