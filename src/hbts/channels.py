@@ -17,13 +17,13 @@ powers give correlators at distances 2^m; the two-site recursion runs on
 ``RL``; the 2->3 extension is ``(Rg + gL)/2`` and the 2->4 extension is
 ``(gg + RgL after (Rg + gL)/2)/2``.
 
-States are pushed through a word one site at a time (``_local``), so no
-product of one-site maps is ever formed for them.  A channel from nu_in to
-nu_out sites (local dimension d) is the dense ``d**(2*nu_out) x
-d**(2*nu_in)`` matrix of :class:`Channel`, built from the word's product
-Kraus stack only where a spectrum, a solve or a caller needs it.  The
-descend and pair-descend channels are derived once per isometry and kept on
-it.
+Each letter is kept once per isometry as its one-site superoperator
+matrix.  States, alone or stacked, go through a word one site at a time
+(``_local``), one matrix product per site.  A channel from nu_in to nu_out
+sites (local dimension d) is the dense ``d**(2*nu_out) x d**(2*nu_in)``
+matrix of :class:`Channel`: the images of all matrix units under that same
+map (``_superop``), built only where a spectrum, a solve or a caller needs
+it.  The descend and pair-descend channels are kept on the isometry.
 """
 
 from __future__ import annotations
@@ -36,17 +36,17 @@ import numpy as np
 from .errors import ShapeError
 from .tensor_core import TAU_ISO, DensityOp, Isometry, Observable, require_isometry
 
+TAU_CHOI = 1e-10  # bound on every residual and on the negative Choi eigenvalue in choi_check
+
 
 def vec(mat: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(mat).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    if cols is None:
-        cols = rows
-    return np.asarray(v).reshape(rows, cols, order="F")
+def unvec(v: np.ndarray, rows: int) -> np.ndarray:
+    """Inverse of :func:`vec` for a square ``rows x rows`` matrix."""
+    return np.asarray(v).reshape(rows, rows, order="F")
 
 
 @dataclass(frozen=True)
@@ -90,80 +90,76 @@ class DescendChannels:
     average: Channel
 
 
-def _site_kraus(lam: Isometry, word: str) -> list[np.ndarray]:
-    """One stack ``[out, k, in]`` per letter: ``L`` keeps the left child, ``R`` the right, ``g`` grows."""
-    t = lam.as_tensor()  # (l1, l2, u)
-    stacks = {"L": t, "R": t.transpose(1, 0, 2), "g": lam.v[:, None, :]}
-    return [stacks[letter] for letter in word]
+def _letter(lam: Isometry, letter: str) -> np.ndarray:
+    """Superoperator matrix of one letter (``d^2 x d^2``, or ``d^4 x d^2`` for ``g``), kept on the isometry.
 
-
-def _kraus(lam: Isometry, word: str) -> np.ndarray:
-    """Product stack ``[out, k, in]`` of the word's one-site stacks, site 1 most significant."""
-    out = np.ones((1, 1, 1))
-    for k in _site_kraus(lam, word):
-        (o, n, i), (p, m, j) = out.shape, k.shape
-        out = np.einsum("oki,pmj->opkmij", out, k).reshape(o * p, n * m, i * j)
-    return out
-
-
-def _kraus_superop(kraus: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of rho -> sum_k K_k rho K_k^dag, from the stack ``kraus[out, k, in]``.
-
-    Entry ``[(c, r), (c', r')]`` is ``sum_k conj(K_k[c, c']) K_k[r, r']``: one
-    ``A^dag A`` product with ``A[k, (r, r')] = K_k[r, r']``, then a reordering.
+    Entry ``[(c, r), (c', r')]`` is ``sum_k conj(K_k[c, c']) K_k[r, r']`` over the Kraus stack ``K[out, k, in]``.
     """
-    dout, n, din = kraus.shape
-    a = kraus.transpose(1, 0, 2).reshape(n, dout * din)
-    gram = a.conj().T @ a
-    return gram.reshape(dout, din, dout, din).transpose(0, 2, 1, 3).reshape(dout * dout, din * din)
+
+    def build():
+        t = lam.as_tensor()  # (l1, l2, u)
+        kraus = {"L": t, "R": t.transpose(1, 0, 2), "g": lam.v[:, None, :]}[letter]
+        dout, n, din = kraus.shape
+        a = kraus.transpose(1, 0, 2).reshape(n, dout * din)
+        gram = a.conj().T @ a
+        mat = gram.reshape(dout, din, dout, din).transpose(0, 2, 1, 3).reshape(dout * dout, din * din)
+        mat.setflags(write=False)
+        return mat
+
+    return lam._derive("letter-" + letter, build)
 
 
 def _local(lam: Isometry, op: np.ndarray, word: str) -> np.ndarray:
     """The operator ``op`` on ``len(word)`` sites pushed through the map ``word``, one site at a time.
 
-    Each site gets ``x -> sum_k K_k x K_k^dag`` with its own stack, as two
-    matrix products; the descents go first, so growth acts on the smallest
-    operator.
+    ``op`` is one ``D x D`` operator or a ``D x D x S`` stack of them, all mapped in the same pass.
+    Each site is one matrix product of its (column, row) index pair with the letter's matrix; the
+    descents go first, so growth acts on the smallest operator.
     """
-    stacks = _site_kraus(lam, word)
-    n = len(stacks)
-    dims = [k.shape[2] for k in stacks] * 2  # row then column dimension of each site
     x = np.asarray(op)
+    n, stack = len(word), x.shape[2:]
+    dims = [lam.d] * n
     for j in sorted(range(n), key=lambda j: word[j] == "g"):
-        k = stacks[j]
-        o, m, i = k.shape
-        a, b, e = math.prod(dims[:j]), math.prod(dims[j + 1:n + j]), math.prod(dims[n + j + 1:])
-        y = (k.reshape(o * m, i) @ x.reshape(a, i, b * i * e)).reshape(a, o, m, b, i, e)
-        y = y.transpose(0, 1, 3, 5, 2, 4).reshape(-1, m * i) @ k.reshape(o, m * i).conj().T
-        x = y.reshape(a, o, b, e, o).transpose(0, 1, 2, 4, 3)
-        dims[j] = dims[n + j] = o
-    dim = math.prod(dims[:n])
-    return x.reshape(dim, dim)
+        m = _letter(lam, word[j])
+        i, o = dims[j], math.isqrt(m.shape[0])
+        before, after = math.prod(dims[:j]), math.prod(dims[j + 1:])
+        # axes (rows before, row j, rows after + columns before, column j, columns after + stack)
+        y = x.reshape(before, i, after * before, i, after * math.prod(stack))
+        y = y.transpose(0, 2, 4, 3, 1).reshape(-1, i * i) @ m.T
+        x = y.reshape(before, after * before, -1, o, o).transpose(0, 4, 1, 3, 2)
+        dims[j] = o
+    return x.reshape((math.prod(dims),) * 2 + stack)
 
 
 def _extend(lam: Isometry, rho2: np.ndarray, rho3: np.ndarray | None = None) -> np.ndarray:
     """The 2->3 extension ``(Rg + gL)/2`` of rho2, or with rho3 the 2->4 extension ``(gg rho2 + RgL rho3)/2``.
 
     For the four-site state, ``rho3`` is the 2->3 extension of the two-site
-    state one level further up, the input of the middle map ``RgL``.
+    state one level further up, the input of the middle map ``RgL``; both may be stacks.
     """
     if rho3 is None:
-        return (_local(lam, rho2, "Rg") + _local(lam, rho2, "gL")) / 2.0
-    return (_local(lam, rho2, "gg") + _local(lam, rho3, "RgL")) / 2.0
+        out = _local(lam, rho2, "Rg")
+        out += _local(lam, rho2, "gL")
+    else:
+        out = _local(lam, rho2, "gg")
+        out += _local(lam, rho3, "RgL")
+    out /= 2.0
+    return out
 
 
-def growth_channel(lam: Isometry, tol: float = TAU_ISO) -> Channel:
+def _superop(apply, din: int) -> np.ndarray:
+    """Dense matrix of the linear map ``apply`` on ``din x din`` operators.
+
+    ``apply`` maps the stack of all ``din^2`` matrix units at once; column ``q`` is vec of the image of ``unvec(e_q)``.
+    """
+    units = np.eye(din * din, dtype=complex).reshape(din, din, din * din).transpose(1, 0, 2)
+    return apply(units).transpose(1, 0, 2).reshape(-1, din * din)
+
+
+def growth_channel(lam: Isometry) -> Channel:
     """One site to two: rho -> v rho v^dag.  Trace- and rank-preserving."""
-    require_isometry(lam, tol)
-    return Channel(lam.d, 1, 2, _kraus_superop(_kraus(lam, "g")), name="growth")
-
-
-def _build_descend(lam: Isometry) -> DescendChannels:
-    d = lam.d
-    left = Channel(d, 1, 1, _kraus_superop(_kraus(lam, "L")), name="descend-left")
-    right = Channel(d, 1, 1, _kraus_superop(_kraus(lam, "R")), name="descend-right")
-    average = Channel(d, 1, 1, (left.matrix + right.matrix) / 2.0, name="descend")
-    return DescendChannels(left, right, average)
+    require_isometry(lam)
+    return Channel(lam.d, 1, 2, _letter(lam, "g"), name="growth")
 
 
 def descend_channels(lam: Isometry, tol: float = TAU_ISO) -> DescendChannels:
@@ -174,7 +170,13 @@ def descend_channels(lam: Isometry, tol: float = TAU_ISO) -> DescendChannels:
     ``t[:, k, :]`` for left, ``t[k, :, :]`` for right.
     """
     require_isometry(lam, tol)
-    return lam._derive("descend", lambda: _build_descend(lam))
+
+    def build():
+        left = Channel(lam.d, 1, 1, _letter(lam, "L"), name="descend-left")
+        right = Channel(lam.d, 1, 1, _letter(lam, "R"), name="descend-right")
+        return DescendChannels(left, right, Channel(lam.d, 1, 1, (left.matrix + right.matrix) / 2.0, name="descend"))
+
+    return lam._derive("descend", build)
 
 
 def pair_descend_channel(lam: Isometry) -> Channel:
@@ -182,7 +184,7 @@ def pair_descend_channel(lam: Isometry) -> Channel:
     require_isometry(lam)
 
     def build():
-        mat = (_kraus_superop(_kraus(lam, "LL")) + _kraus_superop(_kraus(lam, "RR"))) / 2.0
+        mat = _superop(lambda x: (_local(lam, x, "LL") + _local(lam, x, "RR")) / 2.0, lam.d ** 2)
         return Channel(lam.d, 2, 2, mat, name="pair-descend")
 
     return lam._derive("pair-descend", build)
@@ -192,19 +194,12 @@ def extension_channel(lam: Isometry, nu: int) -> Channel:
     """Two-site state of one level to the nu-site state of the level below, as a dense matrix.
 
     Only nu in {3, 4} is defined; larger windows have no stated construction.
-    The 2->4 map composes the Kraus stacks of ``RgL`` and the 2->3 extension.
     """
     if nu not in (3, 4):
         raise ValueError("extension is defined for nu in {3, 4}, got %r" % (nu,))
     require_isometry(lam)
-    d = lam.d
-    ext3 = np.concatenate([_kraus(lam, "Rg"), _kraus(lam, "gL")], axis=1) * np.sqrt(0.5)
-    if nu == 3:
-        mat = _kraus_superop(ext3)
-    else:
-        middle = _kraus(lam, "RgL").reshape(-1, d ** 3) @ ext3.reshape(d ** 3, -1)
-        mat = (_kraus_superop(_kraus(lam, "gg")) + _kraus_superop(middle.reshape(d ** 4, -1, d * d))) / 2.0
-    return Channel(d, 2, nu, mat, name="extend-2to%d" % nu)
+    ext = (lambda x: _extend(lam, x)) if nu == 3 else (lambda x: _extend(lam, x, _extend(lam, x)))
+    return Channel(lam.d, 2, nu, _superop(ext, lam.d ** 2), name="extend-2to%d" % nu)
 
 
 def adjoint(ch: Channel) -> Channel:
@@ -242,7 +237,7 @@ class ChoiReport:
     tol: float
 
 
-def choi_check(ch: Channel, tol: float = 1e-10) -> ChoiReport:
+def choi_check(ch: Channel) -> ChoiReport:
     """CP/TP diagnostics: Choi positivity and unitality of the adjoint.
 
     The Choi operator on (input (x) output) is J = sum_ij |i><j| (x) ch(|i><j|).
@@ -252,19 +247,19 @@ def choi_check(ch: Channel, tol: float = 1e-10) -> ChoiReport:
     choi = t.transpose(3, 1, 2, 0).reshape(m * n, m * n)
     herm_residual = float(np.abs(choi - choi.conj().T).max())
     min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0])
-    cp = herm_residual <= tol and min_eig >= -tol
+    cp = herm_residual <= TAU_CHOI and min_eig >= -TAU_CHOI
     back = unvec(ch.matrix.conj().T @ vec(np.eye(n)), m)
     tp_residual = float(np.abs(back - np.eye(m)).max())
     forward = unvec(ch.matrix @ vec(np.eye(m)), n)
     unital_residual = float(np.abs(forward - np.eye(n)).max())
     return ChoiReport(
         completely_positive=cp,
-        trace_preserving=tp_residual <= tol,
-        unital=unital_residual <= tol,
-        hermiticity_preserving=herm_residual <= tol,
+        trace_preserving=tp_residual <= TAU_CHOI,
+        unital=unital_residual <= TAU_CHOI,
+        hermiticity_preserving=herm_residual <= TAU_CHOI,
         choi_min_eigenvalue=min_eig,
         tp_residual=tp_residual,
         unital_residual=unital_residual,
         herm_residual=herm_residual,
-        tol=tol,
+        tol=TAU_CHOI,
     )

@@ -61,7 +61,10 @@ def _load_observable(spec: str, d: int) -> tc.Observable:
         if d != 2:
             raise ValueError("named observable %r is defined for d=2 only" % spec)
         return tc.Observable(2, OBSERVABLES[spec])
-    return tc.load_observable(spec)
+    obs = tc.load_observable(spec)
+    if obs.d != d:
+        raise ShapeError("%s: observable has d=%d but the isometry has d=%d" % (spec, obs.d, d))
+    return obs
 
 
 def _emit(args, report: dict, summary: str) -> None:
@@ -135,12 +138,13 @@ def cmd_correlate(args) -> int:
     lam = _load_isometry(args.isometry, args.d)
     theta = _load_observable(args.theta, lam.d)
     theta_prime = _load_observable(args.theta_prime, lam.d)
-    series = correlators.pair_descend_series(
-        channels.pair_descend_channel(lam),
-        correlators.pair_difference_infinity(lam),
-        np.kron(theta.matrix, theta_prime.matrix),
-        range(args.m_max + 1),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below with one error line
+        block = np.kron(theta.matrix, theta_prime.matrix)
+        series = list(correlators.pair_descend_series(
+            channels.pair_descend_channel(lam), correlators.pair_difference_infinity(lam), block, range(args.m_max + 1)
+        ))
+    if not (np.isfinite(block).all() and np.isfinite([value for _, value in series]).all()):
+        raise ValueError("the observables overflow: theta (x) theta' or its correlator series is not finite")
     rows = [(delta, float(value.real), float(value.imag)) for delta, value in series]
     header = ["delta_alpha", "re", "im"]
     if args.output:

@@ -81,7 +81,7 @@ def single_site_infinity(lam: Isometry) -> FixedPointResult:
 
 def _resolvent_solve(lam: Isometry, rhs_matrix: np.ndarray, label: str) -> DensityOp:
     """Solve (Id - M/2) x = vec(rhs)/2 with M = right (x) left descend, the word RL."""
-    m = ch._kraus_superop(ch._kraus(lam, "RL"))
+    m = ch._superop(lambda x: ch._local(lam, x, "RL"), lam.d ** 2)
     dim = lam.d ** 2
     a = np.eye(dim * dim, dtype=complex) - m / 2.0
     x = np.linalg.solve(a, ch.vec(rhs_matrix) / 2.0)

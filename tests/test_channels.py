@@ -2,6 +2,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbts import channels as ch
 from hbts import tensor_core as tc
@@ -35,16 +37,19 @@ def site_channel(lam, letter):
 
 
 def all_channels(lam):
+    """Every public dense channel; the 2->4 extension (d^12 entries) only at d <= 3."""
     dc = ch.descend_channels(lam)
-    return {
+    channels = {
         "growth": ch.growth_channel(lam),
         "left": dc.left,
         "right": dc.right,
         "descend": dc.average,
         "pair": ch.pair_descend_channel(lam),
         "ext3": ch.extension_channel(lam, 3),
-        "ext4": ch.extension_channel(lam, 4),
     }
+    if lam.d <= 3:
+        channels["ext4"] = ch.extension_channel(lam, 4)
+    return channels
 
 
 class TestGrowth:
@@ -168,7 +173,18 @@ class TestKrausForm:
             dim = d ** len(word)
             op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             assert np.abs(ch._local(lam, op, word) - ch.apply(dense, op)).max() < 1e-13, word
-            assert np.abs(ch._kraus_superop(ch._kraus(lam, word)) - dense.matrix).max() < 1e-13, word
+            assert np.abs(ch._superop(lambda x: ch._local(lam, x, word), dim) - dense.matrix).max() < 1e-13, word
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_words_map_a_stack_as_each_operator_alone(self, d):
+        lam = tc.random_isometry(d, 4)
+        rng = np.random.default_rng(d)
+        for word in WORDS:
+            dim = d ** len(word)
+            ops = rng.standard_normal((dim, dim, 3)) + 1j * rng.standard_normal((dim, dim, 3))
+            stacked = ch._local(lam, ops, word)
+            for s in range(ops.shape[2]):
+                assert np.abs(stacked[..., s] - ch._local(lam, ops[..., s], word)).max() < 1e-14, word
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_words_preserve_trace_and_hermiticity_at_d4(self, seed):
@@ -187,6 +203,32 @@ class TestKrausForm:
         for kraus, channel in (([t[:, k, :] for k in range(d)], dc.left), ([t[k] for k in range(d)], dc.right)):
             reference = sum(np.kron(k.conj(), k) for k in kraus)
             assert np.abs(channel.matrix - reference).max() < 1e-14
+
+
+def word_images(lam, x):
+    """What each public dense channel on x's sites should give, through the site-by-site maps."""
+    local = functools.partial(ch._local, lam, x)
+    if x.shape[0] == lam.d:
+        return {"growth": local("g"), "left": local("L"), "right": local("R"), "descend": (local("L") + local("R")) / 2}
+    images = {"pair": (local("LL") + local("RR")) / 2, "ext3": ch._extend(lam, x)}
+    if lam.d <= 3:
+        images["ext4"] = ch._extend(lam, x, ch._extend(lam, x))
+    return images
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(d=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_dense_channels_are_cptp_and_match_their_words(d, seed):
+    lam = tc.random_isometry(d, seed)
+    dense = all_channels(lam)
+    rng = np.random.default_rng(seed)
+    for dim in (d, d * d):
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for name, image in word_images(lam, x).items():
+            assert np.abs(ch.apply(dense[name], x) - image).max() < 1e-12, name
+    for name, c in dense.items():
+        rep = ch.choi_check(c)
+        assert rep.completely_positive and rep.trace_preserving, name
 
 
 class TestAdjoint:

@@ -259,6 +259,33 @@ def test_non_finite_observable_exits_two(tmp_path, capsys, value):
     assert err.startswith("error:") and "theta.json" in err
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_observable_of_other_dimension_exits_two(tmp_path, capsys, d):
+    path = write_entries(tmp_path / "theta.json", d, [[0, 0, 1.0, 0.0]])
+    code, err = run_err(["correlate", "--isometry", "paper", "--theta", path, "--theta-prime", "z"], capsys)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and "d=%d" % d in err and "d=2" in err
+
+
+def test_overflowing_observables_exit_two(tmp_path, capsys):
+    path = write_entries(tmp_path / "big.json", 2, [[0, 0, 1e200, 0.0], [1, 1, 1e200, 0.0]])
+    code, err = run_err(["correlate", "--isometry", "paper", "--theta", path, "--theta-prime", path], capsys)
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_overflowing_series_exits_two(capsys, monkeypatch):
+    from hbts import correlators
+
+    series = correlators.pair_descend_series
+    monkeypatch.setattr(correlators, "pair_descend_series",
+                        lambda *args: ((delta, value * 1e300 * 1e300) for delta, value in series(*args)))
+    code, err = run_err(["correlate", "--isometry", "paper", "--theta", "z", "--theta-prime", "z"], capsys)
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 # Moderate integers stay small so no example allocates a large array; the
 # huge ones must be refused before anything is allocated.
 JSON_NUMBERS = st.sampled_from([2 ** 63, 10 ** 400, -(10 ** 400)]) | st.integers(-64, 64) | st.floats()
