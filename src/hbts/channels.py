@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_core import TAU_ISO, DensityOp, Isometry, Observable, require_isometry
+from .tensor_core import DensityOp, Isometry, Observable, require_isometry
 
 TAU_CHOI = 1e-10  # bound on every residual and on the negative Choi eigenvalue in choi_check
 
@@ -162,14 +162,14 @@ def growth_channel(lam: Isometry) -> Channel:
     return Channel(lam.d, 1, 2, _letter(lam, "g"), name="growth")
 
 
-def descend_channels(lam: Isometry, tol: float = TAU_ISO) -> DescendChannels:
+def descend_channels(lam: Isometry) -> DescendChannels:
     """Left/right single-site descents and their equal-weight mixture.
 
     Left keeps the left child (traces the right), right keeps the right
     child; both are CPT with Kraus operators sliced out of the isometry:
     ``t[:, k, :]`` for left, ``t[k, :, :]`` for right.
     """
-    require_isometry(lam, tol)
+    require_isometry(lam)
 
     def build():
         left = Channel(lam.d, 1, 1, _letter(lam, "L"), name="descend-left")

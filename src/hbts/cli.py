@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 validation failure, 2 resource/argument error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
@@ -38,33 +40,39 @@ def paper_lambda_path() -> str:
     return str(resources.files("hbts").joinpath("data/paper_lambda.json"))
 
 
+def _of_dimension(tensor, d: int | None, spec: str):
+    """The loaded tensor, refused when a dimension d is required and it has another."""
+    if d is not None and tensor.d != d:
+        raise ShapeError("%s has d=%d, expected d=%d" % (spec, tensor.d, d))
+    return tensor
+
+
 def _load_isometry(spec: str, d: int | None = None) -> tc.Isometry:
     if spec == "paper":
-        return tc.paper_isometry()
-    if spec == "product":
-        return tc.product_isometry(d or 2)
-    return tc.load_isometry(spec)
+        lam = tc.paper_isometry()
+    elif spec == "product":
+        lam = tc.product_isometry(2 if d is None else d)
+    else:
+        lam = tc.load_isometry(spec)
+    return _of_dimension(lam, d, spec)
 
 
-def _load_top(spec: str, d: int) -> tc.TopTensor:
-    if spec == "diag":
-        return tc.TopTensor(d, np.eye(d, dtype=complex) / np.sqrt(d))
-    if spec == "corner":
+def _load_top(spec: str, d: int | None = None) -> tc.TopTensor:
+    if spec in ("diag", "corner"):
+        d = 2 if d is None else d
+        if d < 2:
+            raise ValueError("local dimension must be >= 2, got %d" % d)
+        if spec == "diag":
+            return tc.TopTensor(d, np.eye(d, dtype=complex) / np.sqrt(d))
         c = np.zeros((d, d), dtype=complex)
         c[0, 0] = 1.0
         return tc.TopTensor(d, c)
-    return tc.load_top(spec)
+    return _of_dimension(tc.load_top(spec), d, spec)
 
 
 def _load_observable(spec: str, d: int) -> tc.Observable:
-    if spec in OBSERVABLES:
-        if d != 2:
-            raise ValueError("named observable %r is defined for d=2 only" % spec)
-        return tc.Observable(2, OBSERVABLES[spec])
-    obs = tc.load_observable(spec)
-    if obs.d != d:
-        raise ShapeError("%s: observable has d=%d but the isometry has d=%d" % (spec, obs.d, d))
-    return obs
+    obs = tc.Observable(2, OBSERVABLES[spec]) if spec in OBSERVABLES else tc.load_observable(spec)
+    return _of_dimension(obs, d, spec)
 
 
 def _emit(args, report: dict, summary: str) -> None:
@@ -80,23 +88,18 @@ def _re_im(z: complex) -> list:
 
 
 def cmd_validate(args) -> int:
-    report = {}
-    ok = True
-    lam = None
+    reps = []
+    d = args.d
     if args.isometry:
-        lam = _load_isometry(args.isometry, args.d)
-        rep = tc.validate_isometry(lam, args.tol)
-        report["isometry"] = {"passed": rep.passed, "residual": rep.residual, "tol": rep.tol}
-        ok = ok and rep.passed
+        lam = _load_isometry(args.isometry, d)
+        d = lam.d
+        reps.append(tc.validate_isometry(lam, args.tol))
     if args.top:
-        top = _load_top(args.top, args.d or (lam.d if lam else 2))
-        if lam is not None and top.d != lam.d:
-            raise ShapeError("top tensor has d=%d but the isometry has d=%d" % (top.d, lam.d))
-        rep = tc.validate_top(top, args.tol)
-        report["top"] = {"passed": rep.passed, "residual": rep.residual, "tol": rep.tol}
-        ok = ok and rep.passed
-    if not report:
+        reps.append(tc.validate_top(_load_top(args.top, d), args.tol))
+    if not reps:
         raise ValueError("nothing to validate: pass --isometry and/or --top")
+    report = {rep.kind: {"passed": rep.passed, "residual": rep.residual, "tol": rep.tol} for rep in reps}
+    ok = all(rep.passed for rep in reps)
     _emit(args, report, "validate: %s" % ("pass" if ok else "FAIL"))
     return 0 if ok else 1
 
@@ -161,36 +164,20 @@ def cmd_finite_check(args) -> int:
     lam = _load_isometry(args.isometry, args.d)
     top = _load_top(args.top, lam.d)
     rep = finite_state.recursion_check(lam, top, args.n_max, max_amplitudes=args.max_amplitudes)
-    report = {
-        "n_max": rep.n_max,
-        "single_site": rep.single_site,
-        "pair": rep.pair,
-        "triple": rep.triple,
-        "quad": rep.quad,
-        "max_residual": rep.max_residual,
-        "tol": args.tol,
-        "passed": rep.max_residual <= args.tol,
-    }
+    report = dict(asdict(rep), max_residual=rep.max_residual, tol=args.tol, passed=rep.max_residual <= args.tol)
     _emit(args, report, "finite-check: max residual %s" % reporting.format_float(rep.max_residual))
     return 0 if report["passed"] else 1
 
 
-def _parse_weights(text: str | None):
-    if not text:
-        return None
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _interaction(args, lam):
-    nu = args.nu if args.nu != "auto" else "auto"
-    if nu != "auto":
-        nu = int(nu)
-    return parent_ham.build_interaction(lam, weights=_parse_weights(args.weights), nu=nu)
+def _interaction(args):
+    """The isometry and its interaction from --isometry, --d, --nu and --weights."""
+    lam = _load_isometry(args.isometry, args.d)
+    weights = [float(x) for x in args.weights.split(",") if x.strip()] if args.weights else None
+    return lam, parent_ham.build_interaction(lam, weights, args.nu if args.nu == "auto" else int(args.nu))
 
 
 def cmd_parent(args) -> int:
-    lam = _load_isometry(args.isometry, args.d)
-    hs = _interaction(args, lam)
+    _, hs = _interaction(args)
     flat = []
     for z in hs.h_term.reshape(-1):
         flat.extend([float(z.real), float(z.imag)])
@@ -206,8 +193,7 @@ def cmd_parent(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    lam = _load_isometry(args.isometry, args.d)
-    hs = _interaction(args, lam)
+    _, hs = _interaction(args)
     ham = parent_ham.assemble(hs, args.N, max_dim=args.max_dim)
     rep = parent_ham.diagonalize(ham, tau_gs=args.tau_gs, bins=args.bins)
     report = {
@@ -230,19 +216,9 @@ def cmd_diag(args) -> int:
 
 
 def cmd_subspace_check(args) -> int:
-    lam = _load_isometry(args.isometry, args.d)
-    hs = _interaction(args, lam)
+    lam, hs = _interaction(args)
     rep = parent_ham.grown_subspace_check(lam, hs, args.N, tau_gs=args.tau_gs, max_dim=args.max_dim)
-    report = {
-        "N": rep.N,
-        "nu": hs.nu,
-        "dim_grown": rep.dim_grown,
-        "dim_translated": rep.dim_translated,
-        "dim_union": rep.dim_union,
-        "max_h_residual": rep.max_h_residual,
-        "max_local_energy": rep.max_local_energy,
-        "unfrustrated": rep.unfrustrated,
-    }
+    report = dict(asdict(rep), nu=hs.nu)
     _emit(args, report, "subspace-check N=%d: union dimension %d, unfrustrated %s" % (
         rep.N, rep.dim_union, rep.unfrustrated))
     return 0
@@ -250,14 +226,7 @@ def cmd_subspace_check(args) -> int:
 
 def cmd_mera_bounds(args) -> int:
     bound = mera_bounds.mera_rank_bound(args.topology, args.d)
-    report = {
-        "topology": bound.topology,
-        "d": bound.d,
-        "nu": bound.nu,
-        "bound": bound.bound,
-        "max": bound.full_dim,
-        "nonmaximal": bound.nonmaximal,
-    }
+    report = dict(asdict(bound), max=bound.full_dim)
     _emit(args, report, "mera-bounds: nu=%d, bound %d of %d" % (bound.nu, bound.bound, bound.full_dim))
     return 0
 
@@ -270,18 +239,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, isometry=True):
-        if isometry:
-            p.add_argument("--isometry", required=True,
-                           help="isometry JSON file, or 'paper' / 'product'")
-        p.add_argument("--d", type=int, default=None, help="local dimension for named inputs")
+        p.add_argument("--isometry", required=isometry, help="isometry JSON file, or 'paper' / 'product'")
+        p.add_argument("--d", type=int, default=None,
+                       help="local dimension: of the named inputs, and required of the files")
         p.add_argument("-o", "--output", default=None, help="write the report to this file")
 
+    def add_interaction(p, ring=True):
+        add_common(p)
+        p.add_argument("--nu", default="auto", help="interaction window: 2, 3, 4 or auto")
+        p.add_argument("--weights", default=None, help="comma-separated positive kernel weights")
+        if ring:
+            p.add_argument("--N", type=int, required=True, help="ring size")
+            p.add_argument("--tau-gs", type=float, default=parent_ham.TAU_GS,
+                           help="absolute ground-energy tolerance")
+            p.add_argument("--max-dim", type=int, default=parent_ham.DEFAULT_MAX_DIM,
+                           help="largest ring dimension d^N to build")
+
     p = sub.add_parser("validate", help="check isometry/top-tensor invariants")
-    p.add_argument("--isometry", default=None, help="isometry JSON file, or 'paper' / 'product'")
+    add_common(p, isometry=False)
     p.add_argument("--top", default=None, help="top-tensor JSON file, or 'diag' / 'corner'")
-    p.add_argument("--d", type=int, default=None)
     p.add_argument("--tol", type=float, default=tc.TAU_ISO)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("random-isometry", help="write a seeded random isometry file")
@@ -315,30 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_finite_check)
 
     p = sub.add_parser("parent", help="build the kernel-projector interaction")
-    add_common(p)
-    p.add_argument("--nu", default="auto", help="interaction window: 2, 3, 4 or auto")
-    p.add_argument("--weights", default=None, help="comma-separated positive kernel weights")
+    add_interaction(p, ring=False)
     p.set_defaults(func=cmd_parent)
 
     p = sub.add_parser("diag", help="assemble on N sites and diagonalize")
-    add_common(p)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--nu", default="auto")
-    p.add_argument("--weights", default=None)
-    p.add_argument("--tau-gs", type=float, default=parent_ham.TAU_GS)
+    add_interaction(p)
     p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--max-dim", type=int, default=parent_ham.DEFAULT_MAX_DIM)
     p.add_argument("--eigenvalues-csv", default=None)
     p.add_argument("--histogram-csv", default=None)
     p.set_defaults(func=cmd_diag)
 
     p = sub.add_parser("subspace-check", help="verify the grown ground subspace and its translate")
-    add_common(p)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--nu", default="auto")
-    p.add_argument("--weights", default=None)
-    p.add_argument("--tau-gs", type=float, default=parent_ham.TAU_GS)
-    p.add_argument("--max-dim", type=int, default=parent_ham.DEFAULT_MAX_DIM)
+    add_interaction(p)
     p.set_defaults(func=cmd_subspace_check)
 
     p = sub.add_parser("mera-bounds", help="kernel-rank bounds for renormalization topologies")
@@ -350,10 +315,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args) -> None:
+    """Refuse a tolerance that is not a finite number >= 0 and a negative --m-max."""
+    for name in ("tol", "tau_gs"):
+        value = getattr(args, name, 0.0)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError("--%s must be a finite number >= 0, got %s" % (name.replace("_", "-"), value))
+    if getattr(args, "m_max", 0) < 0:
+        raise ValueError("--m-max must be >= 0, got %d" % args.m_max)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except (ValidationError, DegenerateFixedPointError) as exc:
         print("error: %s" % exc, file=sys.stderr)

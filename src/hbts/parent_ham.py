@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import KernelNotFoundError, ResourceLimitError, ValidationError
-from .tensor_core import TAU_RANK, DensityOp, Isometry, numerical_rank, svd_rank
+from .tensor_core import TAU_RANK, DensityOp, Isometry, hermitian_part, numerical_rank, svd_rank
 from . import channels as ch
 from . import thermo
 
@@ -25,9 +25,26 @@ TAU_GS = 1e-10
 DEFAULT_MAX_DIM = 4096
 
 
+def _weights(weights, k: int) -> np.ndarray:
+    """The kernel weights as a read-only float array, refused unless they are k finite positive numbers."""
+    w = np.array(weights, dtype=float)
+    if w.shape != (k,):
+        raise ValueError("expected %d kernel weights, got %d" % (k, w.size))
+    if not (np.isfinite(w).all() and (w > 0.0).all()):
+        raise ValueError("kernel weights must be finite and strictly positive")
+    w.setflags(write=False)
+    return w
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Local interaction: d, window size nu, PSD term, kernel size and weights."""
+    """Local interaction: d, window size nu, PSD term, kernel size and weights, checked at construction.
+
+    The term must be finite and Hermitian within TAU_HERM, and the weights
+    ``kernel_dim`` finite positive numbers.  ``h_term`` holds the exact
+    Hermitian part of the term, real when it has no imaginary part, and is
+    read-only, so every reader of the term sees the same array.
+    """
 
     d: int
     nu: int
@@ -37,14 +54,15 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         dim = self.d ** self.nu
-        mat = np.array(self.h_term, dtype=complex)
+        mat = np.asarray(self.h_term, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError("interaction term must be %d x %d, got %s" % (dim, dim, mat.shape))
+        object.__setattr__(self, "weights", _weights(self.weights, self.kernel_dim))
+        mat = hermitian_part(mat, "interaction term")
+        if not mat.imag.any():
+            mat = mat.real.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "h_term", mat)
-        w = np.array(self.weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -74,17 +92,16 @@ class NullityReport:
     trace_residual: float       # |Tr[rho2 . adjoint(ext)(H)]|
 
 
-def kernel_basis(rho: DensityOp, tau: float = TAU_RANK) -> np.ndarray:
-    """Orthonormal kernel vectors (columns) of a state at relative tolerance."""
+def kernel_basis(rho: DensityOp) -> np.ndarray:
+    """Orthonormal kernel vectors (columns) of a state: eigenvalues at most TAU_RANK times the largest."""
     evals, evecs = np.linalg.eigh(rho.matrix)
-    return np.array(evecs[:, evals <= tau * evals[-1]])
+    return np.array(evecs[:, evals <= TAU_RANK * evals[-1]])
 
 
 def build_interaction(
     lam: Isometry,
     weights: Sequence[float] | None = None,
     nu: int | str = "auto",
-    tau: float = TAU_RANK,
 ) -> HamiltonianSpec:
     """Kernel-projector interaction from the smallest window with a nontrivial kernel.
 
@@ -101,27 +118,20 @@ def build_interaction(
 
     for window in candidates:
         rho = thermo.reduced_infinity(lam, window)
-        kernel = kernel_basis(rho, tau)
+        kernel = kernel_basis(rho)
         if kernel.shape[1] > 0:
             k = kernel.shape[1]
-            if weights is None:
-                w = np.ones(k)
-            else:
-                w = np.array([float(x) for x in weights], dtype=float)
-                if w.size != k:
-                    raise ValueError("expected %d kernel weights, got %d" % (k, w.size))
-                if np.any(w <= 0.0):
-                    raise ValueError("kernel weights must be strictly positive")
+            w = _weights(np.ones(k) if weights is None else weights, k)
             h = kernel @ np.diag(w.astype(complex)) @ kernel.conj().T
-            h = (h + h.conj().T) / 2.0
             if not lam.v.imag.any():
                 h = h.real  # every state and projector of a real tree is real; drop the roundoff
-            annihilation = float(np.abs(h @ rho.matrix).max())
+            hs = HamiltonianSpec(d=lam.d, nu=window, h_term=h, kernel_dim=k, weights=w)
+            annihilation = float(np.abs(hs.h_term @ rho.matrix).max())
             if annihilation > 1e-10:
                 raise ValidationError(
                     "interaction does not annihilate its reduced state: residual %g" % annihilation
                 )
-            return HamiltonianSpec(d=lam.d, nu=window, h_term=h, kernel_dim=k, weights=w)
+            return hs
     raise KernelNotFoundError(
         "no nontrivial kernel in window %s; by window 4 a valid isometry always has one"
         % "/".join(str(w) for w in candidates)
@@ -146,12 +156,6 @@ def _apply_term(h: np.ndarray, d: int, nu: int, N: int, start: int, states: np.n
     out = np.empty(states.shape, dtype=np.result_type(h, states))
     out[ring] = np.tensordot(h, states[ring], axes=1)
     return out
-
-
-def _hermitian_term(hs: HamiltonianSpec) -> np.ndarray:
-    """The Hermitian part of the interaction, as a real matrix when it has no imaginary part."""
-    h = (hs.h_term + hs.h_term.conj().T) / 2.0
-    return h if h.imag.any() else h.real
 
 
 def _require_ring(hs: HamiltonianSpec, N: int, max_dim: int) -> None:
@@ -198,7 +202,7 @@ def assemble(hs: HamiltonianSpec, N: int, max_dim: int = DEFAULT_MAX_DIM) -> Rin
     The d^N x d^N matrix is never formed.
     """
     _require_ring(hs, N, max_dim)
-    h = _hermitian_term(hs)
+    h = hs.h_term
     reps, period, orbit, shift = _orbits(hs.d, N)
     n = len(reps)
     folded = np.zeros((N, n, n), dtype=h.dtype)     # [l, b, a]: N H[T^-l b, a], l < p_b
@@ -284,7 +288,7 @@ def grown_subspace_check(
         raise ValueError("the grown-subspace construction needs even N, got %d" % N)
     _require_ring(hs, N, max_dim)
     basis = grown_basis(lam, N)
-    h = _hermitian_term(hs)
+    h = hs.h_term
     image = np.zeros(basis.shape, dtype=np.result_type(h, basis))
     max_local = 0.0
     for start in range(N):

@@ -37,6 +37,16 @@ TAU_RANK = 1e-10
 MAX_FILE_ENTRIES = 1 << 24    # largest d^arity array an entry file may declare (256 MB complex)
 
 
+def hermitian_part(mat: np.ndarray, what: str) -> np.ndarray:
+    """The exact Hermitian part of a square matrix, refused unless it is finite and Hermitian within TAU_HERM."""
+    if not np.isfinite(mat).all():
+        raise ValidationError("%s has a non-finite entry" % what)
+    herm = float(np.abs(mat - mat.conj().T).max())
+    if herm > TAU_HERM:
+        raise ValidationError("%s not Hermitian: deviation %s" % (what, format_float(herm)))
+    return (mat + mat.conj().T) / 2.0
+
+
 def _frozen_complex(a, shape=None, what="array") -> np.ndarray:
     arr = np.array(a, dtype=complex)
     if shape is not None and arr.shape != shape:
@@ -124,15 +134,10 @@ class DensityOp:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
             raise ShapeError("density operator must have shape %s, got %s" % ((dim, dim), mat.shape))
-        if not np.isfinite(mat).all():
-            raise ValidationError("density operator has a non-finite entry")
-        herm = float(np.abs(mat - mat.conj().T).max())
-        if herm > TAU_HERM:
-            raise ValidationError("density operator not Hermitian: deviation %s" % format_float(herm))
+        mat = hermitian_part(mat, "density operator")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TAU_TRACE:
             raise ValidationError("density operator trace %s is not 1" % format_float(abs(tr)))
-        mat = (mat + mat.conj().T) / 2.0
         evals = np.linalg.eigvalsh(mat)
         if evals[0] < -TAU_PSD:
             raise ValidationError("density operator not PSD: min eigenvalue %s" % format_float(float(evals[0])))
@@ -148,17 +153,17 @@ class DensityOp:
 
 @dataclass(frozen=True)
 class Observable:
-    """Single-site Hermitian observable with finite entries."""
+    """Single-site observable, finite and Hermitian within TAU_HERM.
+
+    ``matrix`` holds the exact Hermitian part of the input, read-only.
+    """
 
     d: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen_complex(self.matrix, (self.d, self.d), "observable")
-        if not np.isfinite(mat).all():
-            raise ValidationError("observable has a non-finite entry")
-        if np.abs(mat - mat.conj().T).max() > TAU_HERM:
-            raise ValidationError("observable is not Hermitian within %g" % TAU_HERM)
+        mat = hermitian_part(_frozen_complex(self.matrix, (self.d, self.d), "observable"), "observable")
+        mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
 
@@ -177,12 +182,12 @@ def validate_isometry(lam: Isometry, tol: float = TAU_ISO) -> ValidationReport:
     return ValidationReport("isometry", residual <= tol, residual, tol)
 
 
-def require_isometry(lam: Isometry, tol: float = TAU_ISO) -> None:
-    rep = validate_isometry(lam, tol)
+def require_isometry(lam: Isometry) -> None:
+    rep = validate_isometry(lam)
     if not rep.passed:
         raise ValidationError(
             "isometric condition violated: residual %s > tol %s"
-            % (format_float(rep.residual), format_float(tol))
+            % (format_float(rep.residual), format_float(rep.tol))
         )
 
 
@@ -193,12 +198,12 @@ def validate_top(c: TopTensor, tol: float = TAU_ISO) -> ValidationReport:
     return ValidationReport("top", residual <= tol, residual, tol)
 
 
-def require_top(c: TopTensor, tol: float = TAU_ISO) -> None:
-    rep = validate_top(c, tol)
+def require_top(c: TopTensor) -> None:
+    rep = validate_top(c)
     if not rep.passed:
         raise ValidationError(
             "top-tensor normalization violated: deviation %s > tol %s"
-            % (format_float(rep.residual), format_float(tol))
+            % (format_float(rep.residual), format_float(rep.tol))
         )
 
 
@@ -227,18 +232,18 @@ def partial_trace(op: DensityOp, keep: Sequence[int]) -> DensityOp:
     return DensityOp(d, k, t.reshape(d ** k, d ** k), label)
 
 
-def numerical_rank(op: DensityOp, tau_rank: float = TAU_RANK) -> int:
-    """Count eigenvalues above tau_rank times the largest eigenvalue."""
+def numerical_rank(op: DensityOp) -> int:
+    """Count eigenvalues above TAU_RANK times the largest eigenvalue."""
     evals = op.eigenvalues
-    return int(np.count_nonzero(evals > tau_rank * evals[-1]))
+    return int(np.count_nonzero(evals > TAU_RANK * evals[-1]))
 
 
-def svd_rank(a: np.ndarray, tol: float = TAU_RANK) -> int:
-    """Numerical rank of an arbitrary matrix: singular values above tol * s_max."""
+def svd_rank(a: np.ndarray) -> int:
+    """Numerical rank of an arbitrary matrix: singular values above TAU_RANK * s_max."""
     s = np.linalg.svd(np.asarray(a), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return int(np.count_nonzero(s > TAU_RANK * s[0]))
 
 
 def random_isometry(d: int, seed: int) -> Isometry:

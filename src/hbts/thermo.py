@@ -27,7 +27,7 @@ class FixedPointResult:
     mixing: bool
 
 
-def fixed_point(channel: ch.Channel, tau_fix: float = TAU_FIX, tau_spec: float = TAU_SPEC) -> FixedPointResult:
+def fixed_point(channel: ch.Channel) -> FixedPointResult:
     """Stationary state of a square CPT channel via dense eigendecomposition.
 
     The eigenvalue-1 eigenvector is trace-normalized and Hermitized.  A
@@ -39,14 +39,14 @@ def fixed_point(channel: ch.Channel, tau_fix: float = TAU_FIX, tau_spec: float =
         raise ValueError("fixed points need a square channel, got %d -> %d sites" % (channel.nu_in, channel.nu_out))
     mat = channel.matrix
     evals, evecs = np.linalg.eig(mat)
-    unit = np.abs(evals - 1.0) <= tau_spec
+    unit = np.abs(evals - 1.0) <= TAU_SPEC
     multiplicity = int(np.count_nonzero(unit))
     if multiplicity != 1:
         raise DegenerateFixedPointError(
             "channel %s has unit-eigenvalue multiplicity %d" % (channel.name or "?", multiplicity),
             multiplicity,
         )
-    peripheral = int(np.count_nonzero(np.abs(evals) >= 1.0 - tau_spec))
+    peripheral = int(np.count_nonzero(np.abs(evals) >= 1.0 - TAU_SPEC))
     mixing = peripheral == 1
     vec_fp = evecs[:, int(np.argmin(np.abs(evals - 1.0)))]
     x = ch.unvec(vec_fp, channel.dim_out)
@@ -58,7 +58,7 @@ def fixed_point(channel: ch.Channel, tau_fix: float = TAU_FIX, tau_spec: float =
         )
     state = DensityOp(channel.d, channel.nu_out, x / tr, label="fixed-point")
     residual = float(np.abs(ch.apply(channel, state.matrix) - state.matrix).max())
-    if mixing and residual > tau_fix:
+    if mixing and residual > TAU_FIX:
         raise ValidationError(
             "stationary state of %s fails its own equation: residual %g" % (channel.name or "?", residual)
         )

@@ -124,12 +124,11 @@ def embedded_term(h, d, nu, N, start):
 
 
 def dense_ring(hs, N):
-    """Reference ring Hamiltonian: the 1/N-normalized cyclic sum of the Hermitian term as one
-    dense d^N x d^N matrix, real when the term is real."""
-    h = ph._hermitian_term(hs)
-    total = np.zeros((hs.d ** N, hs.d ** N), dtype=h.dtype)
+    """Reference ring Hamiltonian: the 1/N-normalized cyclic sum of the stored (Hermitian) term
+    as one dense d^N x d^N matrix, real when the term is real."""
+    total = np.zeros((hs.d ** N, hs.d ** N), dtype=hs.h_term.dtype)
     for start in range(N):
-        _add_term(total, h, hs.d, hs.nu, N, start)
+        _add_term(total, hs.h_term, hs.d, hs.nu, N, start)
     return total / N
 
 

@@ -77,12 +77,12 @@ def test_criterion_4_rank_bounds():
         for d in (2, 3):
             for seed in range(10):
                 lam = tc.random_isometry(d, seed)
-                rank3 = tc.numerical_rank(thermo.reduced_infinity(lam, 3), 1e-10)
-                rank4 = tc.numerical_rank(thermo.reduced_infinity(lam, 4), 1e-10)
+                rank3 = tc.numerical_rank(thermo.reduced_infinity(lam, 3))
+                rank4 = tc.numerical_rank(thermo.reduced_infinity(lam, 4))
                 assert rank3 <= 2 * d * d, (d, seed)
                 assert rank4 <= d * d + d ** 3, (d, seed)
                 if d == 3:
-                    kernel = ph.kernel_basis(thermo.reduced_infinity(lam, 3), 1e-10)
+                    kernel = ph.kernel_basis(thermo.reduced_infinity(lam, 3))
                     assert kernel.shape[1] >= 9, seed
 
 

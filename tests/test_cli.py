@@ -330,3 +330,42 @@ def test_fuzzed_entry_files_exit_cleanly(doc):
             ["correlate", "--isometry", "paper", "--theta", path, "--theta-prime", "z", "--m-max", "1"],
         ):
             assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thermo", "--isometry", "product", "--d", "0"],
+        ["validate", "--top", "diag", "--d", "0"],
+        ["validate", "--top", "corner", "--d", "1"],
+        ["thermo", "--isometry", "paper", "--d", "3"],
+        ["thermo", "--isometry", "{iso3}", "--d", "2"],
+        ["validate", "--top", "{top3}", "--d", "2"],
+        ["finite-check", "--isometry", "paper", "--top", "{top3}"],
+    ],
+)
+def test_d_other_than_the_input_exits_two(tmp_path, capsys, argv):
+    files = {"iso3": str(tmp_path / "iso3.json"), "top3": str(tmp_path / "top3.json")}
+    tc.save_isometry(tc.random_isometry(3, 1), files["iso3"])
+    tc.save_top(tc.TopTensor(3, np.eye(3) / np.sqrt(3)), files["top3"])
+    code, err = run_err([a.format(**files) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diag", "--isometry", "paper", "--N", "6", "--tau-gs", "nan"],
+        ["diag", "--isometry", "paper", "--N", "6", "--tau-gs", "-1"],
+        ["subspace-check", "--isometry", "paper", "--N", "6", "--tau-gs", "-1"],
+        ["validate", "--isometry", "paper", "--tol", "nan"],
+        ["validate", "--isometry", "paper", "--tol", "inf"],
+        ["finite-check", "--isometry", "paper", "--top", "diag", "--tol", "-1"],
+        ["correlate", "--isometry", "paper", "--theta", "z", "--theta-prime", "z", "--m-max", "-1"],
+    ],
+)
+def test_bad_tolerance_or_size_exits_two(capsys, argv):
+    code, err = run_err(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1

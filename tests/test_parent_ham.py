@@ -8,7 +8,7 @@ from hbts import finite_state as fs
 from hbts import parent_ham as ph
 from hbts import tensor_core as tc
 from hbts import thermo
-from hbts.errors import ResourceLimitError
+from hbts.errors import ResourceLimitError, ValidationError
 
 from conftest import dense_ring, embedded_term, rand_herm, rand_top
 
@@ -63,6 +63,50 @@ class TestBuildInteraction:
             ph.build_interaction(bundled_lam, weights=[1.0, 1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             ph.build_interaction(bundled_lam, nu=5)
+
+
+class TestHamiltonianSpec:
+    @pytest.mark.parametrize("broken", ["nan", "skew"])
+    def test_non_finite_or_non_hermitian_term_is_refused(self, broken):
+        h = np.eye(4, dtype=complex)
+        h[0, 1] = np.nan if broken == "nan" else 1e-3
+        with pytest.raises(ValidationError):
+            ph.HamiltonianSpec(d=2, nu=2, h_term=h, kernel_dim=4, weights=np.ones(4))
+
+    @pytest.mark.parametrize("weights", [[1.0] * 3, [1.0] * 5, [1.0, 1.0, 1.0, 0.0], [1.0, 1.0, -1.0, 1.0],
+                                         [1.0, 1.0, 1.0, np.nan], [1.0, np.inf, 1.0, 1.0]])
+    def test_weights_must_be_kernel_dim_finite_positive_numbers(self, weights):
+        with pytest.raises(ValueError):
+            ph.HamiltonianSpec(d=2, nu=2, h_term=np.eye(4), kernel_dim=4, weights=weights)
+
+    def test_real_term_is_stored_as_read_only_float64(self):
+        hs = ph.HamiltonianSpec(d=2, nu=2, h_term=np.eye(4, dtype=complex), kernel_dim=4, weights=np.ones(4))
+        assert hs.h_term.dtype == np.float64
+        assert not hs.h_term.flags.writeable and not hs.weights.flags.writeable
+        assert np.array_equal(hs.h_term, np.eye(4))
+
+    def test_complex_term_is_stored_exactly_hermitian(self):
+        h = rand_herm(np.random.default_rng(5), 8)
+        h[0, 1] += 1e-12
+        hs = ph.HamiltonianSpec(d=2, nu=3, h_term=h, kernel_dim=1, weights=np.ones(1))
+        assert hs.h_term.dtype == np.complex128
+        assert np.array_equal(hs.h_term, hs.h_term.conj().T)
+        assert np.abs(hs.h_term - h).max() <= 1e-12
+
+    def test_assemble_and_nullity_read_the_stored_term(self, monkeypatch):
+        lam = tc.random_isometry(3, 7)
+        base = ph.build_interaction(lam)
+        # within TAU_HERM of base's term, whose Hermitian part it has exactly
+        skew = ph.HamiltonianSpec(d=3, nu=3, h_term=base.h_term + 1e-11j * np.eye(27),
+                                  kernel_dim=base.kernel_dim, weights=base.weights)
+        assert np.array_equal(skew.h_term, base.h_term)
+        seen = []
+        apply = ch.apply
+        monkeypatch.setattr(ch, "apply", lambda c, op: seen.append(op) or apply(c, op))
+        assert ph.adjoint_nullity_check(lam, skew) == ph.adjoint_nullity_check(lam, base)
+        assert seen[0] is skew.h_term
+        for got, want in zip(ph.assemble(skew, 4).blocks, ph.assemble(base, 4).blocks):
+            assert np.array_equal(got, want)
 
 
 class TestAssemble:

@@ -99,7 +99,7 @@ class TestPartialTrace:
 class TestNumericalRank:
     def test_half_filled_diagonal(self):
         op = tc.DensityOp(2, 2, np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
-        assert tc.numerical_rank(op, 1e-10) == 2
+        assert tc.numerical_rank(op) == 2
 
     def test_maximally_mixed_is_full_rank(self):
         op = tc.DensityOp(2, 3, np.eye(8) / 8)

@@ -281,7 +281,6 @@ class TestPerIsometryMemo:
         v = np.array(tc.random_isometry(2, 0).v) * (1.0 + 5e-10)  # isometry residual about 1e-9
         lam = tc.Isometry(2, v)
         assert 5e-10 < tc.validate_isometry(lam).residual < 5e-9
-        ch.descend_channels(lam, tol=1e-6)
         calls = [
             lambda: ch.descend_channels(lam),
             lambda: ch.pair_descend_channel(lam),
