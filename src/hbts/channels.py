@@ -36,7 +36,9 @@ import numpy as np
 from .errors import ShapeError
 from .tensor_core import DensityOp, Isometry, Observable, require_isometry
 
-TAU_CHOI = 1e-10  # bound on every residual and on the negative Choi eigenvalue in choi_check
+# Bound on every residual in choi_check, and the diagonal shift of its Cholesky test: a map is
+# certified CP (choi_min_eigenvalue None) when every Choi eigenvalue is >= -TAU_CHOI.
+TAU_CHOI = 1e-10
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -226,11 +228,19 @@ def apply(ch: Channel, op) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChoiReport:
+    """Outcome of :func:`choi_check`.
+
+    ``choi_min_eigenvalue`` is None when the Choi matrix plus ``TAU_CHOI`` times
+    the identity has a Cholesky factor, which certifies every Choi eigenvalue
+    ``>= -TAU_CHOI``; otherwise it is the exact smallest eigenvalue of the
+    Hermitian part of the Choi matrix, from a full ``eigvalsh``.
+    """
+
     completely_positive: bool
     trace_preserving: bool
     unital: bool
     hermiticity_preserving: bool
-    choi_min_eigenvalue: float
+    choi_min_eigenvalue: float | None
     tp_residual: float
     unital_residual: float
     herm_residual: float
@@ -241,19 +251,34 @@ def choi_check(ch: Channel) -> ChoiReport:
     """CP/TP diagnostics: Choi positivity and unitality of the adjoint.
 
     The Choi operator on (input (x) output) is J = sum_ij |i><j| (x) ch(|i><j|).
+    The map is completely positive when J is Hermitian within ``TAU_CHOI`` and
+    the Cholesky factorization of its Hermitian part plus ``TAU_CHOI`` on the
+    diagonal succeeds; ``choi_min_eigenvalue`` is then None.  Only a map that
+    is not certified pays for the full spectrum that gives it.
     """
     m, n = ch.dim_in, ch.dim_out
     t = ch.matrix.reshape(n, n, m, m)  # (col_out, row_out, col_in, row_in)
-    choi = t.transpose(3, 1, 2, 0).reshape(m * n, m * n)
-    herm_residual = float(np.abs(choi - choi.conj().T).max())
-    min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0])
-    cp = herm_residual <= TAU_CHOI and min_eig >= -TAU_CHOI
-    back = unvec(ch.matrix.conj().T @ vec(np.eye(n)), m)
+    choi = t.transpose(3, 1, 2, 0).reshape(m * n, m * n)  # the one copy of J, made Hermitian and shifted in place
+    skew = choi.conj().T
+    skew -= choi  # J^dag - J
+    herm_residual = float(np.abs(skew).max())
+    skew *= 0.5
+    choi += skew  # (J + J^dag) / 2
+    del skew  # freed before the factorization
+    choi[np.diag_indices_from(choi)] += TAU_CHOI
+    try:
+        np.linalg.cholesky(choi)
+        certified = herm_residual <= TAU_CHOI
+    except np.linalg.LinAlgError:
+        certified = False
+    min_eig = None if certified else float(np.linalg.eigvalsh(choi)[0]) - TAU_CHOI
+    # vec(1) is real, so M^dag vec(1) = conj(M^T vec(1)) without a conjugate copy of M
+    back = unvec((ch.matrix.T @ vec(np.eye(n))).conj(), m)
     tp_residual = float(np.abs(back - np.eye(m)).max())
     forward = unvec(ch.matrix @ vec(np.eye(m)), n)
     unital_residual = float(np.abs(forward - np.eye(n)).max())
     return ChoiReport(
-        completely_positive=cp,
+        completely_positive=certified,
         trace_preserving=tp_residual <= TAU_CHOI,
         unital=unital_residual <= TAU_CHOI,
         hermiticity_preserving=herm_residual <= TAU_CHOI,

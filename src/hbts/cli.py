@@ -173,7 +173,11 @@ def _interaction(args):
     """The isometry and its interaction from --isometry, --d, --nu and --weights."""
     lam = _load_isometry(args.isometry, args.d)
     weights = [float(x) for x in args.weights.split(",") if x.strip()] if args.weights else None
-    return lam, parent_ham.build_interaction(lam, weights, args.nu if args.nu == "auto" else int(args.nu))
+    try:
+        nu = int(args.nu)
+    except ValueError:
+        nu = args.nu  # 'auto', or text that build_interaction refuses, naming the windows it takes
+    return lam, parent_ham.build_interaction(lam, weights, nu)
 
 
 def cmd_parent(args) -> int:

@@ -20,6 +20,7 @@ from .tensor_core import (
     LatticeSpec,
     Observable,
     TopTensor,
+    partial_trace,
     require_isometry,
     require_top,
 )
@@ -211,29 +212,33 @@ def recursion_check(
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2 to check any recursion")
-    states = {n: build_state(lam, c, n, max_amplitudes) for n in range(1, n_max + 1)}
-    rho1 = {n: reduced_avg(states[n], 1).matrix for n in range(1, n_max + 1)}
-    rho2 = {n: reduced_avg(states[n], 2).matrix for n in range(1, n_max + 1)}
+    # rho[n][nu - 1]: the averaged nu-site state at depth n.  Only the widest window a depth is
+    # checked at is reduced from the explicit state; tracing out its last site gives the next
+    # narrower average exactly, since the average runs over every cyclic start.
+    rho = {}
+    for n in range(1, n_max + 1):
+        windows = [reduced_avg(build_state(lam, c, n, max_amplitudes), min(n + 1, 4))]
+        while windows[0].nu > 1:
+            windows.insert(0, partial_trace(windows[0], range(1, windows[0].nu)))
+        rho[n] = [w.matrix for w in windows]
 
     dc = ch.descend_channels(lam)
 
     res1 = 0.0
     res2 = 0.0
     for n in range(1, n_max):
-        res1 = max(res1, float(np.abs(ch.apply(dc.average, rho1[n]) - rho1[n + 1]).max()))
-        pred = (ch._local(lam, rho2[n], "RL") + ch._local(lam, rho1[n], "g")) / 2.0
-        res2 = max(res2, float(np.abs(pred - rho2[n + 1]).max()))
+        res1 = max(res1, float(np.abs(ch.apply(dc.average, rho[n][0]) - rho[n + 1][0]).max()))
+        pred = (ch._local(lam, rho[n][1], "RL") + ch._local(lam, rho[n][0], "g")) / 2.0
+        res2 = max(res2, float(np.abs(pred - rho[n + 1][1]).max()))
 
     res3 = 0.0
     for n in range(2, n_max + 1):
-        brute = reduced_avg(states[n], 3).matrix
-        res3 = max(res3, float(np.abs(ch._extend(lam, rho2[n - 1]) - brute).max()))
+        res3 = max(res3, float(np.abs(ch._extend(lam, rho[n - 1][1]) - rho[n][2]).max()))
 
     res4 = 0.0
     for n in range(3, n_max + 1):
-        brute = reduced_avg(states[n], 4).matrix
-        pred = ch._extend(lam, rho2[n - 1], ch._extend(lam, rho2[n - 2]))
-        res4 = max(res4, float(np.abs(pred - brute).max()))
+        pred = ch._extend(lam, rho[n - 1][1], ch._extend(lam, rho[n - 2][1]))
+        res4 = max(res4, float(np.abs(pred - rho[n][3]).max()))
 
     return RecursionReport(n_max=n_max, single_site=res1, pair=res2, triple=res3, quad=res4)
 

@@ -227,7 +227,7 @@ def test_dense_channels_are_cptp_and_match_their_words(d, seed):
         for name, image in word_images(lam, x).items():
             assert np.abs(ch.apply(dense[name], x) - image).max() < 1e-12, name
     for name, c in dense.items():
-        rep = ch.choi_check(c)
+        rep = checked(c)
         assert rep.completely_positive and rep.trace_preserving, name
 
 
@@ -282,27 +282,85 @@ class TestApply:
         assert np.abs(out - out.conj().T).max() < 1e-13
 
 
+def choi_reference(c):
+    """CP and TP as a full spectrum decides them: Hermitian Choi matrix, smallest eigenvalue, identity pulled back."""
+    m, n = c.dim_in, c.dim_out
+    choi = c.matrix.reshape(n, n, m, m).transpose(3, 1, 2, 0).reshape(m * n, m * n)
+    min_eig = np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0]
+    tp = np.abs(ch.unvec(c.matrix.conj().T @ ch.vec(np.eye(n)), m) - np.eye(m)).max()
+    herm = np.abs(choi - choi.conj().T).max() <= ch.TAU_CHOI
+    return herm and min_eig >= -ch.TAU_CHOI, tp <= ch.TAU_CHOI, min_eig
+
+
+def checked(c):
+    """choi_check of c, asserted to decide CP and TP as the full spectrum does."""
+    rep = ch.choi_check(c)
+    cp, tp, min_eig = choi_reference(c)
+    assert (rep.completely_positive, rep.trace_preserving) == (cp, tp)
+    assert (rep.choi_min_eigenvalue is None) == rep.completely_positive
+    if rep.choi_min_eigenvalue is not None:
+        assert abs(rep.choi_min_eigenvalue - min_eig) < 1e-14
+    return rep
+
+
+def map_with_choi(choi, d):
+    """The one-site map on d x d operators whose Choi matrix is choi."""
+    return ch.Channel(d, 1, 1, choi.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d))
+
+
+def hermitian_with_min(rng, dim, lowest):
+    """A seeded Hermitian matrix with smallest eigenvalue ``lowest`` and the rest in [0.1, 1]."""
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    h = (u * np.concatenate([[lowest], rng.uniform(0.1, 1.0, dim - 1)])) @ u.conj().T
+    return (h + h.conj().T) / 2
+
+
 class TestChoi:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_tree_channels_are_cptp(self, d, seed):
         lam = tc.random_isometry(d, seed)
         for name, c in all_channels(lam).items():
-            rep = ch.choi_check(c)
+            rep = checked(c)
             assert rep.completely_positive, (d, seed, name)
             assert rep.trace_preserving, (d, seed, name)
+            assert rep.choi_min_eigenvalue is None, (d, seed, name)
 
-    def test_transpose_map_is_not_cp(self):
-        k = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                k[j * 2 + i, i * 2 + j] = 1.0
-        rep = ch.choi_check(ch.Channel(2, 1, 1, k, name="transpose"))
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("lowest, cp", [(-10 * ch.TAU_CHOI, False), (-0.1 * ch.TAU_CHOI, True), (0.0, True)])
+    def test_smallest_choi_eigenvalue_decides(self, d, seed, lowest, cp):
+        rng = np.random.default_rng([d, seed])
+        rep = checked(map_with_choi(hermitian_with_min(rng, d * d, lowest), d))
+        assert rep.hermiticity_preserving
+        assert rep.completely_positive == cp
+        if not cp:
+            assert abs(rep.choi_min_eigenvalue - lowest) < 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_transpose_map_is_not_cp(self, d):
+        k = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                k[j * d + i, i * d + j] = 1.0
+        rep = checked(ch.Channel(d, 1, 1, k, name="transpose"))
         assert not rep.completely_positive
         assert rep.trace_preserving
+        assert abs(rep.choi_min_eigenvalue + 1) < 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_map_that_is_not_hermiticity_preserving_is_not_cp(self, d, seed):
+        """Its Choi matrix has a positive definite Hermitian part, so only the Hermiticity check refuses it."""
+        rng = np.random.default_rng([d, seed, 1])
+        choi = hermitian_with_min(rng, d * d, 0.1) + 1e-3j * rand_herm(rng, d * d)
+        rep = checked(map_with_choi(choi, d))
+        assert not rep.hermiticity_preserving
+        assert not rep.completely_positive
+        assert rep.choi_min_eigenvalue > 0
 
     def test_half_identity_is_not_tp(self):
-        rep = ch.choi_check(ch.Channel(2, 1, 1, np.eye(4) / 2))
+        rep = checked(ch.Channel(2, 1, 1, np.eye(4) / 2))
         assert not rep.trace_preserving
 
 

@@ -216,6 +216,13 @@ def test_missing_kernel_exits_two(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("nu", ["1", "5", "x", "2.5"])
+def test_bad_window_exits_two(capsys, nu):
+    code, err = run_err(["parent", "--isometry", "paper", "--nu", nu], capsys)
+    assert code == 2
+    assert err.startswith("error: interaction window must be 2, 3, 4 or 'auto'")
+
+
 def test_validate_rejects_top_of_other_dimension(tmp_path, capsys):
     path = str(tmp_path / "r3.json")
     tc.save_isometry(tc.random_isometry(3, 1), path)

@@ -65,12 +65,15 @@ class TestReducedAvg:
         iterated = ch.apply(dc.average, ch.apply(dc.average, base))
         assert np.abs(brute - iterated).max() < 1e-12
 
-    def test_cyclic_marginal_identity(self, bundled_lam):
-        psi = fs.build_state(bundled_lam, rand_top(2, 8), 3)
-        pair = fs.reduced_avg(psi, 2)
-        single = fs.reduced_avg(psi, 1).matrix
-        for keep in ([1], [2]):
-            assert np.abs(tc.partial_trace(pair, keep).matrix - single).max() < 1e-12
+    @pytest.mark.parametrize("d, n, nu", [(2, 3, 2), (2, 2, 3), (2, 4, 4), (3, 2, 3), (3, 3, 4)])
+    def test_cyclic_marginal_identity(self, bundled_lam, d, n, nu):
+        """Tracing either end site out of the averaged nu-site window gives the (nu-1)-site average."""
+        lam = bundled_lam if d == 2 else tc.random_isometry(d, 8)
+        psi = fs.build_state(lam, rand_top(d, 8), n)
+        wide = fs.reduced_avg(psi, nu)
+        narrow = fs.reduced_avg(psi, nu - 1).matrix
+        for keep in (range(1, nu), range(2, nu + 1)):
+            assert np.abs(tc.partial_trace(wide, keep).matrix - narrow).max() < 1e-12
 
     def test_window_out_of_range(self, bundled_lam, diag_top):
         psi = fs.build_state(bundled_lam, diag_top, 2)

@@ -1,0 +1,29 @@
+"""The library runs on numpy alone: importing scipy would load a second BLAS into every process."""
+
+import textwrap
+
+from conftest import run_capped
+
+SCRIPT = textwrap.dedent(
+    """
+    import sys
+    import numpy as np
+    from hbts import channels, finite_state, parent_ham, thermo
+    from hbts import tensor_core as tc
+
+    lam = tc.paper_isometry()
+    assert channels.choi_check(channels.extension_channel(lam, 4)).completely_positive
+    transpose = np.eye(4)[[0, 2, 1, 3]]
+    assert channels.choi_check(channels.Channel(2, 1, 1, transpose)).choi_min_eigenvalue < 0
+    finite_state.recursion_check(lam, tc.TopTensor(2, np.eye(2) / np.sqrt(2)), 3)
+    thermo.reduced_infinity(lam, 4)
+    parent_ham.diagonalize(parent_ham.assemble(parent_ham.build_interaction(lam), 6))
+    print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """
+)
+
+
+def test_library_does_not_import_scipy():
+    out = run_capped(["-c", SCRIPT], 2 << 30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
