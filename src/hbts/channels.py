@@ -22,14 +22,18 @@ matrix.  States, alone or stacked, go through a word one site at a time
 (``_local``), one matrix product per site.  A channel from nu_in to nu_out
 sites (local dimension d) is the dense ``d**(2*nu_out) x d**(2*nu_in)``
 matrix of :class:`Channel`: the images of all matrix units under that same
-map (``_superop``), built only where a spectrum, a solve or a caller needs
-it.  The descend and pair-descend channels are kept on the isometry.
+map (``_superop``), built only where a caller asks for it.  Two-site solves
+and spectra work instead in the Hermitian frame E_i (``_hermitian_frame``):
+X has coordinates ``C[i, j] = Tr[(E_i (x) E_j) X]`` (``_to_frame``), and the
+descents are the real ``d^2 x d^2`` matrices ``Lr``, ``Rr`` kept on the
+isometry (``_frame_descents``), so ``LR`` acts as ``C -> Lr C Rr^T``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -147,6 +151,53 @@ def _extend(lam: Isometry, rho2: np.ndarray, rho3: np.ndarray | None = None) -> 
         out += _local(lam, rho3, "RgL")
     out /= 2.0
     return out
+
+
+@cache
+def _hermitian_frame(d: int) -> np.ndarray:
+    """Unitary d^2 x d^2 matrix of vectorized orthonormal Hermitian operators E_i, E_0 = -1/sqrt(d); read-only.
+
+    A Householder reflection gives real orthonormal operators X; the map
+    X -> ((1 + i) X + (1 - i) X^T)/2 keeps them orthonormal and makes them
+    Hermitian, so Hermiticity-preserving maps are real in this basis.
+    """
+    w = vec(np.eye(d)) / np.sqrt(d)
+    w[0] += 1.0
+    real = np.eye(d * d) - np.outer(w, w) / w[0]
+    transposed = real.reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
+    frame = ((1 + 1j) * real + (1 - 1j) * transposed) / 2.0
+    frame.setflags(write=False)
+    return frame
+
+
+def _frame_descents(lam: Isometry) -> tuple[np.ndarray, np.ndarray]:
+    """``(Lr, Rr)``, ``Lr[i, j] = Tr[E_i L(E_j)]``, kept on the isometry; row 0 is ``e_0``, as L keeps the trace."""
+    require_isometry(lam)
+
+    def build():
+        frame = _hermitian_frame(lam.d)
+        out = tuple((frame.conj().T @ _letter(lam, letter) @ frame).real.copy() for letter in "LR")
+        for m in out:
+            m.setflags(write=False)
+        return out
+
+    return lam._derive("frame-descents", build)
+
+
+def _to_frame(ops: np.ndarray) -> np.ndarray:
+    """Coordinates ``C[i, j] = Tr[(E_i (x) E_j) X]`` of a two-site operator X or a stack (real for Hermitian X)."""
+    n = ops.shape[-1]
+    d = math.isqrt(n)
+    y = ops.reshape(-1, d, d, d, d).transpose(0, 3, 1, 4, 2).reshape(-1, n, n)  # [(c1, r1), (c2, r2)]
+    return (_hermitian_frame(d).conj().T @ y @ _hermitian_frame(d).conj()).reshape(ops.shape)
+
+
+def _from_frame(coords: np.ndarray) -> np.ndarray:
+    """The two-site operator ``sum C[i, j] E_i (x) E_j`` of coordinates C, or a stack of them: inverse of _to_frame."""
+    n = coords.shape[-1]
+    d = math.isqrt(n)
+    y = _hermitian_frame(d) @ coords.reshape(-1, n, n) @ _hermitian_frame(d).T
+    return y.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(coords.shape)
 
 
 def _superop(apply, din: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import channels, correlators, finite_state, mera_bounds, parent_ham, thermo
+from . import correlators, finite_state, mera_bounds, parent_ham, thermo
 from . import tensor_core as tc
 from . import reporting
 from .errors import (
@@ -143,9 +143,8 @@ def cmd_correlate(args) -> int:
     theta_prime = _load_observable(args.theta_prime, lam.d)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below with one error line
         block = np.kron(theta.matrix, theta_prime.matrix)
-        series = list(correlators.pair_descend_series(
-            channels.pair_descend_channel(lam), correlators.pair_difference_infinity(lam), block, range(args.m_max + 1)
-        ))
+        diff = correlators.pair_difference_infinity(lam)
+        series = list(correlators.pair_descend_series(lam, diff, block, range(args.m_max + 1)))
     if not (np.isfinite(block).all() and np.isfinite([value for _, value in series]).all()):
         raise ValueError("the observables overflow: theta (x) theta' or its correlator series is not finite")
     rows = [(delta, float(value.real), float(value.imag)) for delta, value in series]

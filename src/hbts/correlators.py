@@ -86,28 +86,27 @@ def pair_difference_infinity(lam: Isometry) -> np.ndarray:
 
 
 def pair_descend_series(
-    pair: ch.Channel, diff: np.ndarray, block: np.ndarray, m_values: Iterable[int]
+    lam: Isometry, diff: np.ndarray, block: np.ndarray, m_values: Iterable[int]
 ) -> Iterator[tuple[int, complex]]:
-    """Yield ``(2**m, Tr[block P^m(diff)])`` for ascending ``m``, P the pair-descend channel.
+    """Yield ``(2**m, Tr[block P^m(diff)])`` for ascending ``m``, P the pair-descend map of ``lam``.
 
-    P is applied once per step of m, so a whole series costs one
-    superoperator-vector product per distance doubling.
+    ``diff`` is Hermitian.  P acts on its frame coordinates as C -> (Lr C Lr^T + Rr C Rr^T)/2, once
+    per step of m, and the trace is the sum of C times the frame coordinates of ``block``.
     """
-    current = diff
+    lr, rr = ch._frame_descents(lam)
+    current, weights = ch._to_frame(np.stack([diff, block]))
+    current = current.real
     last_m = 0
     for m in m_values:
         for _ in range(m - last_m):
-            current = ch.unvec(pair.matrix @ ch.vec(current), pair.dim_out)
+            current = (lr @ current @ lr.T + rr @ current @ rr.T) / 2.0
         last_m = m
-        yield 2 ** m, complex(np.trace(block @ current))
+        yield 2 ** m, complex(np.sum(current * weights))
 
 
 def correlator_thermo(lam: Isometry, query: CorrelatorQuery) -> complex:
     """Connected correlator at distance 2**query.m in the infinite-depth limit."""
-    series = pair_descend_series(
-        ch.pair_descend_channel(lam), pair_difference_infinity(lam), query.block(), [query.m]
-    )
-    return next(series)[1]
+    return next(pair_descend_series(lam, pair_difference_infinity(lam), query.block(), [query.m]))[1]
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -205,26 +204,12 @@ def _cluster_terms(matrix: np.ndarray, x: np.ndarray, u: np.ndarray, m_values: S
     return out
 
 
-def _hermitian_frame(d: int) -> np.ndarray:
-    """Unitary d^2 x d^2 matrix of vectorized orthonormal Hermitian operators E_i, E_0 = -1/sqrt(d).
-
-    A Householder reflection gives real orthonormal operators X; the map
-    X -> ((1 + i) X + (1 - i) X^T)/2 keeps them orthonormal and makes them
-    Hermitian, so Hermiticity-preserving maps are real in this basis.
-    """
-    w = ch.vec(np.eye(d)) / np.sqrt(d)
-    w[0] += 1.0
-    real = np.eye(d * d) - np.outer(w, w) / w[0]
-    transposed = real.reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
-    return ((1 + 1j) * real + (1 - 1j) * transposed) / 2.0
-
-
 @cache
 def _sector_basis(d: int) -> tuple:
     """Swap-(anti)symmetrized products of E_i (x) E_j (product index i d^2 + j), as 1, S+, S-, K_sym, K_anti.
 
-    Returns (frame, (p1, p2, w1, w2), sectors), built once per d and read-only: the E_i are the
-    columns of :func:`_hermitian_frame` and column q is ``w1[q] e[p1[q]] + w2[q] e[p2[q]]``.
+    Returns ((p1, p2, w1, w2), sectors), built once per d and read-only: the E_i are the frame of
+    :func:`channels._hermitian_frame` and column q is ``w1[q] e[p1[q]] + w2[q] e[p2[q]]``.
     1, S+ and S- span the O (x) 1 and 1 (x) O; K, the doubly traceless rest, splits by the swap.
     Each sector comes with the slices of its copies and of the invariant part below it.
     """
@@ -240,27 +225,24 @@ def _sector_basis(d: int) -> tuple:
     s, k = 2 * n - 1, n * (n + 1) // 2 + n - 1
     sectors = (((slice(0, 1),), slice(0, 0)), ((slice(1, n), slice(n, s)), slice(0, 1)),
                ((slice(s, k),), slice(0, s)), ((slice(k, n * n),), slice(0, s)))
-    frame = _hermitian_frame(d)
-    for a in (frame, p1, p2, w1, w2):
+    for a in (p1, p2, w1, w2):
         a.setflags(write=False)
-    return frame, (p1, p2, w1, w2), sectors
+    return (p1, p2, w1, w2), sectors
 
 
 def _sector_matrix(lam: Isometry) -> np.ndarray:
     """The pair-descend adjoint A in the basis of :func:`_sector_basis`: real and block upper-triangular."""
-    frame, (p1, p2, w1, w2), _ = _sector_basis(lam.d)
-    dc = ch.descend_channels(lam)
-    left, right = ((frame.conj().T @ c.matrix.conj().T @ frame).real for c in (dc.left, dc.right))
-    adj = (np.kron(left, left) + np.kron(right, right)) / 2.0
+    (p1, p2, w1, w2), _ = _sector_basis(lam.d)
+    lr, rr = ch._frame_descents(lam)
+    adj = (np.kron(lr.T, lr.T) + np.kron(rr.T, rr.T)) / 2.0
     cols = adj[:, p1] * w1 + adj[:, p2] * w2
     return w1[:, None] * cols[p1] + w2[:, None] * cols[p2]
 
 
 def _sector_coordinates(ops: np.ndarray, d: int) -> np.ndarray:
     """Coordinates Tr[G_q X] of stacked two-site operators X; the inverse of the lift in _sector_structure."""
-    frame, (p1, p2, w1, w2), _ = _sector_basis(d)
-    y = ops.reshape(-1, d, d, d, d).transpose(0, 3, 1, 4, 2).reshape(-1, d * d, d * d)
-    product = (frame.conj().T @ y @ frame.conj()).reshape(len(y), -1)
+    (p1, p2, w1, w2), _ = _sector_basis(d)
+    product = ch._to_frame(ops).reshape(len(ops), -1)
     return product[:, p1] * w1 + product[:, p2] * w2
 
 
@@ -275,7 +257,7 @@ def _sector_structure(lam: Isometry) -> list[tuple[complex, int, int, list[np.nd
     """
     d = lam.d
     b = _sector_matrix(lam)
-    frame, (p1, p2, w1, w2), sectors = _sector_basis(d)
+    (p1, p2, w1, w2), sectors = _sector_basis(d)
 
     items = [(kappa, alg * len(copies), geo * len(copies), null, copies, low)
              for copies, low in sectors for kappa, alg, geo, null in _spectral_structure(b[copies[0], copies[0]])]
@@ -299,8 +281,7 @@ def _sector_structure(lam: Isometry) -> list[tuple[complex, int, int, list[np.nd
     product = np.zeros(coords.shape, dtype=complex)
     np.add.at(product, p1, w1[:, None] * coords)
     np.add.at(product, p2, w2[:, None] * coords)
-    ops = frame @ product.T.reshape(-1, d * d, d * d) @ frame.T  # [q, (c1, r1), (c2, r2)]
-    ops = list(ops.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(-1, d * d, d * d))
+    ops = list(ch._from_frame(product.T.reshape(-1, d * d, d * d)))
     bounds = np.cumsum([0] + [len(item[3]) for item in out])
     return _canonical([item[:3] + (ops[a:z],) for item, a, z in zip(out, bounds, bounds[1:])])
 
@@ -339,12 +320,11 @@ def powerlaw_check(
     if not m_values or m_values[0] < 0:
         raise ValueError("m_range must contain nonnegative integers")
     block = query.block() if isinstance(query, CorrelatorQuery) else np.asarray(query, dtype=complex)
-    pair = ch.pair_descend_channel(lam)
-    if block.shape != (pair.dim_out,) * 2:
-        raise ValueError("observable block must be %d x %d" % ((pair.dim_out,) * 2))
+    if block.shape != (lam.d ** 2,) * 2:
+        raise ValueError("observable block must be %d x %d" % ((lam.d ** 2,) * 2))
 
     diff = pair_difference_infinity(lam)
-    series = list(pair_descend_series(pair, diff, block, sorted({0, *m_values})))
+    series = list(pair_descend_series(lam, diff, block, sorted({0, *m_values})))
     g = series[0][1]
     points = series if m_values[0] == 0 else series[1:]
     values = np.array([v for _, v in points])
@@ -362,7 +342,7 @@ def powerlaw_check(
     bu = b @ u  # the adjoint applied to B
     kappa_est = complex(np.vdot(u, bu) / np.vdot(u, u))
     member = float(np.linalg.norm(bu - kappa_est * u)) <= EIGENOPERATOR_TOL * float(np.linalg.norm(u))
-    items = [item for (where,), _ in _sector_basis(lam.d)[2][2:]
+    items = [item for (where,), _ in _sector_basis(lam.d)[1][2:]
              for item in _cluster_terms(b[where, where].T, x[where], u[where], m_values)]
     clusters = []
     for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):

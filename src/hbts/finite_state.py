@@ -74,18 +74,16 @@ def build_state(lam: Isometry, c: TopTensor, n: int, max_amplitudes: int = DEFAU
     return PureState(LatticeSpec(d=d, N=sites, n=n), amp)
 
 
-def _site_tensor(psi: PureState) -> np.ndarray:
-    return psi.amplitudes.reshape((psi.spec.d,) * psi.spec.N)
-
-
-def _reduced(psi: PureState, sites0: list[int]) -> np.ndarray:
-    """Reduced density matrix of the given 0-based sites, in the given order."""
-    N = psi.spec.N
-    t = _site_tensor(psi)
-    rest = [s for s in range(N) if s not in sites0]
-    t = t.transpose(sites0 + rest)
-    k = len(sites0)
-    a = t.reshape(psi.spec.d ** k, -1)
+def _reduced(psi: PureState, start: int, nu: int = 1, step: int = 1) -> np.ndarray:
+    """Reduced density matrix of the nu consecutive sites from 0-based ``start`` (cyclic), or of the pair
+    ``start``, ``start + step``.  One 2-D transpose rotates the ring to put ``start`` first; a pair then
+    moves its gap behind it.
+    """
+    d = psi.spec.d
+    a = psi.amplitudes.reshape(d ** start, -1).T
+    if step > 1:
+        a = a.reshape(d, d ** (step - 1), d, -1).transpose(0, 2, 1, 3)
+    a = a.reshape(d ** nu, -1)
     return a @ a.conj().T
 
 
@@ -96,14 +94,14 @@ def reduced_avg(psi: PureState, nu: int) -> DensityOp:
         raise ValueError("window size %d out of range 1..%d" % (nu, N))
     acc = np.zeros((psi.spec.d ** nu,) * 2, dtype=complex)
     for alpha in range(N):
-        acc += _reduced(psi, [(alpha + j) % N for j in range(nu)])
+        acc += _reduced(psi, alpha, nu)
     acc /= N
     return DensityOp(psi.spec.d, nu, acc, label="finite n=%d averaged" % (psi.spec.n or 0))
 
 
 def site_marginals(psi: PureState) -> list[np.ndarray]:
     """One-site reduced density matrix of every site, in site order."""
-    return [_reduced(psi, [alpha]) for alpha in range(psi.spec.N)]
+    return [_reduced(psi, alpha) for alpha in range(psi.spec.N)]
 
 
 def classical_pair_avg(psi: PureState) -> DensityOp:
@@ -146,7 +144,7 @@ def level_states(lam: Isometry, c: TopTensor, n: int) -> LevelStates:
 
     The pair state follows the two-site recursion; the classical-pair state
     rides along via the same-site product average, which the pair-descend
-    channel propagates level to level.
+    words ``(LL + RR)/2`` carry level to level.
     """
     require_isometry(lam)
     require_top(c)
@@ -164,12 +162,11 @@ def level_states(lam: Isometry, c: TopTensor, n: int) -> LevelStates:
     omega = (np.kron(m1, m1) + np.kron(m2, m2)) / 2.0
 
     dc = ch.descend_channels(lam)
-    pair = ch.pair_descend_channel(lam)
     for _ in range(n - 1):
         rho1_next = ch.apply(dc.average, rho1)
         rho2_next = (ch._local(lam, rho2, "RL") + ch._local(lam, rho1, "g")) / 2.0
         eta_next = (ch._local(lam, eta, "RL") + ch._local(lam, omega, "LR")) / 2.0
-        omega_next = ch.apply(pair, omega)
+        omega_next = (ch._local(lam, omega, "LL") + ch._local(lam, omega, "RR")) / 2.0
         rho1, rho2, eta, omega = rho1_next, rho2_next, eta_next, omega_next
 
     label = "level n=%d" % n
@@ -254,7 +251,7 @@ def correlator_finite(psi: PureState, theta: Observable, theta_prime: Observable
     joint_obs = np.kron(theta.matrix, theta_prime.matrix)
     total = 0.0 + 0.0j
     for beta in range(N):
-        pair = _reduced(psi, [beta, (beta + delta) % N])
+        pair = _reduced(psi, beta, 2, delta)
         total += complex(np.trace(joint_obs @ pair)) - singles_a[beta] * singles_b[(beta + delta) % N]
     return total / N
 
@@ -277,4 +274,4 @@ def correlator_level(
     lv = level_states(lam, c, n - m)
     diff = lv.pair.matrix - lv.classical_pair.matrix
     block = np.kron(theta.matrix, theta_prime.matrix)
-    return next(co.pair_descend_series(ch.pair_descend_channel(lam), diff, block, [m]))[1]
+    return next(co.pair_descend_series(lam, diff, block, [m]))[1]

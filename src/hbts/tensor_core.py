@@ -85,6 +85,8 @@ class Isometry:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.d < 2:
+            raise ShapeError("isometry local dimension must be >= 2, got d=%d" % self.d)
         object.__setattr__(self, "v", _frozen_complex(self.v, (self.d * self.d, self.d), "isometry"))
 
     def _derive(self, key: str, build):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFixedPointError, ValidationError
+from .reporting import format_float
 from .tensor_core import DensityOp, Isometry, numerical_rank, partial_trace
 from . import channels as ch
 
@@ -79,41 +80,47 @@ def single_site_infinity(lam: Isometry) -> FixedPointResult:
     return lam._derive("single-site", lambda: fixed_point(dc.average))
 
 
-def _resolvent_solve(lam: Isometry, rhs_matrix: np.ndarray, label: str) -> DensityOp:
-    """Solve (Id - M/2) x = vec(rhs)/2 with M = right (x) left descend, the word RL."""
-    m = ch._superop(lambda x: ch._local(lam, x, "RL"), lam.d ** 2)
-    dim = lam.d ** 2
-    a = np.eye(dim * dim, dtype=complex) - m / 2.0
-    x = np.linalg.solve(a, ch.vec(rhs_matrix) / 2.0)
-    mat = ch.unvec(x, dim)
+def _pair_solve(lam: Isometry, source: np.ndarray, label: str) -> DensityOp:
+    """Solve (Id - RL/2) x = source/2 in the Hermitian frame: (I - kron(Rr, Lr)/2) vec C = vec S/2."""
+    lr, rr = ch._frame_descents(lam)
+    n = lam.d ** 2
+    c = np.linalg.solve(np.eye(n * n) - np.kron(rr, lr) / 2.0, ch._to_frame(source).real.reshape(-1) / 2.0)
+    mat = ch._from_frame(c.reshape(n, n))
     return DensityOp(lam.d, 2, mat / np.trace(mat).real, label=label)
 
 
 def two_site_infinity(lam: Isometry) -> DensityOp:
     """Infinite-depth averaged nearest-neighbor state, solved in closed form.
 
-    Sums the geometric series of the pair recursion by a single linear
+    Sums the geometric series of the pair recursion by a single real linear
     solve; the series converges because descend maps are non-expansive.
     """
     rho1 = _require_mixing(single_site_infinity(lam), "averaged descend channel").state
-    return lam._derive(
-        "two-site",
-        lambda: _resolvent_solve(lam, ch._local(lam, rho1.matrix, "g"), label="thermodynamic nu=2"),
-    )
+    return lam._derive("two-site", lambda: _pair_solve(lam, ch._local(lam, rho1.matrix, "g"), "thermodynamic nu=2"))
 
 
 def classical_pair_infinity(lam: Isometry) -> DensityOp:
-    """Infinite-depth averaged product-of-neighboring-marginals state.
+    """Infinite-depth averaged product-of-neighboring-marginals state, from the source LR(sigma).
 
-    Quantum correlations are stripped, classical ones kept; the source term
-    is the stationary state of the pair-descend channel pushed through
-    left (x) right.
+    sigma = rho1 (x) rho1 + k is stationary under pair descend P; on the doubly traceless k, P is
+    P_K = (kron(Lk, Lk) + kron(Rk, Rk))/2 (Lk = Lr[1:, 1:]), so (I - P_K) k = P(rho1 (x) rho1) - rho1 (x) rho1.
     """
-    pair = ch.pair_descend_channel(lam)
+    rho1 = _require_mixing(single_site_infinity(lam), "averaged descend channel").state.matrix
 
     def build():
-        sigma = _require_mixing(fixed_point(pair), "pair-descend channel").state
-        return _resolvent_solve(lam, ch._local(lam, sigma.matrix, "LR"), label="thermodynamic classical pair")
+        lk, rk = (m[1:, 1:] for m in ch._frame_descents(lam))
+        p_k = (np.kron(lk, lk) + np.kron(rk, rk)) / 2.0
+        evals = np.linalg.eigvals(p_k)
+        radius = float(np.abs(evals).max())
+        if radius >= 1.0 - TAU_SPEC:
+            multiplicity = 1 + int(np.count_nonzero(np.abs(evals - 1.0) <= TAU_SPEC))
+            raise DegenerateFixedPointError("pair-descend channel is not mixing: unit-eigenvalue multiplicity "
+                                            "%d, radius %s on K" % (multiplicity, format_float(radius)), multiplicity)
+        product = np.kron(rho1, rho1)
+        drift = (ch._local(lam, product, "LL") + ch._local(lam, product, "RR")) / 2.0 - product
+        k = np.linalg.solve(np.eye(len(p_k)) - p_k, ch._to_frame(drift).real[1:, 1:].reshape(-1))
+        sigma = product + ch._from_frame(np.pad(k.reshape(lk.shape), (1, 0)))  # no 1 (x) O or O (x) 1 part
+        return _pair_solve(lam, ch._local(lam, sigma, "LR"), "thermodynamic classical pair")
 
     return lam._derive("classical-pair", build)
 

@@ -63,6 +63,15 @@ def rand_top(d, seed):
     return tc.TopTensor(d, c / np.linalg.norm(c))
 
 
+def flip_isometry():
+    """|u> -> |u, 1-u> at d = 2: descend is mixing, but pair descend fixes Z (x) Z, so its unit
+    eigenvalue is double."""
+    v = np.zeros((4, 2), dtype=complex)
+    v[0b01, 0] = 1.0
+    v[0b10, 1] = 1.0
+    return tc.Isometry(2, v)
+
+
 def write_entries(path, d, entries):
     """Write an entry file (isometry, top tensor or observable) from raw JSON lists."""
     with open(path, "w") as fh:

@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbts import channels as ch
+from hbts import correlators as co
+from hbts import finite_state as fs
+from hbts import parent_ham as ph
 from hbts import tensor_core as tc
+from hbts import thermo
+from hbts.cli import main
 from hbts.errors import ShapeError, ValidationError
 
-from conftest import dense_extension, rand_density, rand_herm, tensor
+from conftest import dense_extension, rand_density, rand_herm, rand_top, tensor
 
 
 def proj(dim, index):
@@ -394,3 +399,26 @@ class TestAlgebra:
         lhs = tensor(dc.average, dc.left).matrix
         rhs = (tensor(dc.left, dc.left).matrix + tensor(dc.right, dc.left).matrix) / 2
         assert np.abs(lhs - rhs).max() < 1e-14
+
+
+def test_only_channels_forms_dense_two_site_superoperators(monkeypatch, tmp_path, capsys, sigma_z):
+    # every state, correlator, spectrum and interaction works in the frame or with site words
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense superoperator was formed")
+
+    monkeypatch.setattr(ch, "_superop", refuse)
+    monkeypatch.setattr(ch, "pair_descend_channel", refuse)
+    lam, top = tc.random_isometry(2, 5), rand_top(2, 5)
+    for nu in (1, 2, 3, 4):
+        thermo.thermo_report(lam, nu)
+    thermo.classical_pair_infinity(lam)
+    co.correlator_thermo(lam, co.CorrelatorQuery(sigma_z, sigma_z, 2))
+    co.powerlaw_check(lam, co.CorrelatorQuery(sigma_z, sigma_z))
+    co.exponent_spectrum(lam)
+    fs.level_states(lam, top, 5)
+    fs.correlator_level(lam, top, 5, sigma_z, sigma_z, 2)
+    ph.build_interaction(lam)
+    path = str(tmp_path / "iso.json")
+    tc.save_isometry(tc.random_isometry(2, 6), path)
+    assert main(["correlate", "--isometry", path, "--theta", "z", "--theta-prime", "z"]) == 0
+    assert capsys.readouterr().err == ""

@@ -12,7 +12,7 @@ from hbts import parent_ham as ph
 from hbts import tensor_core as tc
 from hbts.cli import main, paper_lambda_path
 
-from conftest import run_capped, write_entries
+from conftest import flip_isometry, run_capped, write_entries
 
 
 def run(argv, capsys):
@@ -273,6 +273,22 @@ def test_observable_of_other_dimension_exits_two(tmp_path, capsys, d):
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error:") and "d=%d" % d in err and "d=2" in err
+
+
+@pytest.mark.parametrize("command", ["thermo", "parent"])
+def test_one_dimensional_isometry_exits_two(tmp_path, capsys, command):
+    path = write_entries(tmp_path / "d1.json", 1, [[0, 0, 0, 1.0, 0.0]])
+    code, err = run_err([command, "--isometry", path], capsys)
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1 and "d=1" in err
+
+
+def test_correlate_without_a_mixing_pair_channel_exits_one(tmp_path, capsys):
+    path = str(tmp_path / "flip.json")
+    tc.save_isometry(flip_isometry(), path)
+    code, err = run_err(["correlate", "--isometry", path, "--theta", "z", "--theta-prime", "z"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_overflowing_observables_exit_two(tmp_path, capsys):

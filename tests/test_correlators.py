@@ -278,8 +278,8 @@ def _case_isometry(kind, arg):
 
 def _explicit_sector_basis(d):
     """Columns: the vectorized sector basis operators G_q, built from kron products of frame operators."""
-    frame = co._hermitian_frame(d)
-    _, (p1, p2, w1, w2), _ = co._sector_basis(d)
+    frame = ch._hermitian_frame(d)
+    (p1, p2, w1, w2), _ = co._sector_basis(d)
     ops = [ch.unvec(frame[:, i], d) for i in range(d * d)]
     product = np.stack([ch.vec(np.kron(a, b)) for a in ops for b in ops], axis=1)
     u = np.zeros((d ** 4, d ** 4))
@@ -310,7 +310,7 @@ class TestSectorResolvedSpectrum:
         # the sector basis rebuilt in the standard basis, column by column from products of
         # frame operators; 1 + S and each copy of S with 1 are invariant under the adjoint,
         # K_sym and K_anti under the map itself
-        _, _, sectors = co._sector_basis(d)
+        _, sectors = co._sector_basis(d)
         basis = _explicit_sector_basis(d)
         assert np.abs(basis.conj().T @ basis - np.eye(d ** 4)).max() <= 1e-13
         pair = ch.pair_descend_channel(tc.random_isometry(d, 1)).matrix
@@ -418,8 +418,13 @@ def test_decomposition_is_exact(kind, arg):
     block = rand_herm(np.random.default_rng(7), d * d)
     m_values = range(21)
     series = co.powerlaw_check(lam, block, m_values)
-    reference = np.array([v for _, v in co.pair_descend_series(
-        ch.pair_descend_channel(lam), co.pair_difference_infinity(lam), block, m_values)])
+    pair = ch.pair_descend_channel(lam).matrix
+    current = ch.vec(co.pair_difference_infinity(lam))
+    reference = []
+    for _ in m_values:
+        reference.append(np.trace(block @ ch.unvec(current, d * d)))
+        current = pair @ current
+    reference = np.array(reference)
     scale = np.abs(reference).max()
     if kind == "product":  # a product tree is uncorrelated: rho2 - eta is exactly zero
         assert scale == 0.0 and series.degenerate and series.decomposition is None

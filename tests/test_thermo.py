@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbts import channels as ch
 from hbts import correlators as co
@@ -12,7 +14,7 @@ from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import DegenerateFixedPointError, ValidationError
 
-from conftest import dense_extension, power_iteration_fixed_point, rand_top, run_capped, tensor
+from conftest import dense_extension, flip_isometry, power_iteration_fixed_point, rand_top, run_capped, tensor
 
 
 def copy_isometry():
@@ -288,6 +290,7 @@ class TestPerIsometryMemo:
             lambda: thermo.single_site_infinity(lam),
             lambda: thermo.reduced_infinity(lam, 4),
             lambda: co.pair_difference_infinity(lam),
+            lambda: co.exponent_spectrum(lam),
         ]
         for call in calls:
             with pytest.raises(ValidationError):
@@ -313,6 +316,37 @@ class TestTopIndependence:
             gaps.append(float(np.abs(a - b).max()))
             assert np.abs(a - rho_inf).max() <= 2 * 0.75 ** (n - 1)
         assert gaps[2] < gaps[1] < gaps[0]
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(d=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       top_seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=2, unique=True))
+def test_level_states_reach_the_thermodynamic_pair_states_from_any_top(d, seed, top_seeds):
+    # the finite-depth recursions iterate the site words; their error decays as r^n, r the largest
+    # non-unit |eigenvalue| of the dense pair-descend channel, so the depth is 60 or more if r needs it
+    lam = tc.random_isometry(d, seed)
+    r = np.sort(np.abs(np.linalg.eigvals(ch.pair_descend_channel(lam).matrix)))[-2]
+    depth = max(60, int(np.ceil(np.log(1e-14) / np.log(r))))
+    rho2 = thermo.two_site_infinity(lam).matrix
+    eta = thermo.classical_pair_infinity(lam).matrix
+    for top_seed in top_seeds:
+        level = fs.level_states(lam, rand_top(d, top_seed), depth)
+        assert np.abs(level.pair.matrix - rho2).max() <= 1e-10
+        assert np.abs(level.classical_pair.matrix - eta).max() <= 1e-10
+
+
+class TestNonMixingPair:
+    def test_descend_mixes_but_the_classical_pair_is_refused(self):
+        lam = flip_isometry()
+        assert thermo.single_site_infinity(lam).mixing
+        with pytest.raises(DegenerateFixedPointError) as err:
+            thermo.classical_pair_infinity(lam)
+        assert err.value.multiplicity == 2
+
+    def test_correlator_is_refused(self, sigma_z):
+        with pytest.raises(DegenerateFixedPointError) as err:
+            co.correlator_thermo(flip_isometry(), co.CorrelatorQuery(sigma_z, sigma_z, 1))
+        assert err.value.multiplicity == 2
 
 
 @pytest.mark.parametrize("d", [2, 3])
