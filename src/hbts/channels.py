@@ -40,8 +40,8 @@ import numpy as np
 from .errors import ShapeError
 from .tensor_core import DensityOp, Isometry, Observable, require_isometry
 
-# Bound on every residual in choi_check, and the diagonal shift of its Cholesky test: a map is
-# certified CP (choi_min_eigenvalue None) when every Choi eigenvalue is >= -TAU_CHOI.
+# Bound on every residual in choi_check, the pivoted Cholesky residual's norm included, and the diagonal
+# shift of its fallback Cholesky test: a map is certified CP when every Choi eigenvalue is >= -TAU_CHOI.
 TAU_CHOI = 1e-10
 
 
@@ -115,18 +115,19 @@ def _letter(lam: Isometry, letter: str) -> np.ndarray:
     return lam._derive("letter-" + letter, build)
 
 
-def _local(lam: Isometry, op: np.ndarray, word: str) -> np.ndarray:
-    """The operator ``op`` on ``len(word)`` sites pushed through the map ``word``, one site at a time.
+def _local(lam: Isometry, op: np.ndarray, word: str, adjoint: bool = False) -> np.ndarray:
+    """The operator ``op`` pushed through the map ``word``, one site at a time, or with ``adjoint`` through its dual.
 
     ``op`` is one ``D x D`` operator or a ``D x D x S`` stack of them, all mapped in the same pass.
-    Each site is one matrix product of its (column, row) index pair with the letter's matrix; the
-    descents go first, so growth acts on the smallest operator.
+    Each site is one matrix product of its (column, row) index pair with the letter's matrix, or
+    its conjugate transpose for the dual, where ``g`` takes two sites to one.  Maps that shrink a
+    site go first, so growth acts on the smallest operator.
     """
     x = np.asarray(op)
     n, stack = len(word), x.shape[2:]
-    dims = [lam.d] * n
-    for j in sorted(range(n), key=lambda j: word[j] == "g"):
-        m = _letter(lam, word[j])
+    dims = [lam.d ** 2 if adjoint and letter == "g" else lam.d for letter in word]
+    for j in sorted(range(n), key=lambda j: (word[j] == "g") != adjoint):
+        m = _letter(lam, word[j]).conj().T if adjoint else _letter(lam, word[j])
         i, o = dims[j], math.isqrt(m.shape[0])
         before, after = math.prod(dims[:j]), math.prod(dims[j + 1:])
         # axes (rows before, row j, rows after + columns before, column j, columns after + stack)
@@ -281,10 +282,11 @@ def apply(ch: Channel, op) -> np.ndarray:
 class ChoiReport:
     """Outcome of :func:`choi_check`.
 
-    ``choi_min_eigenvalue`` is None when the Choi matrix plus ``TAU_CHOI`` times
-    the identity has a Cholesky factor, which certifies every Choi eigenvalue
-    ``>= -TAU_CHOI``; otherwise it is the exact smallest eigenvalue of the
-    Hermitian part of the Choi matrix, from a full ``eigvalsh``.
+    ``choi_min_eigenvalue`` is None when the Hermitian part of the Choi matrix
+    is certified to have no eigenvalue below ``-TAU_CHOI``, by a pivoted
+    Cholesky factor with a small residual or by a Cholesky factor of it plus
+    ``TAU_CHOI`` times the identity; otherwise it is the exact smallest
+    eigenvalue of that Hermitian part, from a full ``eigvalsh``.
     """
 
     completely_positive: bool
@@ -298,31 +300,59 @@ class ChoiReport:
     tol: float
 
 
+def _low_rank_psd(h: np.ndarray) -> bool:
+    """True when a pivoted Cholesky factor L of the Hermitian ``h`` gives ``||L L^dag - h||_F <= TAU_CHOI``.
+
+    Greedy max-diagonal pivots (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012) stop once no
+    remaining diagonal exceeds ``TAU_CHOI / n``; whatever L is, no eigenvalue of h lies below
+    ``-||L L^dag - h||_F``.  False beyond ``n / 4`` pivots, where the full factorization costs little more.
+    """
+    n = len(h)
+    diag = h.diagonal().real.copy()
+    rows = np.empty((n // 4, n), dtype=complex)  # the rows of L^dag
+    for k in range(n // 4 + 1):
+        p = int(diag.argmax())
+        if diag[p] <= TAU_CHOI / n:
+            e = rows[:k].conj().T @ rows[:k]
+            e -= h
+            return bool(np.vdot(e, e).real <= TAU_CHOI ** 2)
+        if k < n // 4:
+            row = rows[k]
+            np.subtract(h[p], rows[:k, p].conj() @ rows[:k], out=row)
+            row /= math.sqrt(diag[p])
+            diag -= (row * row.conj()).real
+    return False
+
+
 def choi_check(ch: Channel) -> ChoiReport:
     """CP/TP diagnostics: Choi positivity and unitality of the adjoint.
 
-    The Choi operator on (input (x) output) is J = sum_ij |i><j| (x) ch(|i><j|).
-    The map is completely positive when J is Hermitian within ``TAU_CHOI`` and
-    the Cholesky factorization of its Hermitian part plus ``TAU_CHOI`` on the
-    diagonal succeeds; ``choi_min_eigenvalue`` is then None.  Only a map that
-    is not certified pays for the full spectrum that gives it.
+    The Choi operator on (input (x) output) is J = sum_ij |i><j| (x) ch(|i><j|).  Its entries, as
+    ``K[(c_out, c_in), (r_out, r_in)] = M[(c_out, r_out), (c_in, r_in)]`` of the superoperator M, are
+    conj(J) with its factors swapped, so K has J's Hermitian residual and Hermitian-part spectrum.  The
+    map is completely positive when J is Hermitian within ``TAU_CHOI`` and either :func:`_low_rank_psd`
+    certifies the Hermitian part H of K in ``O(n^2 r)`` or H plus ``TAU_CHOI`` on the diagonal has a
+    Cholesky factor; ``choi_min_eigenvalue`` is then None.  Only a map that is not certified pays for
+    the full spectrum that gives it.
     """
     m, n = ch.dim_in, ch.dim_out
     t = ch.matrix.reshape(n, n, m, m)  # (col_out, row_out, col_in, row_in)
-    choi = t.transpose(3, 1, 2, 0).reshape(m * n, m * n)  # the one copy of J, made Hermitian and shifted in place
-    skew = choi.conj().T
-    skew -= choi  # J^dag - J
-    herm_residual = float(np.abs(skew).max())
-    skew *= 0.5
-    choi += skew  # (J + J^dag) / 2
-    del skew  # freed before the factorization
-    choi[np.diag_indices_from(choi)] += TAU_CHOI
-    try:
-        np.linalg.cholesky(choi)
-        certified = herm_residual <= TAU_CHOI
-    except np.linalg.LinAlgError:
-        certified = False
-    min_eig = None if certified else float(np.linalg.eigvalsh(choi)[0]) - TAU_CHOI
+    k = t.transpose(0, 2, 1, 3)
+    h = np.conjugate(t.transpose(1, 3, 0, 2), order="C")  # the one copy, K^dag, made Hermitian in place
+    h -= k
+    herm_residual = float(np.abs(h).max())
+    h *= 0.5
+    h += k  # (K + K^dag) / 2
+    h = h.reshape(m * n, m * n)
+    certified = herm_residual <= TAU_CHOI and _low_rank_psd(h)
+    if not certified:
+        h[np.diag_indices_from(h)] += TAU_CHOI
+        try:
+            np.linalg.cholesky(h)
+            certified = herm_residual <= TAU_CHOI
+        except np.linalg.LinAlgError:
+            pass
+    min_eig = None if certified else float(np.linalg.eigvalsh(h)[0]) - TAU_CHOI
     # vec(1) is real, so M^dag vec(1) = conj(M^T vec(1)) without a conjugate copy of M
     back = unvec((ch.matrix.T @ vec(np.eye(n))).conj(), m)
     tp_residual = float(np.abs(back - np.eye(m)).max())

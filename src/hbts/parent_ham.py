@@ -314,9 +314,10 @@ def grown_subspace_check(
 
 
 def adjoint_nullity_check(lam: Isometry, hs: HamiltonianSpec) -> NullityReport:
-    """Descend a 3-site interaction back to 2 sites through the extension adjoint.
+    """Descend a 3-site interaction back to 2 sites through the adjoint of the extension ``(Rg + gL)/2``.
 
-    When the two-site infinite-depth state has full rank, the descended
+    The adjoint is applied one site at a time, as the words' duals.  When
+    the two-site infinite-depth state has full rank, the descended
     operator must vanish identically; a rank-deficient two-site state only
     flags the precondition instead of raising.
     """
@@ -324,7 +325,7 @@ def adjoint_nullity_check(lam: Isometry, hs: HamiltonianSpec) -> NullityReport:
         raise ValueError("the operator nullity argument applies to 3-site interactions")
     rho2 = thermo.two_site_infinity(lam)
     full = numerical_rank(rho2) == rho2.dim
-    descended = ch.apply(ch.adjoint(ch.extension_channel(lam, 3)), hs.h_term)
+    descended = (ch._local(lam, hs.h_term, "Rg", adjoint=True) + ch._local(lam, hs.h_term, "gL", adjoint=True)) / 2.0
     residual = float(np.abs(descended).max())
     trace_residual = float(abs(np.trace(rho2.matrix @ descended)))
     return NullityReport(precondition_met=full, residual=residual, trace_residual=trace_residual)

@@ -155,7 +155,10 @@ def marginal_deviation(op: DensityOp, reference: np.ndarray) -> float:
 
 
 def thermo_report(lam: Isometry, nu: int) -> dict:
-    """Plain-dict summary: rank, spectrum, consistency residual, mixing flag."""
+    """Plain-dict summary: rank, spectrum, consistency residual, mixing flag.
+
+    ``mixing`` is always true: ``reduced_infinity`` refuses a non-mixing descend channel at every nu.
+    """
     fp = single_site_infinity(lam)
     state = reduced_infinity(lam, nu)
     if nu == 1:

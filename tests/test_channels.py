@@ -179,6 +179,8 @@ class TestKrausForm:
             op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             assert np.abs(ch._local(lam, op, word) - ch.apply(dense, op)).max() < 1e-13, word
             assert np.abs(ch._superop(lambda x: ch._local(lam, x, word), dim) - dense.matrix).max() < 1e-13, word
+            out = rng.standard_normal((dense.dim_out,) * 2) + 1j * rng.standard_normal((dense.dim_out,) * 2)
+            assert np.abs(ch._local(lam, out, word, adjoint=True) - ch.apply(ch.adjoint(dense), out)).max() < 1e-13, word
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_words_map_a_stack_as_each_operator_alone(self, d):
@@ -313,6 +315,16 @@ def map_with_choi(choi, d):
     return ch.Channel(d, 1, 1, choi.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d))
 
 
+def low_rank_hermitian(rng, dim, spectrum, support=None):
+    """A seeded Hermitian dim x dim matrix with the given nonzero spectrum, zero outside the indices ``support``."""
+    support = list(range(dim)) if support is None else support
+    shape = (len(support), len(spectrum))
+    q = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    h = np.zeros((dim, dim), dtype=complex)
+    h[np.ix_(support, support)] = (q * spectrum) @ q.conj().T
+    return (h + h.conj().T) / 2
+
+
 def hermitian_with_min(rng, dim, lowest):
     """A seeded Hermitian matrix with smallest eigenvalue ``lowest`` and the rest in [0.1, 1]."""
     u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
@@ -341,6 +353,41 @@ class TestChoi:
         assert rep.completely_positive == cp
         if not cp:
             assert abs(rep.choi_min_eigenvalue - lowest) < 1e-14
+
+    @pytest.mark.parametrize("d", [8, 9])
+    @pytest.mark.parametrize("lowest, cp", [(-10 * ch.TAU_CHOI, False), (-0.1 * ch.TAU_CHOI, True)])
+    def test_low_rank_choi_matrix_with_one_negative_direction(self, d, lowest, cp):
+        rng = np.random.default_rng([d, 2])
+        spectrum = np.concatenate([rng.uniform(0.1, 1.0, 6), [lowest]])
+        rep = checked(map_with_choi(low_rank_hermitian(rng, d * d, spectrum), d))
+        assert rep.completely_positive == cp
+        if not cp:
+            assert abs(rep.choi_min_eigenvalue - lowest) < 1e-14
+
+    @pytest.mark.parametrize("d", [8, 9])
+    def test_indefinite_part_the_pivots_never_see_is_refused(self, d):
+        """Rows a and b of the low-rank part are zero, so no pivot and no diagonal entry sees the +-eps block."""
+        rng = np.random.default_rng([d, 3])
+        a, b, eps = 5, 17, 10 * ch.TAU_CHOI
+        choi = low_rank_hermitian(rng, d * d, rng.uniform(0.1, 1.0, 6), [i for i in range(d * d) if i not in (a, b)])
+        choi[a, b] = choi[b, a] = eps
+        rep = checked(map_with_choi(choi, d))
+        assert not rep.completely_positive
+        assert abs(rep.choi_min_eigenvalue + eps) < 1e-14
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_low_rank_tree_maps_need_no_full_factorization(self, seed, monkeypatch):
+        lam = tc.random_isometry(3, seed)
+        maps = [ch.pair_descend_channel(lam), ch.extension_channel(lam, 3), ch.extension_channel(lam, 4)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a full factorization of the Choi matrix was made")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for c in maps:
+            rep = ch.choi_check(c)
+            assert rep.completely_positive and rep.choi_min_eigenvalue is None, c.name
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_transpose_map_is_not_cp(self, d):
@@ -418,6 +465,8 @@ def test_only_channels_forms_dense_two_site_superoperators(monkeypatch, tmp_path
     fs.level_states(lam, top, 5)
     fs.correlator_level(lam, top, 5, sigma_z, sigma_z, 2)
     ph.build_interaction(lam)
+    lam3 = tc.random_isometry(3, 7)
+    ph.adjoint_nullity_check(lam3, ph.build_interaction(lam3))
     path = str(tmp_path / "iso.json")
     tc.save_isometry(tc.random_isometry(2, 6), path)
     assert main(["correlate", "--isometry", path, "--theta", "z", "--theta-prime", "z"]) == 0

@@ -158,6 +158,18 @@ def test_resource_error_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+def test_thermo_of_a_non_mixing_tree_exits_one(tmp_path, capsys, nu):
+    # v|0> = |11>, v|1> = |00>: the averaged descend channel has the peripheral eigenvalue -1
+    v = np.zeros((4, 2))
+    v[0b11, 0] = v[0b00, 1] = 1.0
+    path = str(tmp_path / "swap.json")
+    tc.save_isometry(tc.Isometry(2, v), path)
+    code, err = run_err(["thermo", "--isometry", path, "--nu", str(nu)], capsys)
+    assert code == 1
+    assert err.startswith("error: averaged descend channel is not mixing") and err.count("\n") == 1
+
+
 def test_out_of_memory_exits_two():
     # a 20-site ring has sector blocks of 52488 x 52488, tens of GiB each, beyond the child's 1.5 GiB
     argv = ["-m", "hbts", "diag", "--isometry", "paper", "--N", "20", "--max-dim", "2000000"]

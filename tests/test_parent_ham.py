@@ -101,8 +101,14 @@ class TestHamiltonianSpec:
                                   kernel_dim=base.kernel_dim, weights=base.weights)
         assert np.array_equal(skew.h_term, base.h_term)
         seen = []
-        apply = ch.apply
-        monkeypatch.setattr(ch, "apply", lambda c, op: seen.append(op) or apply(c, op))
+        local = ch._local
+
+        def spy(lam, op, word, adjoint=False):
+            if adjoint:
+                seen.append(op)
+            return local(lam, op, word, adjoint)
+
+        monkeypatch.setattr(ch, "_local", spy)
         assert ph.adjoint_nullity_check(lam, skew) == ph.adjoint_nullity_check(lam, base)
         assert seen[0] is skew.h_term
         for got, want in zip(ph.assemble(skew, 4).blocks, ph.assemble(base, 4).blocks):
@@ -380,6 +386,21 @@ class TestAdjointNullity:
             assert rep.precondition_met
             assert rep.residual <= 1e-10
             assert rep.trace_residual <= 1e-10
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_the_dense_extension_adjoint(self, d, seed):
+        lam = tc.random_isometry(d, seed)
+        kernel = ph.build_interaction(lam)
+        assert kernel.nu == 3
+        generic = ph.HamiltonianSpec(d, 3, rand_herm(np.random.default_rng(seed), d ** 3), 1, [1.0])
+        rho2 = thermo.two_site_infinity(lam).matrix
+        adj = ch.adjoint(ch.extension_channel(lam, 3))
+        for hs in (kernel, generic):
+            descended = ch.apply(adj, hs.h_term)
+            rep = ph.adjoint_nullity_check(lam, hs)
+            assert abs(rep.residual - np.abs(descended).max()) < 1e-13
+            assert abs(rep.trace_residual - abs(np.trace(rho2 @ descended))) < 1e-13
 
     def test_scaling_invariance(self):
         lam = tc.random_isometry(3, 7)
