@@ -23,6 +23,7 @@ CLUSTER_TOL = 1e-7
 EIGENOPERATOR_TOL = 1e-8
 SERIES_FLOOR = 1e-14
 CONTRIBUTION_TOL = 1e-12
+LIFT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,9 +111,17 @@ def correlator_thermo(lam: Isometry, query: CorrelatorQuery) -> complex:
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Greedy connected-component clustering of complex values at tolerance tol."""
-    order = sorted(range(len(values)), key=lambda i: (-abs(values[i]), values[i].real, values[i].imag))
+    """Greedy connected-component clustering of complex values at tolerance tol.
+
+    Values are taken by |value| descending (np.hypot, which rounds as abs() of one value does: np.abs of a
+    complex array can differ in the last bit), then Re and Im, each joining the earliest cluster with a member
+    within tol.  When no two values lie within tol, the generic spectrum, the sort alone gives the clusters.
+    """
+    order = np.lexsort((values.imag, values.real, -np.hypot(values.real, values.imag))).tolist()
     close = np.abs(values[:, None] - values[None, :]) <= tol
+    np.fill_diagonal(close, False)
+    if not close.any():
+        return [[i] for i in order]
     label = np.full(len(values), -1)
     clusters: list[list[int]] = []
     for i in order:
@@ -144,39 +153,42 @@ def _canonical(out: list) -> list:
     roundoff).  Moduli that agree to CLUSTER_TOL are ordered by Re kappa,
     then Im kappa, descending, so the order does not hang on the last bit.
     """
-    kappas = np.array([item[0] for item in out])
-    for i in np.flatnonzero(kappas.imag > CLUSTER_TOL):
-        j = int(np.argmin(np.abs(kappas - kappas[i].conjugate())))
-        if abs(kappas[j] - kappas[i].conjugate()) <= CLUSTER_TOL and out[j][1] == out[i][1]:
-            upper = complex(kappas[i] + kappas[j].conjugate()) / 2.0
-            out[i], out[j] = (upper,) + out[i][1:], (upper.conjugate(),) + out[j][1:]
-    for i in np.flatnonzero(np.abs(kappas.imag) <= CLUSTER_TOL):
-        partners = np.abs(kappas - kappas[i].conjugate()) <= CLUSTER_TOL
-        partners[i] = False
-        if not partners.any():
-            out[i] = (complex(kappas[i].real, 0.0),) + out[i][1:]
-    out.sort(key=lambda item: -abs(item[0]))
-    cuts = [k for k in range(1, len(out)) if abs(out[k - 1][0]) - abs(out[k][0]) > CLUSTER_TOL]
-    runs = [out[a:b] for a, b in zip([0] + cuts, cuts + [len(out)])]
-    return [item for run in runs for item in sorted(run, key=lambda r: (-r[0].real, -r[0].imag))]
+    kappas = np.array([item[0] for item in out], dtype=complex)
+    alg = np.array([item[1] for item in out])
+    near = np.abs(kappas[None, :] - kappas.conj()[:, None])  # row i: |kappa_j - conj kappa_i|, j != i
+    np.fill_diagonal(near, np.inf)
+    upper = np.flatnonzero(kappas.imag > CLUSTER_TOL)
+    lower = near[upper].argmin(axis=1)
+    upper, lower = (a[(near[upper, lower] <= CLUSTER_TOL) & (alg[lower] == alg[upper])] for a in (upper, lower))
+    snapped = kappas.copy()
+    snapped[upper] = (kappas[upper] + kappas[lower].conj()) / 2.0
+    snapped[lower] = snapped[upper].conj()
+    real = (np.abs(kappas.imag) <= CLUSTER_TOL) & (near > CLUSTER_TOL).all(axis=1)
+    snapped[real] = kappas[real].real
+    modulus = np.hypot(snapped.real, snapped.imag)
+    order = np.argsort(-modulus, kind="stable")
+    runs = np.cumsum(np.diff(modulus[order], prepend=modulus[order[:1]]) < -CLUSTER_TOL)
+    order = order[np.lexsort((-snapped[order].imag, -snapped[order].real, runs))]
+    values = snapped.tolist()
+    return [(values[k],) + out[k][1:] for k in order.tolist()]
 
 
 def _spectral_structure(matrix: np.ndarray) -> list[tuple[complex, int, int, list[np.ndarray]]]:
     """(kappa, algebraic, geometric, null vectors) per eigenvalue cluster, in the order of _canonical.
 
-    One eigendecomposition gives the clusters.  A simple eigenvalue has
-    geometric multiplicity 1 and its eigenvector as null vector; a cluster of
-    two or more goes to :func:`_resolve_cluster`.
+    One eigendecomposition gives the clusters (:func:`_cluster`).  A simple eigenvalue is its own kappa,
+    with geometric multiplicity 1 and its eigenvector as null vector; a cluster of two or more goes to
+    :func:`_resolve_cluster`.
     """
-    evals, evecs = np.linalg.eig(matrix)
-    out = []
-    for members in _cluster(evals, CLUSTER_TOL):
-        kappa = complex(np.mean(evals[members]))
-        if len(members) == 1:
-            out.append((kappa, 1, 1, [evecs[:, members[0]]]))
-        else:
-            out.append(_resolve_cluster(matrix, kappa, len(members)))
-    return _canonical(out)
+    return _eig_structure(matrix, *np.linalg.eig(matrix))
+
+
+def _eig_structure(matrix: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> list:
+    """:func:`_spectral_structure` of matrix from its eigendecomposition ``evals, evecs``."""
+    values, vectors = evals.astype(complex).tolist(), list(evecs.T)
+    return _canonical([(values[m[0]], 1, 1, [vectors[m[0]]]) if len(m) == 1 else
+                       _resolve_cluster(matrix, complex(np.mean(evals[m])), len(m))
+                       for m in _cluster(evals, CLUSTER_TOL)])
 
 
 def _cluster_terms(matrix: np.ndarray, x: np.ndarray, u: np.ndarray, m_values: Sequence[int]) -> list[tuple]:
@@ -240,50 +252,80 @@ def _sector_matrix(lam: Isometry) -> np.ndarray:
 
 
 def _sector_coordinates(ops: np.ndarray, d: int) -> np.ndarray:
-    """Coordinates Tr[G_q X] of stacked two-site operators X; the inverse of the lift in _sector_structure."""
+    """Coordinates Tr[G_q X] of stacked two-site operators X; the inverse of :func:`_sector_operators`."""
     (p1, p2, w1, w2), _ = _sector_basis(d)
     product = ch._to_frame(ops).reshape(len(ops), -1)
     return product[:, p1] * w1 + product[:, p2] * w2
 
 
+def _sector_operators(coords: np.ndarray, d: int) -> np.ndarray:
+    """Stacked two-site operators sum_q c_q G_q of the rows c of coords: each product coordinate is the sum of
+    two terms (the swap-symmetric and -antisymmetric ones of its pair, or half a diagonal one twice)."""
+    (p1, p2, w1, w2), _ = _sector_basis(d)
+    pairs = np.argsort(np.concatenate([p1, p2]), kind="stable").reshape(-1, 2)
+    q, w = pairs % len(p1), np.concatenate([w1, w2])[pairs]
+    return ch._from_frame((coords[:, q[:, 0]] * w[:, 0] + coords[:, q[:, 1]] * w[:, 1]).reshape(-1, d * d, d * d))
+
+
+def _lift(a: np.ndarray, r: np.ndarray, kappas: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The columns x_j of (a - kappa_j) x_j = r_j, all at once.
+
+    a is block upper-triangular with diagonal blocks 1, D, D (or the 1 alone), D = w diag(mu) w^-1: each
+    D part is w ((w^-1 r) / (mu_i - kappa_j)), the unit part one division.  A column whose residual
+    exceeds LIFT_TOL (|x_j| + |r_j|) is solved again by LU.
+    """
+    x = np.empty(r.shape, dtype=complex)
+    if len(a) > 1:
+        parts = np.linalg.solve(w, r[1:].reshape(2, len(mu), -1)) / (mu[:, None] - kappas)
+        x[1:] = (w @ parts).reshape(len(x) - 1, -1)
+    x[0] = (r[0] - a[0, 1:] @ x[1:]) / (a[0, 0] - kappas)
+    scale = np.linalg.norm(x, axis=0) + np.linalg.norm(r, axis=0)
+    for j in np.flatnonzero(~(np.linalg.norm(a @ x - x * kappas - r, axis=0) <= LIFT_TOL * scale)):
+        x[:, j] = np.linalg.solve(a - kappas[j] * np.eye(len(a)), r[:, j])
+    return x
+
+
 def _sector_structure(lam: Isometry) -> list[tuple[complex, int, int, list[np.ndarray]]]:
     """(kappa, algebraic, geometric, eigenoperators) of the pair-descend adjoint A, in the order of _canonical.
 
-    In the basis of :func:`_sector_basis`, A is real and block upper-triangular
-    with diagonal blocks 1, D, D, A_sym, A_anti (D: the averaged descend adjoint
-    on traceless operators), and each small block gets its own spectral structure.
-    A null vector y of a block lifts to x = (x_low, y), (A_low,low - kappa) x_low =
-    -A_low,block y.  Clusters shared by sectors are resolved on the whole matrix.
+    In the basis of :func:`_sector_basis`, A is real and block upper-triangular with diagonal blocks
+    1, D, D, A_sym, A_anti (D: the averaged descend adjoint on traceless operators), and each small
+    block gets one eig.  Clusters shared by sectors are resolved on the whole matrix.  The null vectors
+    y of a sector's other clusters lift together to x = (x_low, y), (A_low,low - kappa) x_low =
+    -A_low,block y (:func:`_lift`, with the eig of D), and map back as one stack per sector copy.
     """
-    d = lam.d
     b = _sector_matrix(lam)
-    (p1, p2, w1, w2), sectors = _sector_basis(d)
-
-    items = [(kappa, alg * len(copies), geo * len(copies), null, copies, low)
-             for copies, low in sectors for kappa, alg, geo, null in _spectral_structure(b[copies[0], copies[0]])]
-    out = []
+    _, sectors = _sector_basis(lam.d)
+    eigs = [np.linalg.eig(b[copies[0], copies[0]]) for copies, _ in sectors]
+    items = [(kappa, alg * len(copies), geo * len(copies), null, s) for s, (copies, _) in enumerate(sectors)
+             for kappa, alg, geo, null in _eig_structure(b[copies[0], copies[0]], *eigs[s])]
+    entries, found = [], []  # found: (owners, coordinates) of eigenoperators; owner: an entry's first item
     for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):
         if len(members) > 1:
             alg = sum(items[k][1] for k in members)
-            out.append(_resolve_cluster(b, complex(sum(items[k][0] * items[k][1] for k in members) / alg), alg))
+            kappa = complex(sum(items[k][0] * items[k][1] for k in members) / alg)
+            kappa, alg, geo, null = _resolve_cluster(b, kappa, alg)
+            found.append(([members[0]] * geo, np.stack(null, axis=1)))
+            for k in members:  # nothing left to lift
+                items[k] = (kappa, alg, geo, (), None)
+        entries.append(items[members[0]][:3] + (members[0],))
+    for s, (copies, low) in enumerate(sectors):
+        null = [(k, x) for k, item in enumerate(items) if item[4] == s for x in item[3]]
+        if not null:
             continue
-        kappa, alg, geo, null, copies, low = items[members[0]]
-        shifted = b[low, low] - kappa * np.eye(low.stop - low.start)
-        vectors = []
+        y, kappas = np.stack([x for _, x in null], axis=1), np.array([items[k][0] for k, _ in null])
         for where in copies:
-            x = np.zeros((b.shape[0], len(null)), dtype=complex)
-            x[where] = np.stack(null, axis=1)
-            x[low] = np.linalg.solve(shifted, -b[low, where] @ x[where])
-            vectors += list(x.T)
-        out.append((kappa, alg, geo, vectors))
-
-    coords = np.stack([x for item in out for x in item[3]], axis=1)
-    product = np.zeros(coords.shape, dtype=complex)
-    np.add.at(product, p1, w1[:, None] * coords)
-    np.add.at(product, p2, w2[:, None] * coords)
-    ops = list(ch._from_frame(product.T.reshape(-1, d * d, d * d)))
-    bounds = np.cumsum([0] + [len(item[3]) for item in out])
-    return _canonical([item[:3] + (ops[a:z],) for item, a, z in zip(out, bounds, bounds[1:])])
+            x = np.zeros((len(b), len(null)), dtype=complex)
+            x[where] = y
+            if low.stop:
+                x[low] = _lift(b[low, low], -b[low, where] @ y, kappas, *eigs[1])
+            found.append(([k for k, _ in null], x))
+    del b, eigs, items  # free them before the eigenoperators
+    ops = {entry[3]: [] for entry in entries}
+    for owners, x in found:
+        for k, op in zip(owners, _sector_operators(x.T, lam.d)):
+            ops[k].append(op)
+    return [entry[:3] + (ops[entry[3]],) for entry in _canonical(entries)]
 
 
 def _log2_or_none(kappa: complex) -> complex | None:

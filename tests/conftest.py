@@ -148,6 +148,46 @@ def full_exponent_structure(lam):
     return [(kappa, alg, geo) for kappa, alg, geo, _ in co._spectral_structure(adj)]
 
 
+def loop_cluster(values, tol):
+    """Reference for co._cluster: the greedy loop over the values in sorted order, each joining the
+    earliest cluster with a member within tol."""
+    order = sorted(range(len(values)), key=lambda i: (-abs(values[i]), values[i].real, values[i].imag))
+    close = np.abs(values[:, None] - values[None, :]) <= tol
+    label = np.full(len(values), -1)
+    clusters = []
+    for i in order:
+        near = label[close[i] & (label >= 0)]
+        if near.size:
+            label[i] = near.min()
+            clusters[label[i]].append(i)
+        else:
+            label[i] = len(clusters)
+            clusters.append([i])
+    return clusters
+
+
+def loop_canonical(out):
+    """Reference for co._canonical: one argmin per eigenvalue for its conjugate partner, one distance
+    row per value near the real axis, then the sort by |kappa| and, within CLUSTER_TOL, by Re, Im."""
+    out = list(out)
+    tol = co.CLUSTER_TOL
+    kappas = np.array([item[0] for item in out])
+    for i in np.flatnonzero(kappas.imag > tol):
+        j = int(np.argmin(np.abs(kappas - kappas[i].conjugate())))
+        if abs(kappas[j] - kappas[i].conjugate()) <= tol and out[j][1] == out[i][1]:
+            upper = complex(kappas[i] + kappas[j].conjugate()) / 2.0
+            out[i], out[j] = (upper,) + out[i][1:], (upper.conjugate(),) + out[j][1:]
+    for i in np.flatnonzero(np.abs(kappas.imag) <= tol):
+        partners = np.abs(kappas - kappas[i].conjugate()) <= tol
+        partners[i] = False
+        if not partners.any():
+            out[i] = (complex(kappas[i].real, 0.0),) + out[i][1:]
+    out.sort(key=lambda item: -abs(item[0]))
+    cuts = [k for k in range(1, len(out)) if abs(out[k - 1][0]) - abs(out[k][0]) > tol]
+    runs = [out[a:b] for a, b in zip([0] + cuts, cuts + [len(out)])]
+    return [item for run in runs for item in sorted(run, key=lambda r: (-r[0].real, -r[0].imag))]
+
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
