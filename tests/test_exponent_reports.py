@@ -1,11 +1,20 @@
-"""``hbts exponents`` against the reports pinned in tests/data/exponents (tests/regen_exponent_reports.py)."""
+"""CLI reports against the ones pinned in tests/data (tests/regen_exponent_reports.py).
+
+Integers, flags and exit codes must match exactly; floats within 1e-12 scaled by the largest entry of
+their array.  A residual is a difference of states, so it is compared on its state's scale, whose largest
+entry is at most 1: within 1e-12.
+"""
 
 import json
 
 import numpy as np
 import pytest
 
-from regen_exponent_reports import CASES, DATA, report_text
+from regen_exponent_reports import CASES, DATA, EXIT_CODES, report_text
+
+
+def _close(got, want, scale):
+    return np.allclose(got, want, rtol=0.0, atol=1e-12 * scale, equal_nan=True)
 
 
 def _values(entry):
@@ -14,10 +23,7 @@ def _values(entry):
     return np.array(entry["kappa"] + [entry["modulus"]] + exponent, dtype=float)
 
 
-@pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
-def test_exponents_report_matches_the_pinned_one(case):
-    pinned = json.loads((DATA / (case[0] + ".json")).read_text(encoding="utf-8"))
-    report = json.loads(report_text(case))
+def _exponents(report, pinned):
     assert (report["d"], report["diagonalizable"]) == (pinned["d"], pinned["diagonalizable"])
     assert [(e["algebraic"], e["geometric"]) for e in report["entries"]] == [
         (e["algebraic"], e["geometric"]) for e in pinned["entries"]
@@ -25,4 +31,31 @@ def test_exponents_report_matches_the_pinned_one(case):
     assert [e["exponent"] is None for e in report["entries"]] == [e["exponent"] is None for e in pinned["entries"]]
     got = np.array([_values(e) for e in report["entries"]])
     want = np.array([_values(e) for e in pinned["entries"]])
-    assert np.allclose(got, want, rtol=0.0, atol=1e-12, equal_nan=True)
+    assert _close(got, want, 1.0)
+
+
+def _thermo(report, pinned):
+    assert [report[key] for key in ("nu", "rank", "mixing")] == [pinned[key] for key in ("nu", "rank", "mixing")]
+    assert _close(report["eigenvalues"], pinned["eigenvalues"], max(pinned["eigenvalues"]))
+    assert _close(report["residual"], pinned["residual"], 1.0)
+
+
+RESIDUALS = ("single_site", "pair", "triple", "quad", "max_residual")
+
+
+def _finite_check(report, pinned):
+    assert [report[key] for key in ("n_max", "tol", "passed")] == [pinned[key] for key in ("n_max", "tol", "passed")]
+    assert _close([report[key] for key in RESIDUALS], [pinned[key] for key in RESIDUALS], 1.0)
+
+
+COMPARE = {"exponents": _exponents, "thermo": _thermo, "finite-check": _finite_check}
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
+def test_report_matches_the_pinned_one(case):
+    code, text = report_text(case)
+    assert code == json.loads(EXIT_CODES.read_text(encoding="utf-8"))[case[0]]
+    pinned = json.loads((DATA / (case[0] + ".json")).read_text(encoding="utf-8"))
+    report = json.loads(text)
+    assert report.keys() == pinned.keys()
+    COMPARE[case[1][0]](report, pinned)
