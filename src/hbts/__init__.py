@@ -30,18 +30,14 @@ from .tensor_core import (
 )
 from .channels import (
     Channel,
-    adjoint,
-    apply,
     choi_check,
     descend_channels,
     extension_channel,
-    growth_channel,
     pair_descend_channel,
 )
 from .thermo import (
     FixedPointResult,
     classical_pair_infinity,
-    fixed_point,
     reduced_infinity,
     single_site_infinity,
     two_site_infinity,

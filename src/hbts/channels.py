@@ -19,11 +19,13 @@ powers give correlators at distances 2^m; the two-site recursion runs on
 
 Each letter is kept once per isometry as its one-site superoperator
 matrix.  States, alone or stacked, go through a word one site at a time
-(``_local``), one matrix product per site.  A channel from nu_in to nu_out
-sites (local dimension d) is the dense ``d**(2*nu_out) x d**(2*nu_in)``
-matrix of :class:`Channel`: the images of all matrix units under that same
-map (``_superop``), built only where a caller asks for it.  Two-site solves
-and spectra work instead in the Hermitian frame E_i (``_hermitian_frame``):
+(``_local``, ``_descend``), one matrix product per site.  A channel from
+nu_in to nu_out sites (local dimension d) is the dense
+``d**(2*nu_out) x d**(2*nu_in)`` matrix of :class:`Channel`: the images of
+all matrix units under that same map (``_superop``).  Only the public
+constructors build one, for their callers and :func:`choi_check`; no
+computation in the library builds or reads one.  Solves and spectra work
+instead in the Hermitian frame E_i (``_hermitian_frame``):
 X has coordinates ``C[i, j] = Tr[(E_i (x) E_j) X]`` (``_to_frame``), and the
 descents are the real ``d^2 x d^2`` matrices ``Lr``, ``Rr`` kept on the
 isometry (``_frame_descents``), so ``LR`` acts as ``C -> Lr C Rr^T``.
@@ -38,7 +40,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_core import DensityOp, Isometry, Observable, require_isometry
+from .tensor_core import Isometry, require_isometry
 
 # Bound on every residual in choi_check, the pivoted Cholesky residual's norm included, and the diagonal
 # shift of its fallback Cholesky test: a map is certified CP when every Choi eigenvalue is >= -TAU_CHOI.
@@ -83,10 +85,6 @@ class Channel:
     @property
     def dim_out(self) -> int:
         return self.d ** self.nu_out
-
-    @property
-    def is_square(self) -> bool:
-        return self.nu_in == self.nu_out
 
 
 @dataclass(frozen=True)
@@ -136,6 +134,14 @@ def _local(lam: Isometry, op: np.ndarray, word: str, adjoint: bool = False) -> n
         x = y.reshape(before, after * before, -1, o, o).transpose(0, 4, 1, 3, 2)
         dims[j] = o
     return x.reshape((math.prod(dims),) * 2 + stack)
+
+
+def _descend(lam: Isometry, op: np.ndarray) -> np.ndarray:
+    """The averaged descend ``(L + R)/2`` of a one-site operator or stack."""
+    out = _local(lam, op, "L")
+    out += _local(lam, op, "R")
+    out /= 2.0
+    return out
 
 
 def _extend(lam: Isometry, rho2: np.ndarray, rho3: np.ndarray | None = None) -> np.ndarray:
@@ -210,12 +216,6 @@ def _superop(apply, din: int) -> np.ndarray:
     return apply(units).transpose(1, 0, 2).reshape(-1, din * din)
 
 
-def growth_channel(lam: Isometry) -> Channel:
-    """One site to two: rho -> v rho v^dag.  Trace- and rank-preserving."""
-    require_isometry(lam)
-    return Channel(lam.d, 1, 2, _letter(lam, "g"), name="growth")
-
-
 def descend_channels(lam: Isometry) -> DescendChannels:
     """Left/right single-site descents and their equal-weight mixture.
 
@@ -254,28 +254,6 @@ def extension_channel(lam: Isometry, nu: int) -> Channel:
     require_isometry(lam)
     ext = (lambda x: _extend(lam, x)) if nu == 3 else (lambda x: _extend(lam, x, _extend(lam, x)))
     return Channel(lam.d, 2, nu, _superop(ext, lam.d ** 2), name="extend-2to%d" % nu)
-
-
-def adjoint(ch: Channel) -> Channel:
-    """Hilbert-Schmidt dual: conjugate transpose of the superoperator matrix.
-
-    The dual is unital when its source preserves trace.
-    """
-    return Channel(
-        ch.d, ch.nu_out, ch.nu_in, ch.matrix.conj().T, name="adj%s" % (("-" + ch.name) if ch.name else "")
-    )
-
-
-def apply(ch: Channel, op) -> np.ndarray:
-    """Act on an operator (DensityOp, Observable, or raw square matrix)."""
-    if isinstance(op, (DensityOp, Observable)):
-        mat = op.matrix
-    else:
-        mat = np.asarray(op, dtype=complex)
-    din = ch.dim_in
-    if mat.shape != (din, din):
-        raise ShapeError("channel expects a %d x %d operator, got %s" % (din, din, mat.shape))
-    return unvec(ch.matrix @ vec(mat), ch.dim_out)
 
 
 @dataclass(frozen=True)

@@ -161,9 +161,8 @@ def level_states(lam: Isometry, c: TopTensor, n: int) -> LevelStates:
     eta = (np.kron(m1, m2) + np.kron(m2, m1)) / 2.0
     omega = (np.kron(m1, m1) + np.kron(m2, m2)) / 2.0
 
-    dc = ch.descend_channels(lam)
     for _ in range(n - 1):
-        rho1_next = ch.apply(dc.average, rho1)
+        rho1_next = ch._descend(lam, rho1)
         rho2_next = (ch._local(lam, rho2, "RL") + ch._local(lam, rho1, "g")) / 2.0
         eta_next = (ch._local(lam, eta, "RL") + ch._local(lam, omega, "LR")) / 2.0
         omega_next = (ch._local(lam, omega, "LL") + ch._local(lam, omega, "RR")) / 2.0
@@ -219,12 +218,10 @@ def recursion_check(
             windows.insert(0, partial_trace(windows[0], range(1, windows[0].nu)))
         rho[n] = [w.matrix for w in windows]
 
-    dc = ch.descend_channels(lam)
-
     res1 = 0.0
     res2 = 0.0
     for n in range(1, n_max):
-        res1 = max(res1, float(np.abs(ch.apply(dc.average, rho[n][0]) - rho[n + 1][0]).max()))
+        res1 = max(res1, float(np.abs(ch._descend(lam, rho[n][0]) - rho[n + 1][0]).max()))
         pred = (ch._local(lam, rho[n][1], "RL") + ch._local(lam, rho[n][0], "g")) / 2.0
         res2 = max(res2, float(np.abs(pred - rho[n + 1][1]).max()))
 

@@ -2,7 +2,10 @@
 
 All functions here take only the tree isometry — never the top tensor —
 because every infinite-depth local quantity is independent of how the tree
-is closed at the top.
+is closed at the top.  Each one starts at rho1, the fixed point of the
+averaged descend map, whose mixing rule comes from the real frame descents
+``Lr``, ``Rr`` of :mod:`hbts.channels`; the two-site states are real solves
+in that frame, and the wider windows follow through the extension words.
 """
 
 from __future__ import annotations
@@ -24,60 +27,43 @@ TAU_SPEC = 1e-10
 class FixedPointResult:
     state: DensityOp
     residual: float
-    unit_eigenvalue_multiplicity: int
-    mixing: bool
 
 
-def fixed_point(channel: ch.Channel) -> FixedPointResult:
-    """Stationary state of a square CPT channel via dense eigendecomposition.
-
-    The eigenvalue-1 eigenvector is trace-normalized and Hermitized.  A
-    degenerate unit eigenvalue aborts with the multiplicity attached; a
-    unique unit eigenvalue with extra peripheral spectrum is returned with
-    ``mixing=False``.
-    """
-    if not channel.is_square:
-        raise ValueError("fixed points need a square channel, got %d -> %d sites" % (channel.nu_in, channel.nu_out))
-    mat = channel.matrix
-    evals, evecs = np.linalg.eig(mat)
-    unit = np.abs(evals - 1.0) <= TAU_SPEC
-    multiplicity = int(np.count_nonzero(unit))
-    if multiplicity != 1:
-        raise DegenerateFixedPointError(
-            "channel %s has unit-eigenvalue multiplicity %d" % (channel.name or "?", multiplicity),
-            multiplicity,
-        )
-    peripheral = int(np.count_nonzero(np.abs(evals) >= 1.0 - TAU_SPEC))
-    mixing = peripheral == 1
-    vec_fp = evecs[:, int(np.argmin(np.abs(evals - 1.0)))]
-    x = ch.unvec(vec_fp, channel.dim_out)
-    tr = complex(np.trace(x))
-    if abs(tr) < 1e-14:
-        raise DegenerateFixedPointError(
-            "unit eigenvector of %s is traceless; stationary state undefined" % (channel.name or "?"),
-            multiplicity,
-        )
-    state = DensityOp(channel.d, channel.nu_out, x / tr, label="fixed-point")
-    residual = float(np.abs(ch.apply(channel, state.matrix) - state.matrix).max())
-    if mixing and residual > TAU_FIX:
-        raise ValidationError(
-            "stationary state of %s fails its own equation: residual %g" % (channel.name or "?", residual)
-        )
-    return FixedPointResult(state, residual, multiplicity, mixing)
-
-
-def _require_mixing(result: FixedPointResult, what: str) -> FixedPointResult:
-    if not result.mixing:
-        raise DegenerateFixedPointError(
-            "%s is not mixing: peripheral spectrum beyond the unit eigenvalue" % what, 1
-        )
-    return result
+def _refuse_unless_mixing(block: np.ndarray, what: str, where: str) -> None:
+    """Refuse a channel whose action ``block`` beside its unit eigenvector has spectral radius within ``TAU_SPEC``
+    of 1, with unit-eigenvalue multiplicity 1 plus the eigenvalues of ``block`` within ``TAU_SPEC`` of 1."""
+    evals = np.linalg.eigvals(block)
+    radius = float(np.abs(evals).max())
+    if radius >= 1.0 - TAU_SPEC:
+        multiplicity = 1 + int(np.count_nonzero(np.abs(evals - 1.0) <= TAU_SPEC))
+        raise DegenerateFixedPointError("%s is not mixing: unit-eigenvalue multiplicity %d, radius %s on %s"
+                                        % (what, multiplicity, format_float(radius), where), multiplicity)
 
 
 def single_site_infinity(lam: Isometry) -> FixedPointResult:
-    """Fixed point of the averaged descend channel: the infinite-depth one-site state."""
-    dc = ch.descend_channels(lam)
-    return lam._derive("single-site", lambda: fixed_point(dc.average))
+    """Fixed point of the averaged descend channel ``(L + R)/2``: the infinite-depth one-site state.
+
+    On the traceless frame coordinates the channel is ``D = (Lr + Rr)[1:, 1:]/2`` (row 0 is ``e_0``: descent
+    keeps the trace).  It is mixing when no eigenvalue of D has modulus within ``TAU_SPEC`` of 1; otherwise it
+    is refused, with multiplicity 1 plus the eigenvalues of D within ``TAU_SPEC`` of 1.  The state is then one
+    solve of ``(L + R)/2 x = x`` on the letter matrices, the trace equation replacing the redundant one for
+    ``x[0, 0]``, which keeps a product tree's state exact; it must meet its equation within ``TAU_FIX``.
+    """
+
+    def build():
+        lr, rr = ch._frame_descents(lam)
+        _refuse_unless_mixing((lr[1:, 1:] + rr[1:, 1:]) / 2.0, "averaged descend channel", "the traceless part")
+        n = lam.d ** 2
+        system = (ch._letter(lam, "L") + ch._letter(lam, "R")) / 2.0 - np.eye(n)
+        system[0] = ch.vec(np.eye(lam.d))
+        state = DensityOp(lam.d, 1, ch.unvec(np.linalg.solve(system, np.eye(n)[0]), lam.d), label="fixed-point")
+        residual = float(np.abs(ch._descend(lam, state.matrix) - state.matrix).max())
+        if residual > TAU_FIX:
+            raise ValidationError("stationary state of the averaged descend channel fails its own equation: "
+                                  "residual %g" % residual)
+        return FixedPointResult(state, residual)
+
+    return lam._derive("single-site", build)
 
 
 def _pair_solve(lam: Isometry, source: np.ndarray, label: str) -> DensityOp:
@@ -95,7 +81,7 @@ def two_site_infinity(lam: Isometry) -> DensityOp:
     Sums the geometric series of the pair recursion by a single real linear
     solve; the series converges because descend maps are non-expansive.
     """
-    rho1 = _require_mixing(single_site_infinity(lam), "averaged descend channel").state
+    rho1 = single_site_infinity(lam).state
     return lam._derive("two-site", lambda: _pair_solve(lam, ch._local(lam, rho1.matrix, "g"), "thermodynamic nu=2"))
 
 
@@ -105,17 +91,12 @@ def classical_pair_infinity(lam: Isometry) -> DensityOp:
     sigma = rho1 (x) rho1 + k is stationary under pair descend P; on the doubly traceless k, P is
     P_K = (kron(Lk, Lk) + kron(Rk, Rk))/2 (Lk = Lr[1:, 1:]), so (I - P_K) k = P(rho1 (x) rho1) - rho1 (x) rho1.
     """
-    rho1 = _require_mixing(single_site_infinity(lam), "averaged descend channel").state.matrix
+    rho1 = single_site_infinity(lam).state.matrix
 
     def build():
         lk, rk = (m[1:, 1:] for m in ch._frame_descents(lam))
         p_k = (np.kron(lk, lk) + np.kron(rk, rk)) / 2.0
-        evals = np.linalg.eigvals(p_k)
-        radius = float(np.abs(evals).max())
-        if radius >= 1.0 - TAU_SPEC:
-            multiplicity = 1 + int(np.count_nonzero(np.abs(evals - 1.0) <= TAU_SPEC))
-            raise DegenerateFixedPointError("pair-descend channel is not mixing: unit-eigenvalue multiplicity "
-                                            "%d, radius %s on K" % (multiplicity, format_float(radius)), multiplicity)
+        _refuse_unless_mixing(p_k, "pair-descend channel", "K")
         product = np.kron(rho1, rho1)
         drift = (ch._local(lam, product, "LL") + ch._local(lam, product, "RR")) / 2.0 - product
         k = np.linalg.solve(np.eye(len(p_k)) - p_k, ch._to_frame(drift).real[1:, 1:].reshape(-1))
@@ -132,8 +113,7 @@ def reduced_infinity(lam: Isometry, nu: int) -> DensityOp:
     the 2->3 and 2->4 extensions, one site at a time.
     """
     if nu == 1:
-        res = _require_mixing(single_site_infinity(lam), "averaged descend channel")
-        return DensityOp(lam.d, 1, res.state.matrix, label="thermodynamic nu=1")
+        return DensityOp(lam.d, 1, single_site_infinity(lam).state.matrix, label="thermodynamic nu=1")
     if nu == 2:
         return two_site_infinity(lam)
     if nu in (3, 4):
@@ -157,7 +137,7 @@ def marginal_deviation(op: DensityOp, reference: np.ndarray) -> float:
 def thermo_report(lam: Isometry, nu: int) -> dict:
     """Plain-dict summary: rank, spectrum, consistency residual, mixing flag.
 
-    ``mixing`` is always true: ``reduced_infinity`` refuses a non-mixing descend channel at every nu.
+    ``mixing`` is always true: ``single_site_infinity`` refuses a non-mixing descend channel.
     """
     fp = single_site_infinity(lam)
     state = reduced_infinity(lam, nu)
@@ -173,5 +153,5 @@ def thermo_report(lam: Isometry, nu: int) -> dict:
         "rank": numerical_rank(state),
         "eigenvalues": [float(x) for x in state.eigenvalues[::-1]],
         "residual": residual,
-        "mixing": fp.mixing,
+        "mixing": True,
     }

@@ -11,6 +11,8 @@ from hbts import channels as ch
 from hbts import correlators as co
 from hbts import parent_ham as ph
 from hbts import tensor_core as tc
+from hbts import thermo
+from hbts.errors import DegenerateFixedPointError, ShapeError
 
 
 @pytest.fixture(scope="session")
@@ -95,6 +97,39 @@ def power_iteration_fixed_point(superop, dim, tol=1e-12, max_iter=100_000, seed=
     return (rho + rho.conj().T) / 2.0
 
 
+def growth_channel(lam):
+    """Reference dense growth channel, one site to two: rho -> v rho v^dag."""
+    tc.require_isometry(lam)
+    return ch.Channel(lam.d, 1, 2, ch._letter(lam, "g"), name="growth")
+
+
+def adjoint(channel):
+    """Reference Hilbert-Schmidt dual: the conjugate transpose of the superoperator matrix."""
+    return ch.Channel(channel.d, channel.nu_out, channel.nu_in, channel.matrix.conj().T, name="adj-" + channel.name)
+
+
+def apply(channel, op):
+    """Reference action of a dense channel on an operator (DensityOp, Observable or square matrix)."""
+    mat = op.matrix if isinstance(op, (tc.DensityOp, tc.Observable)) else np.asarray(op, dtype=complex)
+    if mat.shape != (channel.dim_in,) * 2:
+        raise ShapeError("channel expects a %d x %d operator, got %s" % (channel.dim_in, channel.dim_in, mat.shape))
+    return ch.unvec(channel.matrix @ ch.vec(mat), channel.dim_out)
+
+
+def fixed_point(channel):
+    """Reference stationary state of a square channel from its dense eigendecomposition: the
+    trace-normalized eigenvector of a simple unit eigenvalue, with its residual."""
+    if channel.nu_in != channel.nu_out:
+        raise ValueError("fixed points need a square channel, got %d -> %d sites" % (channel.nu_in, channel.nu_out))
+    evals, evecs = np.linalg.eig(channel.matrix)
+    multiplicity = int(np.count_nonzero(np.abs(evals - 1.0) <= thermo.TAU_SPEC))
+    if multiplicity != 1:
+        raise DegenerateFixedPointError("unit-eigenvalue multiplicity %d" % multiplicity, multiplicity)
+    x = ch.unvec(evecs[:, int(np.argmin(np.abs(evals - 1.0)))], channel.dim_out)
+    state = tc.DensityOp(channel.d, channel.nu_out, x / np.trace(x), label="fixed-point")
+    return thermo.FixedPointResult(state, float(np.abs(apply(channel, state.matrix) - state.matrix).max()))
+
+
 def tensor(a, b):
     """Reference dense tensor product of two channels: parallel action on adjacent site blocks
     (a on the left block)."""
@@ -111,7 +146,7 @@ def tensor(a, b):
 def dense_extension(lam, nu):
     """The 2->3 and 2->4 extensions built from dense superoperators by tensor products and matmuls."""
     dc = ch.descend_channels(lam)
-    grow = ch.growth_channel(lam)
+    grow = growth_channel(lam)
     ext3 = (tensor(dc.right, grow).matrix + tensor(grow, dc.left).matrix) / 2.0
     if nu == 3:
         return ext3
@@ -144,7 +179,7 @@ def dense_ring(hs, N):
 def full_exponent_structure(lam):
     """Reference spectrum: (kappa, algebraic, geometric) per cluster of the whole d^4 x d^4
     pair-descend adjoint, from one eigendecomposition and an SVD per degenerate cluster."""
-    adj = ch.adjoint(ch.pair_descend_channel(lam)).matrix
+    adj = adjoint(ch.pair_descend_channel(lam)).matrix
     return [(kappa, alg, geo) for kappa, alg, geo, _ in co._spectral_structure(adj)]
 
 

@@ -14,7 +14,8 @@ from hbts import thermo
 from hbts.cli import main
 from hbts.errors import ShapeError, ValidationError
 
-from conftest import dense_extension, rand_density, rand_herm, rand_top, tensor
+from conftest import (adjoint, apply, dense_extension, fixed_point, growth_channel, rand_density, rand_herm,
+                      rand_top, tensor)
 
 
 def proj(dim, index):
@@ -45,7 +46,7 @@ def all_channels(lam):
     """Every public dense channel; the 2->4 extension (d^12 entries) only at d <= 3."""
     dc = ch.descend_channels(lam)
     channels = {
-        "growth": ch.growth_channel(lam),
+        "growth": growth_channel(lam),
         "left": dc.left,
         "right": dc.right,
         "descend": dc.average,
@@ -59,48 +60,48 @@ def all_channels(lam):
 
 class TestGrowth:
     def test_bundled_zero_maps_to_01(self, bundled_lam):
-        out = ch.apply(ch.growth_channel(bundled_lam), proj(2, 0))
+        out = apply(growth_channel(bundled_lam), proj(2, 0))
         assert np.abs(out - proj(4, 0b01)).max() < 1e-15
 
     def test_bundled_one_maps_to_bell(self, bundled_lam):
-        out = ch.apply(ch.growth_channel(bundled_lam), proj(2, 1))
+        out = apply(growth_channel(bundled_lam), proj(2, 1))
         assert np.abs(out - bell_projector()).max() < 1e-15
 
     def test_product_appends_zero_site(self, product_lam):
         rng = np.random.default_rng(0)
-        grow = ch.growth_channel(product_lam)
+        grow = growth_channel(product_lam)
         for _ in range(5):
             rho = rand_density(rng, 2)
-            out = ch.apply(grow, rho)
+            out = apply(grow, rho)
             assert np.abs(out - np.kron(rho, proj(2, 0))).max() < 1e-14
 
     def test_invalid_isometry_rejected(self):
         with pytest.raises(ValidationError):
-            ch.growth_channel(tc.Isometry(2, np.ones((4, 2))))
+            growth_channel(tc.Isometry(2, np.ones((4, 2))))
 
     def test_rank_preserved_on_random_inputs(self, bundled_lam):
         rng = np.random.default_rng(1)
         for lam in (bundled_lam, tc.random_isometry(2, 6), tc.random_isometry(3, 6)):
-            grow = ch.growth_channel(lam)
+            grow = growth_channel(lam)
             d = lam.d
             for k in range(20):
                 rho = rand_density(rng, d, rank=1 + k % d)
-                out = tc.DensityOp(d, 2, ch.apply(grow, rho))
+                out = tc.DensityOp(d, 2, apply(grow, rho))
                 assert tc.numerical_rank(out) == tc.numerical_rank(tc.DensityOp(d, 1, rho))
 
 
 class TestDescend:
     def test_bundled_basis_states_mix(self, bundled_lam):
         dc = ch.descend_channels(bundled_lam)
-        assert np.abs(ch.apply(dc.average, proj(2, 0)) - np.eye(2) / 2).max() < 1e-15
-        assert np.abs(ch.apply(dc.average, np.eye(2) / 2) - np.eye(2) / 2).max() < 1e-15
+        assert np.abs(apply(dc.average, proj(2, 0)) - np.eye(2) / 2).max() < 1e-15
+        assert np.abs(apply(dc.average, np.eye(2) / 2) - np.eye(2) / 2).max() < 1e-15
 
     def test_product_left_is_identity_right_restarts(self, product_lam):
         dc = ch.descend_channels(product_lam)
         assert np.abs(dc.left.matrix - np.eye(4)).max() < 1e-15
         rng = np.random.default_rng(2)
         rho = rand_density(rng, 2)
-        assert np.abs(ch.apply(dc.right, rho) - proj(2, 0) * np.trace(rho)).max() < 1e-14
+        assert np.abs(apply(dc.right, rho) - proj(2, 0) * np.trace(rho)).max() < 1e-14
 
     def test_average_is_exact_mean_of_matrices(self, bundled_lam):
         dc = ch.descend_channels(bundled_lam)
@@ -119,13 +120,13 @@ class TestPairDescend:
         pair = ch.pair_descend_channel(bundled_lam)
         for _ in range(5):
             rho = np.kron(rand_density(rng, 2), rand_density(rng, 2))
-            assert abs(np.trace(ch.apply(pair, rho)) - 1.0) < 1e-13
+            assert abs(np.trace(apply(pair, rho)) - 1.0) < 1e-13
 
     def test_iterates_converge_to_stationary_state(self, bundled_lam):
         from hbts import thermo
 
         pair = ch.pair_descend_channel(bundled_lam)
-        sigma = thermo.fixed_point(pair).state.matrix
+        sigma = fixed_point(pair).state.matrix
         rng = np.random.default_rng(4)
         x = rand_herm(rng, 4)
         moved = ch.unvec(np.linalg.matrix_power(pair.matrix, 200) @ ch.vec(x), 4)
@@ -139,7 +140,7 @@ class TestExtension:
                 ch.extension_channel(bundled_lam, nu)
 
     def test_product_extends_00_to_000(self, product_lam):
-        out = ch.apply(ch.extension_channel(product_lam, 3), proj(4, 0))
+        out = apply(ch.extension_channel(product_lam, 3), proj(4, 0))
         assert np.abs(out - proj(8, 0)).max() < 1e-15
 
     def test_output_is_state_for_density_input(self, bundled_lam):
@@ -147,7 +148,7 @@ class TestExtension:
         for nu in (3, 4):
             ext = ch.extension_channel(bundled_lam, nu)
             rho = rand_density(rng, 4)
-            out = ch.apply(ext, rho)
+            out = apply(ext, rho)
             assert abs(np.trace(out) - 1.0) < 1e-12
             assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] > -1e-12
 
@@ -155,7 +156,7 @@ class TestExtension:
         rng = np.random.default_rng(6)
         ext = ch.extension_channel(bundled_lam, 3)
         rho = rand_density(rng, 4)  # full rank
-        out = tc.DensityOp(2, 3, ch.apply(ext, rho))
+        out = tc.DensityOp(2, 3, apply(ext, rho))
         assert tc.numerical_rank(out) <= 2 * 2 * 2
 
 
@@ -177,10 +178,10 @@ class TestKrausForm:
             dense = functools.reduce(tensor, [site_channel(lam, letter) for letter in word])
             dim = d ** len(word)
             op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            assert np.abs(ch._local(lam, op, word) - ch.apply(dense, op)).max() < 1e-13, word
+            assert np.abs(ch._local(lam, op, word) - apply(dense, op)).max() < 1e-13, word
             assert np.abs(ch._superop(lambda x: ch._local(lam, x, word), dim) - dense.matrix).max() < 1e-13, word
             out = rng.standard_normal((dense.dim_out,) * 2) + 1j * rng.standard_normal((dense.dim_out,) * 2)
-            assert np.abs(ch._local(lam, out, word, adjoint=True) - ch.apply(ch.adjoint(dense), out)).max() < 1e-13, word
+            assert np.abs(ch._local(lam, out, word, adjoint=True) - apply(adjoint(dense), out)).max() < 1e-13, word
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_words_map_a_stack_as_each_operator_alone(self, d):
@@ -232,7 +233,7 @@ def test_dense_channels_are_cptp_and_match_their_words(d, seed):
     for dim in (d, d * d):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         for name, image in word_images(lam, x).items():
-            assert np.abs(ch.apply(dense[name], x) - image).max() < 1e-12, name
+            assert np.abs(apply(dense[name], x) - image).max() < 1e-12, name
     for name, c in dense.items():
         rep = checked(c)
         assert rep.completely_positive and rep.trace_preserving, name
@@ -241,33 +242,33 @@ def test_dense_channels_are_cptp_and_match_their_words(d, seed):
 class TestAdjoint:
     def test_adjoint_of_identity(self):
         ident = ch.Channel(2, 1, 1, np.eye(4))
-        assert np.abs(ch.adjoint(ident).matrix - np.eye(4)).max() == 0
+        assert np.abs(adjoint(ident).matrix - np.eye(4)).max() == 0
 
     def test_descend_adjoint_is_unital(self, bundled_lam):
         dc = ch.descend_channels(bundled_lam)
-        back = ch.apply(ch.adjoint(dc.average), np.eye(2))
+        back = apply(adjoint(dc.average), np.eye(2))
         assert np.abs(back - np.eye(2)).max() < 1e-14
 
     def test_defining_identity_for_extension(self, bundled_lam):
         rng = np.random.default_rng(7)
         ext3 = ch.extension_channel(bundled_lam, 3)
-        adj = ch.adjoint(ext3)
+        adj = adjoint(ext3)
         for _ in range(20):
             rho = rand_density(rng, 4)
             h = rand_herm(rng, 8)
-            lhs = np.trace(ch.apply(ext3, rho) @ h)
-            rhs = np.trace(rho @ ch.apply(adj, h))
+            lhs = np.trace(apply(ext3, rho) @ h)
+            rhs = np.trace(rho @ apply(adj, h))
             assert abs(lhs - rhs) < 1e-12
 
     def test_defining_identity_all_channels(self, bundled_lam):
         rng = np.random.default_rng(8)
         for name, c in all_channels(bundled_lam).items():
-            adj = ch.adjoint(c)
+            adj = adjoint(c)
             for _ in range(20):
                 a = rand_herm(rng, c.dim_in)
                 b = rand_herm(rng, c.dim_out)
-                lhs = np.trace(b.conj().T @ ch.apply(c, a))
-                rhs = np.trace(ch.apply(adj, b).conj().T @ a)
+                lhs = np.trace(b.conj().T @ apply(c, a))
+                rhs = np.trace(apply(adj, b).conj().T @ a)
                 assert abs(lhs - rhs) < 1e-12, name
 
 
@@ -275,17 +276,17 @@ class TestApply:
     def test_identity_channel_is_identity(self):
         rng = np.random.default_rng(9)
         rho = rand_density(rng, 4)
-        assert np.abs(ch.apply(ch.Channel(2, 2, 2, np.eye(16)), rho) - rho).max() == 0
+        assert np.abs(apply(ch.Channel(2, 2, 2, np.eye(16)), rho) - rho).max() == 0
 
     def test_dimension_mismatch_raises(self, bundled_lam):
         with pytest.raises(ShapeError):
-            ch.apply(ch.growth_channel(bundled_lam), np.eye(4))
+            apply(growth_channel(bundled_lam), np.eye(4))
 
     def test_hermiticity_preserved(self, bundled_lam):
         rng = np.random.default_rng(10)
         pair = ch.pair_descend_channel(bundled_lam)
         x = rand_herm(rng, 4)
-        out = ch.apply(pair, x)
+        out = apply(pair, x)
         assert np.abs(out - out.conj().T).max() < 1e-13
 
 
@@ -427,16 +428,16 @@ class TestAlgebra:
     def test_tensor_matches_parallel_application(self, bundled_lam):
         rng = np.random.default_rng(12)
         dc = ch.descend_channels(bundled_lam)
-        grow = ch.growth_channel(bundled_lam)
+        grow = growth_channel(bundled_lam)
         joint = tensor(dc.right, grow)
         a, b = rand_density(rng, 2), rand_density(rng, 2)
-        out = ch.apply(joint, np.kron(a, b))
-        expect = np.kron(ch.apply(dc.right, a), ch.apply(grow, b))
+        out = apply(joint, np.kron(a, b))
+        expect = np.kron(apply(dc.right, a), apply(grow, b))
         assert np.abs(out - expect).max() < 1e-13
 
     def test_tensor_associativity(self, bundled_lam):
         dc = ch.descend_channels(bundled_lam)
-        grow = ch.growth_channel(bundled_lam)
+        grow = growth_channel(bundled_lam)
         left = tensor(tensor(dc.right, grow), dc.left)
         right = tensor(dc.right, tensor(grow, dc.left))
         assert np.abs(left.matrix - right.matrix).max() < 1e-14
@@ -449,12 +450,15 @@ class TestAlgebra:
 
 
 def test_only_channels_forms_dense_two_site_superoperators(monkeypatch, tmp_path, capsys, sigma_z):
-    # every state, correlator, spectrum and interaction works in the frame or with site words
+    # every state, correlator, spectrum, oracle check and interaction works in the frame or with site
+    # words: no library computation builds a dense channel
     def refuse(*args, **kwargs):
         raise AssertionError("a dense superoperator was formed")
 
     monkeypatch.setattr(ch, "_superop", refuse)
     monkeypatch.setattr(ch, "pair_descend_channel", refuse)
+    monkeypatch.setattr(ch, "descend_channels", refuse)
+    monkeypatch.setattr(ch.Channel, "__post_init__", refuse)
     lam, top = tc.random_isometry(2, 5), rand_top(2, 5)
     for nu in (1, 2, 3, 4):
         thermo.thermo_report(lam, nu)
@@ -464,6 +468,7 @@ def test_only_channels_forms_dense_two_site_superoperators(monkeypatch, tmp_path
     co.exponent_spectrum(lam)
     fs.level_states(lam, top, 5)
     fs.correlator_level(lam, top, 5, sigma_z, sigma_z, 2)
+    fs.recursion_check(lam, top, 4)
     ph.build_interaction(lam)
     lam3 = tc.random_isometry(3, 7)
     ph.adjoint_nullity_check(lam3, ph.build_interaction(lam3))

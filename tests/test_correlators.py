@@ -6,7 +6,7 @@ from hbts import correlators as co
 from hbts import finite_state as fs
 from hbts import tensor_core as tc
 
-from conftest import full_exponent_structure, loop_canonical, loop_cluster, rand_herm, run_capped
+from conftest import adjoint, apply, full_exponent_structure, loop_canonical, loop_cluster, rand_herm, run_capped
 
 
 class TestCorrelatorThermo:
@@ -30,7 +30,7 @@ class TestCorrelatorThermo:
     def test_heisenberg_equals_schrodinger(self, bundled_lam):
         rng = np.random.default_rng(21)
         pair = ch.pair_descend_channel(bundled_lam)
-        adj = ch.adjoint(pair)
+        adj = adjoint(pair)
         diff = co.pair_difference_infinity(bundled_lam)
         for m in (0, 1, 3):
             x = rand_herm(rng, 4)
@@ -88,12 +88,12 @@ class TestExponentSpectrum:
                     assert e.exponent.real < 0
 
     def test_reported_eigenoperators_are_eigenoperators(self, bundled_lam):
-        adj = ch.adjoint(ch.pair_descend_channel(bundled_lam))
+        adj = adjoint(ch.pair_descend_channel(bundled_lam))
         spec = co.exponent_spectrum(bundled_lam)
         for entry in spec.entries:
             assert len(entry.eigenoperators) == entry.geometric
             for x in entry.eigenoperators:
-                out = ch.apply(adj, x)
+                out = apply(adj, x)
                 assert np.abs(out - entry.kappa * x).max() < 1e-8 * np.abs(x).max()
 
 
@@ -262,7 +262,7 @@ class TestSpectralStructure:
 @pytest.mark.parametrize("d, seed", [(d, seed) for d in (2, 3, 4) for seed in (0, 1, 2)])
 def test_seeded_spectrum_properties(d, seed):
     lam = tc.random_isometry(d, seed)
-    adj = ch.adjoint(ch.pair_descend_channel(lam))
+    adj = adjoint(ch.pair_descend_channel(lam))
     spec = co.exponent_spectrum(lam)
     assert sum(e.algebraic for e in spec.entries) == d ** 4
     assert all(1 <= e.geometric <= e.algebraic for e in spec.entries)
@@ -270,7 +270,7 @@ def test_seeded_spectrum_properties(d, seed):
     assert max(e.modulus for e in spec.entries) <= 1 + 1e-10
     for entry in spec.entries:
         for x in entry.eigenoperators:
-            assert np.abs(ch.apply(adj, x) - entry.kappa * x).max() <= 1e-8 * np.abs(x).max()
+            assert np.abs(apply(adj, x) - entry.kappa * x).max() <= 1e-8 * np.abs(x).max()
     kappas = np.array([e.kappa for e in spec.entries])
     dist = np.abs(np.linalg.eigvals(adj.matrix)[:, None] - kappas[None, :])
     assert dist.min(axis=1).max() <= 1e-10 and dist.min(axis=0).max() <= 1e-10
@@ -339,7 +339,7 @@ class TestSectorResolvedSpectrum:
         assert [(e.algebraic, e.geometric) for e in spec.entries] == [(alg, geo) for _, alg, geo in reference]
         assert spec.diagonalizable == all(alg == geo for _, alg, geo in reference)
         assert max(abs(e.kappa - kappa) for e, (kappa, _, _) in zip(spec.entries, reference)) <= 1e-12
-        adj = ch.adjoint(ch.pair_descend_channel(lam)).matrix
+        adj = adjoint(ch.pair_descend_channel(lam)).matrix
         for e in spec.entries:
             assert len(e.eigenoperators) == e.geometric
             for op in e.eigenoperators:
@@ -385,7 +385,7 @@ class TestSectorResolvedSpectrum:
         lam = tc.random_isometry(5, 0)
         spec = co.exponent_spectrum(lam)
         kappas = np.array([e.kappa for e in spec.entries])
-        adj = ch.adjoint(ch.pair_descend_channel(lam)).matrix
+        adj = adjoint(ch.pair_descend_channel(lam)).matrix
         evals = np.linalg.eigvals(adj)
         dist = np.abs(evals[:, None] - kappas[None, :])
         assert dist.min(axis=1).max() <= 1e-10 and dist.min(axis=0).max() <= 1e-10

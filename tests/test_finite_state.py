@@ -6,7 +6,7 @@ from hbts import finite_state as fs
 from hbts import tensor_core as tc
 from hbts.errors import ResourceLimitError
 
-from conftest import rand_top
+from conftest import apply, rand_top
 
 
 def basis_state(d, digits):
@@ -62,7 +62,7 @@ class TestReducedAvg:
         brute = fs.reduced_avg(psi, 1).matrix
         dc = ch.descend_channels(bundled_lam)
         base = fs.single_site_base(diag_top).matrix
-        iterated = ch.apply(dc.average, ch.apply(dc.average, base))
+        iterated = apply(dc.average, apply(dc.average, base))
         assert np.abs(brute - iterated).max() < 1e-12
 
     @pytest.mark.parametrize("d, n, nu", [(2, 3, 2), (2, 2, 3), (2, 4, 4), (3, 2, 3), (3, 3, 4)])
@@ -160,7 +160,7 @@ class TestCorrelatorFinite:
         psi3 = fs.build_state(bundled_lam, diag_top, 3)
         diff = fs.reduced_avg(psi3, 2).matrix - fs.classical_pair_avg(psi3).matrix
         pair = ch.pair_descend_channel(bundled_lam)
-        formula = np.trace(np.kron(sigma_z.matrix, sigma_z.matrix) @ ch.apply(pair, diff))
+        formula = np.trace(np.kron(sigma_z.matrix, sigma_z.matrix) @ apply(pair, diff))
         assert abs(brute - formula) < 1e-10
 
     def test_correlator_level_matches_brute_force(self, bundled_lam, sigma_z):

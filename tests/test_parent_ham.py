@@ -10,7 +10,7 @@ from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import ResourceLimitError, ValidationError
 
-from conftest import dense_ring, embedded_term, rand_herm, rand_top
+from conftest import adjoint, apply, dense_ring, embedded_term, rand_herm, rand_top
 
 
 @pytest.fixture(scope="module")
@@ -395,9 +395,9 @@ class TestAdjointNullity:
         assert kernel.nu == 3
         generic = ph.HamiltonianSpec(d, 3, rand_herm(np.random.default_rng(seed), d ** 3), 1, [1.0])
         rho2 = thermo.two_site_infinity(lam).matrix
-        adj = ch.adjoint(ch.extension_channel(lam, 3))
+        adj = adjoint(ch.extension_channel(lam, 3))
         for hs in (kernel, generic):
-            descended = ch.apply(adj, hs.h_term)
+            descended = apply(adj, hs.h_term)
             rep = ph.adjoint_nullity_check(lam, hs)
             assert abs(rep.residual - np.abs(descended).max()) < 1e-13
             assert abs(rep.trace_residual - abs(np.trace(rho2 @ descended))) < 1e-13
@@ -419,7 +419,7 @@ class TestAdjointNullity:
         rho2 = thermo.two_site_infinity(bundled_lam)
         rho3 = thermo.reduced_infinity(bundled_lam, 3)
         assert tc.numerical_rank(rho3) == 8
-        descended = ch.apply(ch.adjoint(ch.extension_channel(bundled_lam, 4)), paper_interaction.h_term)
+        descended = apply(adjoint(ch.extension_channel(bundled_lam, 4)), paper_interaction.h_term)
         assert abs(np.trace(rho2.matrix @ descended)) <= 1e-10
 
     def test_wrong_window_rejected(self, bundled_lam, paper_interaction):

@@ -7,7 +7,7 @@ from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import ResourceLimitError, ShapeError, ValidationError
 
-from conftest import rand_density, write_entries
+from conftest import rand_density, rand_herm, rand_top, write_entries
 
 
 def basis_projector(dim, index):
@@ -197,30 +197,34 @@ class TestDensityOpInvariants:
         assert np.array_equal(out.eigenvalues, np.linalg.eigvalsh(out.matrix))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 5, 9])
 class TestFileRoundTrips:
-    def test_isometry_round_trip(self, tmp_path):
-        lam = tc.random_isometry(3, 5)
+    # every tensor comes back bit for bit
+
+    def test_isometry_round_trip(self, tmp_path, d, seed):
+        lam = tc.random_isometry(d, seed)
         path = str(tmp_path / "iso.json")
         tc.save_isometry(lam, path)
         again = tc.load_isometry(path)
-        assert again.d == 3
-        assert np.abs(again.v - lam.v).max() < 1e-16
+        assert again.d == d
+        assert np.array_equal(again.v, lam.v)
 
-    def test_top_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        top = tc.TopTensor(2, c / np.linalg.norm(c))
+    def test_top_round_trip(self, tmp_path, d, seed):
+        top = rand_top(d, seed)
         path = str(tmp_path / "top.json")
         tc.save_top(top, path)
         again = tc.load_top(path)
-        assert np.abs(again.c - top.c).max() < 1e-16
+        assert again.d == d
+        assert np.array_equal(again.c, top.c)
 
-    def test_observable_round_trip(self, tmp_path, sigma_z):
+    def test_observable_round_trip(self, tmp_path, d, seed):
+        obs = tc.Observable(d, rand_herm(np.random.default_rng(seed), d))
         path = str(tmp_path / "obs.json")
-        tc.save_observable(sigma_z, path)
+        tc.save_observable(obs, path)
         again = tc.load_observable(path)
-        assert np.abs(again.matrix - sigma_z.matrix).max() == 0
-
+        assert again.d == d
+        assert np.array_equal(again.matrix, obs.matrix)
 
 
 BAD_INDICES = {

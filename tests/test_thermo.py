@@ -14,7 +14,8 @@ from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import DegenerateFixedPointError, ValidationError
 
-from conftest import dense_extension, flip_isometry, power_iteration_fixed_point, rand_top, run_capped, tensor
+from conftest import (apply, dense_extension, fixed_point, flip_isometry, growth_channel, power_iteration_fixed_point,
+                      rand_top, run_capped, tensor)
 
 
 def copy_isometry():
@@ -26,11 +27,19 @@ def copy_isometry():
     return tc.Isometry(2, v)
 
 
+def swap_isometry():
+    # |0> -> |11>, |1> -> |00>: descend is a bit flip, whose unique stationary state is 1/2 but whose
+    # peripheral eigenvalue -1 keeps it from mixing
+    v = np.zeros((4, 2), dtype=complex)
+    v[0b11, 0] = 1.0
+    v[0b00, 1] = 1.0
+    return tc.Isometry(2, v)
+
+
 class TestFixedPoint:
     def test_bundled_descend_fixed_point_is_maximally_mixed(self, bundled_lam):
         res = thermo.single_site_infinity(bundled_lam)
         assert np.abs(res.state.matrix - np.eye(2) / 2).max() < 1e-12
-        assert res.mixing
         assert res.residual <= 1e-10
 
     def test_bundled_descend_spectrum(self, bundled_lam):
@@ -41,11 +50,11 @@ class TestFixedPoint:
         res = thermo.single_site_infinity(product_lam)
         expect = np.zeros((2, 2))
         expect[0, 0] = 1.0
-        assert np.abs(res.state.matrix - expect).max() < 1e-12
+        assert np.array_equal(res.state.matrix, expect)  # exact, so a product tree's rho2 - eta is exactly 0
 
     def test_pair_descend_fixed_point_matches_power_iteration(self, bundled_lam):
         pair = ch.pair_descend_channel(bundled_lam)
-        res = thermo.fixed_point(pair)
+        res = fixed_point(pair)
         assert res.residual <= 1e-10
         oracle = power_iteration_fixed_point(pair.matrix, 4)
         assert np.abs(res.state.matrix - oracle).max() < 1e-10
@@ -55,9 +64,33 @@ class TestFixedPoint:
             thermo.single_site_infinity(copy_isometry())
         assert err.value.multiplicity == 2
 
+    @pytest.mark.parametrize("lam, multiplicity", [(copy_isometry(), 2), (swap_isometry(), 1)], ids=["copy", "swap"])
+    def test_non_mixing_descend_is_refused_with_its_multiplicity(self, lam, multiplicity):
+        with pytest.raises(DegenerateFixedPointError, match="^averaged descend channel is not mixing") as err:
+            thermo.single_site_infinity(lam)
+        assert err.value.multiplicity == multiplicity
+        for nu in (1, 2, 3, 4):
+            with pytest.raises(DegenerateFixedPointError):
+                thermo.reduced_infinity(lam, nu)
+
+    def test_state_failing_its_own_equation_is_refused(self, monkeypatch):
+        monkeypatch.setattr(thermo, "TAU_FIX", -1.0)
+        with pytest.raises(ValidationError, match="fails its own equation"):
+            thermo.single_site_infinity(tc.random_isometry(2, 0))
+
+    @settings(max_examples=16, derandomize=True, database=None, deadline=None)
+    @given(d=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_dense_eigenvector_and_power_iteration(self, d, seed):
+        lam = tc.random_isometry(d, seed)
+        res = thermo.single_site_infinity(lam)
+        assert res.residual <= thermo.TAU_FIX
+        average = ch.descend_channels(lam).average
+        assert np.abs(res.state.matrix - fixed_point(average).state.matrix).max() <= 1e-12
+        assert np.abs(res.state.matrix - power_iteration_fixed_point(average.matrix, d, tol=1e-14)).max() <= 1e-12
+
     def test_rectangular_channel_rejected(self, bundled_lam):
         with pytest.raises(ValueError):
-            thermo.fixed_point(ch.growth_channel(bundled_lam))
+            fixed_point(growth_channel(bundled_lam))
 
 
 class TestTwoSite:
@@ -72,7 +105,7 @@ class TestTwoSite:
         rho1 = thermo.single_site_infinity(bundled_lam).state
         dc = ch.descend_channels(bundled_lam)
         again = (
-            ch.apply(tensor(dc.right, dc.left), rho2) + ch.apply(ch.growth_channel(bundled_lam), rho1)
+            apply(tensor(dc.right, dc.left), rho2) + apply(growth_channel(bundled_lam), rho1)
         ) / 2.0
         assert np.abs(again - rho2.matrix).max() <= 1e-10
 
@@ -81,11 +114,11 @@ class TestTwoSite:
         rho1 = thermo.single_site_infinity(bundled_lam).state
         dc = ch.descend_channels(bundled_lam)
         rl = tensor(dc.right, dc.left)
-        term = ch.apply(ch.growth_channel(bundled_lam), rho1)
+        term = apply(growth_channel(bundled_lam), rho1)
         acc = np.zeros((4, 4), dtype=complex)
         for m in range(41):
             acc += term / 2.0 ** (m + 1)
-            term = ch.apply(rl, term)
+            term = apply(rl, term)
         assert np.abs(acc - thermo.two_site_infinity(bundled_lam).matrix).max() <= 1e-10
 
     def test_both_marginals_equal_single_site_state(self, bundled_lam):
@@ -116,14 +149,14 @@ class TestClassicalPair:
 
     def test_matches_truncated_series(self, bundled_lam):
         pair = ch.pair_descend_channel(bundled_lam)
-        sigma = thermo.fixed_point(pair).state
+        sigma = fixed_point(pair).state
         dc = ch.descend_channels(bundled_lam)
         rl = tensor(dc.right, dc.left)
-        term = ch.apply(tensor(dc.left, dc.right), sigma)
+        term = apply(tensor(dc.left, dc.right), sigma)
         acc = np.zeros((4, 4), dtype=complex)
         for m in range(41):
             acc += term / 2.0 ** (m + 1)
-            term = ch.apply(rl, term)
+            term = apply(rl, term)
         assert np.abs(acc - thermo.classical_pair_infinity(bundled_lam).matrix).max() <= 1e-10
 
 
@@ -338,7 +371,7 @@ def test_level_states_reach_the_thermodynamic_pair_states_from_any_top(d, seed, 
 class TestNonMixingPair:
     def test_descend_mixes_but_the_classical_pair_is_refused(self):
         lam = flip_isometry()
-        assert thermo.single_site_infinity(lam).mixing
+        assert thermo.single_site_infinity(lam).residual <= thermo.TAU_FIX  # descend mixes: its state is found
         with pytest.raises(DegenerateFixedPointError) as err:
             thermo.classical_pair_infinity(lam)
         assert err.value.multiplicity == 2
