@@ -1,10 +1,10 @@
-"""Regenerate the pinned ``hbts exponents``, ``thermo`` and ``finite-check`` reports under tests/data.
+"""Regenerate the pinned ``hbts exponents``, ``thermo``, ``finite-check`` and ``correlate`` reports under tests/data.
 
 Run from the repository root with ``PYTHONPATH=src python tests/regen_exponent_reports.py``.
 Only regenerate after a change that is meant to move the reports, and say so where it is recorded:
 tests/test_exponent_reports.py compares the current code against these files.  Each report is the
-stdout of one CLI run, in ``tests/data/<command>/<case>.json``; ``tests/data/exit-codes.json`` holds
-the exit code of every run.
+stdout of one CLI run, in ``tests/data/<command>/<case>.json`` (``.csv`` for ``correlate``);
+``tests/data/exit-codes.json`` holds the exit code of every run.
 """
 
 import json
@@ -15,41 +15,70 @@ from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
+
+from conftest import flip_isometry
 from hbts import cli
 from hbts import tensor_core as tc
 
 DATA = Path(__file__).resolve().parent / "data"
 EXIT_CODES = DATA / "exit-codes.json"
 
-# (name, --isometry, --d, seed or None): the bundled isometry, product trees and seeded files
-NAMED = [("paper", "paper", 2, None)] + [("product-d%d" % d, "product", d, None) for d in (2, 3)]
+# (name, --isometry: a name or an Isometry written to a file, --d): the bundled isometry, product trees, seeded files
+NAMED = [("paper", "paper", 2)] + [("product-d%d" % d, "product", d) for d in (2, 3)]
 
 
 def _seeded(seeds, dims):
-    return [("seed%d-d%d" % (seed, d), None, d, seed) for d in dims for seed in seeds]
+    return [("seed%d-d%d" % (seed, d), tc.random_isometry(d, seed), d) for d in dims for seed in seeds]
+
+
+def _observable(d, seed):
+    """A seeded Hermitian observable, the Hermitian part of a complex Gaussian matrix, written to a file."""
+    rng = np.random.default_rng([d, seed])
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return tc.Observable(d, (a + a.conj().T) / 2.0)
+
+
+def _observables(d):
+    """(suffix, theta, theta'): the named observables at d = 2, one seeded pair above."""
+    if d == 2:
+        return [("-z-z", "z", "z"), ("-x-y", "x", "y")]
+    return [("", _observable(d, 0), _observable(d, 1))]
 
 
 # the largest depth whose explicit state fits the default budget of 65536 amplitudes, d**(2**n)
 N_MAX = {2: 4, 3: 3, 4: 3}
 
-# (report path under DATA, CLI arguments before --isometry, --isometry, --d, seed or None)
+# (report name under DATA, CLI arguments before --isometry, with observables written to files, --isometry, --d)
 CASES = (
-    [("exponents/" + name, ["exponents"], spec, d, seed)
-     for name, spec, d, seed in NAMED + _seeded(range(4), (2, 3)) + _seeded(range(2), (4,))]
-    + [("thermo/%s-nu%d" % (name, nu), ["thermo", "--nu", str(nu)], spec, d, seed)
-       for name, spec, d, seed in NAMED + _seeded(range(2), (2, 3, 4)) for nu in (1, 2, 3, 4)]
-    + [("finite-check/%s-%s" % (name, top), ["finite-check", "--top", top, "--n-max", str(N_MAX[d])], spec, d, seed)
-       for name, spec, d, seed in NAMED + _seeded(range(2), (2, 3, 4)) for top in ("diag", "corner")]
+    [("exponents/" + name, ["exponents"], spec, d)
+     for name, spec, d in NAMED + _seeded(range(4), (2, 3)) + _seeded(range(2), (4,))]
+    + [("thermo/%s-nu%d" % (name, nu), ["thermo", "--nu", str(nu)], spec, d)
+       for name, spec, d in NAMED + _seeded(range(2), (2, 3, 4)) for nu in (1, 2, 3, 4)]
+    + [("finite-check/%s-%s" % (name, top), ["finite-check", "--top", top, "--n-max", str(N_MAX[d])], spec, d)
+       for name, spec, d in NAMED + _seeded(range(2), (2, 3, 4)) for top in ("diag", "corner")]
+    + [("correlate/" + name + suffix, ["correlate", "--theta", theta, "--theta-prime", prime, "--m-max", "10"], spec, d)
+       for name, spec, d in NAMED + _seeded(range(2), (2, 3, 4)) + [("flip", flip_isometry(), 2)]
+       for suffix, theta, prime in _observables(d)]
 )
 
 
+def report_path(case) -> Path:
+    return DATA / (case[0] + (".csv" if case[1][0] == "correlate" else ".json"))
+
+
 def report_text(case) -> tuple[int, str]:
-    """The exit code and stdout of the CLI run of one case; a seeded isometry goes through its saved file."""
-    _, args, spec, d, seed = case
+    """The exit code and stdout of the CLI run of one case; isometries and observables go through saved files."""
+    _, args, spec, d = case
     with tempfile.TemporaryDirectory() as tmp:
-        if seed is not None:
+        if isinstance(spec, tc.Isometry):
+            tc.save_isometry(spec, os.path.join(tmp, "lam.json"))
             spec = os.path.join(tmp, "lam.json")
-            tc.save_isometry(tc.random_isometry(d, seed), spec)
+        args = list(args)
+        for k, arg in enumerate(args):
+            if isinstance(arg, tc.Observable):
+                args[k] = os.path.join(tmp, "obs%d.json" % k)
+                tc.save_observable(arg, args[k])
         out = StringIO()
         with redirect_stdout(out):
             code = cli.main(args + ["--isometry", spec, "--d", str(d)])
@@ -60,7 +89,7 @@ def main() -> int:
     codes = {}
     for case in CASES:
         codes[case[0]], text = report_text(case)
-        path = DATA / (case[0] + ".json")
+        path = report_path(case)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -2,7 +2,7 @@
 
 Integers, flags and exit codes must match exactly; floats within 1e-12 scaled by the largest entry of
 their array.  A residual is a difference of states, so it is compared on its state's scale, whose largest
-entry is at most 1: within 1e-12.
+entry is at most 1: within 1e-12.  A correlator series is compared on the scale of its largest |value|.
 """
 
 import json
@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from regen_exponent_reports import CASES, DATA, EXIT_CODES, report_text
+from regen_exponent_reports import CASES, EXIT_CODES, report_path, report_text
 
 
 def _close(got, want, scale):
@@ -48,6 +48,19 @@ def _finite_check(report, pinned):
     assert _close([report[key] for key in RESIDUALS], [pinned[key] for key in RESIDUALS], 1.0)
 
 
+def _rows(text):
+    """The header line (none for a refused run) and the rows of a ``correlate`` CSV as an (m, 3) array."""
+    lines = text.splitlines()
+    return lines[:1], np.array([line.split(",") for line in lines[1:]], dtype=float).reshape(-1, 3)
+
+
+def _correlate(text, pinned):
+    (header, got), (pinned_header, want) = _rows(text), _rows(pinned)
+    assert header == pinned_header and got.shape == want.shape
+    assert np.array_equal(got[:, 0], want[:, 0])
+    assert _close(got[:, 1:], want[:, 1:], np.hypot(want[:, 1], want[:, 2]).max(initial=0.0))
+
+
 COMPARE = {"exponents": _exponents, "thermo": _thermo, "finite-check": _finite_check}
 
 
@@ -55,7 +68,9 @@ COMPARE = {"exponents": _exponents, "thermo": _thermo, "finite-check": _finite_c
 def test_report_matches_the_pinned_one(case):
     code, text = report_text(case)
     assert code == json.loads(EXIT_CODES.read_text(encoding="utf-8"))[case[0]]
-    pinned = json.loads((DATA / (case[0] + ".json")).read_text(encoding="utf-8"))
-    report = json.loads(text)
+    pinned = report_path(case).read_text(encoding="utf-8")
+    if case[1][0] == "correlate":
+        return _correlate(text, pinned)
+    report, pinned = json.loads(text), json.loads(pinned)
     assert report.keys() == pinned.keys()
     COMPARE[case[1][0]](report, pinned)
