@@ -29,6 +29,7 @@ instead in the Hermitian frame E_i (``_hermitian_frame``):
 X has coordinates ``C[i, j] = Tr[(E_i (x) E_j) X]`` (``_to_frame``), and the
 descents are the real ``d^2 x d^2`` matrices ``Lr``, ``Rr`` kept on the
 isometry (``_frame_descents``), so ``LR`` acts as ``C -> Lr C Rr^T``.
+Pair descend has one dense form: its adjoint in swap sectors (``_sector_matrix``).
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ import numpy as np
 from .errors import ShapeError
 from .tensor_core import Isometry, require_isometry
 
-# Bound on every residual in choi_check, the pivoted Cholesky residual's norm included, and the diagonal
-# shift of its fallback Cholesky test: a map is certified CP when every Choi eigenvalue is >= -TAU_CHOI.
+# Bound on every residual in choi_check: a map is certified CP when every Choi eigenvalue is >= -TAU_CHOI.
 TAU_CHOI = 1e-10
 
 
@@ -207,6 +207,64 @@ def _from_frame(coords: np.ndarray) -> np.ndarray:
     return y.reshape(-1, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(coords.shape)
 
 
+@cache
+def _sector_basis(d: int) -> tuple:
+    """Swap-(anti)symmetrized products of E_i (x) E_j (product index i d^2 + j), as 1, S+, S-, K_sym, K_anti.
+
+    Returns ((p1, p2, w1, w2), sectors), built once per d and read-only: the E_i are the frame of
+    :func:`_hermitian_frame` and column q is ``w1[q] e[p1[q]] + w2[q] e[p2[q]]``.
+    1, S+ and S- span the O (x) 1 and 1 (x) O; K, the doubly traceless rest, splits by the swap.
+    Each sector comes with the slices of its copies and of the invariant part below it.
+    """
+    n = d * d
+    grid = np.arange(n * n).reshape(n, n)
+    si, sj = np.triu_indices(n)
+    ai, aj = np.triu_indices(n, 1)
+    order = np.r_[0:n, si.size:si.size + n - 1, n:si.size, si.size + n - 1:n * n]
+    p1 = np.concatenate([grid[si, sj], grid[ai, aj]])[order]
+    p2 = np.concatenate([grid[sj, si], grid[aj, ai]])[order]
+    w1 = np.concatenate([np.where(si == sj, 0.5, np.sqrt(0.5)), np.full(ai.size, np.sqrt(0.5))])[order]
+    w2 = np.where(order < si.size, w1, -w1)
+    s, k = 2 * n - 1, n * (n + 1) // 2 + n - 1
+    sectors = (((slice(0, 1),), slice(0, 0)), ((slice(1, n), slice(n, s)), slice(0, 1)),
+               ((slice(s, k),), slice(0, s)), ((slice(k, n * n),), slice(0, s)))
+    for a in (p1, p2, w1, w2):
+        a.setflags(write=False)
+    return (p1, p2, w1, w2), sectors
+
+
+def _sector_matrix(lam: Isometry) -> np.ndarray:
+    """The pair-descend adjoint A in the basis of :func:`_sector_basis`: real and block upper-triangular."""
+    (p1, p2, w1, w2), _ = _sector_basis(lam.d)
+    lr, rr = _frame_descents(lam)
+    out = np.kron(lr.T, lr.T)
+    out += np.kron(rr.T, rr.T)
+    out /= 2.0
+    for shape in ((1, -1), (-1, 1)):  # gather the columns, then the rows; weigh each gathered copy in place
+        first = out.take(p1, shape.index(-1))
+        first *= w1.reshape(shape)
+        out = out.take(p2, shape.index(-1))
+        out *= w2.reshape(shape)
+        out += first
+    return out
+
+
+def _sector_coordinates(ops: np.ndarray, d: int) -> np.ndarray:
+    """Coordinates Tr[G_q X] of stacked two-site operators X; the inverse of :func:`_sector_operators`."""
+    (p1, p2, w1, w2), _ = _sector_basis(d)
+    product = _to_frame(ops).reshape(len(ops), -1)
+    return product[:, p1] * w1 + product[:, p2] * w2
+
+
+def _sector_operators(coords: np.ndarray, d: int) -> np.ndarray:
+    """Stacked two-site operators sum_q c_q G_q of the rows c of coords: each product coordinate is the sum of
+    two terms (the swap-symmetric and -antisymmetric ones of its pair, or half a diagonal one twice)."""
+    (p1, p2, w1, w2), _ = _sector_basis(d)
+    pairs = np.argsort(np.concatenate([p1, p2]), kind="stable").reshape(-1, 2)
+    q, w = pairs % len(p1), np.concatenate([w1, w2])[pairs]
+    return _from_frame((coords[:, q[:, 0]] * w[:, 0] + coords[:, q[:, 1]] * w[:, 1]).reshape(-1, d * d, d * d))
+
+
 def _superop(apply, din: int) -> np.ndarray:
     """Dense matrix of the linear map ``apply`` on ``din x din`` operators.
 
@@ -260,11 +318,8 @@ def extension_channel(lam: Isometry, nu: int) -> Channel:
 class ChoiReport:
     """Outcome of :func:`choi_check`.
 
-    ``choi_min_eigenvalue`` is None when the Hermitian part of the Choi matrix
-    is certified to have no eigenvalue below ``-TAU_CHOI``, by a pivoted
-    Cholesky factor with a small residual or by a Cholesky factor of it plus
-    ``TAU_CHOI`` times the identity; otherwise it is the exact smallest
-    eigenvalue of that Hermitian part, from a full ``eigvalsh``.
+    ``choi_min_eigenvalue`` is None when the map is completely positive; otherwise it is the exact
+    smallest eigenvalue of the Hermitian part of the Choi matrix, from a full ``eigvalsh``.
     """
 
     completely_positive: bool
@@ -281,25 +336,24 @@ class ChoiReport:
 def _low_rank_psd(h: np.ndarray) -> bool:
     """True when a pivoted Cholesky factor L of the Hermitian ``h`` gives ``||L L^dag - h||_F <= TAU_CHOI``.
 
-    Greedy max-diagonal pivots (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012) stop once no
-    remaining diagonal exceeds ``TAU_CHOI / n``; whatever L is, no eigenvalue of h lies below
-    ``-||L L^dag - h||_F``.  False beyond ``n / 4`` pivots, where the full factorization costs little more.
+    Greedy max-diagonal pivots (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012) run to the numerical rank,
+    where no diagonal left exceeds ``TAU_CHOI / n``.  Whatever L is, no eigenvalue of h is below ``-||L L^dag - h||_F``.
     """
     n = len(h)
     diag = h.diagonal().real.copy()
-    rows = np.empty((n // 4, n), dtype=complex)  # the rows of L^dag
-    for k in range(n // 4 + 1):
+    rows = np.empty((min(n, 32), n), dtype=complex)  # the rows of L^dag, doubled when the rank needs more
+    for k in range(n + 1):
         p = int(diag.argmax())
-        if diag[p] <= TAU_CHOI / n:
-            e = rows[:k].conj().T @ rows[:k]
-            e -= h
-            return bool(np.vdot(e, e).real <= TAU_CHOI ** 2)
-        if k < n // 4:
-            row = rows[k]
-            np.subtract(h[p], rows[:k, p].conj() @ rows[:k], out=row)
-            row /= math.sqrt(diag[p])
-            diag -= (row * row.conj()).real
-    return False
+        if k == n or diag[p] <= TAU_CHOI / n:
+            break
+        if k == len(rows):
+            rows = np.concatenate([rows, np.empty_like(rows)])
+        np.subtract(h[p], rows[:k, p].conj() @ rows[:k], out=rows[k])
+        rows[k] /= math.sqrt(diag[p])
+        diag -= (rows[k] * rows[k].conj()).real
+    e = rows[:k].conj().T @ rows[:k]
+    e -= h
+    return bool(np.vdot(e, e).real <= TAU_CHOI ** 2)
 
 
 def choi_check(ch: Channel) -> ChoiReport:
@@ -308,10 +362,9 @@ def choi_check(ch: Channel) -> ChoiReport:
     The Choi operator on (input (x) output) is J = sum_ij |i><j| (x) ch(|i><j|).  Its entries, as
     ``K[(c_out, c_in), (r_out, r_in)] = M[(c_out, r_out), (c_in, r_in)]`` of the superoperator M, are
     conj(J) with its factors swapped, so K has J's Hermitian residual and Hermitian-part spectrum.  The
-    map is completely positive when J is Hermitian within ``TAU_CHOI`` and either :func:`_low_rank_psd`
-    certifies the Hermitian part H of K in ``O(n^2 r)`` or H plus ``TAU_CHOI`` on the diagonal has a
-    Cholesky factor; ``choi_min_eigenvalue`` is then None.  Only a map that is not certified pays for
-    the full spectrum that gives it.
+    map is completely positive when J is Hermitian within ``TAU_CHOI`` and the Hermitian part H of K has
+    no eigenvalue below ``-TAU_CHOI``: :func:`_low_rank_psd` certifies that in ``O(n^2 r)``, and only a map
+    it does not certify pays for the full spectrum of H that decides it.
     """
     m, n = ch.dim_in, ch.dim_out
     t = ch.matrix.reshape(n, n, m, m)  # (col_out, row_out, col_in, row_in)
@@ -322,15 +375,9 @@ def choi_check(ch: Channel) -> ChoiReport:
     h *= 0.5
     h += k  # (K + K^dag) / 2
     h = h.reshape(m * n, m * n)
-    certified = herm_residual <= TAU_CHOI and _low_rank_psd(h)
-    if not certified:
-        h[np.diag_indices_from(h)] += TAU_CHOI
-        try:
-            np.linalg.cholesky(h)
-            certified = herm_residual <= TAU_CHOI
-        except np.linalg.LinAlgError:
-            pass
-    min_eig = None if certified else float(np.linalg.eigvalsh(h)[0]) - TAU_CHOI
+    hermitian = herm_residual <= TAU_CHOI
+    min_eig = None if hermitian and _low_rank_psd(h) else float(np.linalg.eigvalsh(h)[0])
+    certified = hermitian and (min_eig is None or min_eig >= -TAU_CHOI)
     # vec(1) is real, so M^dag vec(1) = conj(M^T vec(1)) without a conjugate copy of M
     back = unvec((ch.matrix.T @ vec(np.eye(n))).conj(), m)
     tp_residual = float(np.abs(back - np.eye(m)).max())
@@ -340,8 +387,8 @@ def choi_check(ch: Channel) -> ChoiReport:
         completely_positive=certified,
         trace_preserving=tp_residual <= TAU_CHOI,
         unital=unital_residual <= TAU_CHOI,
-        hermiticity_preserving=herm_residual <= TAU_CHOI,
-        choi_min_eigenvalue=min_eig,
+        hermiticity_preserving=hermitian,
+        choi_min_eigenvalue=None if certified else min_eig,
         tp_residual=tp_residual,
         unital_residual=unital_residual,
         herm_residual=herm_residual,

@@ -3,14 +3,13 @@
 The connected correlator of an infinite tree at distance 2^m is the trace
 of the observable pair against the m-th pair-descend image of the
 difference between the true two-site state and its classical (product of
-marginals) counterpart.  Exponents are base-2 logs of the pair-descend
-adjoint's eigenvalues; eigenoperators are the corresponding primary blocks.
+marginals) counterpart.  Exponents are base-2 logs of the eigenvalues of the
+pair-descend adjoint's sector blocks; eigenoperators are the primary blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -216,57 +215,6 @@ def _cluster_terms(matrix: np.ndarray, x: np.ndarray, u: np.ndarray, m_values: S
     return out
 
 
-@cache
-def _sector_basis(d: int) -> tuple:
-    """Swap-(anti)symmetrized products of E_i (x) E_j (product index i d^2 + j), as 1, S+, S-, K_sym, K_anti.
-
-    Returns ((p1, p2, w1, w2), sectors), built once per d and read-only: the E_i are the frame of
-    :func:`channels._hermitian_frame` and column q is ``w1[q] e[p1[q]] + w2[q] e[p2[q]]``.
-    1, S+ and S- span the O (x) 1 and 1 (x) O; K, the doubly traceless rest, splits by the swap.
-    Each sector comes with the slices of its copies and of the invariant part below it.
-    """
-    n = d * d
-    grid = np.arange(n * n).reshape(n, n)
-    si, sj = np.triu_indices(n)
-    ai, aj = np.triu_indices(n, 1)
-    order = np.r_[0:n, si.size:si.size + n - 1, n:si.size, si.size + n - 1:n * n]
-    p1 = np.concatenate([grid[si, sj], grid[ai, aj]])[order]
-    p2 = np.concatenate([grid[sj, si], grid[aj, ai]])[order]
-    w1 = np.concatenate([np.where(si == sj, 0.5, np.sqrt(0.5)), np.full(ai.size, np.sqrt(0.5))])[order]
-    w2 = np.where(order < si.size, w1, -w1)
-    s, k = 2 * n - 1, n * (n + 1) // 2 + n - 1
-    sectors = (((slice(0, 1),), slice(0, 0)), ((slice(1, n), slice(n, s)), slice(0, 1)),
-               ((slice(s, k),), slice(0, s)), ((slice(k, n * n),), slice(0, s)))
-    for a in (p1, p2, w1, w2):
-        a.setflags(write=False)
-    return (p1, p2, w1, w2), sectors
-
-
-def _sector_matrix(lam: Isometry) -> np.ndarray:
-    """The pair-descend adjoint A in the basis of :func:`_sector_basis`: real and block upper-triangular."""
-    (p1, p2, w1, w2), _ = _sector_basis(lam.d)
-    lr, rr = ch._frame_descents(lam)
-    adj = (np.kron(lr.T, lr.T) + np.kron(rr.T, rr.T)) / 2.0
-    cols = adj[:, p1] * w1 + adj[:, p2] * w2
-    return w1[:, None] * cols[p1] + w2[:, None] * cols[p2]
-
-
-def _sector_coordinates(ops: np.ndarray, d: int) -> np.ndarray:
-    """Coordinates Tr[G_q X] of stacked two-site operators X; the inverse of :func:`_sector_operators`."""
-    (p1, p2, w1, w2), _ = _sector_basis(d)
-    product = ch._to_frame(ops).reshape(len(ops), -1)
-    return product[:, p1] * w1 + product[:, p2] * w2
-
-
-def _sector_operators(coords: np.ndarray, d: int) -> np.ndarray:
-    """Stacked two-site operators sum_q c_q G_q of the rows c of coords: each product coordinate is the sum of
-    two terms (the swap-symmetric and -antisymmetric ones of its pair, or half a diagonal one twice)."""
-    (p1, p2, w1, w2), _ = _sector_basis(d)
-    pairs = np.argsort(np.concatenate([p1, p2]), kind="stable").reshape(-1, 2)
-    q, w = pairs % len(p1), np.concatenate([w1, w2])[pairs]
-    return ch._from_frame((coords[:, q[:, 0]] * w[:, 0] + coords[:, q[:, 1]] * w[:, 1]).reshape(-1, d * d, d * d))
-
-
 def _lift(a: np.ndarray, r: np.ndarray, kappas: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The columns x_j of (a - kappa_j) x_j = r_j, all at once.
 
@@ -288,14 +236,14 @@ def _lift(a: np.ndarray, r: np.ndarray, kappas: np.ndarray, mu: np.ndarray, w: n
 def _sector_structure(lam: Isometry) -> list[tuple[complex, int, int, list[np.ndarray]]]:
     """(kappa, algebraic, geometric, eigenoperators) of the pair-descend adjoint A, in the order of _canonical.
 
-    In the basis of :func:`_sector_basis`, A is real and block upper-triangular with diagonal blocks
+    In the basis of :func:`channels._sector_basis`, A is real and block upper-triangular with diagonal blocks
     1, D, D, A_sym, A_anti (D: the averaged descend adjoint on traceless operators), and each small
     block gets one eig.  Clusters shared by sectors are resolved on the whole matrix.  The null vectors
     y of a sector's other clusters lift together to x = (x_low, y), (A_low,low - kappa) x_low =
     -A_low,block y (:func:`_lift`, with the eig of D), and map back as one stack per sector copy.
     """
-    b = _sector_matrix(lam)
-    _, sectors = _sector_basis(lam.d)
+    b = ch._sector_matrix(lam)
+    _, sectors = ch._sector_basis(lam.d)
     eigs = [np.linalg.eig(b[copies[0], copies[0]]) for copies, _ in sectors]
     items = [(kappa, alg * len(copies), geo * len(copies), null, s) for s, (copies, _) in enumerate(sectors)
              for kappa, alg, geo, null in _eig_structure(b[copies[0], copies[0]], *eigs[s])]
@@ -323,7 +271,7 @@ def _sector_structure(lam: Isometry) -> list[tuple[complex, int, int, list[np.nd
     del b, eigs, items  # free them before the eigenoperators
     ops = {entry[3]: [] for entry in entries}
     for owners, x in found:
-        for k, op in zip(owners, _sector_operators(x.T, lam.d)):
+        for k, op in zip(owners, ch._sector_operators(x.T, lam.d)):
             ops[k].append(op)
     return [entry[:3] + (ops[entry[3]],) for entry in _canonical(entries)]
 
@@ -353,7 +301,7 @@ def powerlaw_check(
     """Correlator series over distances 2^m, split exactly into powers kappa^m.
 
     ``query`` is a CorrelatorQuery or a raw two-site block B.  rho2 - eta lies in K_sym + K_anti,
-    where the pair-descend map is the transpose of the adjoint's blocks (:func:`_sector_matrix`);
+    where the pair-descend map is the transpose of the adjoint's blocks (:func:`channels._sector_matrix`);
     :func:`_cluster_terms` splits the series over each block's clusters, merged where blocks share one.
     ``fitted_exponent`` is log2 of the largest |kappa| whose term exceeds CONTRIBUTION_TOL times the
     series scale; ``log_corrections`` flags a defective cluster; ``is_eigenoperator`` tests B.
@@ -379,12 +327,12 @@ def powerlaw_check(
             log_corrections=False, decomposition=None, residual=None,
         )
 
-    b = _sector_matrix(lam)
-    x, u = _sector_coordinates(np.stack([diff, block]), lam.d)
+    b = ch._sector_matrix(lam)
+    x, u = ch._sector_coordinates(np.stack([diff, block]), lam.d)
     bu = b @ u  # the adjoint applied to B
     kappa_est = complex(np.vdot(u, bu) / np.vdot(u, u))
     member = float(np.linalg.norm(bu - kappa_est * u)) <= EIGENOPERATOR_TOL * float(np.linalg.norm(u))
-    items = [item for (where,), _ in _sector_basis(lam.d)[1][2:]
+    items = [item for (where,), _ in ch._sector_basis(lam.d)[1][2:]
              for item in _cluster_terms(b[where, where].T, x[where], u[where], m_values)]
     clusters = []
     for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):

@@ -5,7 +5,7 @@ because every infinite-depth local quantity is independent of how the tree
 is closed at the top.  Each one starts at rho1, the fixed point of the
 averaged descend map, whose mixing rule comes from the real frame descents
 ``Lr``, ``Rr`` of :mod:`hbts.channels`; the two-site states are real solves
-in that frame, and the wider windows follow through the extension words.
+there and on the sector K blocks, and wider windows follow the extensions.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ class FixedPointResult:
     residual: float
 
 
-def _refuse_unless_mixing(block: np.ndarray, what: str, where: str) -> None:
-    """Refuse a channel whose action ``block`` beside its unit eigenvector has spectral radius within ``TAU_SPEC``
-    of 1, with unit-eigenvalue multiplicity 1 plus the eigenvalues of ``block`` within ``TAU_SPEC`` of 1."""
-    evals = np.linalg.eigvals(block)
+def _refuse_unless_mixing(blocks: list[np.ndarray], what: str, where: str) -> None:
+    """Refuse a channel whose action ``blocks`` beside its unit eigenvector has spectral radius within ``TAU_SPEC``
+    of 1, with unit-eigenvalue multiplicity 1 plus the eigenvalues of the blocks within ``TAU_SPEC`` of 1."""
+    evals = np.concatenate([np.linalg.eigvals(block) for block in blocks])
     radius = float(np.abs(evals).max())
     if radius >= 1.0 - TAU_SPEC:
         multiplicity = 1 + int(np.count_nonzero(np.abs(evals - 1.0) <= TAU_SPEC))
@@ -52,7 +52,7 @@ def single_site_infinity(lam: Isometry) -> FixedPointResult:
 
     def build():
         lr, rr = ch._frame_descents(lam)
-        _refuse_unless_mixing((lr[1:, 1:] + rr[1:, 1:]) / 2.0, "averaged descend channel", "the traceless part")
+        _refuse_unless_mixing([(lr[1:, 1:] + rr[1:, 1:]) / 2.0], "averaged descend channel", "the traceless part")
         n = lam.d ** 2
         system = (ch._letter(lam, "L") + ch._letter(lam, "R")) / 2.0 - np.eye(n)
         system[0] = ch.vec(np.eye(lam.d))
@@ -88,19 +88,24 @@ def two_site_infinity(lam: Isometry) -> DensityOp:
 def classical_pair_infinity(lam: Isometry) -> DensityOp:
     """Infinite-depth averaged product-of-neighboring-marginals state, from the source LR(sigma).
 
-    sigma = rho1 (x) rho1 + k is stationary under pair descend P; on the doubly traceless k, P is
-    P_K = (kron(Lk, Lk) + kron(Rk, Rk))/2 (Lk = Lr[1:, 1:]), so (I - P_K) k = P(rho1 (x) rho1) - rho1 (x) rho1.
+    sigma = rho1 (x) rho1 + k is stationary under pair descend P, k in the doubly traceless sectors K_sym, K_anti,
+    where P is the transpose of the adjoint's block A_K (:func:`channels._sector_matrix`).  The eigvals of both
+    blocks decide mixing; (I - A_K^T) k = x, x the K coordinates of P(rho1 (x) rho1) - rho1 (x) rho1, in two solves.
     """
     rho1 = single_site_infinity(lam).state.matrix
 
     def build():
-        lk, rk = (m[1:, 1:] for m in ch._frame_descents(lam))
-        p_k = (np.kron(lk, lk) + np.kron(rk, rk)) / 2.0
-        _refuse_unless_mixing(p_k, "pair-descend channel", "K")
+        b = ch._sector_matrix(lam)
+        k_sectors = [where for (where,), _ in ch._sector_basis(lam.d)[1][2:]]
+        _refuse_unless_mixing([b[w, w] for w in k_sectors], "pair-descend channel", "K")
         product = np.kron(rho1, rho1)
         drift = (ch._local(lam, product, "LL") + ch._local(lam, product, "RR")) / 2.0 - product
-        k = np.linalg.solve(np.eye(len(p_k)) - p_k, ch._to_frame(drift).real[1:, 1:].reshape(-1))
-        sigma = product + ch._from_frame(np.pad(k.reshape(lk.shape), (1, 0)))  # no 1 (x) O or O (x) 1 part
+        x = ch._sector_coordinates(drift[None], lam.d)[0].real
+        k = np.zeros_like(x)  # no 1 (x) O or O (x) 1 part
+        for w in k_sectors:
+            k[w] = np.linalg.solve(np.eye(w.stop - w.start) - b[w, w].T, x[w])
+        del b  # free the adjoint before the pair solve
+        sigma = product + ch._sector_operators(k[None], lam.d)[0]
         return _pair_solve(lam, ch._local(lam, sigma, "LR"), "thermodynamic classical pair")
 
     return lam._derive("classical-pair", build)

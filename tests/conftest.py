@@ -154,6 +154,29 @@ def dense_extension(lam, nu):
     return (tensor(grow, grow).matrix + middle @ ext3) / 2.0
 
 
+def classical_pair_reference(lam):
+    """Reference eta: the doubly traceless part k of sigma solved with the dense
+    P_K = (kron(Lk, Lk) + kron(Rk, Rk))/2 (Lk = Lr[1:, 1:]), refused through the eigvals of P_K."""
+    rho1 = thermo.single_site_infinity(lam).state.matrix
+    lk, rk = (m[1:, 1:] for m in ch._frame_descents(lam))
+    p_k = (np.kron(lk, lk) + np.kron(rk, rk)) / 2.0
+    thermo._refuse_unless_mixing([p_k], "pair-descend channel", "K")
+    product = np.kron(rho1, rho1)
+    drift = (ch._local(lam, product, "LL") + ch._local(lam, product, "RR")) / 2.0 - product
+    k = np.linalg.solve(np.eye(len(p_k)) - p_k, ch._to_frame(drift).real[1:, 1:].reshape(-1))
+    sigma = product + ch._from_frame(np.pad(k.reshape(lk.shape), (1, 0)))
+    return thermo._pair_solve(lam, ch._local(lam, sigma, "LR"), "reference classical pair").matrix
+
+
+def sector_matrix_reference(lam):
+    """Reference for ch._sector_matrix: the adjoint from two krons, then its columns and rows gathered."""
+    (p1, p2, w1, w2), _ = ch._sector_basis(lam.d)
+    lr, rr = ch._frame_descents(lam)
+    adj = (np.kron(lr.T, lr.T) + np.kron(rr.T, rr.T)) / 2.0
+    cols = adj[:, p1] * w1 + adj[:, p2] * w2
+    return w1[:, None] * cols[p1] + w2[:, None] * cols[p2]
+
+
 def _add_term(out, h, d, nu, N, start):
     """Add h on the window at start into the d^N x d^N matrix out, entry by entry."""
     ring = ph._window_index(d, nu, N, start)

@@ -6,7 +6,8 @@ from hbts import correlators as co
 from hbts import finite_state as fs
 from hbts import tensor_core as tc
 
-from conftest import adjoint, apply, full_exponent_structure, loop_canonical, loop_cluster, rand_herm, run_capped
+from conftest import (adjoint, apply, full_exponent_structure, loop_canonical, loop_cluster, rand_herm, run_capped,
+                      sector_matrix_reference)
 
 
 class TestCorrelatorThermo:
@@ -225,9 +226,9 @@ def test_cluster_and_canonical_match_the_loops_on_crafted_values(name):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_cluster_and_canonical_match_the_loops_on_seeded_blocks(d):
-    _, sectors = co._sector_basis(d)
+    _, sectors = ch._sector_basis(d)
     for seed in range(16):
-        b = co._sector_matrix(tc.random_isometry(d, seed))
+        b = ch._sector_matrix(tc.random_isometry(d, seed))
         for (where,), _ in sectors[2:]:
             assert_matches_the_loops(np.linalg.eig(b[where, where])[0])
 
@@ -320,7 +321,7 @@ def _case_isometry(kind, arg):
 def _explicit_sector_basis(d):
     """Columns: the vectorized sector basis operators G_q, built from kron products of frame operators."""
     frame = ch._hermitian_frame(d)
-    (p1, p2, w1, w2), _ = co._sector_basis(d)
+    (p1, p2, w1, w2), _ = ch._sector_basis(d)
     ops = [ch.unvec(frame[:, i], d) for i in range(d * d)]
     product = np.stack([ch.vec(np.kron(a, b)) for a in ops for b in ops], axis=1)
     u = np.zeros((d ** 4, d ** 4))
@@ -328,6 +329,13 @@ def _explicit_sector_basis(d):
     u[p1, q] += w1
     u[p2, q] += w2
     return product @ u
+
+
+@pytest.mark.parametrize("kind, arg", [("paper", None)] + [("product", d) for d in (2, 3, 4, 5)]
+                         + [(d, seed) for d in (2, 3, 4, 5) for seed in (0, 1)])
+def test_sector_matrix_is_the_reference_bit_for_bit(kind, arg):
+    lam = _case_isometry(kind, arg)
+    assert np.array_equal(ch._sector_matrix(lam), sector_matrix_reference(lam))
 
 
 class TestSectorResolvedSpectrum:
@@ -351,7 +359,7 @@ class TestSectorResolvedSpectrum:
         # the sector basis rebuilt in the standard basis, column by column from products of
         # frame operators; 1 + S and each copy of S with 1 are invariant under the adjoint,
         # K_sym and K_anti under the map itself
-        _, sectors = co._sector_basis(d)
+        _, sectors = ch._sector_basis(d)
         basis = _explicit_sector_basis(d)
         assert np.abs(basis.conj().T @ basis - np.eye(d ** 4)).max() <= 1e-13
         pair = ch.pair_descend_channel(tc.random_isometry(d, 1)).matrix
@@ -409,7 +417,7 @@ class TestSectorResolvedSpectrum:
 def test_sector_coordinates_invert_the_basis(d):
     rng = np.random.default_rng(d)
     ops = rng.standard_normal((3, d * d, d * d)) + 1j * rng.standard_normal((3, d * d, d * d))
-    coords = co._sector_coordinates(ops, d)
+    coords = ch._sector_coordinates(ops, d)
     basis = _explicit_sector_basis(d)
     for op, c in zip(ops, coords):
         assert np.abs(basis @ c - ch.vec(op)).max() <= 1e-13
@@ -419,7 +427,7 @@ def test_sector_coordinates_invert_the_basis(d):
 def test_sector_operators_invert_the_coordinates(d):
     rng = np.random.default_rng(d)
     ops = rng.standard_normal((3, d * d, d * d)) + 1j * rng.standard_normal((3, d * d, d * d))
-    assert np.abs(co._sector_operators(co._sector_coordinates(ops, d), d) - ops).max() <= 1e-13
+    assert np.abs(ch._sector_operators(ch._sector_coordinates(ops, d), d) - ops).max() <= 1e-13
 
 
 def test_lift_solves_again_where_the_eigenbasis_fails(monkeypatch):
@@ -446,7 +454,7 @@ def test_lift_solves_again_where_the_eigenbasis_fails(monkeypatch):
 def test_pair_difference_lies_in_the_doubly_traceless_sectors(d, seed):
     lam = tc.random_isometry(d, seed)
     diff = co.pair_difference_infinity(lam)
-    x = co._sector_coordinates(diff[None], d)[0]
+    x = ch._sector_coordinates(diff[None], d)[0]
     n = d * d
     assert np.abs(x[:2 * n - 1]).max() <= 1e-14 * np.abs(diff).max()
 

@@ -1,5 +1,7 @@
-"""The library runs on numpy alone: importing scipy would load a second BLAS into every process."""
+"""The library runs on numpy alone: importing scipy would load a second BLAS into every process.  And its
+layers import downwards: thermo needs channels, not the correlators built on top of it."""
 
+import json
 import textwrap
 
 from conftest import run_capped
@@ -27,3 +29,24 @@ def test_library_does_not_import_scipy():
     out = run_capped(["-c", SCRIPT], 2 << 30)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# the package __init__ imports every module, so thermo is loaded under a bare package that runs none of it
+THERMO_ALONE = textwrap.dedent(
+    """
+    import importlib.util, json, sys, types
+    package = types.ModuleType("hbts")
+    package.__path__ = importlib.util.find_spec("hbts").submodule_search_locations
+    sys.modules["hbts"] = package
+    import hbts.thermo
+    print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "hbts")))
+    """
+)
+
+
+def test_thermo_does_not_import_the_correlators():
+    out = run_capped(["-c", THERMO_ALONE], 2 << 30)
+    assert out.returncode == 0, out.stderr
+    loaded = json.loads(out.stdout)
+    assert "hbts.thermo" in loaded and "hbts.channels" in loaded
+    assert "hbts.correlators" not in loaded

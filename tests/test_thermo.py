@@ -14,8 +14,8 @@ from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import DegenerateFixedPointError, ValidationError
 
-from conftest import (apply, dense_extension, fixed_point, flip_isometry, growth_channel, power_iteration_fixed_point,
-                      rand_top, run_capped, tensor)
+from conftest import (apply, classical_pair_reference, dense_extension, fixed_point, flip_isometry, growth_channel,
+                      power_iteration_fixed_point, rand_top, run_capped, tensor)
 
 
 def copy_isometry():
@@ -134,10 +134,10 @@ class TestTwoSite:
 
 
 class TestClassicalPair:
-    def test_product_equals_two_site_state(self, product_lam):
-        eta = thermo.classical_pair_infinity(product_lam)
-        rho2 = thermo.two_site_infinity(product_lam)
-        assert np.abs(eta.matrix - rho2.matrix).max() < 1e-12
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_product_equals_two_site_state(self, d):
+        lam = tc.product_isometry(d)
+        assert not (thermo.two_site_infinity(lam).matrix - thermo.classical_pair_infinity(lam).matrix).any()
 
     def test_unit_trace(self, bundled_lam):
         eta = thermo.classical_pair_infinity(bundled_lam)
@@ -146,6 +146,11 @@ class TestClassicalPair:
     def test_difference_is_traceless(self, bundled_lam):
         diff = thermo.two_site_infinity(bundled_lam).matrix - thermo.classical_pair_infinity(bundled_lam).matrix
         assert abs(np.trace(diff)) < 1e-12
+
+    @pytest.mark.parametrize("d, seed", [(d, seed) for d in (2, 3, 4, 5) for seed in range(3)])
+    def test_sector_blocks_match_the_dense_p_k(self, d, seed):
+        lam = tc.random_isometry(d, seed)
+        assert np.abs(thermo.classical_pair_infinity(lam).matrix - classical_pair_reference(lam)).max() <= 1e-12
 
     def test_matches_truncated_series(self, bundled_lam):
         pair = ch.pair_descend_channel(bundled_lam)
