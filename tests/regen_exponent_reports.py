@@ -1,10 +1,12 @@
-"""Regenerate the pinned ``hbts exponents``, ``thermo``, ``finite-check`` and ``correlate`` reports under tests/data.
+"""Regenerate the pinned ``hbts exponents``, ``thermo``, ``finite-check``, ``correlate`` and ``parent`` reports
+under tests/data.
 
 Run from the repository root with ``PYTHONPATH=src python tests/regen_exponent_reports.py``.
-Only regenerate after a change that is meant to move the reports, and say so where it is recorded:
-tests/test_exponent_reports.py compares the current code against these files.  Each report is the
-stdout of one CLI run, in ``tests/data/<command>/<case>.json`` (``.csv`` for ``correlate``);
-``tests/data/exit-codes.json`` holds the exit code of every run.
+tests/test_exponent_reports.py compares the current code against these files.  A report is written only
+when it is missing or that comparison rejects it, so a regeneration leaves every report that still passes
+as it is; say where it is recorded which reports a change moved.  Each report is the stdout of one CLI
+run, in ``tests/data/<command>/<case>.json`` (``.csv`` for ``correlate``); ``tests/data/exit-codes.json``
+holds the exit code of every run.
 """
 
 import json
@@ -60,6 +62,7 @@ CASES = (
     + [("correlate/" + name + suffix, ["correlate", "--theta", theta, "--theta-prime", prime, "--m-max", "10"], spec, d)
        for name, spec, d in NAMED + _seeded(range(2), (2, 3, 4)) + [("flip", flip_isometry(), 2)]
        for suffix, theta, prime in _observables(d)]
+    + [("parent/" + name, ["parent"], spec, d) for name, spec, d in NAMED + _seeded(range(2), (2, 3))]
 )
 
 
@@ -86,14 +89,25 @@ def report_text(case) -> tuple[int, str]:
 
 
 def main() -> int:
-    codes = {}
+    from test_exponent_reports import check  # that module imports this one
+
+    codes = json.loads(EXIT_CODES.read_text(encoding="utf-8")) if EXIT_CODES.exists() else {}
+    written = []
     for case in CASES:
-        codes[case[0]], text = report_text(case)
+        code, text = report_text(case)
         path = report_path(case)
+        if case[0] in codes and path.exists():
+            try:
+                check(case, code, text)
+                continue
+            except AssertionError:
+                pass
+        codes[case[0]] = code
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
+        written.append(case[0])
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print("wrote %d reports to %s" % (len(CASES), DATA))
+    print("wrote %d of %d reports to %s%s" % (len(written), len(CASES), DATA, "".join("\n  " + w for w in written)))
     return 0
 
 
