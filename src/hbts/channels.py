@@ -18,8 +18,10 @@ powers give correlators at distances 2^m; the two-site recursion runs on
 ``(gg + RgL after (Rg + gL)/2)/2``.
 
 Each letter is kept once per isometry as its one-site superoperator
-matrix.  States, alone or stacked, go through a word one site at a time
-(``_local``, ``_descend``), one matrix product per site.  A channel from
+matrix.  States, alone or stacked, go through a word one site at a time,
+one matrix product per site; ``_local`` takes (state, word) terms and
+returns their mean, so it is the one place a tree map is averaged, and
+``_extend`` states the two extensions on it.  A channel from
 nu_in to nu_out sites (local dimension d) is the dense
 ``d**(2*nu_out) x d**(2*nu_in)`` matrix of :class:`Channel`: the images of
 all matrix units under that same map (``_superop``).  Only the public
@@ -65,7 +67,6 @@ class Channel:
     nu_in: int
     nu_out: int
     matrix: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         din, dout = self.dim_in, self.dim_out
@@ -113,34 +114,35 @@ def _letter(lam: Isometry, letter: str) -> np.ndarray:
     return lam._derive("letter-" + letter, build)
 
 
-def _local(lam: Isometry, op: np.ndarray, word: str, adjoint: bool = False) -> np.ndarray:
-    """The operator ``op`` pushed through the map ``word``, one site at a time, or with ``adjoint`` through its dual.
+def _local(lam: Isometry, *terms: tuple[np.ndarray, str], adjoint: bool = False) -> np.ndarray:
+    """The mean of the ``(op, word)`` terms, each operator pushed through its word one site at a time,
+    or with ``adjoint`` through the word's dual.
 
     ``op`` is one ``D x D`` operator or a ``D x D x S`` stack of them, all mapped in the same pass.
     Each site is one matrix product of its (column, row) index pair with the letter's matrix, or
     its conjugate transpose for the dual, where ``g`` takes two sites to one.  Maps that shrink a
-    site go first, so growth acts on the smallest operator.
+    site go first, so growth acts on the smallest operator.  The terms add up in the first one's image.
     """
-    x = np.asarray(op)
-    n, stack = len(word), x.shape[2:]
-    dims = [lam.d ** 2 if adjoint and letter == "g" else lam.d for letter in word]
-    for j in sorted(range(n), key=lambda j: (word[j] == "g") != adjoint):
-        m = _letter(lam, word[j]).conj().T if adjoint else _letter(lam, word[j])
-        i, o = dims[j], math.isqrt(m.shape[0])
-        before, after = math.prod(dims[:j]), math.prod(dims[j + 1:])
-        # axes (rows before, row j, rows after + columns before, column j, columns after + stack)
-        y = x.reshape(before, i, after * before, i, after * math.prod(stack))
-        y = y.transpose(0, 2, 4, 3, 1).reshape(-1, i * i) @ m.T
-        x = y.reshape(before, after * before, -1, o, o).transpose(0, 4, 1, 3, 2)
-        dims[j] = o
-    return x.reshape((math.prod(dims),) * 2 + stack)
-
-
-def _descend(lam: Isometry, op: np.ndarray) -> np.ndarray:
-    """The averaged descend ``(L + R)/2`` of a one-site operator or stack."""
-    out = _local(lam, op, "L")
-    out += _local(lam, op, "R")
-    out /= 2.0
+    out = None
+    for op, word in terms:
+        x = np.asarray(op)
+        n, stack = len(word), x.shape[2:]
+        dims = [lam.d ** 2 if adjoint and letter == "g" else lam.d for letter in word]
+        for j in sorted(range(n), key=lambda j: (word[j] == "g") != adjoint):
+            m = _letter(lam, word[j]).conj().T if adjoint else _letter(lam, word[j])
+            i, o = dims[j], math.isqrt(m.shape[0])
+            before, after = math.prod(dims[:j]), math.prod(dims[j + 1:])
+            # axes (rows before, row j, rows after + columns before, column j, columns after + stack)
+            y = x.reshape(before, i, after * before, i, after * math.prod(stack))
+            y = y.transpose(0, 2, 4, 3, 1).reshape(-1, i * i) @ m.T
+            x = y.reshape(before, after * before, -1, o, o).transpose(0, 4, 1, 3, 2)
+            dims[j] = o
+        x = x.reshape((math.prod(dims),) * 2 + stack)
+        if out is None:
+            out = x
+        else:
+            out += x
+    out /= len(terms)
     return out
 
 
@@ -151,13 +153,8 @@ def _extend(lam: Isometry, rho2: np.ndarray, rho3: np.ndarray | None = None) -> 
     state one level further up, the input of the middle map ``RgL``; both may be stacks.
     """
     if rho3 is None:
-        out = _local(lam, rho2, "Rg")
-        out += _local(lam, rho2, "gL")
-    else:
-        out = _local(lam, rho2, "gg")
-        out += _local(lam, rho3, "RgL")
-    out /= 2.0
-    return out
+        return _local(lam, (rho2, "Rg"), (rho2, "gL"))
+    return _local(lam, (rho2, "gg"), (rho3, "RgL"))
 
 
 @cache
@@ -284,9 +281,9 @@ def descend_channels(lam: Isometry) -> DescendChannels:
     require_isometry(lam)
 
     def build():
-        left = Channel(lam.d, 1, 1, _letter(lam, "L"), name="descend-left")
-        right = Channel(lam.d, 1, 1, _letter(lam, "R"), name="descend-right")
-        return DescendChannels(left, right, Channel(lam.d, 1, 1, (left.matrix + right.matrix) / 2.0, name="descend"))
+        left = Channel(lam.d, 1, 1, _letter(lam, "L"))
+        right = Channel(lam.d, 1, 1, _letter(lam, "R"))
+        return DescendChannels(left, right, Channel(lam.d, 1, 1, (left.matrix + right.matrix) / 2.0))
 
     return lam._derive("descend", build)
 
@@ -296,8 +293,7 @@ def pair_descend_channel(lam: Isometry) -> Channel:
     require_isometry(lam)
 
     def build():
-        mat = _superop(lambda x: (_local(lam, x, "LL") + _local(lam, x, "RR")) / 2.0, lam.d ** 2)
-        return Channel(lam.d, 2, 2, mat, name="pair-descend")
+        return Channel(lam.d, 2, 2, _superop(lambda x: _local(lam, (x, "LL"), (x, "RR")), lam.d ** 2))
 
     return lam._derive("pair-descend", build)
 
@@ -311,7 +307,7 @@ def extension_channel(lam: Isometry, nu: int) -> Channel:
         raise ValueError("extension is defined for nu in {3, 4}, got %r" % (nu,))
     require_isometry(lam)
     ext = (lambda x: _extend(lam, x)) if nu == 3 else (lambda x: _extend(lam, x, _extend(lam, x)))
-    return Channel(lam.d, 2, nu, _superop(ext, lam.d ** 2), name="extend-2to%d" % nu)
+    return Channel(lam.d, 2, nu, _superop(ext, lam.d ** 2))
 
 
 @dataclass(frozen=True)

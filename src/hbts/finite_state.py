@@ -96,7 +96,7 @@ def reduced_avg(psi: PureState, nu: int) -> DensityOp:
     for alpha in range(N):
         acc += _reduced(psi, alpha, nu)
     acc /= N
-    return DensityOp(psi.spec.d, nu, acc, label="finite n=%d averaged" % (psi.spec.n or 0))
+    return DensityOp(psi.spec.d, nu, acc)
 
 
 def site_marginals(psi: PureState) -> list[np.ndarray]:
@@ -109,7 +109,7 @@ def classical_pair_avg(psi: PureState) -> DensityOp:
     N = psi.spec.N
     margs = site_marginals(psi)
     acc = sum(np.kron(margs[a], margs[(a + 1) % N]) for a in range(N)) / N
-    return DensityOp(psi.spec.d, 2, acc, label="finite classical pair")
+    return DensityOp(psi.spec.d, 2, acc)
 
 
 def same_site_pair_avg(psi: PureState) -> DensityOp:
@@ -117,7 +117,7 @@ def same_site_pair_avg(psi: PureState) -> DensityOp:
     N = psi.spec.N
     margs = site_marginals(psi)
     acc = sum(np.kron(m, m) for m in margs) / N
-    return DensityOp(psi.spec.d, 2, acc, label="finite same-site pair")
+    return DensityOp(psi.spec.d, 2, acc)
 
 
 def single_site_base(c: TopTensor) -> DensityOp:
@@ -125,7 +125,7 @@ def single_site_base(c: TopTensor) -> DensityOp:
     require_top(c)
     first = c.c @ c.c.conj().T        # entries sum_k C[l,k] conj(C[u,k])
     second = c.c.T @ c.c.conj()       # entries sum_k C[k,l] conj(C[k,u])
-    return DensityOp(c.d, 1, (first + second) / 2.0, label="depth-1 single site")
+    return DensityOp(c.d, 1, (first + second) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -162,19 +162,19 @@ def level_states(lam: Isometry, c: TopTensor, n: int) -> LevelStates:
     omega = (np.kron(m1, m1) + np.kron(m2, m2)) / 2.0
 
     for _ in range(n - 1):
-        rho1_next = ch._descend(lam, rho1)
-        rho2_next = (ch._local(lam, rho2, "RL") + ch._local(lam, rho1, "g")) / 2.0
-        eta_next = (ch._local(lam, eta, "RL") + ch._local(lam, omega, "LR")) / 2.0
-        omega_next = (ch._local(lam, omega, "LL") + ch._local(lam, omega, "RR")) / 2.0
-        rho1, rho2, eta, omega = rho1_next, rho2_next, eta_next, omega_next
+        rho1, rho2, eta, omega = (
+            ch._local(lam, (rho1, "L"), (rho1, "R")),
+            ch._local(lam, (rho2, "RL"), (rho1, "g")),
+            ch._local(lam, (eta, "RL"), (omega, "LR")),
+            ch._local(lam, (omega, "LL"), (omega, "RR")),
+        )
 
-    label = "level n=%d" % n
     return LevelStates(
         n=n,
-        single=DensityOp(d, 1, rho1, label=label + " single"),
-        pair=DensityOp(d, 2, rho2, label=label + " pair"),
-        classical_pair=DensityOp(d, 2, eta, label=label + " classical pair"),
-        same_site_pair=DensityOp(d, 2, omega, label=label + " same-site pair"),
+        single=DensityOp(d, 1, rho1),
+        pair=DensityOp(d, 2, rho2),
+        classical_pair=DensityOp(d, 2, eta),
+        same_site_pair=DensityOp(d, 2, omega),
     )
 
 
@@ -203,8 +203,8 @@ def recursion_check(
       * one-site:  next single state equals descend of the current one;
       * two-site:  next pair state equals the half/half pair recursion;
       * three-site: depth-n triple equals the 2->3 extension of depth n-1;
-      * four-site: depth-n quadruple equals the 2->4 extension of depth n-2
-        material (defined for n >= 3 only).
+      * four-site: depth-n quadruple equals the 2->4 extension of the depth n-1 pair
+        and of the 2->3 prediction for depth n-1 (defined for n >= 3 only).
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2 to check any recursion")
@@ -218,23 +218,20 @@ def recursion_check(
             windows.insert(0, partial_trace(windows[0], range(1, windows[0].nu)))
         rho[n] = [w.matrix for w in windows]
 
-    res1 = 0.0
-    res2 = 0.0
-    for n in range(1, n_max):
-        res1 = max(res1, float(np.abs(ch._descend(lam, rho[n][0]) - rho[n + 1][0]).max()))
-        pred = (ch._local(lam, rho[n][1], "RL") + ch._local(lam, rho[n][0], "g")) / 2.0
-        res2 = max(res2, float(np.abs(pred - rho[n + 1][1]).max()))
-
-    res3 = 0.0
+    # predictions of each depth n >= 2 from depth n - 1; the 2->4 one reads depth n - 1's 2->3 prediction
+    res = [0.0] * 4
+    ext3 = None
     for n in range(2, n_max + 1):
-        res3 = max(res3, float(np.abs(ch._extend(lam, rho[n - 1][1]) - rho[n][2]).max()))
+        (rho1, rho2, *_), below = rho[n - 1], rho[n]
+        preds = [ch._local(lam, (rho1, "L"), (rho1, "R")), ch._local(lam, (rho2, "RL"), (rho1, "g")),
+                 ch._extend(lam, rho2)]
+        if ext3 is not None:  # from depth 3 on
+            preds.append(ch._extend(lam, rho2, ext3))
+        ext3 = preds[2]
+        for k, pred in enumerate(preds):
+            res[k] = max(res[k], float(np.abs(pred - below[k]).max()))
 
-    res4 = 0.0
-    for n in range(3, n_max + 1):
-        pred = ch._extend(lam, rho[n - 1][1], ch._extend(lam, rho[n - 2][1]))
-        res4 = max(res4, float(np.abs(pred - rho[n][3]).max()))
-
-    return RecursionReport(n_max=n_max, single_site=res1, pair=res2, triple=res3, quad=res4)
+    return RecursionReport(n_max, *res)
 
 
 def correlator_finite(psi: PureState, theta: Observable, theta_prime: Observable, delta: int) -> complex:

@@ -325,7 +325,7 @@ def adjoint_nullity_check(lam: Isometry, hs: HamiltonianSpec) -> NullityReport:
         raise ValueError("the operator nullity argument applies to 3-site interactions")
     rho2 = thermo.two_site_infinity(lam)
     full = numerical_rank(rho2) == rho2.dim
-    descended = (ch._local(lam, hs.h_term, "Rg", adjoint=True) + ch._local(lam, hs.h_term, "gL", adjoint=True)) / 2.0
+    descended = ch._local(lam, (hs.h_term, "Rg"), (hs.h_term, "gL"), adjoint=True)
     residual = float(np.abs(descended).max())
     trace_residual = float(abs(np.trace(rho2.matrix @ descended)))
     return NullityReport(precondition_met=full, residual=residual, trace_residual=trace_residual)

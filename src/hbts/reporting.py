@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import tempfile
@@ -18,20 +19,6 @@ def format_float(x: float) -> str:
     return "0" if s == "-0" else s
 
 
-def _json_escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 def dumps(obj, indent: int = 0) -> str:
     """Serialize a report (dict/list/str/int/float/bool/None) to deterministic JSON.
 
@@ -46,7 +33,7 @@ def dumps(obj, indent: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return '"%s"' % _json_escape(obj)
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -58,7 +45,7 @@ def dumps(obj, indent: int = 0) -> str:
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError("report keys must be strings, got %r" % (key,))
-            items.append('%s  "%s": %s' % (pad, _json_escape(key), dumps(obj[key], indent + 2)))
+            items.append("%s  %s: %s" % (pad, json.dumps(key, ensure_ascii=False), dumps(obj[key], indent + 2)))
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:

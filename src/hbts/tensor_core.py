@@ -117,7 +117,7 @@ class TopTensor:
 
 @dataclass(frozen=True)
 class DensityOp:
-    """A labeled nu-site density operator, checked at construction.
+    """A nu-site density operator, checked at construction.
 
     The input must be finite, Hermitian within TAU_HERM, of unit trace
     within TAU_TRACE and PSD within TAU_PSD.  ``matrix`` holds the exact
@@ -128,7 +128,6 @@ class DensityOp:
     d: int
     nu: int
     matrix: np.ndarray
-    label: str = ""
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -230,8 +229,7 @@ def partial_trace(op: DensityOp, keep: Sequence[int]) -> DensityOp:
     rank = np.argsort(np.argsort(keep0))
     k = len(keep0)
     t = t.transpose(tuple(rank) + tuple(k + r for r in rank))
-    label = op.label + "|tr" if op.label else "partial-trace"
-    return DensityOp(d, k, t.reshape(d ** k, d ** k), label)
+    return DensityOp(d, k, t.reshape(d ** k, d ** k))
 
 
 def numerical_rank(op: DensityOp) -> int:

@@ -56,8 +56,8 @@ def single_site_infinity(lam: Isometry) -> FixedPointResult:
         n = lam.d ** 2
         system = (ch._letter(lam, "L") + ch._letter(lam, "R")) / 2.0 - np.eye(n)
         system[0] = ch.vec(np.eye(lam.d))
-        state = DensityOp(lam.d, 1, ch.unvec(np.linalg.solve(system, np.eye(n)[0]), lam.d), label="fixed-point")
-        residual = float(np.abs(ch._descend(lam, state.matrix) - state.matrix).max())
+        state = DensityOp(lam.d, 1, ch.unvec(np.linalg.solve(system, np.eye(n)[0]), lam.d))
+        residual = float(np.abs(ch._local(lam, (state.matrix, "L"), (state.matrix, "R")) - state.matrix).max())
         if residual > TAU_FIX:
             raise ValidationError("stationary state of the averaged descend channel fails its own equation: "
                                   "residual %g" % residual)
@@ -66,13 +66,13 @@ def single_site_infinity(lam: Isometry) -> FixedPointResult:
     return lam._derive("single-site", build)
 
 
-def _pair_solve(lam: Isometry, source: np.ndarray, label: str) -> DensityOp:
+def _pair_solve(lam: Isometry, source: np.ndarray) -> DensityOp:
     """Solve (Id - RL/2) x = source/2 in the Hermitian frame: (I - kron(Rr, Lr)/2) vec C = vec S/2."""
     lr, rr = ch._frame_descents(lam)
     n = lam.d ** 2
     c = np.linalg.solve(np.eye(n * n) - np.kron(rr, lr) / 2.0, ch._to_frame(source).real.reshape(-1) / 2.0)
     mat = ch._from_frame(c.reshape(n, n))
-    return DensityOp(lam.d, 2, mat / np.trace(mat).real, label=label)
+    return DensityOp(lam.d, 2, mat / np.trace(mat).real)
 
 
 def two_site_infinity(lam: Isometry) -> DensityOp:
@@ -82,7 +82,7 @@ def two_site_infinity(lam: Isometry) -> DensityOp:
     solve; the series converges because descend maps are non-expansive.
     """
     rho1 = single_site_infinity(lam).state
-    return lam._derive("two-site", lambda: _pair_solve(lam, ch._local(lam, rho1.matrix, "g"), "thermodynamic nu=2"))
+    return lam._derive("two-site", lambda: _pair_solve(lam, ch._local(lam, (rho1.matrix, "g"))))
 
 
 def classical_pair_infinity(lam: Isometry) -> DensityOp:
@@ -99,34 +99,33 @@ def classical_pair_infinity(lam: Isometry) -> DensityOp:
         k_sectors = [where for (where,), _ in ch._sector_basis(lam.d)[1][2:]]
         _refuse_unless_mixing([b[w, w] for w in k_sectors], "pair-descend channel", "K")
         product = np.kron(rho1, rho1)
-        drift = (ch._local(lam, product, "LL") + ch._local(lam, product, "RR")) / 2.0 - product
+        drift = ch._local(lam, (product, "LL"), (product, "RR")) - product
         x = ch._sector_coordinates(drift[None], lam.d)[0].real
         k = np.zeros_like(x)  # no 1 (x) O or O (x) 1 part
         for w in k_sectors:
             k[w] = np.linalg.solve(np.eye(w.stop - w.start) - b[w, w].T, x[w])
         del b  # free the adjoint before the pair solve
         sigma = product + ch._sector_operators(k[None], lam.d)[0]
-        return _pair_solve(lam, ch._local(lam, sigma, "LR"), "thermodynamic classical pair")
+        return _pair_solve(lam, ch._local(lam, (sigma, "LR")))
 
     return lam._derive("classical-pair", build)
 
 
 def reduced_infinity(lam: Isometry, nu: int) -> DensityOp:
-    """Infinite-depth averaged nu-consecutive-site state, nu in 1..4.
+    """Infinite-depth averaged nu-consecutive-site state, nu in 1..4, derived once per isometry.
 
     The three- and four-site states are the two-site state pushed through
-    the 2->3 and 2->4 extensions, one site at a time.
+    the 2->3 and 2->4 extensions, one site at a time; the 2->4 one reads the
+    three-site state.
     """
     if nu == 1:
-        return DensityOp(lam.d, 1, single_site_infinity(lam).state.matrix, label="thermodynamic nu=1")
+        return single_site_infinity(lam).state
     if nu == 2:
         return two_site_infinity(lam)
     if nu in (3, 4):
         rho2 = two_site_infinity(lam).matrix
-        mat = ch._extend(lam, rho2)
-        if nu == 4:
-            mat = ch._extend(lam, rho2, mat)
-        return DensityOp(lam.d, nu, mat, label="thermodynamic nu=%d" % nu)
+        rho3 = None if nu == 3 else reduced_infinity(lam, 3).matrix
+        return lam._derive("reduced-%d" % nu, lambda: DensityOp(lam.d, nu, ch._extend(lam, rho2, rho3)))
     raise ValueError("thermodynamic states are available for nu in 1..4, got %r" % (nu,))
 
 
@@ -149,7 +148,7 @@ def thermo_report(lam: Isometry, nu: int) -> dict:
     if nu == 1:
         residual = fp.residual
     elif nu == 2:
-        again = (ch._local(lam, state.matrix, "RL") + ch._local(lam, fp.state.matrix, "g")) / 2.0
+        again = ch._local(lam, (state.matrix, "RL"), (fp.state.matrix, "g"))
         residual = float(np.abs(again - state.matrix).max())
     else:
         residual = marginal_deviation(state, fp.state.matrix)

@@ -100,12 +100,12 @@ def power_iteration_fixed_point(superop, dim, tol=1e-12, max_iter=100_000, seed=
 def growth_channel(lam):
     """Reference dense growth channel, one site to two: rho -> v rho v^dag."""
     tc.require_isometry(lam)
-    return ch.Channel(lam.d, 1, 2, ch._letter(lam, "g"), name="growth")
+    return ch.Channel(lam.d, 1, 2, ch._letter(lam, "g"))
 
 
 def adjoint(channel):
     """Reference Hilbert-Schmidt dual: the conjugate transpose of the superoperator matrix."""
-    return ch.Channel(channel.d, channel.nu_out, channel.nu_in, channel.matrix.conj().T, name="adj-" + channel.name)
+    return ch.Channel(channel.d, channel.nu_out, channel.nu_in, channel.matrix.conj().T)
 
 
 def apply(channel, op):
@@ -126,7 +126,7 @@ def fixed_point(channel):
     if multiplicity != 1:
         raise DegenerateFixedPointError("unit-eigenvalue multiplicity %d" % multiplicity, multiplicity)
     x = ch.unvec(evecs[:, int(np.argmin(np.abs(evals - 1.0)))], channel.dim_out)
-    state = tc.DensityOp(channel.d, channel.nu_out, x / np.trace(x), label="fixed-point")
+    state = tc.DensityOp(channel.d, channel.nu_out, x / np.trace(x))
     return thermo.FixedPointResult(state, float(np.abs(apply(channel, state.matrix) - state.matrix).max()))
 
 
@@ -162,10 +162,10 @@ def classical_pair_reference(lam):
     p_k = (np.kron(lk, lk) + np.kron(rk, rk)) / 2.0
     thermo._refuse_unless_mixing([p_k], "pair-descend channel", "K")
     product = np.kron(rho1, rho1)
-    drift = (ch._local(lam, product, "LL") + ch._local(lam, product, "RR")) / 2.0 - product
+    drift = ch._local(lam, (product, "LL"), (product, "RR")) - product
     k = np.linalg.solve(np.eye(len(p_k)) - p_k, ch._to_frame(drift).real[1:, 1:].reshape(-1))
     sigma = product + ch._from_frame(np.pad(k.reshape(lk.shape), (1, 0)))
-    return thermo._pair_solve(lam, ch._local(lam, sigma, "LR"), "reference classical pair").matrix
+    return thermo._pair_solve(lam, ch._local(lam, (sigma, "LR"))).matrix
 
 
 def sector_matrix_reference(lam):

@@ -178,10 +178,10 @@ class TestKrausForm:
             dense = functools.reduce(tensor, [site_channel(lam, letter) for letter in word])
             dim = d ** len(word)
             op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            assert np.abs(ch._local(lam, op, word) - apply(dense, op)).max() < 1e-13, word
-            assert np.abs(ch._superop(lambda x: ch._local(lam, x, word), dim) - dense.matrix).max() < 1e-13, word
+            assert np.abs(ch._local(lam, (op, word)) - apply(dense, op)).max() < 1e-13, word
+            assert np.abs(ch._superop(lambda x: ch._local(lam, (x, word)), dim) - dense.matrix).max() < 1e-13, word
             out = rng.standard_normal((dense.dim_out,) * 2) + 1j * rng.standard_normal((dense.dim_out,) * 2)
-            assert np.abs(ch._local(lam, out, word, adjoint=True) - apply(adjoint(dense), out)).max() < 1e-13, word
+            assert np.abs(ch._local(lam, (out, word), adjoint=True) - apply(adjoint(dense), out)).max() < 1e-13, word
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_words_map_a_stack_as_each_operator_alone(self, d):
@@ -190,9 +190,9 @@ class TestKrausForm:
         for word in WORDS:
             dim = d ** len(word)
             ops = rng.standard_normal((dim, dim, 3)) + 1j * rng.standard_normal((dim, dim, 3))
-            stacked = ch._local(lam, ops, word)
+            stacked = ch._local(lam, (ops, word))
             for s in range(ops.shape[2]):
-                assert np.abs(stacked[..., s] - ch._local(lam, ops[..., s], word)).max() < 1e-14, word
+                assert np.abs(stacked[..., s] - ch._local(lam, (ops[..., s], word))).max() < 1e-14, word
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_words_preserve_trace_and_hermiticity_at_d4(self, seed):
@@ -200,9 +200,34 @@ class TestKrausForm:
         rng = np.random.default_rng(seed)
         for word in WORDS:
             x = rand_herm(rng, 4 ** len(word))
-            out = ch._local(lam, x, word)
+            out = ch._local(lam, (x, word))
             assert abs(np.trace(out) - np.trace(x)) < 1e-12, word
             assert np.abs(out - out.conj().T).max() < 1e-12, word
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_terms_average_bit_for_bit(self, d, seed, stack):
+        # the mean of the terms' images, each term as a call of its own, up to the last bit
+        lam = tc.random_isometry(d, seed)
+        rng = np.random.default_rng(seed)
+
+        def op(sites):
+            shape = (d ** sites,) * 2 + stack
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        one, two, three = op(1), op(2), op(3)
+        cases = [
+            ([(one, "L"), (one, "R")], False),
+            ([(two, "RL"), (one, "g")], False),
+            ([(two, "LL"), (two, "RR"), (two, "LR")], False),
+            ([(two, "gg"), (three, "RgL")], False),
+            ([(three, "Rg"), (three, "gL")], True),
+        ]
+        for terms, adjoint in cases:
+            alone = [ch._local(lam, term, adjoint=adjoint) for term in terms]
+            together = ch._local(lam, *terms, adjoint=adjoint)
+            assert np.array_equal(together, sum(alone) / len(alone)), [word for _, word in terms]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_descend_matches_kron_sum(self, d):
@@ -215,7 +240,9 @@ class TestKrausForm:
 
 def word_images(lam, x):
     """What each public dense channel on x's sites should give, through the site-by-site maps."""
-    local = functools.partial(ch._local, lam, x)
+    def local(word):
+        return ch._local(lam, (x, word))
+
     if x.shape[0] == lam.d:
         return {"growth": local("g"), "left": local("L"), "right": local("R"), "descend": (local("L") + local("R")) / 2}
     images = {"pair": (local("LL") + local("RR")) / 2, "ext3": ch._extend(lam, x)}
@@ -388,7 +415,7 @@ class TestChoi:
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         for c in maps:
             rep = ch.choi_check(c)
-            assert rep.completely_positive and rep.choi_min_eigenvalue is None, c.name
+            assert rep.completely_positive and rep.choi_min_eigenvalue is None, (c.nu_in, c.nu_out)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_transpose_map_is_not_cp(self, d):
@@ -396,7 +423,7 @@ class TestChoi:
         for i in range(d):
             for j in range(d):
                 k[j * d + i, i * d + j] = 1.0
-        rep = checked(ch.Channel(d, 1, 1, k, name="transpose"))
+        rep = checked(ch.Channel(d, 1, 1, k))
         assert not rep.completely_positive
         assert rep.trace_preserving
         assert abs(rep.choi_min_eigenvalue + 1) < 1e-14

@@ -103,10 +103,10 @@ class TestHamiltonianSpec:
         seen = []
         local = ch._local
 
-        def spy(lam, op, word, adjoint=False):
+        def spy(lam, *terms, adjoint=False):
             if adjoint:
-                seen.append(op)
-            return local(lam, op, word, adjoint)
+                seen.extend(op for op, _ in terms)
+            return local(lam, *terms, adjoint=adjoint)
 
         monkeypatch.setattr(ch, "_local", spy)
         assert ph.adjoint_nullity_check(lam, skew) == ph.adjoint_nullity_check(lam, base)

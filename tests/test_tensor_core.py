@@ -193,7 +193,7 @@ class TestDensityOpInvariants:
 
     def test_one_site_thermodynamic_state_is_a_checked_state(self, bundled_lam):
         out = thermo.reduced_infinity(bundled_lam, 1)
-        assert out.label == "thermodynamic nu=1"
+        assert out is thermo.single_site_infinity(bundled_lam).state
         assert np.array_equal(out.eigenvalues, np.linalg.eigvalsh(out.matrix))
 
 

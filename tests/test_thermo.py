@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hbts import channels as ch
 from hbts import correlators as co
 from hbts import finite_state as fs
+from hbts import parent_ham as ph
 from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import DegenerateFixedPointError, ValidationError
@@ -305,6 +306,23 @@ class TestPerIsometryMemo:
         again = tc.Isometry(3, lam.v)
         assert thermo.two_site_infinity(again) is not thermo.two_site_infinity(lam)
         assert np.array_equal(thermo.two_site_infinity(again).matrix, thermo.two_site_infinity(lam).matrix)
+
+    def test_reduced_states_are_derived_once_and_shared(self, monkeypatch):
+        lam = tc.random_isometry(2, 0)
+        states = [thermo.reduced_infinity(lam, nu) for nu in (1, 2, 3, 4)]
+        for nu, state in enumerate(states, 1):
+            assert thermo.reduced_infinity(lam, nu) is state, nu
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a reduced state was extended again")
+
+        read = []
+        kernel_basis = ph.kernel_basis
+        monkeypatch.setattr(ph, "kernel_basis", lambda rho: read.append(rho) or kernel_basis(rho))
+        monkeypatch.setattr(ch, "_extend", refuse)
+        assert ph.build_interaction(lam).nu == 4
+        assert len(read) == 3 and all(got is want for got, want in zip(read, states[1:]))
+        thermo.thermo_report(lam, 4)
 
     def test_cached_arrays_are_read_only(self):
         lam = tc.random_isometry(3, 2)
