@@ -293,7 +293,8 @@ def pair_descend_channel(lam: Isometry) -> Channel:
     require_isometry(lam)
 
     def build():
-        return Channel(lam.d, 2, 2, _superop(lambda x: _local(lam, (x, "LL"), (x, "RR")), lam.d ** 2))
+        mat = _superop(lambda x: _local(lam, (x, "LL"), (x, "RR")), lam.d ** 2)
+        return Channel(lam.d, 2, 2, mat)
 
     return lam._derive("pair-descend", build)
 

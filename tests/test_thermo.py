@@ -313,6 +313,15 @@ class TestPerIsometryMemo:
         for nu, state in enumerate(states, 1):
             assert thermo.reduced_infinity(lam, nu) is state, nu
 
+        # the four-site state extends the kept three-site one: one 2->3 extension in all
+        fresh = tc.random_isometry(2, 1)
+        seen = []
+        extend = ch._extend
+        monkeypatch.setattr(ch, "_extend", lambda lam, rho2, rho3=None: seen.append(rho3) or extend(lam, rho2, rho3))
+        thermo.reduced_infinity(fresh, 4)
+        thermo.reduced_infinity(fresh, 3)
+        assert len(seen) == 2 and seen[0] is None and seen[1] is thermo.reduced_infinity(fresh, 3).matrix
+
         def refuse(*args, **kwargs):
             raise AssertionError("a reduced state was extended again")
 
