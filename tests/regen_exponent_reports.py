@@ -1,5 +1,5 @@
-"""Regenerate the pinned ``hbts exponents``, ``thermo``, ``finite-check``, ``correlate`` and ``parent`` reports
-under tests/data.
+"""Regenerate the pinned ``hbts exponents``, ``thermo``, ``finite-check``, ``correlate``, ``parent``, ``diag``
+and ``subspace-check`` reports under tests/data.
 
 Run from the repository root with ``PYTHONPATH=src python tests/regen_exponent_reports.py``.
 tests/test_exponent_reports.py compares the current code against these files.  A report is written only
@@ -51,6 +51,12 @@ def _observables(d):
 # the largest depth whose explicit state fits the default budget of 65536 amplitudes, d**(2**n)
 N_MAX = {2: 4, 3: 3, 4: 3}
 
+# (isometry case, ring sizes N) of the diag and subspace-check runs; subspace-check refuses the odd N = 7
+DIAG_RINGS = ([(NAMED[0], range(6, 11)), (NAMED[1], (6, 8))]
+              + [(case, (7, 8)) for case in _seeded(range(2), (2,))] + [(case, (5, 6)) for case in _seeded(range(2), (3,))])
+SUBSPACE_RINGS = ([(NAMED[0], (6, 7, 8, 10))]
+                  + [(case, (8,)) for case in _seeded(range(2), (2,))] + [(case, (6,)) for case in _seeded(range(2), (3,))])
+
 # (report name under DATA, CLI arguments before --isometry, with observables written to files, --isometry, --d)
 CASES = (
     [("exponents/" + name, ["exponents"], spec, d)
@@ -63,6 +69,9 @@ CASES = (
        for name, spec, d in NAMED + _seeded(range(2), (2, 3, 4)) + [("flip", flip_isometry(), 2)]
        for suffix, theta, prime in _observables(d)]
     + [("parent/" + name, ["parent"], spec, d) for name, spec, d in NAMED + _seeded(range(2), (2, 3))]
+    + [("%s/%s-N%d" % (command, name, N), [command, "--N", str(N)], spec, d)
+       for command, rings in (("diag", DIAG_RINGS), ("subspace-check", SUBSPACE_RINGS))
+       for (name, spec, d), sizes in rings for N in sizes]
 )
 
 

@@ -4,7 +4,9 @@ Integers, flags and exit codes must match exactly; floats within 1e-12 scaled by
 their array.  A residual is a difference of states, so it is compared on its state's scale, whose largest
 entry is at most 1: within 1e-12.  A correlator series is compared on the scale of its largest |value|.
 An interaction's weights are compared exactly, and its term within 1e-12 of its largest entry: the kernel
-projector does not depend on the basis the kernel comes in.
+projector does not depend on the basis the kernel comes in.  A ring spectrum, its ground energy and its
+histogram edges are compared within 1e-12 of the spectrum's largest |value|, its counts exactly; the
+residuals of a subspace check within 1e-12.
 """
 
 import json
@@ -70,7 +72,25 @@ def _parent(report, pinned):
     assert _close(report["h_term"], pinned["h_term"], np.abs(pinned["h_term"]).max())
 
 
-COMPARE = {"exponents": _exponents, "thermo": _thermo, "finite-check": _finite_check, "parent": _parent}
+def _diag(report, pinned):
+    keys = ("N", "nu", "kernel_dim", "degeneracy", "tau_gs")
+    assert [report[key] for key in keys] == [pinned[key] for key in keys]
+    assert [row[2] for row in report["histogram"]] == [row[2] for row in pinned["histogram"]]
+    scale = np.abs(pinned["spectrum"]).max()
+    assert _close(report["spectrum"], pinned["spectrum"], scale)
+    assert _close(report["ground_energy"], pinned["ground_energy"], scale)
+    assert _close([row[:2] for row in report["histogram"]], [row[:2] for row in pinned["histogram"]], scale)
+
+
+def _subspace_check(report, pinned):
+    keys = ("N", "nu", "dim_grown", "dim_translated", "dim_union", "unfrustrated")
+    assert [report[key] for key in keys] == [pinned[key] for key in keys]
+    residuals = ("max_h_residual", "max_local_energy")
+    assert _close([report[key] for key in residuals], [pinned[key] for key in residuals], 1.0)
+
+
+COMPARE = {"exponents": _exponents, "thermo": _thermo, "finite-check": _finite_check, "parent": _parent,
+           "diag": _diag, "subspace-check": _subspace_check}
 
 
 def check(case, code, text):
@@ -79,6 +99,9 @@ def check(case, code, text):
     pinned = report_path(case).read_text(encoding="utf-8")
     if case[1][0] == "correlate":
         return _correlate(text, pinned)
+    if not pinned:  # a refused run prints no report
+        assert text == ""
+        return
     report, pinned = json.loads(text), json.loads(pinned)
     assert report.keys() == pinned.keys()
     COMPARE[case[1][0]](report, pinned)
