@@ -172,18 +172,13 @@ def _canonical(out: list) -> list:
     return [(values[k],) + out[k][1:] for k in order.tolist()]
 
 
-def _spectral_structure(matrix: np.ndarray) -> list[tuple[complex, int, int, list[np.ndarray]]]:
-    """(kappa, algebraic, geometric, null vectors) per eigenvalue cluster, in the order of _canonical.
-
-    One eigendecomposition gives the clusters (:func:`_cluster`).  A simple eigenvalue is its own kappa,
-    with geometric multiplicity 1 and its eigenvector as null vector; a cluster of two or more goes to
-    :func:`_resolve_cluster`.
-    """
-    return _eig_structure(matrix, *np.linalg.eig(matrix))
-
-
 def _eig_structure(matrix: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> list:
-    """:func:`_spectral_structure` of matrix from its eigendecomposition ``evals, evecs``."""
+    """(kappa, algebraic, geometric, null vectors) per eigenvalue cluster of matrix, in the order of _canonical.
+
+    The eigendecomposition ``evals, evecs`` gives the clusters (:func:`_cluster`).  A simple eigenvalue is its
+    own kappa, with geometric multiplicity 1 and its eigenvector as null vector; a cluster of two or more goes
+    to :func:`_resolve_cluster`.
+    """
     values, vectors = evals.astype(complex).tolist(), list(evecs.T)
     return _canonical([(values[m[0]], 1, 1, [vectors[m[0]]]) if len(m) == 1 else
                        _resolve_cluster(matrix, complex(np.mean(evals[m])), len(m))
@@ -196,16 +191,27 @@ def _cluster_terms(matrix: np.ndarray, x: np.ndarray, u: np.ndarray, m_values: S
     u^T matrix^m x = sum_c u_c^T J_c^m w_c, w the coordinates of x on the cluster bases V_c, u_c = V_c^T u.
     V_c holds eigenvectors and J_c = kappa, or for a defective cluster the generalized eigenspace (last
     right singular vectors of (matrix - kappa)^algebraic) and J_c = matrix on it.  ``terms`` are at m_values.
+    x is real: a conjugate pair's lower member k takes V_k = conj V_j, and one solve on Re V_j, Im V_j (each pair)
+    and V_c (each real cluster) gives w_j = (y_j - i y_k)/2 = conj w_k exactly, and real w_c for a real V_c.
     """
-    structure = _spectral_structure(matrix)
+    structure = _eig_structure(matrix, *np.linalg.eig(matrix))
     bases = [np.stack(null, axis=1) if geo == alg else
              np.linalg.svd(np.linalg.matrix_power(matrix - kappa * np.eye(len(matrix)), alg))[2][-alg:].conj().T
              for kappa, alg, geo, null in structure]
+    index = {kappa: k for k, (kappa, *_) in enumerate(structure)}  # _canonical makes pairs exactly conjugate
+    upper = {k: index[kappa.conjugate()] for k, (kappa, *_) in enumerate(structure)
+             if kappa.imag < 0 and kappa.conjugate() in index}
+    bases = [bases[upper[k]].conj() if k in upper else b for k, b in enumerate(bases)]
+    cols = np.split(np.arange(len(matrix)), np.cumsum([alg for _, alg, _, _ in structure])[:-1])
     vectors = np.concatenate(bases, axis=1)
-    w, v = np.linalg.solve(vectors, x), vectors.T @ u
-    out, start = [], 0
-    for (kappa, alg, geo, _), basis in zip(structure, bases):
-        c, start = slice(start, start + alg), start + alg
+    re_im = np.concatenate([-b.imag if k in upper else b.real if k in upper.values() else b
+                            for k, b in enumerate(bases)], axis=1)
+    w, v = np.linalg.solve(re_im if re_im.imag.any() else re_im.real, x).astype(complex), vectors.T @ u
+    for k, j in upper.items():
+        w[cols[j]] = (w[cols[j]] - 1j * w[cols[k]]) / 2.0
+        w[cols[k]] = w[cols[j]].conj()
+    out = []
+    for (kappa, alg, geo, _), basis, c in zip(structure, bases, cols):
         if geo == alg:
             terms = (v[c] @ w[c]) * kappa ** np.array(m_values)
         else:

@@ -3,8 +3,8 @@
 Everything here treats the lattice as a ring (periodic indices); averages
 over starting position always include the wrap-around pairs.  The explicit
 state costs d**(2**n) amplitudes, so depth is capped by a memory budget;
-``level_states`` provides the same averaged quantities at any depth through
-channel iteration instead.
+``level_states`` gives the same averaged quantities at any depth, iterating
+the channels from this oracle's averages of the depth-1 tree.
 """
 
 from __future__ import annotations
@@ -92,11 +92,7 @@ def reduced_avg(psi: PureState, nu: int) -> DensityOp:
     N = psi.spec.N
     if not 1 <= nu <= N:
         raise ValueError("window size %d out of range 1..%d" % (nu, N))
-    acc = np.zeros((psi.spec.d ** nu,) * 2, dtype=complex)
-    for alpha in range(N):
-        acc += _reduced(psi, alpha, nu)
-    acc /= N
-    return DensityOp(psi.spec.d, nu, acc)
+    return DensityOp(psi.spec.d, nu, sum(_reduced(psi, alpha, nu) for alpha in range(N)) / N)
 
 
 def site_marginals(psi: PureState) -> list[np.ndarray]:
@@ -121,11 +117,9 @@ def same_site_pair_avg(psi: PureState) -> DensityOp:
 
 
 def single_site_base(c: TopTensor) -> DensityOp:
-    """Averaged one-site state of the depth-1 tree, straight from the top tensor."""
+    """Averaged one-site state of the depth-1 tree, whose two sites hold the top tensor's amplitudes."""
     require_top(c)
-    first = c.c @ c.c.conj().T        # entries sum_k C[l,k] conj(C[u,k])
-    second = c.c.T @ c.c.conj()       # entries sum_k C[k,l] conj(C[k,u])
-    return DensityOp(c.d, 1, (first + second) / 2.0)
+    return reduced_avg(PureState(LatticeSpec(d=c.d, N=2, n=1), c.c), 1)
 
 
 @dataclass(frozen=True)
@@ -140,27 +134,18 @@ class LevelStates:
 
 
 def level_states(lam: Isometry, c: TopTensor, n: int) -> LevelStates:
-    """Iterate the level recursions from the depth-1 base cases.
+    """Iterate the level recursions from the depth-1 base cases, the oracle's averages of the depth-1 tree.
 
     The pair state follows the two-site recursion; the classical-pair state
     rides along via the same-site product average, which the pair-descend
     words ``(LL + RR)/2`` carry level to level.
     """
-    require_isometry(lam)
-    require_top(c)
+    psi = build_state(lam, c, 1)
     if n < 1:
         raise ValueError("tree depth must be >= 1, got %d" % n)
     d = lam.d
-    amp = np.array(c.c, dtype=complex).reshape(-1)
-    rho_full = np.outer(amp, amp.conj())
-    m1 = rho_full.reshape(d, d, d, d).trace(axis1=1, axis2=3)  # keep site 1
-    m2 = rho_full.reshape(d, d, d, d).trace(axis1=0, axis2=2)  # keep site 2
-    swap = rho_full.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-    rho1 = (m1 + m2) / 2.0
-    rho2 = (rho_full + swap) / 2.0
-    eta = (np.kron(m1, m2) + np.kron(m2, m1)) / 2.0
-    omega = (np.kron(m1, m1) + np.kron(m2, m2)) / 2.0
-
+    rho1, rho2, eta, omega = (op.matrix for op in (reduced_avg(psi, 1), reduced_avg(psi, 2),
+                                                   classical_pair_avg(psi), same_site_pair_avg(psi)))
     for _ in range(n - 1):
         rho1, rho2, eta, omega = (
             ch._local(lam, (rho1, "L"), (rho1, "R")),

@@ -1,11 +1,11 @@
 """Parent Hamiltonians: kernel projectors, cyclic assembly, exact diagonalization.
 
 The interaction term is a weighted sum of projectors onto the kernel of the
-infinite-depth reduced state, so the full Hamiltonian is PSD and kills the
-tree state.  Everything ground-space related (degeneracy, the grown
-subspace and its translate, unfrustration, adjoint nullity) is verified
-numerically: the spectrum one translation sector at a time, and the grown
-subspace term by term, neither forming H.
+infinite-depth reduced state, of dimension d^nu less its numerical rank, so
+the full Hamiltonian is PSD and kills the tree state.  Everything ground-space
+related (degeneracy, the grown subspace and its translate, unfrustration,
+adjoint nullity) is verified numerically: the spectrum one translation sector
+at a time, and the grown subspace term by term, neither forming H.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import KernelNotFoundError, ResourceLimitError, ValidationError
-from .tensor_core import TAU_RANK, DensityOp, Isometry, hermitian_part, numerical_rank, svd_rank
+from .tensor_core import DensityOp, Isometry, hermitian_part, numerical_rank, svd_rank
 from . import channels as ch
 from . import thermo
 
@@ -93,9 +93,8 @@ class NullityReport:
 
 
 def kernel_basis(rho: DensityOp) -> np.ndarray:
-    """Orthonormal kernel vectors (columns) of a state: eigenvalues at most TAU_RANK times the largest."""
-    evals, evecs = np.linalg.eigh(rho.matrix)
-    return np.array(evecs[:, evals <= TAU_RANK * evals[-1]])
+    """Orthonormal kernel vectors (columns) of a state: eigenvectors of its d^nu - numerical_rank smallest eigenvalues."""
+    return np.array(np.linalg.eigh(rho.matrix)[1][:, :rho.dim - numerical_rank(rho)])
 
 
 def build_interaction(

@@ -1,4 +1,4 @@
-"""Dense complex tensor substrate: isometries, density operators, partial traces, ranks.
+"""Dense complex tensor substrate: isometries, density operators, partial traces (one einsum), ranks.
 
 Conventions shared by every module in this package:
 
@@ -13,8 +13,8 @@ Conventions shared by every module in this package:
   ``v`` with ``v[(l1, l2), u]`` the amplitude of ``|l1 l2>`` in the image
   of ``|u>``; the isometric condition reads ``v^dag v = identity``.
 * Every reduced state is a ``DensityOp``, and its constructor is the one
-  place a state is checked, made Hermitian and diagonalized: rank,
-  spectrum and kernel readers take the stored matrix and eigenvalues.
+  place a state is checked, made Hermitian and diagonalized: rank, spectrum
+  and kernel readers take the stored eigenvalues and one TAU_RANK threshold.
 """
 
 from __future__ import annotations
@@ -183,13 +183,13 @@ def validate_isometry(lam: Isometry, tol: float = TAU_ISO) -> ValidationReport:
     return ValidationReport("isometry", residual <= tol, residual, tol)
 
 
-def require_isometry(lam: Isometry) -> None:
-    rep = validate_isometry(lam)
+def _require(rep: ValidationReport, violated: str) -> None:
     if not rep.passed:
-        raise ValidationError(
-            "isometric condition violated: residual %s > tol %s"
-            % (format_float(rep.residual), format_float(rep.tol))
-        )
+        raise ValidationError("%s %s > tol %s" % (violated, format_float(rep.residual), format_float(rep.tol)))
+
+
+def require_isometry(lam: Isometry) -> None:
+    _require(validate_isometry(lam), "isometric condition violated: residual")
 
 
 def validate_top(c: TopTensor, tol: float = TAU_ISO) -> ValidationReport:
@@ -200,12 +200,7 @@ def validate_top(c: TopTensor, tol: float = TAU_ISO) -> ValidationReport:
 
 
 def require_top(c: TopTensor) -> None:
-    rep = validate_top(c)
-    if not rep.passed:
-        raise ValidationError(
-            "top-tensor normalization violated: deviation %s > tol %s"
-            % (format_float(rep.residual), format_float(rep.tol))
-        )
+    _require(validate_top(c), "top-tensor normalization violated: deviation")
 
 
 def partial_trace(op: DensityOp, keep: Sequence[int]) -> DensityOp:
@@ -218,17 +213,11 @@ def partial_trace(op: DensityOp, keep: Sequence[int]) -> DensityOp:
     for s in keep:
         if not 1 <= s <= nu:
             raise ValueError("site %d out of range 1..%d" % (s, nu))
-    t = op.matrix.reshape((d,) * (2 * nu))
-    keep0 = [s - 1 for s in keep]
-    traced = [s for s in range(nu) if s not in keep0]
-    for offset, s in enumerate(sorted(traced, reverse=True)):
-        # row axis s and matching column axis; column block shrank by prior traces
-        t = np.trace(t, axis1=s, axis2=s + nu - offset)
-    # remaining axes hold the kept sites in ascending order; axis i of the
-    # output must come from the rank of keep0[i] within that ascending list
-    rank = np.argsort(np.argsort(keep0))
-    k = len(keep0)
-    t = t.transpose(tuple(rank) + tuple(k + r for r in rank))
+    # axes 0..nu-1 are the row sites, nu..2nu-1 the column sites; a traced site's column axis takes its
+    # row axis's label, so one einsum sums its diagonal, and the output lists the kept axes in keep order
+    labels = list(range(nu)) + [nu + s if s + 1 in keep else s for s in range(nu)]
+    k = len(keep)
+    t = np.einsum(op.matrix.reshape((d,) * (2 * nu)), labels, [s - 1 for s in keep] + [s - 1 + nu for s in keep])
     return DensityOp(d, k, t.reshape(d ** k, d ** k))
 
 
@@ -241,9 +230,7 @@ def numerical_rank(op: DensityOp) -> int:
 def svd_rank(a: np.ndarray) -> int:
     """Numerical rank of an arbitrary matrix: singular values above TAU_RANK * s_max."""
     s = np.linalg.svd(np.asarray(a), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > TAU_RANK * s[0]))
+    return int(np.count_nonzero(s > TAU_RANK * s.max(initial=0.0)))  # an empty or zero matrix has rank 0
 
 
 def random_isometry(d: int, seed: int) -> Isometry:

@@ -81,6 +81,45 @@ def write_entries(path, d, entries):
     return str(path)
 
 
+def partial_trace_reference(op, keep):
+    """Reference partial trace: one np.trace per traced site, then a transpose of the kept sites into keep order."""
+    d, nu = op.d, op.nu
+    t = op.matrix.reshape((d,) * (2 * nu))
+    keep0 = [s - 1 for s in keep]
+    traced = [s for s in range(nu) if s not in keep0]
+    for offset, s in enumerate(sorted(traced, reverse=True)):
+        # row axis s and matching column axis; column block shrank by prior traces
+        t = np.trace(t, axis1=s, axis2=s + nu - offset)
+    # remaining axes hold the kept sites in ascending order; axis i of the
+    # output must come from the rank of keep0[i] within that ascending list
+    rank = np.argsort(np.argsort(keep0))
+    k = len(keep0)
+    return t.transpose(tuple(rank) + tuple(k + r for r in rank)).reshape(d ** k, d ** k)
+
+
+def level_states_reference(lam, c, n):
+    """Reference level-n states (rho1, rho2, eta, omega): the depth-1 formulas on the top tensor's two one-site
+    marginals m1, m2, then n - 1 steps of the level recursions."""
+    d = c.d
+    amp = np.array(c.c, dtype=complex).reshape(-1)
+    rho_full = np.outer(amp, amp.conj())
+    m1 = rho_full.reshape(d, d, d, d).trace(axis1=1, axis2=3)  # keep site 1
+    m2 = rho_full.reshape(d, d, d, d).trace(axis1=0, axis2=2)  # keep site 2
+    swap = rho_full.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+    rho1 = (m1 + m2) / 2.0
+    rho2 = (rho_full + swap) / 2.0
+    eta = (np.kron(m1, m2) + np.kron(m2, m1)) / 2.0
+    omega = (np.kron(m1, m1) + np.kron(m2, m2)) / 2.0
+    for _ in range(n - 1):
+        rho1, rho2, eta, omega = (
+            ch._local(lam, (rho1, "L"), (rho1, "R")),
+            ch._local(lam, (rho2, "RL"), (rho1, "g")),
+            ch._local(lam, (eta, "RL"), (omega, "LR")),
+            ch._local(lam, (omega, "LL"), (omega, "RR")),
+        )
+    return rho1, rho2, eta, omega
+
+
 def power_iteration_fixed_point(superop, dim, tol=1e-12, max_iter=100_000, seed=0):
     """Independent fixed-point oracle: plain power iteration on the superoperator."""
     rng = np.random.default_rng(seed)
@@ -199,11 +238,17 @@ def dense_ring(hs, N):
     return total / N
 
 
+def spectral_structure(matrix):
+    """(kappa, algebraic, geometric, null vectors) per eigenvalue cluster of a whole matrix, from its one
+    eigendecomposition (co._eig_structure)."""
+    return co._eig_structure(matrix, *np.linalg.eig(matrix))
+
+
 def full_exponent_structure(lam):
     """Reference spectrum: (kappa, algebraic, geometric) per cluster of the whole d^4 x d^4
     pair-descend adjoint, from one eigendecomposition and an SVD per degenerate cluster."""
     adj = adjoint(ch.pair_descend_channel(lam)).matrix
-    return [(kappa, alg, geo) for kappa, alg, geo, _ in co._spectral_structure(adj)]
+    return [(kappa, alg, geo) for kappa, alg, geo, _ in spectral_structure(adj)]
 
 
 def loop_cluster(values, tol):

@@ -53,9 +53,11 @@ N_MAX = {2: 4, 3: 3, 4: 3}
 
 # (isometry case, ring sizes N) of the diag and subspace-check runs; subspace-check refuses the odd N = 7
 DIAG_RINGS = ([(NAMED[0], range(6, 11)), (NAMED[1], (6, 8))]
-              + [(case, (7, 8)) for case in _seeded(range(2), (2,))] + [(case, (5, 6)) for case in _seeded(range(2), (3,))])
+              + [(case, (7, 8)) for case in _seeded(range(2), (2,))]
+              + [(case, (5, 6)) for case in _seeded(range(2), (3,))])
 SUBSPACE_RINGS = ([(NAMED[0], (6, 7, 8, 10))]
-                  + [(case, (8,)) for case in _seeded(range(2), (2,))] + [(case, (6,)) for case in _seeded(range(2), (3,))])
+                  + [(case, (8,)) for case in _seeded(range(2), (2,))]
+                  + [(case, (6,)) for case in _seeded(range(2), (3,))])
 
 # (report name under DATA, CLI arguments before --isometry, with observables written to files, --isometry, --d)
 CASES = (

@@ -7,7 +7,7 @@ from hbts import finite_state as fs
 from hbts import tensor_core as tc
 
 from conftest import (adjoint, apply, full_exponent_structure, loop_canonical, loop_cluster, rand_herm, run_capped,
-                      sector_matrix_reference)
+                      sector_matrix_reference, spectral_structure)
 
 
 class TestCorrelatorThermo:
@@ -236,7 +236,7 @@ def test_cluster_and_canonical_match_the_loops_on_seeded_blocks(d):
 class TestSpectralStructure:
     def test_diagonal_with_a_double_eigenvalue(self):
         a = np.diag([1.0, 0.5, 0.5, 0.25])
-        structure = co._spectral_structure(a)
+        structure = spectral_structure(a)
         assert [(k, alg, geo) for k, alg, geo, _ in structure] == [(1, 1, 1), (0.5, 2, 2), (0.25, 1, 1)]
         assert_null_vectors(a, structure)
 
@@ -244,7 +244,7 @@ class TestSpectralStructure:
         # a 2x2 Jordan block at 1/2 plus the eigenvalue 1, in a rotated basis
         q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
         a = q @ np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]]) @ q.T
-        structure = co._spectral_structure(a)
+        structure = spectral_structure(a)
         assert [(alg, geo) for _, alg, geo, _ in structure] == [(1, 1), (2, 1)]
         assert abs(structure[0][0] - 1.0) < 1e-12 and abs(structure[1][0] - 0.5) < 1e-7
         assert_null_vectors(a, structure)
@@ -254,7 +254,7 @@ class TestSpectralStructure:
         a = np.diag([0.9, 0.6, 0.3, 0.1]) + np.triu(rng.standard_normal((4, 4)), 1)
         s = rng.standard_normal((4, 4)) + 4 * np.eye(4)
         a = s @ a @ np.linalg.inv(s)
-        structure = co._spectral_structure(a)
+        structure = spectral_structure(a)
         assert [(alg, geo) for _, alg, geo, _ in structure] == [(1, 1)] * 4
         assert np.abs(np.array([k for k, _, _, _ in structure]) - [0.9, 0.6, 0.3, 0.1]).max() < 1e-12
         assert_null_vectors(a, structure)
@@ -299,7 +299,7 @@ def test_real_negative_kappas_take_one_branch_of_the_log():
 
 @pytest.mark.parametrize("roundoff", [1e-16, -1e-16, 0.0, -0.0])
 def test_real_negative_kappa_ignores_the_sign_of_roundoff(roundoff):
-    structure = co._spectral_structure(np.diag([1.0, complex(-0.5, roundoff), 0.25]))
+    structure = spectral_structure(np.diag([1.0, complex(-0.5, roundoff), 0.25]))
     kappa = structure[1][0]
     assert kappa.real == -0.5 and kappa.imag == 0.0 and np.copysign(1.0, kappa.imag) == 1.0
     assert abs(co._log2_or_none(kappa) - complex(-1.0, np.pi / np.log(2.0))) < 1e-15

@@ -6,7 +6,7 @@ from hbts import finite_state as fs
 from hbts import tensor_core as tc
 from hbts.errors import ResourceLimitError
 
-from conftest import apply, rand_top
+from conftest import apply, level_states_reference, rand_top
 
 
 def basis_state(d, digits):
@@ -130,6 +130,17 @@ class TestLevelStates:
             assert np.abs(lv.pair.matrix - fs.reduced_avg(psi, 2).matrix).max() < 1e-12
             assert np.abs(lv.classical_pair.matrix - fs.classical_pair_avg(psi).matrix).max() < 1e-12
             assert np.abs(lv.same_site_pair.matrix - fs.same_site_pair_avg(psi).matrix).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_match_the_depth_one_formulas(self, d):
+        for seed in range(2):
+            lam, top = tc.random_isometry(d, seed), rand_top(d, seed)
+            for n in (1, 2, 3):
+                lv = fs.level_states(lam, top, n)
+                reference = level_states_reference(lam, top, n)
+                for got, want in zip((lv.single, lv.pair, lv.classical_pair, lv.same_site_pair), reference):
+                    assert np.abs(got.matrix - want).max() <= 1e-14
+            assert np.abs(fs.single_site_base(top).matrix - level_states_reference(lam, top, 1)[0]).max() <= 1e-14
 
     def test_classical_pair_shares_trace_and_marginals(self, bundled_lam):
         psi = fs.build_state(bundled_lam, rand_top(2, 13), 3)

@@ -36,6 +36,20 @@ class TestKernelBasis:
         assert kernel.shape[1] == 16 - 12 >= 4
 
 
+CORPUS = (
+    [("paper", tc.paper_isometry())] + [("product-d%d" % d, tc.product_isometry(d)) for d in (2, 3)]
+    + [("seed%d-d%d" % (seed, d), tc.random_isometry(d, seed)) for d in (2, 3, 4) for seed in (0, 1)]
+)
+
+
+@pytest.mark.parametrize("lam", [lam for _, lam in CORPUS], ids=[name for name, _ in CORPUS])
+@pytest.mark.parametrize("nu", ["auto", 4])
+def test_kernel_dim_is_the_window_dimension_less_the_rank(lam, nu):
+    hs = ph.build_interaction(lam, nu=nu)
+    rho = thermo.reduced_infinity(lam, hs.nu)
+    assert hs.kernel_dim == rho.dim - tc.numerical_rank(rho) > 0
+
+
 class TestBuildInteraction:
     def test_bundled_tree_selects_four_site_window(self, paper_interaction):
         assert paper_interaction.nu == 4

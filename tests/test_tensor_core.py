@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import ResourceLimitError, ShapeError, ValidationError
 
-from conftest import rand_density, rand_herm, rand_top, write_entries
+from conftest import partial_trace_reference, rand_density, rand_herm, rand_top, write_entries
 
 
 def basis_projector(dim, index):
@@ -85,6 +86,14 @@ class TestPartialTrace:
             out = tc.partial_trace(tc.DensityOp(2, 3, rho), [1, 3])
             assert abs(np.trace(out.matrix) - 1.0) < 1e-12
             assert np.linalg.eigvalsh(out.matrix)[0] > -1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4])
+    def test_matches_the_trace_loop_for_every_ordered_keep(self, d, nu):
+        op = tc.DensityOp(d, nu, rand_density(np.random.default_rng([d, nu]), d ** nu))
+        for k in range(1, nu + 1):
+            for keep in itertools.permutations(range(1, nu + 1), k):
+                assert np.abs(tc.partial_trace(op, keep).matrix - partial_trace_reference(op, keep)).max() <= 1e-15
 
     def test_bad_subsets_raise(self):
         op = tc.DensityOp(2, 2, np.eye(4) / 4)
