@@ -335,17 +335,14 @@ def _low_rank_psd(h: np.ndarray) -> bool:
 
     Greedy max-diagonal pivots (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012) run to the numerical rank,
     where no diagonal left exceeds ``TAU_CHOI / n``.  Whatever L is, no eigenvalue of h is below ``-||L L^dag - h||_F``.
-    A rank above ``n // 4`` is refused after that many pivots: the full spectrum is then the cheaper decision.
     """
     n = len(h)
     diag = h.diagonal().real.copy()
     rows = np.empty((min(n, 32), n), dtype=complex)  # the rows of L^dag, doubled when the rank needs more
-    for k in range(n // 4 + 1):
+    for k in range(n + 1):
         p = int(diag.argmax())
-        if diag[p] <= TAU_CHOI / n:
+        if k == n or diag[p] <= TAU_CHOI / n:
             break
-        if k == n // 4:
-            return False
         if k == len(rows):
             rows = np.concatenate([rows, np.empty_like(rows)])
         np.subtract(h[p], rows[:k, p].conj() @ rows[:k], out=rows[k])

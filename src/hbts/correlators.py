@@ -191,27 +191,29 @@ def _cluster_terms(matrix: np.ndarray, x: np.ndarray, u: np.ndarray, m_values: S
     u^T matrix^m x = sum_c u_c^T J_c^m w_c, w the coordinates of x on the cluster bases V_c, u_c = V_c^T u.
     V_c holds eigenvectors and J_c = kappa, or for a defective cluster the generalized eigenspace (last
     right singular vectors of (matrix - kappa)^algebraic) and J_c = matrix on it.  ``terms`` are at m_values.
-    x is real: a conjugate pair's lower member k takes V_k = conj V_j, and one solve on Re V_j, Im V_j (each pair)
-    and V_c (each real cluster) gives w_j = (y_j - i y_k)/2 = conj w_k exactly, and real w_c for a real V_c.
+    matrix and x are real, so a conjugate pair's lower member k takes V_k = conj V_j and w_k = conj w_j, and a
+    real cluster of two or more takes V_c from a real SVD (as a defective one does) and real w_c.
     """
     structure = _eig_structure(matrix, *np.linalg.eig(matrix))
-    bases = [np.stack(null, axis=1) if geo == alg else
-             np.linalg.svd(np.linalg.matrix_power(matrix - kappa * np.eye(len(matrix)), alg))[2][-alg:].conj().T
+    eye = np.eye(len(matrix))
+    bases = [np.stack(null, axis=1) if geo == alg and (alg == 1 or kappa.imag) else
+             np.linalg.svd(np.linalg.matrix_power(matrix - (kappa if kappa.imag else kappa.real) * eye,
+                                                  1 if geo == alg else alg))[2][-alg:].conj().T
              for kappa, alg, geo, null in structure]
     index = {kappa: k for k, (kappa, *_) in enumerate(structure)}  # _canonical makes pairs exactly conjugate
     upper = {k: index[kappa.conjugate()] for k, (kappa, *_) in enumerate(structure)
              if kappa.imag < 0 and kappa.conjugate() in index}
     bases = [bases[upper[k]].conj() if k in upper else b for k, b in enumerate(bases)]
-    cols = np.split(np.arange(len(matrix)), np.cumsum([alg for _, alg, _, _ in structure])[:-1])
+    ends = np.cumsum([alg for _, alg, _, _ in structure]).tolist()
+    cols = [slice(end - alg, end) for end, (_, alg, _, _) in zip(ends, structure)]
     vectors = np.concatenate(bases, axis=1)
-    re_im = np.concatenate([-b.imag if k in upper else b.real if k in upper.values() else b
-                            for k, b in enumerate(bases)], axis=1)
-    w, v = np.linalg.solve(re_im if re_im.imag.any() else re_im.real, x).astype(complex), vectors.T @ u
-    for k, j in upper.items():
-        w[cols[j]] = (w[cols[j]] - 1j * w[cols[k]]) / 2.0
-        w[cols[k]] = w[cols[j]].conj()
+    w, v = np.linalg.solve(vectors, x), vectors.T @ u
     out = []
-    for (kappa, alg, geo, _), basis, c in zip(structure, bases, cols):
+    for k, ((kappa, alg, geo, _), basis, c) in enumerate(zip(structure, bases, cols)):
+        if k in upper:  # the upper member's w is never changed
+            w[c] = w[cols[upper[k]]].conj()
+        elif not kappa.imag:
+            w[c] = w[c].real
         if geo == alg:
             terms = (v[c] @ w[c]) * kappa ** np.array(m_values)
         else:

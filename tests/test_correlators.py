@@ -557,6 +557,30 @@ def test_jordan_cluster_terms_reproduce_the_series():
     assert np.abs(powers_only - series).max() > 1e-3 * np.abs(series).max()  # the m kappa^(m-1) part matters
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_repeated_real_clusters_have_exactly_real_coefficients(seed):
+    # a double real eigenvalue 0.7 and a 2x2 Jordan block at -0.4 among conjugate pairs, in a rotated basis
+    rng = np.random.default_rng(seed)
+    a = np.zeros((9, 9))
+    a[:2, :2] = np.diag([0.7, 0.7])
+    a[2:4, 2:4] = [[-0.4, 1.0], [0.0, -0.4]]
+    a[4:6, 4:6] = [[0.3, -0.4], [0.4, 0.3]]
+    a[6:8, 6:8] = [[-0.1, 0.6], [-0.6, -0.1]]
+    a[8, 8] = 0.2
+    q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    matrix = q @ a @ q.T
+    x, u = rng.standard_normal(9), rng.standard_normal(9)
+    m_values = range(21)
+    series = np.array([u @ np.linalg.matrix_power(matrix, m) @ x for m in m_values])
+    terms = co._cluster_terms(matrix, x, u, m_values)
+    real = sorted((round(kappa.real, 6), alg, geo) for kappa, alg, geo, _, _ in terms if kappa.imag == 0)
+    assert real == [(-0.4, 2, 1), (0.2, 1, 1), (0.7, 2, 2)]
+    coefficients = {kappa: c for kappa, _, _, c, _ in terms}
+    for kappa, c in coefficients.items():  # exactly: a real kappa's weight is real, a pair's weights conjugate
+        assert c == coefficients[kappa.conjugate()].conjugate()
+    assert np.abs(sum(t for *_, t in terms) - series).max() <= 1e-12 * np.abs(series).max()
+
+
 @pytest.mark.xfail(strict=True, reason="a 3x3 Jordan block splits by about eps^(1/3) (here into three eigenvalues "
                    "6e-6 apart, far beyond CLUSTER_TOL), taken as simple clusters whose weights reach 8e9 times "
                    "the series; the terms miss the series by 2e-6 relative and no defect is flagged")

@@ -5,8 +5,9 @@ their array.  A residual is a difference of states, so it is compared on its sta
 entry is at most 1: within 1e-12.  A correlator series is compared on the scale of its largest |value|.
 An interaction's weights are compared exactly, and its term within 1e-12 of its largest entry: the kernel
 projector does not depend on the basis the kernel comes in.  A ring spectrum, its ground energy and its
-histogram edges are compared within 1e-12 of the spectrum's largest |value|, its counts exactly; the
-residuals of a subspace check within 1e-12.
+histogram edges are compared within 1e-12 of the spectrum's largest |value|, its counts exactly but for
+eigenvalues that a move within that bound could carry across an edge; the residuals of a subspace check
+within 1e-12.
 """
 
 import json
@@ -75,11 +76,18 @@ def _parent(report, pinned):
 def _diag(report, pinned):
     keys = ("N", "nu", "kernel_dim", "degeneracy", "tau_gs")
     assert [report[key] for key in keys] == [pinned[key] for key in keys]
-    assert [row[2] for row in report["histogram"]] == [row[2] for row in pinned["histogram"]]
     scale = np.abs(pinned["spectrum"]).max()
     assert _close(report["spectrum"], pinned["spectrum"], scale)
     assert _close(report["ground_energy"], pinned["ground_energy"], scale)
     assert _close([row[:2] for row in report["histogram"]], [row[:2] for row in pinned["histogram"]], scale)
+    # the histogram bins the spectrum over its top value: within the contract a rescaled eigenvalue moves by
+    # 2e-12 scale / top and an edge by 1e-12 scale, so a bin's count may differ by the eigenvalues that close
+    # to its inner edges (the d = 2 product spectra sit on edges) and is exact otherwise; the range holds all
+    top = pinned["spectrum"][-1] if pinned["spectrum"][-1] > pinned["tau_gs"] else 1.0
+    inner = np.array([row[0] for row in pinned["histogram"][1:]])
+    at = np.count_nonzero(np.abs(np.array(pinned["spectrum"])[:, None] / top - inner) <= 3e-12 * scale / top, axis=0)
+    moved = np.abs(np.array([row[2] for row in report["histogram"]]) - [row[2] for row in pinned["histogram"]])
+    assert (moved <= np.append(0, at) + np.append(at, 0)).all()
 
 
 def _subspace_check(report, pinned):
