@@ -255,11 +255,17 @@ def _sector_coordinates(ops: np.ndarray, d: int) -> np.ndarray:
 
 def _sector_operators(coords: np.ndarray, d: int) -> np.ndarray:
     """Stacked two-site operators sum_q c_q G_q of the rows c of coords: each product coordinate is the sum of
-    two terms (the swap-symmetric and -antisymmetric ones of its pair, or half a diagonal one twice)."""
+    two terms (the swap-symmetric and -antisymmetric ones of its pair, or half a diagonal one twice), each
+    gathered copy weighed in place."""
     (p1, p2, w1, w2), _ = _sector_basis(d)
     pairs = np.argsort(np.concatenate([p1, p2]), kind="stable").reshape(-1, 2)
     q, w = pairs % len(p1), np.concatenate([w1, w2])[pairs]
-    return _from_frame((coords[:, q[:, 0]] * w[:, 0] + coords[:, q[:, 1]] * w[:, 1]).reshape(-1, d * d, d * d))
+    product = coords.take(q[:, 0], axis=1)
+    product *= w[:, 0]
+    second = coords.take(q[:, 1], axis=1)
+    second *= w[:, 1]
+    product += second
+    return _from_frame(product.reshape(-1, d * d, d * d))
 
 
 def _superop(apply, din: int) -> np.ndarray:

@@ -1,20 +1,21 @@
 """Two-point correlators at distances 2^m and critical exponents from channel spectra.
 
-The connected correlator of an infinite tree at distance 2^m is the trace
-of the observable pair against the m-th pair-descend image of the
-difference between the true two-site state and its classical (product of
-marginals) counterpart.  Exponents are base-2 logs of the eigenvalues of the
-pair-descend adjoint's sector blocks; eigenoperators are the primary blocks.
+The connected correlator of an infinite tree at distance 2^m is the trace of the observable pair against
+the m-th pair-descend image of the difference between the true two-site state and its classical (product
+of marginals) counterpart.  Exponents are base-2 logs of the eigenvalues of the pair-descend adjoint's
+sector blocks, and eigenoperators are the primary blocks.  One eig per block, kept on the isometry, gives
+both the spectrum and the exact split of a correlator series into powers of those eigenvalues.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .tensor_core import TAU_RANK, Isometry, Observable
+from .tensor_core import TAU_RANK, Isometry, Observable, _frozen_complex
 from . import channels as ch
 from . import thermo
 
@@ -76,13 +77,7 @@ def pair_difference_infinity(lam: Isometry) -> np.ndarray:
     """Quantum-minus-classical two-site state; traceless, drives all decay."""
     rho2 = thermo.two_site_infinity(lam)
     eta = thermo.classical_pair_infinity(lam)
-
-    def build():
-        diff = rho2.matrix - eta.matrix
-        diff.setflags(write=False)
-        return diff
-
-    return lam._derive("pair-difference", build)
+    return lam._derive("pair-difference", lambda: _frozen_complex(rho2.matrix - eta.matrix))
 
 
 def pair_descend_series(
@@ -135,8 +130,8 @@ def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
 
 
 def _resolve_cluster(matrix: np.ndarray, kappa: complex, algebraic: int) -> tuple:
-    """(kappa, algebraic, geometric, null vectors) of a cluster, from the SVD of matrix - kappa I."""
-    _, s, vh = np.linalg.svd(matrix - kappa * np.eye(matrix.shape[0]))
+    """(kappa, algebraic, geometric, null vectors) of a cluster from the SVD of matrix - kappa I (real if kappa is)."""
+    _, s, vh = np.linalg.svd(matrix - (kappa if kappa.imag else kappa.real) * np.eye(matrix.shape[0]))
     geometric = int(np.count_nonzero(s <= TAU_RANK * (s[0] if s[0] > 0 else 1.0)))
     return kappa, algebraic, geometric, [vh[-1 - k].conj() for k in range(geometric)]
 
@@ -185,20 +180,20 @@ def _eig_structure(matrix: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> 
                        for m in _cluster(evals, CLUSTER_TOL)])
 
 
-def _cluster_terms(matrix: np.ndarray, x: np.ndarray, u: np.ndarray, m_values: Sequence[int]) -> list[tuple]:
+def _cluster_terms(matrix: np.ndarray, eig: tuple, x: np.ndarray, u: np.ndarray, m_values: Sequence[int]) -> list:
     """(kappa, algebraic, geometric, coefficient, terms) per cluster c of matrix, in the order of _canonical.
 
-    u^T matrix^m x = sum_c u_c^T J_c^m w_c, w the coordinates of x on the cluster bases V_c, u_c = V_c^T u.
-    V_c holds eigenvectors and J_c = kappa, or for a defective cluster the generalized eigenspace (last
-    right singular vectors of (matrix - kappa)^algebraic) and J_c = matrix on it.  ``terms`` are at m_values.
-    matrix and x are real, so a conjugate pair's lower member k takes V_k = conj V_j and w_k = conj w_j, and a
-    real cluster of two or more takes V_c from a real SVD (as a defective one does) and real w_c.
+    matrix is a real block A with its eig; x and the rows of u (a block's Hermitian and anti-Hermitian parts) are real.
+    On A's cluster bases V, u^T (A^T)^m x = sum_c p_c^T J_c^m w_c, p = V^T x and w = V^-1 (u[0] + i u[1]): V_c holds
+    eigenvectors and J_c = kappa, or for a defective cluster the generalized eigenspace (last right singular vectors
+    of (A - kappa)^algebraic) and J_c = A on it.  As a pair's lower member k has V_k = conj V_j and a real cluster a
+    real V_c, p and each part's w take on k their conjugate on j, and on a real cluster their real part.
     """
-    structure = _eig_structure(matrix, *np.linalg.eig(matrix))
+    structure = _eig_structure(matrix, *eig)
     eye = np.eye(len(matrix))
-    bases = [np.stack(null, axis=1) if geo == alg and (alg == 1 or kappa.imag) else
+    bases = [np.stack(null, axis=1) if geo == alg else
              np.linalg.svd(np.linalg.matrix_power(matrix - (kappa if kappa.imag else kappa.real) * eye,
-                                                  1 if geo == alg else alg))[2][-alg:].conj().T
+                                                  alg))[2][-alg:].conj().T
              for kappa, alg, geo, null in structure]
     index = {kappa: k for k, (kappa, *_) in enumerate(structure)}  # _canonical makes pairs exactly conjugate
     upper = {k: index[kappa.conjugate()] for k, (kappa, *_) in enumerate(structure)
@@ -207,19 +202,20 @@ def _cluster_terms(matrix: np.ndarray, x: np.ndarray, u: np.ndarray, m_values: S
     ends = np.cumsum([alg for _, alg, _, _ in structure]).tolist()
     cols = [slice(end - alg, end) for end, (_, alg, _, _) in zip(ends, structure)]
     vectors = np.concatenate(bases, axis=1)
-    w, v = np.linalg.solve(vectors, x), vectors.T @ u
+    factors = np.column_stack([vectors.T @ x, np.linalg.solve(vectors, u.T)])  # p, then w of each part
     out = []
     for k, ((kappa, alg, geo, _), basis, c) in enumerate(zip(structure, bases, cols)):
-        if k in upper:  # the upper member's w is never changed
-            w[c] = w[cols[upper[k]]].conj()
+        if k in upper:  # the upper member's factors are never changed
+            factors[c] = factors[cols[upper[k]]].conj()
         elif not kappa.imag:
-            w[c] = w[c].real
+            factors[c] = factors[c].real
+        p, w = factors[c, 0], factors[c, 1] + 1j * factors[c, 2]
         if geo == alg:
-            terms = (v[c] @ w[c]) * kappa ** np.array(m_values)
+            terms = (p @ w) * kappa ** np.array(m_values)
         else:
             j = np.linalg.solve(vectors, matrix @ basis)[c]
-            terms = np.array([v[c] @ np.linalg.matrix_power(j, m) @ w[c] for m in m_values])
-        out.append((kappa, alg, geo, complex(v[c] @ w[c]), terms))
+            terms = np.array([p @ np.linalg.matrix_power(j, m) @ w for m in m_values])
+        out.append((kappa, alg, geo, complex(p @ w), terms))
     return out
 
 
@@ -241,18 +237,24 @@ def _lift(a: np.ndarray, r: np.ndarray, kappas: np.ndarray, mu: np.ndarray, w: n
     return x
 
 
+def _sector_eig(lam: Isometry, b: np.ndarray, where: slice) -> tuple:
+    """eig of the diagonal block b[where, where] of the sector matrix b of lam; kept on the isometry, read-only."""
+    return lam._derive("sector-eig-%d" % where.start,
+                       lambda: tuple(map(_frozen_complex, np.linalg.eig(b[where, where]))))
+
+
 def _sector_structure(lam: Isometry) -> list[tuple[complex, int, int, list[np.ndarray]]]:
     """(kappa, algebraic, geometric, eigenoperators) of the pair-descend adjoint A, in the order of _canonical.
 
     In the basis of :func:`channels._sector_basis`, A is real and block upper-triangular with diagonal blocks
     1, D, D, A_sym, A_anti (D: the averaged descend adjoint on traceless operators), and each small
-    block gets one eig.  Clusters shared by sectors are resolved on the whole matrix.  The null vectors
+    block gets one kept eig.  Clusters shared by sectors are resolved on the whole matrix.  The null vectors
     y of a sector's other clusters lift together to x = (x_low, y), (A_low,low - kappa) x_low =
     -A_low,block y (:func:`_lift`, with the eig of D), and map back as one stack per sector copy.
     """
     b = ch._sector_matrix(lam)
     _, sectors = ch._sector_basis(lam.d)
-    eigs = [np.linalg.eig(b[copies[0], copies[0]]) for copies, _ in sectors]
+    eigs = [_sector_eig(lam, b, copies[0]) for copies, _ in sectors]
     items = [(kappa, alg * len(copies), geo * len(copies), null, s) for s, (copies, _) in enumerate(sectors)
              for kappa, alg, geo, null in _eig_structure(b[copies[0], copies[0]], *eigs[s])]
     entries, found = [], []  # found: (owners, coordinates) of eigenoperators; owner: an entry's first item
@@ -308,21 +310,27 @@ def powerlaw_check(
 ) -> CorrelatorSeries:
     """Correlator series over distances 2^m, split exactly into powers kappa^m.
 
-    ``query`` is a CorrelatorQuery or a raw two-site block B.  rho2 - eta lies in K_sym + K_anti,
-    where the pair-descend map is the transpose of the adjoint's blocks (:func:`channels._sector_matrix`);
-    :func:`_cluster_terms` splits the series over each block's clusters, merged where blocks share one.
-    ``fitted_exponent`` is log2 of the largest |kappa| whose term exceeds CONTRIBUTION_TOL times the
-    series scale; ``log_corrections`` flags a defective cluster; ``is_eigenoperator`` tests B.
+    ``query`` is a CorrelatorQuery or a finite two-site block B; m_range holds integers >= 0 (operator.index), no bool.
+    rho2 - eta lies in K_sym + K_anti, where the pair-descend map is the transpose of the adjoint's blocks: each
+    block's kept eig splits the series over its clusters (:func:`_cluster_terms`), merged where blocks share one.
+    ``fitted_exponent`` is log2 of the largest |kappa| whose term exceeds CONTRIBUTION_TOL times the series
+    scale; ``log_corrections`` flags a defective cluster; ``is_eigenoperator`` tests B.
     """
-    m_values = sorted(set(int(m) for m in m_range))
+    try:  # operator.index refuses 1.5, which int() would round down; a bool is refused as a negative m
+        m_values = sorted({-1 if isinstance(m, bool) else operator.index(m) for m in m_range})
+    except TypeError:
+        m_values = []
     if not m_values or m_values[0] < 0:
         raise ValueError("m_range must contain nonnegative integers")
-    block = query.block() if isinstance(query, CorrelatorQuery) else np.asarray(query, dtype=complex)
-    if block.shape != (lam.d ** 2,) * 2:
-        raise ValueError("observable block must be %d x %d" % ((lam.d ** 2,) * 2))
 
     diff = pair_difference_infinity(lam)
-    series = list(pair_descend_series(lam, diff, block, sorted({0, *m_values})))
+    with np.errstate(over="ignore", invalid="ignore"):  # a block or series that is not finite is refused
+        block = query.block() if isinstance(query, CorrelatorQuery) else np.asarray(query, dtype=complex)
+        if block.shape != (lam.d ** 2,) * 2 or not np.isfinite(block).all():
+            raise ValueError("observable block must be a finite %d x %d matrix" % ((lam.d ** 2,) * 2))
+        series = list(pair_descend_series(lam, diff, block, sorted({0, *m_values})))
+    if not np.isfinite([v for _, v in series]).all():
+        raise ValueError("the correlator series is not finite")
     g = series[0][1]
     points = series if m_values[0] == 0 else series[1:]
     values = np.array([v for _, v in points])
@@ -336,12 +344,14 @@ def powerlaw_check(
         )
 
     b = ch._sector_matrix(lam)
-    x, u = ch._sector_coordinates(np.stack([diff, block]), lam.d)
+    half = block / 2.0  # B's Hermitian part (B + B^dag)/2 and anti-Hermitian part (B - B^dag)/2i
+    coords = ch._sector_coordinates(np.stack([diff, half + half.conj().T, (half - half.conj().T) / 1j]), lam.d).real
+    x, parts, u = coords[0], coords[1:], coords[1] + 1j * coords[2]
     bu = b @ u  # the adjoint applied to B
     kappa_est = complex(np.vdot(u, bu) / np.vdot(u, u))
     member = float(np.linalg.norm(bu - kappa_est * u)) <= EIGENOPERATOR_TOL * float(np.linalg.norm(u))
-    items = [item for (where,), _ in ch._sector_basis(lam.d)[1][2:]
-             for item in _cluster_terms(b[where, where].T, x[where], u[where], m_values)]
+    items = [item for (where,), _ in ch._sector_basis(lam.d)[1][2:] for item in
+             _cluster_terms(b[where, where], _sector_eig(lam, b, where), x[where], parts[:, where], m_values)]
     clusters = []
     for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):
         alg, coefficient, terms = (sum(items[k][i] for k in members) for i in (1, 3, 4))

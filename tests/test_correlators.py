@@ -155,10 +155,21 @@ class TestPowerlawCheck:
         assert abs(np.trace(co.pair_difference_infinity(bundled_lam))) < 1e-12
 
     def test_bad_arguments(self, bundled_lam, sigma_z):
-        with pytest.raises(ValueError):
-            co.powerlaw_check(bundled_lam, co.CorrelatorQuery(sigma_z, sigma_z), [])
-        with pytest.raises(ValueError):
-            co.powerlaw_check(bundled_lam, np.eye(2))
+        query = co.CorrelatorQuery(sigma_z, sigma_z)
+        for m_range in ([], [0, 1.5, 3], [0, True], [np.float64(2.0)], [3, -1]):
+            with pytest.raises(ValueError):
+                co.powerlaw_check(bundled_lam, query, m_range)
+        for block in (np.eye(2), np.full((4, 4), np.nan), np.diag([1.0, np.inf, 0.0, 0.0])):
+            with pytest.raises(ValueError):
+                co.powerlaw_check(bundled_lam, block)
+        with pytest.raises(ValueError):  # finite, but its series overflows
+            co.powerlaw_check(bundled_lam, np.full((4, 4), 1e308))
+        huge = tc.Observable(2, np.diag([1e200, -1e200]))
+        with pytest.raises(ValueError):  # finite observables whose product overflows
+            co.powerlaw_check(bundled_lam, co.CorrelatorQuery(huge, huge))
+        reference = co.powerlaw_check(bundled_lam, query, range(4))
+        for m_range in (np.arange(4), [np.int64(3), 0, 1, 2]):
+            assert co.powerlaw_check(bundled_lam, query, m_range) == reference
 
 
 def assert_null_vectors(matrix, structure):
@@ -533,7 +544,40 @@ def test_decomposition_is_exact(kind, arg):
     for kappa, coefficient in series.decomposition:  # a Hermitian block gives a real series
         partner = np.argmin(np.abs(kappas - np.conj(kappa)))
         assert abs(kappas[partner] - np.conj(kappa)) <= 1e-10
-        assert abs(coefficients[partner] - np.conj(coefficient)) <= 1e-12 * scale
+        assert coefficients[partner] == np.conj(coefficient)
+
+
+def _kappa_bits(kappa):
+    return complex(kappa).real.hex(), complex(kappa).imag.hex()
+
+
+@pytest.mark.parametrize("kind, arg", DECOMPOSITION_CASES)
+def test_decomposition_kappas_are_the_spectrum_kappas(kind, arg):
+    # both read the one kept eig of each doubly traceless block; the spectrum alone also averages a cluster
+    # with the one-site (S+-) eigenvalues, as the bundled isometry's kappa = 0
+    lam = _case_isometry(kind, arg)
+    series = co.powerlaw_check(lam, rand_herm(np.random.default_rng(7), lam.d ** 2), range(21))
+    if series.decomposition is None:  # a product tree
+        return
+    spectrum = {_kappa_bits(e.kappa) for e in co.exponent_spectrum(lam).entries}
+    (where, _), _ = ch._sector_basis(lam.d)[1][1]  # the first copy of the one-site block D
+    one_site = co._sector_eig(lam, ch._sector_matrix(lam), where)[0]
+    for kappa, _ in series.decomposition:
+        assert _kappa_bits(kappa) in spectrum or np.abs(one_site - kappa).min() <= co.CLUSTER_TOL
+
+
+@pytest.mark.parametrize("kind, arg", [("paper", None), (3, 0)])
+def test_powerlaw_check_reuses_the_spectrum_eig(kind, arg, monkeypatch):
+    lam = _case_isometry(kind, arg)
+    co.exponent_spectrum(lam)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eig ran again")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    series = co.powerlaw_check(lam, rand_herm(np.random.default_rng(7), lam.d ** 2), range(21))
+    assert not series.degenerate
+    assert series.residual <= 1e-12 * max(abs(v) for _, v in series.points)
 
 
 def test_jordan_cluster_terms_reproduce_the_series():
@@ -548,7 +592,7 @@ def test_jordan_cluster_terms_reproduce_the_series():
     x, u = rng.standard_normal(8), rng.standard_normal(8) + 1j * rng.standard_normal(8)
     m_values = range(21)
     series = np.array([u @ np.linalg.matrix_power(matrix, m) @ x for m in m_values])
-    terms = co._cluster_terms(matrix, x, u, m_values)
+    terms = co._cluster_terms(matrix.T, np.linalg.eig(matrix.T), x, np.stack([u.real, u.imag]), m_values)
     assert [(alg, geo) for kappa, alg, geo, _, _ in terms if abs(kappa - 0.5) < 1e-6] == [(2, 1)]
     assert sum(alg for _, alg, _, _, _ in terms) == 8
     assert np.abs(sum(t for *_, t in terms) - series).max() <= 1e-12 * np.abs(series).max()
@@ -572,7 +616,7 @@ def test_repeated_real_clusters_have_exactly_real_coefficients(seed):
     x, u = rng.standard_normal(9), rng.standard_normal(9)
     m_values = range(21)
     series = np.array([u @ np.linalg.matrix_power(matrix, m) @ x for m in m_values])
-    terms = co._cluster_terms(matrix, x, u, m_values)
+    terms = co._cluster_terms(matrix.T, np.linalg.eig(matrix.T), x, np.stack([u.real, u.imag]), m_values)
     real = sorted((round(kappa.real, 6), alg, geo) for kappa, alg, geo, _, _ in terms if kappa.imag == 0)
     assert real == [(-0.4, 2, 1), (0.2, 1, 1), (0.7, 2, 2)]
     coefficients = {kappa: c for kappa, _, _, c, _ in terms}
@@ -596,6 +640,6 @@ def test_three_by_three_jordan_cluster_terms_reproduce_the_series():
     x, u = rng.standard_normal(8), rng.standard_normal(8) + 1j * rng.standard_normal(8)
     m_values = range(21)
     series = np.array([u @ np.linalg.matrix_power(matrix, m) @ x for m in m_values])
-    terms = co._cluster_terms(matrix, x, u, m_values)
+    terms = co._cluster_terms(matrix.T, np.linalg.eig(matrix.T), x, np.stack([u.real, u.imag]), m_values)
     assert [(alg, geo) for kappa, alg, geo, _, _ in terms if abs(kappa - 0.5) < 1e-3] == [(3, 1)]
     assert np.abs(sum(t for *_, t in terms) - series).max() <= 1e-12 * np.abs(series).max()
