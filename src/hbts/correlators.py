@@ -9,13 +9,12 @@ both the spectrum and the exact split of a correlator series into powers of thos
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .tensor_core import TAU_RANK, Isometry, Observable, _frozen_complex
+from .tensor_core import TAU_RANK, Isometry, Observable, _frozen_complex, _integer
 from . import channels as ch
 from . import thermo
 
@@ -33,8 +32,7 @@ class CorrelatorQuery:
     m: int = 0
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("distance exponent must be >= 0, got %d" % self.m)
+        object.__setattr__(self, "m", _integer(self.m, "distance exponent m", 0))
 
     def block(self) -> np.ndarray:
         return np.kron(self.theta.matrix, self.theta_prime.matrix)
@@ -310,17 +308,14 @@ def powerlaw_check(
 ) -> CorrelatorSeries:
     """Correlator series over distances 2^m, split exactly into powers kappa^m.
 
-    ``query`` is a CorrelatorQuery or a finite two-site block B; m_range holds integers >= 0 (operator.index), no bool.
+    ``query`` is a CorrelatorQuery or a finite two-site block B; m_range holds integers >= 0, no bool or float.
     rho2 - eta lies in K_sym + K_anti, where the pair-descend map is the transpose of the adjoint's blocks: each
     block's kept eig splits the series over its clusters (:func:`_cluster_terms`), merged where blocks share one.
     ``fitted_exponent`` is log2 of the largest |kappa| whose term exceeds CONTRIBUTION_TOL times the series
     scale; ``log_corrections`` flags a defective cluster; ``is_eigenoperator`` tests B.
     """
-    try:  # operator.index refuses 1.5, which int() would round down; a bool is refused as a negative m
-        m_values = sorted({-1 if isinstance(m, bool) else operator.index(m) for m in m_range})
-    except TypeError:
-        m_values = []
-    if not m_values or m_values[0] < 0:
+    m_values = sorted({_integer(m, "distance exponent m", 0) for m in m_range})
+    if not m_values:
         raise ValueError("m_range must contain nonnegative integers")
 
     diff = pair_difference_infinity(lam)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import KernelNotFoundError, ResourceLimitError, ValidationError
-from .tensor_core import DensityOp, Isometry, hermitian_part, numerical_rank, svd_rank
+from .tensor_core import DensityOp, Isometry, _integer, hermitian_part, numerical_rank, svd_rank
 from . import channels as ch
 from . import thermo
 
@@ -137,35 +137,16 @@ def build_interaction(
     )
 
 
-def _window_index(d: int, nu: int, N: int, start: int) -> np.ndarray:
-    """Where the nu-site window at start sits on the ring: kron(h, I)'s index map, rotated by start.
-
-    Entry [a, r] is the ring index of |a> on sites start..start+nu-1 (cyclic)
-    times |r> on the other sites, read in ring order from start+nu, i.e. of
-    row a*d^(N-nu)+r of kron(h, I).
-    """
-    i = np.arange(d ** N)
-    low = d ** start
-    return ((i % low) * (d ** N // low) + i // low).reshape(d ** nu, -1)
-
-
-def _apply_term(h: np.ndarray, d: int, nu: int, N: int, start: int, states: np.ndarray) -> np.ndarray:
-    """h on the window at start, applied to each column of states without forming it on the ring."""
-    ring = _window_index(d, nu, N, start)
-    out = np.empty(states.shape, dtype=np.result_type(h, states))
-    out[ring] = np.tensordot(h, states[ring], axes=1)
-    return out
-
-
-def _require_ring(hs: HamiltonianSpec, N: int, max_dim: int) -> None:
-    if N < hs.nu:
-        raise ValueError("lattice of %d sites cannot host a %d-site interaction" % (N, hs.nu))
+def _require_ring(hs: HamiltonianSpec, N: int, max_dim: int) -> int:
+    """N as an int, refused unless it is an integer, the ring hosts the term and d^N fits the budget."""
+    N = _integer(N, "the ring size N for a %d-site interaction" % hs.nu, hs.nu)
     dim = hs.d ** N
     if dim > max_dim:
         raise ResourceLimitError(
             "a ring of %d sites has dimension d^N = %d^%d = %d, budget is %d" % (N, hs.d, N, dim, max_dim),
             required=dim,
         )
+    return N
 
 
 @dataclass(frozen=True)
@@ -180,42 +161,42 @@ class RingHamiltonian:
 
 
 def _orbits(d: int, N: int) -> tuple:
-    """Orbits of the d^N basis states under the one-site shift T: each orbit's smallest
-    state and period, and for each state s its orbit and the l < period with T^l s smallest."""
-    images = [np.arange(d ** N)]
-    for _ in range(N - 1):
-        images.append(images[-1] // d + images[-1] % d * d ** (N - 1))
-    images = np.array(images)
+    """Orbits of the d^N basis states under the one-site shift T: each orbit's period, orbits numbered
+    by their smallest state, and for each state s its orbit and the l < period with T^l s smallest."""
+    low = d ** np.arange(N)[:, None]                 # T^l s moves the l lowest base-d digits of s to the top
+    images = np.arange(d ** N) // low + np.arange(d ** N) % low * (d ** N // low)
     reps, orbit = np.unique(images.min(axis=0), return_inverse=True)
     period = N // np.count_nonzero(images == images[0], axis=0)
-    return reps, period[reps], orbit, images.argmin(axis=0)
+    return period[reps], orbit, images.argmin(axis=0)
 
 
 def assemble(hs: HamiltonianSpec, N: int, max_dim: int = DEFAULT_MAX_DIM) -> RingHamiltonian:
     """Cyclic sum of the interaction over all starting sites, 1/N-normalized, one translation sector at a time.
 
-    Applies every term to the orbit representatives a, folds the rows of each
-    orbit b with one FFT over the shift, and keeps in sector k the orbits
-    whose period allows k:
-    ``B_k[b, a] = sqrt(p_a p_b) / N * sum_l exp(ikl) H[T^l b, a]``.
+    H commutes with the shift T, so its sector blocks come from the one term
+    on sites 1..nu: h takes |x r> to |y r> with amplitude h[y, x].  Each state
+    t is T^-l_t of its orbit's smallest state; the amplitudes are folded by
+    l_t' - l_t mod N and the orbits a of t and b of t', one FFT over the shift
+    follows, and sector k keeps the orbits whose period allows k:
+    ``B_k[b, a] = sum h[y, x] exp(-ik(l_t' - l_t)) / sqrt(p_a p_b)``.
     The d^N x d^N matrix is never formed.
     """
-    _require_ring(hs, N, max_dim)
+    N = _require_ring(hs, N, max_dim)
     h = hs.h_term
-    reps, period, orbit, shift = _orbits(hs.d, N)
-    n = len(reps)
-    folded = np.zeros((N, n, n), dtype=h.dtype)     # [l, b, a]: N H[T^-l b, a], l < p_b
-    where = np.empty(hs.d ** N, dtype=int)
-    for start in range(N):
-        ring = _window_index(hs.d, hs.nu, N, start)
-        where[ring.reshape(-1)] = np.arange(hs.d ** N)
-        row, col = divmod(where[reps], ring.shape[1])
-        out = ring[:, col]                           # the states each representative's term reaches
-        folded[shift[out], orbit[out], np.arange(n)] += h[:, row]
     real = not np.iscomplexobj(h)
-    sectors = (np.fft.rfft if real else np.fft.fft)(folded, axis=0)
+    period, orbit, shift = _orbits(hs.d, N)
+    n = len(period)
+    lag = shift.reshape(len(h), -1)                  # [x, r]: l_t of the state |x r>, x on sites 1..nu
+    which = orbit.reshape(len(h), -1)
+    index = (((lag[:, None] - lag[None]) % N * n + which[:, None]) * n + which[None]).reshape(-1)
+    root = np.sqrt(period[which])
+    amplitude = (h[:, :, None] / (root[:, None] * root[None])).reshape(-1)  # [y, x, r]: h[y, x] / sqrt(p_b p_a)
+    folded = np.bincount(index, amplitude.real, N * n * n).astype(h.dtype, copy=False)
+    if not real:
+        folded.imag = np.bincount(index, amplitude.imag, N * n * n)
+    del index, amplitude                             # folded[l, b, a]: the amplitudes from orbit a to b at shift l
+    sectors = (np.fft.rfft if real else np.fft.fft)(folded.reshape(N, n, n), axis=0)
     del folded
-    sectors *= np.sqrt(np.outer(1.0 / period, period)) / N
     blocks, multiplicity = [], []
     for k, sector in enumerate(sectors):
         kept = np.flatnonzero(k * period % N == 0)
@@ -279,23 +260,25 @@ def grown_subspace_check(
 ) -> SubspaceReport:
     """Verify the grown subspace is annihilated term by term, and measure its span.
 
-    Applies each local term to every basis image, without forming H: their
-    sum is H|phi>, each alone gives the local energy (unfrustration).  Then
-    ranks the union of the subspace with its one-site translate.
+    Applies the term on sites 1..nu to the basis translated 0..N-1 times,
+    without forming H: each image gives one window's local energy
+    (unfrustration), and their sum, translated along with the basis, is
+    N H|phi>.  Then ranks the union of the subspace with its one-site translate.
     """
-    if N % 2 != 0:
-        raise ValueError("the grown-subspace construction needs even N, got %d" % N)
-    _require_ring(hs, N, max_dim)
-    basis = grown_basis(lam, N)
+    N = _require_ring(hs, N, max_dim)
+    basis = grown_basis(lam, N)                      # refuses an odd N
     h = hs.h_term
     image = np.zeros(basis.shape, dtype=np.result_type(h, basis))
     max_local = 0.0
-    for start in range(N):
-        term_image = _apply_term(h, hs.d, hs.nu, N, start, basis)
-        image += term_image
+    for _ in range(N):                               # N translations bring the basis back to itself
+        term_image = np.tensordot(h, basis.reshape(len(h), -1, basis.shape[1]), axes=1).reshape(basis.shape)
         energies = np.einsum("ij,ij->j", basis.conj(), term_image)
         max_local = max(max_local, float(np.abs(energies).max()))
-    max_h_residual = float(np.linalg.norm(image / N, axis=0).max())
+        image += term_image
+        del term_image                               # added in place, so no translation holds a third copy
+        image = translate_state(image, hs.d, N)
+        basis = translate_state(basis, hs.d, N)
+    max_h_residual = float(np.linalg.norm(image, axis=0).max()) / N
 
     translated = translate_state(basis, hs.d, N)
     dim_grown = svd_rank(basis)

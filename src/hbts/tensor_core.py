@@ -20,6 +20,7 @@ Conventions shared by every module in this package:
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -45,6 +46,16 @@ def hermitian_part(mat: np.ndarray, what: str) -> np.ndarray:
     if herm > TAU_HERM:
         raise ValidationError("%s not Hermitian: deviation %s" % (what, format_float(herm)))
     return (mat + mat.conj().T) / 2.0
+
+
+def _integer(value, what: str, low: int) -> int:
+    """value as an int >= low, else ValueError; by operator.index, so numpy integers pass but 2.0 and a bool do not."""
+    try:
+        if not isinstance(value, bool) and operator.index(value) >= low:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError("%s must be an integer >= %d, got %r" % (what, low, value))
 
 
 def _frozen_complex(a, shape=None, what="array") -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateFixedPointError, ValidationError
 from .reporting import format_float
-from .tensor_core import DensityOp, Isometry, numerical_rank, partial_trace
+from .tensor_core import DensityOp, Isometry, _integer, numerical_rank, partial_trace
 from . import channels as ch
 
 TAU_FIX = 1e-10
@@ -118,6 +118,7 @@ def reduced_infinity(lam: Isometry, nu: int) -> DensityOp:
     the 2->3 and 2->4 extensions, one site at a time; the 2->4 one reads the
     three-site state.
     """
+    nu = _integer(nu, "nu", 1)  # before anything is derived: a float nu would reach the memo
     if nu == 1:
         return single_site_infinity(lam).state
     if nu == 2:

@@ -9,7 +9,6 @@ import pytest
 
 from hbts import channels as ch
 from hbts import correlators as co
-from hbts import parent_ham as ph
 from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import DegenerateFixedPointError, ShapeError
@@ -216,26 +215,25 @@ def sector_matrix_reference(lam):
     return w1[:, None] * cols[p1] + w2[:, None] * cols[p2]
 
 
-def _add_term(out, h, d, nu, N, start):
-    """Add h on the window at start into the d^N x d^N matrix out, entry by entry."""
-    ring = ph._window_index(d, nu, N, start)
-    np.add.at(out, (ring[:, None, :], ring[None, :, :]), np.asarray(h)[:, :, None])
+def kron_embedding(h, d, nu, N, start):
+    """h placed on sites start..start+nu-1 (0-based, cyclic) of N sites, in h's dtype: kron(h, I) with its
+    tensor axes moved to the window's sites."""
+    sites = [(start + j) % N for j in range(nu)]
+    order = sites + [s for s in range(N) if s not in sites]
+    inv = list(np.argsort(order))
+    t = np.kron(h, np.eye(d ** (N - nu))).reshape((d,) * (2 * N))
+    return t.transpose(inv + [N + i for i in inv]).reshape(d ** N, d ** N)
 
 
 def embedded_term(h, d, nu, N, start):
-    """The interaction placed on sites start..start+nu-1 (0-based, cyclic) of N sites, as a dense matrix."""
-    out = np.zeros((d ** N, d ** N), dtype=complex)
-    _add_term(out, h, d, nu, N, start)
-    return out
+    """The interaction placed on sites start..start+nu-1 (0-based, cyclic) of N sites, as a dense complex matrix."""
+    return kron_embedding(np.asarray(h, dtype=complex), d, nu, N, start)
 
 
 def dense_ring(hs, N):
     """Reference ring Hamiltonian: the 1/N-normalized cyclic sum of the stored (Hermitian) term
     as one dense d^N x d^N matrix, real when the term is real."""
-    total = np.zeros((hs.d ** N, hs.d ** N), dtype=hs.h_term.dtype)
-    for start in range(N):
-        _add_term(total, hs.h_term, hs.d, hs.nu, N, start)
-    return total / N
+    return sum(kron_embedding(hs.h_term, hs.d, hs.nu, N, start) for start in range(N)) / N
 
 
 def spectral_structure(matrix):

@@ -47,8 +47,11 @@ class TestCorrelatorThermo:
         assert abs(value - direct) < 1e-15
 
     def test_negative_distance_exponent_rejected(self, sigma_z):
-        with pytest.raises(ValueError):
-            co.CorrelatorQuery(sigma_z, sigma_z, -1)
+        for m in (-1, True, 2.0, np.float64(2.0), "2"):  # only integers: no bool, no float
+            with pytest.raises(ValueError, match="distance exponent"):
+                co.CorrelatorQuery(sigma_z, sigma_z, m)
+        query = co.CorrelatorQuery(sigma_z, sigma_z, np.int64(2))
+        assert type(query.m) is int and query == co.CorrelatorQuery(sigma_z, sigma_z, 2)
 
 
 class TestExponentSpectrum:

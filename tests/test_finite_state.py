@@ -111,6 +111,13 @@ class TestRecursionCheck:
         rep = fs.recursion_check(lam, rand_top(2, 42), 4)
         assert rep.max_residual <= 1e-10
 
+    @pytest.mark.parametrize("d, n_max", [(2, 4), (3, 3), (4, 3)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_trees_over_all_four_states(self, d, n_max, seed):
+        rep = fs.recursion_check(tc.random_isometry(d, seed), rand_top(d, seed), n_max)
+        assert rep.n_max == n_max
+        assert rep.max_residual <= 1e-12
+
     def test_depth_too_small(self, bundled_lam, diag_top):
         with pytest.raises(ValueError):
             fs.recursion_check(bundled_lam, diag_top, 1)
@@ -118,7 +125,7 @@ class TestRecursionCheck:
 
 class TestLevelStates:
     @pytest.mark.parametrize(
-        "d, seed, n_max", [(2, None, 4)] + [(2, s, 4) for s in range(3)] + [(3, s, 3) for s in range(3)]
+        "d, seed, n_max", [(2, None, 4)] + [(2, s, 4) for s in range(3)] + [(d, s, 3) for d in (3, 4) for s in range(3)]
     )
     def test_all_four_states_match_brute_force(self, bundled_lam, d, seed, n_max):
         lam = bundled_lam if seed is None else tc.random_isometry(d, seed)

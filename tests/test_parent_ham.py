@@ -148,8 +148,12 @@ class TestAssemble:
         assert np.linalg.eigvalsh(ham)[0] >= -1e-12
 
     def test_lattice_too_small(self, paper_interaction):
-        with pytest.raises(ValueError):
-            ph.assemble(paper_interaction, 3)
+        for N in (3, 8.0, True, "8"):  # too small, or not an integer
+            with pytest.raises(ValueError, match="ring size N"):
+                ph.assemble(paper_interaction, N)
+        as_numpy = ph.assemble(paper_interaction, np.int64(6))
+        for got, want in zip(as_numpy.blocks, ph.assemble(paper_interaction, 6).blocks):
+            assert np.array_equal(got, want)
 
     def test_budget(self, paper_interaction):
         with pytest.raises(ResourceLimitError, match=r"dimension d\^N = 2\^16 = 65536, budget is 4096"):
@@ -176,15 +180,6 @@ class TestAssemble:
         assert abs(out[0b011, 0b011]) < 1e-15
 
 
-def kron_embedding(h, d, nu, N, start):
-    """Reference placement: kron(h, I) with its tensor axes moved to the window's sites."""
-    sites = [(start + j) % N for j in range(nu)]
-    order = sites + [s for s in range(N) if s not in sites]
-    inv = list(np.argsort(order))
-    t = np.kron(h, np.eye(d ** (N - nu))).reshape((d,) * (2 * N))
-    return t.transpose(inv + [N + i for i in inv]).reshape(d ** N, d ** N)
-
-
 RINGS = [(2, 2, 5), (2, 3, 6), (2, 4, 7), (3, 2, 4), (3, 3, 5)]
 
 
@@ -196,9 +191,7 @@ class TestRingPlacement:
         if real:
             h = h.real
         hs = ph.HamiltonianSpec(d=d, nu=nu, h_term=h, kernel_dim=1, weights=np.ones(1))
-        terms = [embedded_term(h, d, nu, N, start) for start in range(N)]
-        for start, term in enumerate(terms):  # starts past N - nu wrap around the ring
-            assert np.abs(term - kron_embedding(h, d, nu, N, start)).max() < 1e-15
+        terms = [embedded_term(h, d, nu, N, start) for start in range(N)]  # starts past N - nu wrap around
         ham = dense_ring(hs, N)
         assert ham.dtype == (np.float64 if real else np.complex128)
         assert np.abs(ham - sum(terms) / N).max() < 1e-13
@@ -386,8 +379,11 @@ class TestGrownSubspace:
         assert np.linalg.norm(ham @ phi0) <= 1e-12
 
     def test_odd_size_rejected(self, bundled_lam, paper_interaction):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="even"):
             ph.grown_subspace_check(bundled_lam, paper_interaction, 5)
+        with pytest.raises(ValueError, match="integer"):  # not rounded down to an even 8
+            ph.grown_subspace_check(bundled_lam, paper_interaction, 8.5)
+        assert ph.grown_subspace_check(bundled_lam, paper_interaction, np.int64(6)).N == 6
 
 
 class TestAdjointNullity:

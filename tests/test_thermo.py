@@ -188,6 +188,16 @@ class TestReducedInfinity:
         with pytest.raises(ValueError):
             thermo.reduced_infinity(bundled_lam, 5)
 
+    def test_non_integer_window_is_refused_before_the_memo(self):
+        lam = tc.random_isometry(3, 0)
+        for nu in (3.0, True, np.float64(4.0), "3"):  # 3.0 would be stored under reduced-3, True read as nu = 1
+            with pytest.raises(ValueError, match="nu must be an integer"):
+                thermo.reduced_infinity(lam, nu)
+        hs = ph.build_interaction(lam)
+        fresh = ph.build_interaction(tc.random_isometry(3, 0))
+        assert hs.nu == fresh.nu and np.array_equal(hs.h_term, fresh.h_term)
+        assert thermo.reduced_infinity(lam, np.int64(3)) is thermo.reduced_infinity(lam, 3)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_rank_bounds_random_isometries(self, d):
         for seed in range(3):
