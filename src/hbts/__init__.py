@@ -17,7 +17,6 @@ from .errors import (
 from .tensor_core import (
     DensityOp,
     Isometry,
-    LatticeSpec,
     Observable,
     TopTensor,
     numerical_rank,
@@ -56,7 +55,6 @@ from .finite_state import (
     correlator_finite,
     recursion_check,
     reduced_avg,
-    single_site_base,
 )
 from .parent_ham import (
     GroundSpaceReport,

@@ -46,10 +46,6 @@ class SpectrumEntry:
     geometric: int
     eigenoperators: tuple
 
-    @property
-    def modulus(self) -> float:
-        return abs(self.kappa)
-
 
 @dataclass(frozen=True)
 class SpectrumReport:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import KernelNotFoundError, ResourceLimitError, ValidationError
-from .tensor_core import DensityOp, Isometry, _integer, hermitian_part, numerical_rank, svd_rank
+from .tensor_core import DensityOp, Isometry, _integer, _sizes, hermitian_part, numerical_rank, svd_rank
 from . import channels as ch
 from . import thermo
 
@@ -53,6 +53,7 @@ class HamiltonianSpec:
     weights: np.ndarray
 
     def __post_init__(self):
+        _sizes(self, "d", "nu", "kernel_dim")
         dim = self.d ** self.nu
         mat = np.asarray(self.h_term, dtype=complex)
         if mat.shape != (dim, dim):
@@ -108,11 +109,11 @@ def build_interaction(
     reduced state (theory guarantees one by nu=4).  Weights default to 1 per
     kernel vector and must be strictly positive.
     """
-    if nu == "auto":
-        candidates = [2, 3, 4]
-    elif nu in (2, 3, 4):
-        candidates = [int(nu)]
-    else:
+    try:
+        candidates = [2, 3, 4] if nu == "auto" else [_integer(nu, "interaction window", 2)]
+    except ValueError:
+        candidates = []
+    if not candidates or candidates[-1] > 4:
         raise ValueError("interaction window must be 2, 3, 4 or 'auto', got %r" % (nu,))
 
     for window in candidates:

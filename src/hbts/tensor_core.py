@@ -58,29 +58,18 @@ def _integer(value, what: str, low: int) -> int:
     raise ValueError("%s must be an integer >= %d, got %r" % (what, low, value))
 
 
+def _sizes(obj, *names: str) -> None:
+    """Store the named size fields of a frozen dataclass as ints >= 1 by _integer, which names a field it refuses."""
+    for name in names:
+        object.__setattr__(obj, name, _integer(getattr(obj, name), name, 1))
+
+
 def _frozen_complex(a, shape=None, what="array") -> np.ndarray:
     arr = np.array(a, dtype=complex)
     if shape is not None and arr.shape != shape:
         raise ShapeError("%s must have shape %s, got %s" % (what, shape, arr.shape))
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Lattice geometry: local dimension d, site count N, optional tree depth n."""
-
-    d: int
-    N: int
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("local dimension must be >= 2, got %d" % self.d)
-        if self.N < 2:
-            raise ValueError("site count must be >= 2, got %d" % self.N)
-        if self.n is not None and self.N != 2 ** self.n:
-            raise ValueError("tree lattice needs N = 2**n, got N=%d, n=%d" % (self.N, self.n))
 
 
 @dataclass(frozen=True)
@@ -96,6 +85,7 @@ class Isometry:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _sizes(self, "d")
         if self.d < 2:
             raise ShapeError("isometry local dimension must be >= 2, got d=%d" % self.d)
         object.__setattr__(self, "v", _frozen_complex(self.v, (self.d * self.d, self.d), "isometry"))
@@ -123,6 +113,7 @@ class TopTensor:
     c: np.ndarray
 
     def __post_init__(self):
+        _sizes(self, "d")
         object.__setattr__(self, "c", _frozen_complex(self.c, (self.d, self.d), "top tensor"))
 
 
@@ -142,6 +133,7 @@ class DensityOp:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _sizes(self, "d", "nu")
         dim = self.d ** self.nu
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
@@ -174,6 +166,7 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
+        _sizes(self, "d")
         mat = hermitian_part(_frozen_complex(self.matrix, (self.d, self.d), "observable"), "observable")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)

@@ -493,8 +493,6 @@ def test_only_channels_forms_dense_two_site_superoperators(monkeypatch, tmp_path
     co.correlator_thermo(lam, co.CorrelatorQuery(sigma_z, sigma_z, 2))
     co.powerlaw_check(lam, co.CorrelatorQuery(sigma_z, sigma_z))
     co.exponent_spectrum(lam)
-    fs.level_states(lam, top, 5)
-    fs.correlator_level(lam, top, 5, sigma_z, sigma_z, 2)
     fs.recursion_check(lam, top, 4)
     ph.build_interaction(lam)
     lam3 = tc.random_isometry(3, 7)

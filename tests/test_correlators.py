@@ -3,11 +3,10 @@ import pytest
 
 from hbts import channels as ch
 from hbts import correlators as co
-from hbts import finite_state as fs
 from hbts import tensor_core as tc
 
-from conftest import (adjoint, apply, full_exponent_structure, loop_canonical, loop_cluster, rand_herm, run_capped,
-                      sector_matrix_reference, spectral_structure)
+from conftest import (adjoint, apply, full_exponent_structure, level_states_reference, loop_canonical, loop_cluster,
+                      rand_herm, run_capped, sector_matrix_reference, spectral_structure)
 
 
 class TestCorrelatorThermo:
@@ -23,9 +22,11 @@ class TestCorrelatorThermo:
 
     def test_matches_deep_finite_levels(self, bundled_lam, sigma_z, diag_top):
         # channel-iterated depth-10 correlators approximate the limit to 1e-6
+        block = np.kron(sigma_z.matrix, sigma_z.matrix)
         for m in range(7):
             thermo_val = co.correlator_thermo(bundled_lam, co.CorrelatorQuery(sigma_z, sigma_z, m))
-            level_val = fs.correlator_level(bundled_lam, diag_top, 10, sigma_z, sigma_z, m)
+            _, rho2, eta, _ = level_states_reference(bundled_lam, diag_top, 10 - m)
+            level_val = next(co.pair_descend_series(bundled_lam, rho2 - eta, block, [m]))[1]
             assert abs(thermo_val - level_val) < 1e-6
 
     def test_heisenberg_equals_schrodinger(self, bundled_lam):
@@ -282,7 +283,7 @@ def test_seeded_spectrum_properties(d, seed):
     assert sum(e.algebraic for e in spec.entries) == d ** 4
     assert all(1 <= e.geometric <= e.algebraic for e in spec.entries)
     assert abs(spec.entries[0].kappa - 1.0) < 1e-10
-    assert max(e.modulus for e in spec.entries) <= 1 + 1e-10
+    assert max(abs(e.kappa) for e in spec.entries) <= 1 + 1e-10
     for entry in spec.entries:
         for x in entry.eigenoperators:
             assert np.abs(apply(adj, x) - entry.kappa * x).max() <= 1e-8 * np.abs(x).max()

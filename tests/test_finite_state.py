@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from hbts import channels as ch
+from hbts import correlators as co
 from hbts import finite_state as fs
 from hbts import tensor_core as tc
 from hbts.errors import ResourceLimitError
 
-from conftest import apply, level_states_reference, rand_top
+from conftest import apply, level_states_reference, rand_herm, rand_top
 
 
 def basis_state(d, digits):
@@ -30,12 +31,19 @@ class TestBuildState:
 
     def test_norm_one_at_depth_three(self, bundled_lam, diag_top):
         psi = fs.build_state(bundled_lam, diag_top, 3)
-        assert abs(psi.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
 
     def test_norm_preserved_at_every_depth(self, bundled_lam):
         top = rand_top(2, 3)
         for n in range(1, 5):
-            assert abs(fs.build_state(bundled_lam, top, n).norm() - 1.0) <= 1e-10
+            assert abs(np.linalg.norm(fs.build_state(bundled_lam, top, n).amplitudes) - 1.0) <= 1e-10
+
+    def test_depth_must_be_a_positive_integer(self, bundled_lam, diag_top):
+        for n in (0, 2.0, True, "2"):  # True would build the depth-1 state
+            with pytest.raises(ValueError, match="tree depth n must be an integer"):
+                fs.build_state(bundled_lam, diag_top, n)
+        assert np.array_equal(fs.build_state(bundled_lam, diag_top, np.int64(2)).amplitudes,
+                              fs.build_state(bundled_lam, diag_top, 2).amplitudes)
 
     def test_budget_exceeded(self, bundled_lam, diag_top):
         with pytest.raises(ResourceLimitError) as err:
@@ -61,7 +69,7 @@ class TestReducedAvg:
         psi = fs.build_state(bundled_lam, diag_top, 3)
         brute = fs.reduced_avg(psi, 1).matrix
         dc = ch.descend_channels(bundled_lam)
-        base = fs.single_site_base(diag_top).matrix
+        base = fs.reduced_avg(fs.build_state(bundled_lam, diag_top, 1), 1).matrix
         iterated = apply(dc.average, apply(dc.average, base))
         assert np.abs(brute - iterated).max() < 1e-12
 
@@ -77,24 +85,24 @@ class TestReducedAvg:
 
     def test_window_out_of_range(self, bundled_lam, diag_top):
         psi = fs.build_state(bundled_lam, diag_top, 2)
-        with pytest.raises(ValueError):
-            fs.reduced_avg(psi, 5)
+        for nu in (5, 0, True, 1.0):  # True would be read as nu = 1
+            with pytest.raises(ValueError, match="window size"):
+                fs.reduced_avg(psi, nu)
 
 
 class TestSingleSiteBase:
-    def test_corner_top(self, corner_top):
-        out = fs.single_site_base(corner_top)
+    """The one-site base of the level recursions: the average of the depth-1 tree, whose two sites hold the top
+    tensor's amplitudes."""
+
+    def test_corner_top(self, bundled_lam, corner_top):
+        out = fs.reduced_avg(fs.build_state(bundled_lam, corner_top, 1), 1)
         expect = np.zeros((2, 2))
         expect[0, 0] = 1.0
         assert np.abs(out.matrix - expect).max() < 1e-15
 
-    def test_diag_top(self, diag_top):
-        assert np.abs(fs.single_site_base(diag_top).matrix - np.eye(2) / 2).max() < 1e-15
-
-    def test_matches_depth_one_average(self, bundled_lam):
-        top = rand_top(2, 12)
-        brute = fs.reduced_avg(fs.build_state(bundled_lam, top, 1), 1).matrix
-        assert np.abs(fs.single_site_base(top).matrix - brute).max() < 1e-12
+    def test_diag_top(self, bundled_lam, diag_top):
+        out = fs.reduced_avg(fs.build_state(bundled_lam, diag_top, 1), 1)
+        assert np.abs(out.matrix - np.eye(2) / 2).max() < 1e-15
 
 
 class TestRecursionCheck:
@@ -119,8 +127,9 @@ class TestRecursionCheck:
         assert rep.max_residual <= 1e-12
 
     def test_depth_too_small(self, bundled_lam, diag_top):
-        with pytest.raises(ValueError):
-            fs.recursion_check(bundled_lam, diag_top, 1)
+        for n_max in (1, 3.0, True):
+            with pytest.raises(ValueError, match="n_max must be an integer"):
+                fs.recursion_check(bundled_lam, diag_top, n_max)
 
 
 class TestLevelStates:
@@ -132,22 +141,11 @@ class TestLevelStates:
         top = rand_top(d, 77)
         for n in range(1, n_max + 1):
             psi = fs.build_state(lam, top, n)
-            lv = fs.level_states(lam, top, n)
-            assert np.abs(lv.single.matrix - fs.reduced_avg(psi, 1).matrix).max() < 1e-12
-            assert np.abs(lv.pair.matrix - fs.reduced_avg(psi, 2).matrix).max() < 1e-12
-            assert np.abs(lv.classical_pair.matrix - fs.classical_pair_avg(psi).matrix).max() < 1e-12
-            assert np.abs(lv.same_site_pair.matrix - fs.same_site_pair_avg(psi).matrix).max() < 1e-12
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_match_the_depth_one_formulas(self, d):
-        for seed in range(2):
-            lam, top = tc.random_isometry(d, seed), rand_top(d, seed)
-            for n in (1, 2, 3):
-                lv = fs.level_states(lam, top, n)
-                reference = level_states_reference(lam, top, n)
-                for got, want in zip((lv.single, lv.pair, lv.classical_pair, lv.same_site_pair), reference):
-                    assert np.abs(got.matrix - want).max() <= 1e-14
-            assert np.abs(fs.single_site_base(top).matrix - level_states_reference(lam, top, 1)[0]).max() <= 1e-14
+            rho1, rho2, eta, omega = level_states_reference(lam, top, n)
+            assert np.abs(rho1 - fs.reduced_avg(psi, 1).matrix).max() < 1e-12
+            assert np.abs(rho2 - fs.reduced_avg(psi, 2).matrix).max() < 1e-12
+            assert np.abs(eta - fs.classical_pair_avg(psi).matrix).max() < 1e-12
+            assert np.abs(omega - fs.same_site_pair_avg(psi).matrix).max() < 1e-12
 
     def test_classical_pair_shares_trace_and_marginals(self, bundled_lam):
         psi = fs.build_state(bundled_lam, rand_top(2, 13), 3)
@@ -181,22 +179,26 @@ class TestCorrelatorFinite:
         formula = np.trace(np.kron(sigma_z.matrix, sigma_z.matrix) @ apply(pair, diff))
         assert abs(brute - formula) < 1e-10
 
-    def test_correlator_level_matches_brute_force(self, bundled_lam, sigma_z):
-        top = rand_top(2, 30)
-        for n in (3, 4):
-            psi = fs.build_state(bundled_lam, top, n)
-            for m in range(0, n):
-                brute = fs.correlator_finite(psi, sigma_z, sigma_z, 2 ** m)
-                via = fs.correlator_level(bundled_lam, top, n, sigma_z, sigma_z, m)
-                assert abs(brute - via) < 1e-10
+    @pytest.mark.parametrize("d, seed", [(2, None), (3, 0), (3, 1), (4, 0)])
+    def test_correlator_level_matches_brute_force(self, bundled_lam, sigma_z, d, seed):
+        # the depth-n correlator at distance 2**m is the m-th pair-descend image of the depth n - m states' rho2 - eta
+        lam = bundled_lam if seed is None else tc.random_isometry(d, seed)
+        rng = np.random.default_rng(30)
+        top = rand_top(d, 30)
+        observables = [(sigma_z, sigma_z)] if seed is None else []
+        observables.append((tc.Observable(d, rand_herm(rng, d)), tc.Observable(d, rand_herm(rng, d))))
+        for n in (2, 3, 4) if d == 2 else (2, 3):
+            psi = fs.build_state(lam, top, n)
+            for theta, theta_prime in observables:
+                block = np.kron(theta.matrix, theta_prime.matrix)
+                for m in range(0, n):
+                    brute = fs.correlator_finite(psi, theta, theta_prime, 2 ** m)
+                    _, rho2, eta, _ = level_states_reference(lam, top, n - m)
+                    via = next(co.pair_descend_series(lam, rho2 - eta, block, [m]))[1]
+                    assert abs(brute - via) < 1e-12
 
     def test_distance_out_of_range(self, bundled_lam, diag_top, sigma_z):
         psi = fs.build_state(bundled_lam, diag_top, 2)
-        with pytest.raises(ValueError):
-            fs.correlator_finite(psi, sigma_z, sigma_z, 4)
-        with pytest.raises(ValueError):
-            fs.correlator_finite(psi, sigma_z, sigma_z, 0)
-
-    def test_level_distance_exponent_bounds(self, bundled_lam, diag_top, sigma_z):
-        with pytest.raises(ValueError):
-            fs.correlator_level(bundled_lam, diag_top, 3, sigma_z, sigma_z, 3)
+        for delta in (4, 0, True, 1.0):  # True would be read as delta = 1
+            with pytest.raises(ValueError, match="distance"):
+                fs.correlator_finite(psi, sigma_z, sigma_z, delta)

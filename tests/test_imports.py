@@ -1,8 +1,11 @@
 """The library runs on numpy alone: importing scipy would load a second BLAS into every process.  And its
-layers import downwards: thermo needs channels, not the correlators built on top of it."""
+layers import downwards: thermo needs channels, not the correlators built on top of it.  And every module
+uses each name it imports."""
 
+import ast
 import json
 import textwrap
+from pathlib import Path
 
 from conftest import run_capped
 
@@ -50,3 +53,34 @@ def test_thermo_does_not_import_the_correlators():
     loaded = json.loads(out.stdout)
     assert "hbts.thermo" in loaded and "hbts.channels" in loaded
     assert "hbts.correlators" not in loaded
+
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "hbts").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports (bar ``annotations``) that no ``ast.Name`` in it reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # ``import a.b`` binds ``a``; ``import a.b as c`` and ``from a import b as c`` bind ``c``
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in ("annotations", "*"):
+                    imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return ["%s (line %d)" % (name, line) for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_the_check_finds_an_unused_import():
+    assert unused_imports("import numpy as np\nfrom os import path, sep\nprint(sep)\n") == [
+        "np (line 1)", "path (line 2)"]
+    assert unused_imports("from __future__ import annotations\nimport os.path\nos.path.join('a')\n") == []
+
+
+def test_every_import_is_used():
+    unused = {str(p.relative_to(ROOT)): unused_imports(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {path: names for path, names in unused.items() if names} == {}

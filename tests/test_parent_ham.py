@@ -75,8 +75,10 @@ class TestBuildInteraction:
             ph.build_interaction(bundled_lam, weights=[1.0, 1.0])
         with pytest.raises(ValueError):
             ph.build_interaction(bundled_lam, weights=[1.0, 1.0, 1.0, -1.0])
-        with pytest.raises(ValueError):
-            ph.build_interaction(bundled_lam, nu=5)
+        for nu in (5, 1, 3.0, np.float64(4.0), True, "3"):  # 3.0 and 4.0 equal windows but are not integers
+            with pytest.raises(ValueError, match="interaction window must be 2, 3, 4 or 'auto'"):
+                ph.build_interaction(bundled_lam, nu=nu)
+        assert ph.build_interaction(bundled_lam, nu=np.int64(4)).nu == 4
 
 
 class TestHamiltonianSpec:

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from hbts import finite_state as fs
+from hbts import parent_ham as ph
 from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import ResourceLimitError, ShapeError, ValidationError
@@ -204,6 +206,38 @@ class TestDensityOpInvariants:
         out = thermo.reduced_infinity(bundled_lam, 1)
         assert out is thermo.single_site_infinity(bundled_lam).state
         assert np.array_equal(out.eigenvalues, np.linalg.eigvalsh(out.matrix))
+
+
+SIZE_FIELDS = {"Isometry": ["d"], "TopTensor": ["d"], "DensityOp": ["d", "nu"], "Observable": ["d"],
+               "HamiltonianSpec": ["d", "nu", "kernel_dim"], "PureState": ["d", "N"]}
+
+
+def sized_value(kind, **sizes):
+    """A valid value type at d = 2 (one site, a two-site ring, one kernel vector), with the given sizes replaced."""
+    s = {"d": 2, "nu": 1, "N": 2, "kernel_dim": 1, **sizes}
+    return {
+        "Isometry": lambda: tc.Isometry(s["d"], np.eye(4, 2)),
+        "TopTensor": lambda: tc.TopTensor(s["d"], np.eye(2) / np.sqrt(2.0)),
+        "DensityOp": lambda: tc.DensityOp(s["d"], s["nu"], np.eye(2) / 2.0),
+        "Observable": lambda: tc.Observable(s["d"], np.eye(2)),
+        "HamiltonianSpec": lambda: ph.HamiltonianSpec(s["d"], s["nu"], np.eye(2), s["kernel_dim"], [1.0]),
+        "PureState": lambda: fs.PureState(s["d"], s["N"], np.eye(4)[0]),
+    }[kind]()
+
+
+class TestIntegerSizes:
+    @pytest.mark.parametrize("kind, field", [(kind, f) for kind, fields in SIZE_FIELDS.items() for f in fields])
+    def test_float_or_bool_size_is_refused_by_name(self, kind, field):
+        good = {"d": 2, "nu": 1, "N": 2, "kernel_dim": 1}[field]
+        for bad in (float(good), np.float64(good), True):  # each equals an accepted size
+            with pytest.raises(ValueError, match="^%s must be an integer" % field):
+                sized_value(kind, **{field: bad})
+
+    @pytest.mark.parametrize("kind", sorted(SIZE_FIELDS))
+    def test_numpy_integer_sizes_are_stored_as_int(self, kind):
+        value = sized_value(kind, d=np.int64(2), nu=np.int32(1), N=np.uint8(2), kernel_dim=np.int16(1))
+        for field in SIZE_FIELDS[kind]:
+            assert type(getattr(value, field)) is int
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

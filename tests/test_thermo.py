@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from hbts import channels as ch
 from hbts import correlators as co
-from hbts import finite_state as fs
 from hbts import parent_ham as ph
 from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import DegenerateFixedPointError, ValidationError
 
 from conftest import (apply, classical_pair_reference, dense_extension, fixed_point, flip_isometry, growth_channel,
-                      power_iteration_fixed_point, rand_top, run_capped, tensor)
+                      level_states_reference, power_iteration_fixed_point, rand_top, run_capped, tensor)
 
 
 def copy_isometry():
@@ -386,8 +385,8 @@ class TestTopIndependence:
         rho_inf = thermo.single_site_infinity(bundled_lam).state.matrix
         gaps = []
         for n in (6, 8, 10):
-            a = fs.level_states(bundled_lam, c1, n).single.matrix
-            b = fs.level_states(bundled_lam, c2, n).single.matrix
+            a = level_states_reference(bundled_lam, c1, n)[0]
+            b = level_states_reference(bundled_lam, c2, n)[0]
             gaps.append(float(np.abs(a - b).max()))
             assert np.abs(a - rho_inf).max() <= 2 * 0.75 ** (n - 1)
         assert gaps[2] < gaps[1] < gaps[0]
@@ -405,9 +404,9 @@ def test_level_states_reach_the_thermodynamic_pair_states_from_any_top(d, seed, 
     rho2 = thermo.two_site_infinity(lam).matrix
     eta = thermo.classical_pair_infinity(lam).matrix
     for top_seed in top_seeds:
-        level = fs.level_states(lam, rand_top(d, top_seed), depth)
-        assert np.abs(level.pair.matrix - rho2).max() <= 1e-10
-        assert np.abs(level.classical_pair.matrix - eta).max() <= 1e-10
+        _, pair, classical_pair, _ = level_states_reference(lam, rand_top(d, top_seed), depth)
+        assert np.abs(pair - rho2).max() <= 1e-10
+        assert np.abs(classical_pair - eta).max() <= 1e-10
 
 
 class TestNonMixingPair:
