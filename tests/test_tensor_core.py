@@ -210,11 +210,12 @@ class TestDensityOpInvariants:
 
 SIZE_FIELDS = {"Isometry": ["d"], "TopTensor": ["d"], "DensityOp": ["d", "nu"], "Observable": ["d"],
                "HamiltonianSpec": ["d", "nu", "kernel_dim"], "PureState": ["d", "N"]}
+VALID_SIZES = {"d": 2, "nu": 1, "N": 2, "kernel_dim": 1}  # one site, a two-site ring, one kernel vector
 
 
 def sized_value(kind, **sizes):
-    """A valid value type at d = 2 (one site, a two-site ring, one kernel vector), with the given sizes replaced."""
-    s = {"d": 2, "nu": 1, "N": 2, "kernel_dim": 1, **sizes}
+    """A value type of VALID_SIZES, with the given sizes replaced."""
+    s = {**VALID_SIZES, **sizes}
     return {
         "Isometry": lambda: tc.Isometry(s["d"], np.eye(4, 2)),
         "TopTensor": lambda: tc.TopTensor(s["d"], np.eye(2) / np.sqrt(2.0)),
@@ -228,8 +229,8 @@ def sized_value(kind, **sizes):
 class TestIntegerSizes:
     @pytest.mark.parametrize("kind, field", [(kind, f) for kind, fields in SIZE_FIELDS.items() for f in fields])
     def test_float_or_bool_size_is_refused_by_name(self, kind, field):
-        good = {"d": 2, "nu": 1, "N": 2, "kernel_dim": 1}[field]
-        for bad in (float(good), np.float64(good), True):  # each equals an accepted size
+        good = VALID_SIZES[field]
+        for bad in (float(good), np.float64(good), True):  # the floats equal the valid size
             with pytest.raises(ValueError, match="^%s must be an integer" % field):
                 sized_value(kind, **{field: bad})
 
