@@ -45,6 +45,7 @@ from .correlators import (
     CorrelatorQuery,
     CorrelatorSeries,
     SpectrumReport,
+    correlator_series,
     correlator_thermo,
     exponent_spectrum,
     powerlaw_check,

@@ -43,7 +43,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_core import Isometry, require_isometry
+from .tensor_core import Isometry, _integer, _sizes
 
 # Bound on every residual in choi_check: a map is certified CP when every Choi eigenvalue is >= -TAU_CHOI.
 TAU_CHOI = 1e-10
@@ -69,6 +69,7 @@ class Channel:
     matrix: np.ndarray
 
     def __post_init__(self):
+        _sizes(self, "d", "nu_in", "nu_out")
         din, dout = self.dim_in, self.dim_out
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (dout * dout, din * din):
@@ -176,8 +177,6 @@ def _hermitian_frame(d: int) -> np.ndarray:
 
 def _frame_descents(lam: Isometry) -> tuple[np.ndarray, np.ndarray]:
     """``(Lr, Rr)``, ``Lr[i, j] = Tr[E_i L(E_j)]``, kept on the isometry; row 0 is ``e_0``, as L keeps the trace."""
-    require_isometry(lam)
-
     def build():
         frame = _hermitian_frame(lam.d)
         out = tuple((frame.conj().T @ _letter(lam, letter) @ frame).real.copy() for letter in "LR")
@@ -284,8 +283,6 @@ def descend_channels(lam: Isometry) -> DescendChannels:
     child; both are CPT with Kraus operators sliced out of the isometry:
     ``t[:, k, :]`` for left, ``t[k, :, :]`` for right.
     """
-    require_isometry(lam)
-
     def build():
         left = Channel(lam.d, 1, 1, _letter(lam, "L"))
         right = Channel(lam.d, 1, 1, _letter(lam, "R"))
@@ -296,8 +293,6 @@ def descend_channels(lam: Isometry) -> DescendChannels:
 
 def pair_descend_channel(lam: Isometry) -> Channel:
     """Two sites to two: (left (x) left + right (x) right)/2."""
-    require_isometry(lam)
-
     def build():
         mat = _superop(lambda x: _local(lam, (x, "LL"), (x, "RR")), lam.d ** 2)
         return Channel(lam.d, 2, 2, mat)
@@ -310,9 +305,8 @@ def extension_channel(lam: Isometry, nu: int) -> Channel:
 
     Only nu in {3, 4} is defined; larger windows have no stated construction.
     """
-    if nu not in (3, 4):
+    if _integer(nu, "extension window nu", 1) not in (3, 4):
         raise ValueError("extension is defined for nu in {3, 4}, got %r" % (nu,))
-    require_isometry(lam)
     ext = (lambda x: _extend(lam, x)) if nu == 3 else (lambda x: _extend(lam, x, _extend(lam, x)))
     return Channel(lam.d, 2, nu, _superop(ext, lam.d ** 2))
 

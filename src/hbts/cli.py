@@ -59,9 +59,7 @@ def _load_isometry(spec: str, d: int | None = None) -> tc.Isometry:
 
 def _load_top(spec: str, d: int | None = None) -> tc.TopTensor:
     if spec in ("diag", "corner"):
-        d = 2 if d is None else d
-        if d < 2:
-            raise ValueError("local dimension must be >= 2, got %d" % d)
+        d = tc._integer(2 if d is None else d, "local dimension d", 2)
         if spec == "diag":
             return tc.TopTensor(d, np.eye(d, dtype=complex) / np.sqrt(d))
         c = np.zeros((d, d), dtype=complex)
@@ -141,12 +139,7 @@ def cmd_correlate(args) -> int:
     lam = _load_isometry(args.isometry, args.d)
     theta = _load_observable(args.theta, lam.d)
     theta_prime = _load_observable(args.theta_prime, lam.d)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below with one error line
-        block = np.kron(theta.matrix, theta_prime.matrix)
-        diff = correlators.pair_difference_infinity(lam)
-        series = list(correlators.pair_descend_series(lam, diff, block, range(args.m_max + 1)))
-    if not (np.isfinite(block).all() and np.isfinite([value for _, value in series]).all()):
-        raise ValueError("the observables overflow: theta (x) theta' or its correlator series is not finite")
+    series = correlators.correlator_series(lam, correlators.CorrelatorQuery(theta, theta_prime), range(args.m_max + 1))
     rows = [(delta, float(value.real), float(value.imag)) for delta, value in series]
     header = ["delta_alpha", "re", "im"]
     if args.output:
@@ -319,13 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args) -> None:
-    """Refuse a tolerance that is not a finite number >= 0 and a negative --m-max."""
+    """Refuse a tolerance that is not a finite number >= 0."""
     for name in ("tol", "tau_gs"):
         value = getattr(args, name, 0.0)
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError("--%s must be a finite number >= 0, got %s" % (name.replace("_", "-"), value))
-    if getattr(args, "m_max", 0) < 0:
-        raise ValueError("--m-max must be >= 0, got %d" % args.m_max)
 
 
 def main(argv=None) -> int:

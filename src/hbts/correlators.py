@@ -93,9 +93,28 @@ def pair_descend_series(
         yield 2 ** m, complex(np.sum(current * weights))
 
 
+def correlator_series(lam: Isometry, query, m_values: Iterable[int]) -> list[tuple[int, complex]]:
+    """``[(2**m, correlator at distance 2**m)]`` of the infinite tree for the distinct m of m_values, ascending.
+
+    ``query`` is a CorrelatorQuery or a two-site block; m_values holds at least one integer >= 0, no bool or
+    float.  A block that is not a finite d^2 x d^2 matrix, or a series that is not finite, is a ValueError.
+    """
+    m_values = sorted({_integer(m, "distance exponent m", 0) for m in m_values})
+    if not m_values:
+        raise ValueError("m_values must hold at least one integer >= 0")
+    with np.errstate(over="ignore", invalid="ignore"):  # a block or series that is not finite is refused
+        block = query.block() if isinstance(query, CorrelatorQuery) else np.asarray(query, dtype=complex)
+        if block.shape != (lam.d ** 2,) * 2 or not np.isfinite(block).all():
+            raise ValueError("observable block must be a finite %d x %d matrix" % ((lam.d ** 2,) * 2))
+        series = list(pair_descend_series(lam, pair_difference_infinity(lam), block, m_values))
+    if not np.isfinite([v for _, v in series]).all():
+        raise ValueError("the correlator series is not finite")
+    return series
+
+
 def correlator_thermo(lam: Isometry, query: CorrelatorQuery) -> complex:
     """Connected correlator at distance 2**query.m in the infinite-depth limit."""
-    return next(pair_descend_series(lam, pair_difference_infinity(lam), query.block(), [query.m]))[1]
+    return correlator_series(lam, query, [query.m])[0][1]
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -310,20 +329,10 @@ def powerlaw_check(
     ``fitted_exponent`` is log2 of the largest |kappa| whose term exceeds CONTRIBUTION_TOL times the series
     scale; ``log_corrections`` flags a defective cluster; ``is_eigenoperator`` tests B.
     """
-    m_values = sorted({_integer(m, "distance exponent m", 0) for m in m_range})
-    if not m_values:
-        raise ValueError("m_range must contain nonnegative integers")
-
-    diff = pair_difference_infinity(lam)
-    with np.errstate(over="ignore", invalid="ignore"):  # a block or series that is not finite is refused
-        block = query.block() if isinstance(query, CorrelatorQuery) else np.asarray(query, dtype=complex)
-        if block.shape != (lam.d ** 2,) * 2 or not np.isfinite(block).all():
-            raise ValueError("observable block must be a finite %d x %d matrix" % ((lam.d ** 2,) * 2))
-        series = list(pair_descend_series(lam, diff, block, sorted({0, *m_values})))
-    if not np.isfinite([v for _, v in series]).all():
-        raise ValueError("the correlator series is not finite")
-    g = series[0][1]
-    points = series if m_values[0] == 0 else series[1:]
+    points = correlator_series(lam, query, m_range)
+    block = query.block() if isinstance(query, CorrelatorQuery) else np.asarray(query, dtype=complex)  # checked above
+    m_values = [delta.bit_length() - 1 for delta, _ in points]
+    g = points[0][1] if m_values[0] == 0 else correlator_series(lam, block, [0])[0][1]
     values = np.array([v for _, v in points])
     scale = float(np.abs(values).max())
 
@@ -336,6 +345,7 @@ def powerlaw_check(
 
     b = ch._sector_matrix(lam)
     half = block / 2.0  # B's Hermitian part (B + B^dag)/2 and anti-Hermitian part (B - B^dag)/2i
+    diff = pair_difference_infinity(lam)
     coords = ch._sector_coordinates(np.stack([diff, half + half.conj().T, (half - half.conj().T) / 1j]), lam.d).real
     x, parts, u = coords[0], coords[1:], coords[1] + 1j * coords[2]
     bu = b @ u  # the adjoint applied to B

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .tensor_core import _integer
+
 
 @dataclass(frozen=True)
 class MeraBound:
@@ -25,8 +27,7 @@ class MeraBound:
 
 def mera_rank_bound(topology: str, d: int) -> MeraBound:
     """Minimal parent-interaction window and rank bound for a renormalization topology."""
-    if d < 2:
-        raise ValueError("local dimension must be >= 2, got %d" % d)
+    d = _integer(d, "local dimension d", 2)
     if topology == "binary":
         if 2 * d ** 4 < d ** 5:
             return MeraBound(topology, d, 5, 2 * d ** 4, True)

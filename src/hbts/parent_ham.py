@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import KernelNotFoundError, ResourceLimitError, ValidationError
-from .tensor_core import DensityOp, Isometry, _integer, _sizes, hermitian_part, numerical_rank, svd_rank
+from .tensor_core import DensityOp, Isometry, _integer, _sizes, hermitian_part, numerical_rank, require_isometry, svd_rank
 from . import channels as ch
 from . import thermo
 
@@ -236,7 +236,8 @@ def grown_basis(lam: Isometry, N: int) -> np.ndarray:
     sites under one layer of isometries; orthonormality is inherited.  A
     real isometry gives a real basis.
     """
-    if N % 2 != 0:
+    require_isometry(lam)
+    if _integer(N, "ring size N", 2) % 2 != 0:
         raise ValueError("growing a layer needs an even target size, got N=%d" % N)
     v = lam.v if lam.v.imag.any() else lam.v.real
     return functools.reduce(np.kron, [v] * (N // 2), np.ones((1, 1)))
@@ -266,6 +267,8 @@ def grown_subspace_check(
     (unfrustration), and their sum, translated along with the basis, is
     N H|phi>.  Then ranks the union of the subspace with its one-site translate.
     """
+    if hs.d != lam.d:
+        raise ValueError("isometry has d=%d, interaction d=%d" % (lam.d, hs.d))
     N = _require_ring(hs, N, max_dim)
     basis = grown_basis(lam, N)                      # refuses an odd N
     h = hs.h_term
@@ -304,6 +307,8 @@ def adjoint_nullity_check(lam: Isometry, hs: HamiltonianSpec) -> NullityReport:
     operator must vanish identically; a rank-deficient two-site state only
     flags the precondition instead of raising.
     """
+    if hs.d != lam.d:
+        raise ValueError("isometry has d=%d, interaction d=%d" % (lam.d, hs.d))
     if hs.nu != 3:
         raise ValueError("the operator nullity argument applies to 3-site interactions")
     rho2 = thermo.two_site_infinity(lam)

@@ -93,10 +93,13 @@ class Isometry:
     def _derive(self, key: str, build):
         """The quantity ``key`` of this isometry, built by ``build()`` on first use.
 
-        Callers validate the isometry before asking; a builder that raises
-        stores nothing.  Builders return read-only arrays.
+        The first derivation runs :func:`require_isometry` and keeps its pass in the memo, so no later or
+        nested one repeats it; a check or builder that raises stores nothing.  Builders return read-only arrays.
         """
         if key not in self._memo:
+            if "isometric" not in self._memo:
+                require_isometry(self)
+                self._memo["isometric"] = True
             self._memo[key] = build()
         return self._memo[key]
 
@@ -209,14 +212,13 @@ def require_top(c: TopTensor) -> None:
 
 def partial_trace(op: DensityOp, keep: Sequence[int]) -> DensityOp:
     """Reduce a DensityOp to the given (1-based) site subset; the result's site order follows ``keep``."""
-    d, nu, keep = op.d, op.nu, list(keep)
+    d, nu, keep = op.d, op.nu, [_integer(s, "site", 1) for s in keep]
     if not keep:
         raise ValueError("keep must be a nonempty site subset")
     if len(set(keep)) != len(keep):
         raise ValueError("keep contains duplicate sites: %s" % keep)
-    for s in keep:
-        if not 1 <= s <= nu:
-            raise ValueError("site %d out of range 1..%d" % (s, nu))
+    if max(keep) > nu:
+        raise ValueError("site %d out of range 1..%d" % (max(keep), nu))
     # axes 0..nu-1 are the row sites, nu..2nu-1 the column sites; a traced site's column axis takes its
     # row axis's label, so one einsum sums its diagonal, and the output lists the kept axes in keep order
     labels = list(range(nu)) + [nu + s if s + 1 in keep else s for s in range(nu)]
@@ -243,9 +245,8 @@ def random_isometry(d: int, seed: int) -> Isometry:
     Sign convention: the largest-magnitude entry of each column is made real
     positive, so the result is unique and reproducible across runs.
     """
-    if d < 2:
-        raise ValueError("local dimension must be >= 2, got %d" % d)
-    rng = np.random.default_rng(seed)
+    d = _integer(d, "local dimension d", 2)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     a = rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d))
     q, _ = np.linalg.qr(a)
     q = np.array(q[:, :d])
@@ -267,8 +268,7 @@ def paper_isometry() -> Isometry:
 
 def product_isometry(d: int) -> Isometry:
     """The embedding |u> -> |u>|0>, whose tree states are product states."""
-    if d < 2:
-        raise ValueError("local dimension must be >= 2, got %d" % d)
+    d = _integer(d, "local dimension d", 2)
     v = np.zeros((d * d, d), dtype=complex)
     for u in range(d):
         v[u * d, u] = 1.0

@@ -171,9 +171,28 @@ class TestPowerlawCheck:
         huge = tc.Observable(2, np.diag([1e200, -1e200]))
         with pytest.raises(ValueError):  # finite observables whose product overflows
             co.powerlaw_check(bundled_lam, co.CorrelatorQuery(huge, huge))
+        wide = tc.Observable(2, np.diag([1e200, 1e200]))
+        with pytest.raises(ValueError, match="finite"):  # a nan before; a RuntimeWarning fails the suite
+            co.correlator_thermo(bundled_lam, co.CorrelatorQuery(wide, wide))
         reference = co.powerlaw_check(bundled_lam, query, range(4))
         for m_range in (np.arange(4), [np.int64(3), 0, 1, 2]):
             assert co.powerlaw_check(bundled_lam, query, m_range) == reference
+
+    def test_one_checked_series_behind_every_correlator(self, bundled_lam, sigma_z):
+        query = co.CorrelatorQuery(sigma_z, sigma_z)
+        series = co.correlator_series(bundled_lam, query, [5, np.int64(2), 0, 2])
+        assert [delta for delta, _ in series] == [1, 4, 32]
+        diff = co.pair_difference_infinity(bundled_lam)
+        assert series == list(co.pair_descend_series(bundled_lam, diff, query.block(), [0, 2, 5]))
+        for delta, value in series:
+            m = delta.bit_length() - 1
+            assert co.correlator_thermo(bundled_lam, co.CorrelatorQuery(sigma_z, sigma_z, m)) == value
+        assert co.correlator_series(bundled_lam, query.block(), [2, 0, 5]) == series
+        assert list(co.powerlaw_check(bundled_lam, query, [2, 5]).points) == series[1:]
+        assert co.powerlaw_check(bundled_lam, query, [2, 5]).prefactor == series[0][1]
+        for m_values in ([], [1.0], [True], [-1]):
+            with pytest.raises(ValueError, match="m"):
+                co.correlator_series(bundled_lam, query, m_values)
 
 
 def assert_null_vectors(matrix, structure):

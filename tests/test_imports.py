@@ -1,10 +1,11 @@
 """The library runs on numpy alone: importing scipy would load a second BLAS into every process.  And its
 layers import downwards: thermo needs channels, not the correlators built on top of it.  And every module
-uses each name it imports."""
+uses each name it imports, and every top-level name of the library is read somewhere."""
 
 import ast
 import json
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 from conftest import run_capped
@@ -84,3 +85,61 @@ def test_the_check_finds_an_unused_import():
 def test_every_import_is_used():
     unused = {str(p.relative_to(ROOT)): unused_imports(p.read_text(encoding="utf-8")) for p in MODULES}
     assert {path: names for path, names in unused.items() if names} == {}
+
+
+def unread_names(defined: dict[str, str], sources: dict[str, str]) -> list[str]:
+    """Top-level ``def``, ``class`` and assigned names of the ``defined`` modules, dunders aside, that no module
+    of ``sources`` reads outside the name's own definition: as an ``ast.Name`` load, an attribute or an import
+    alias.  Both map a path to its text; names are matched by spelling alone, whatever module reads them."""
+
+    def reads(tree) -> list[str]:
+        out = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.append(node.attr)
+            elif isinstance(node, ast.alias):
+                out.extend(node.name.split("."))
+        return out
+
+    total = Counter(name for text in sources.values() for name in reads(ast.parse(text)))
+    unread = []
+    for path, text in defined.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = Counter(reads(node))
+            unread += ["%s: %s (line %d)" % (path, name, node.lineno) for name in names
+                       if not (name.startswith("__") and name.endswith("__")) and total[name] == own[name]]
+    return unread
+
+
+def test_the_check_finds_an_unread_name():
+    module = textwrap.dedent(
+        """
+        import os
+        A = 1
+        B: int = A
+        __all__ = []
+        def f():
+            return f()
+        class C:
+            pass
+        os.path
+        """
+    )
+    sources = {"m.py": module, "t.py": "from m import C\n"}
+    assert unread_names({"m.py": module}, sources) == ["m.py: B (line 4)", "m.py: f (line 6)"]
+
+
+def test_every_top_level_name_is_read():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for folder in ("src", "tests", "perfbench") for p in sorted((ROOT / folder).rglob("*.py"))}
+    library = {path: text for path, text in sources.items() if path.startswith("src/hbts/")}
+    assert unread_names(library, sources) == []

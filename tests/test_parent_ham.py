@@ -387,6 +387,19 @@ class TestGrownSubspace:
             ph.grown_subspace_check(bundled_lam, paper_interaction, 8.5)
         assert ph.grown_subspace_check(bundled_lam, paper_interaction, np.int64(6)).N == 6
 
+    def test_non_isometry_is_refused(self, bundled_lam, paper_interaction):
+        # the grown basis reads v without a derivation, so it checks v itself
+        with pytest.raises(ValidationError, match="isometric"):
+            ph.grown_subspace_check(tc.Isometry(2, 1.5 * bundled_lam.v), paper_interaction, 6)
+
+
+@pytest.mark.parametrize("check", [lambda lam, hs: ph.grown_subspace_check(lam, hs, 6), ph.adjoint_nullity_check])
+def test_interaction_of_another_dimension_is_refused(bundled_lam, check):
+    hs = ph.build_interaction(tc.random_isometry(3, 0))
+    assert hs.nu == 3
+    with pytest.raises(ValueError, match="d=2.*d=3"):
+        check(bundled_lam, hs)
+
 
 class TestAdjointNullity:
     def test_spin1_random_trees(self):

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from hbts import channels as ch
 from hbts import finite_state as fs
+from hbts import mera_bounds as mb
 from hbts import parent_ham as ph
 from hbts import tensor_core as tc
 from hbts import thermo
@@ -103,6 +105,8 @@ class TestPartialTrace:
             tc.partial_trace(op, [])
         with pytest.raises(ValueError):
             tc.partial_trace(op, [3])
+        with pytest.raises(ValueError):
+            tc.partial_trace(op, [0])
         with pytest.raises(ValueError):
             tc.partial_trace(op, [1, 1])
 
@@ -209,8 +213,10 @@ class TestDensityOpInvariants:
 
 
 SIZE_FIELDS = {"Isometry": ["d"], "TopTensor": ["d"], "DensityOp": ["d", "nu"], "Observable": ["d"],
-               "HamiltonianSpec": ["d", "nu", "kernel_dim"], "PureState": ["d", "N"]}
-VALID_SIZES = {"d": 2, "nu": 1, "N": 2, "kernel_dim": 1}  # one site, a two-site ring, one kernel vector
+               "HamiltonianSpec": ["d", "nu", "kernel_dim"], "PureState": ["d", "N"],
+               "Channel": ["d", "nu_in", "nu_out"]}
+# one site, a two-site ring, one kernel vector, a one-site map
+VALID_SIZES = {"d": 2, "nu": 1, "N": 2, "kernel_dim": 1, "nu_in": 1, "nu_out": 1}
 
 
 def sized_value(kind, **sizes):
@@ -223,7 +229,21 @@ def sized_value(kind, **sizes):
         "Observable": lambda: tc.Observable(s["d"], np.eye(2)),
         "HamiltonianSpec": lambda: ph.HamiltonianSpec(s["d"], s["nu"], np.eye(2), s["kernel_dim"], [1.0]),
         "PureState": lambda: fs.PureState(s["d"], s["N"], np.eye(4)[0]),
+        "Channel": lambda: ch.Channel(s["d"], s["nu_in"], s["nu_out"], np.eye(4)),
     }[kind]()
+
+
+# a call of one size argument, its valid value, values refused as not integers or too small, and the name refused
+SIZE_ARGUMENTS = {
+    "random_isometry d": (lambda x: tc.random_isometry(x, 0), 2, [2.0, True], "local dimension d"),
+    "random_isometry seed": (lambda x: tc.random_isometry(2, x), 0, [1.5, -1], "seed"),
+    "product_isometry d": (tc.product_isometry, 2, [2.0], "local dimension d"),
+    "mera_rank_bound d": (lambda x: mb.mera_rank_bound("binary", x), 2, [2.0], "local dimension d"),
+    "extension_channel nu": (lambda x: ch.extension_channel(tc.paper_isometry(), x), 3, [3.0], "extension window nu"),
+    "grown_basis N": (lambda x: ph.grown_basis(tc.paper_isometry(), x), 6, [6.0], "ring size N"),
+    "partial_trace site": (lambda x: tc.partial_trace(tc.DensityOp(2, 2, np.eye(4) / 4.0), [x]), 1, [1.0, True],
+                           "site"),
+}
 
 
 class TestIntegerSizes:
@@ -236,9 +256,18 @@ class TestIntegerSizes:
 
     @pytest.mark.parametrize("kind", sorted(SIZE_FIELDS))
     def test_numpy_integer_sizes_are_stored_as_int(self, kind):
-        value = sized_value(kind, d=np.int64(2), nu=np.int32(1), N=np.uint8(2), kernel_dim=np.int16(1))
+        value = sized_value(kind, d=np.int64(2), nu=np.int32(1), N=np.uint8(2), kernel_dim=np.int16(1),
+                            nu_in=np.int8(1), nu_out=np.uint16(1))
         for field in SIZE_FIELDS[kind]:
             assert type(getattr(value, field)) is int
+
+    @pytest.mark.parametrize("case", sorted(SIZE_ARGUMENTS))
+    def test_float_bool_or_small_size_argument_is_refused_by_name(self, case):
+        call, good, bad_values, name = SIZE_ARGUMENTS[case]
+        call(good)
+        for bad in bad_values:
+            with pytest.raises(ValueError, match="^%s must be an integer" % name):
+                call(bad)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

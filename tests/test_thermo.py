@@ -370,6 +370,23 @@ class TestPerIsometryMemo:
             with pytest.raises(ValidationError):
                 call()
 
+    def test_isometric_condition_is_checked_once(self, monkeypatch):
+        # the first derivation checks v and keeps the pass; no later or nested derivation checks it again
+        checks = []
+        validate = tc.validate_isometry
+        monkeypatch.setattr(tc, "validate_isometry", lambda lam, *args: checks.append(lam) or validate(lam, *args))
+        lam = tc.random_isometry(3, 0)
+        z = tc.Observable(3, np.diag([1.0, 0.0, -1.0]))
+        ch.descend_channels(lam)
+        thermo.thermo_report(lam, 4)
+        for m in range(16):
+            co.correlator_thermo(lam, co.CorrelatorQuery(z, z, m))
+        co.exponent_spectrum(lam)
+        ch.pair_descend_channel(lam)
+        ch.extension_channel(lam, 4)
+        ph.build_interaction(lam)
+        assert checks == [lam]
+
 
 class TestTopIndependence:
     def test_signatures_take_no_top_tensor(self):
