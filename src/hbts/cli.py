@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 validation failure, 2 resource/argument error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -164,7 +163,10 @@ def cmd_finite_check(args) -> int:
 def _interaction(args):
     """The isometry and its interaction from --isometry, --d, --nu and --weights."""
     lam = _load_isometry(args.isometry, args.d)
-    weights = [float(x) for x in args.weights.split(",") if x.strip()] if args.weights else None
+    try:
+        weights = [float(x) for x in args.weights.split(",") if x.strip()] if args.weights else None
+    except ValueError:
+        raise ValueError("--weights takes comma-separated positive numbers, got %r" % args.weights) from None
     try:
         nu = int(args.nu)
     except ValueError:
@@ -312,11 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args) -> None:
-    """Refuse a tolerance that is not a finite number >= 0."""
+    """Refuse a tolerance that is not a finite number >= 0 and an --m-max below 0, naming the option."""
     for name in ("tol", "tau_gs"):
-        value = getattr(args, name, 0.0)
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError("--%s must be a finite number >= 0, got %s" % (name.replace("_", "-"), value))
+        if hasattr(args, name):
+            tc._tolerance(getattr(args, name), "--" + name.replace("_", "-"))
+    if hasattr(args, "m_max"):
+        tc._integer(args.m_max, "--m-max", 0)
 
 
 def main(argv=None) -> int:

@@ -9,8 +9,8 @@ both the spectrum and the exact split of a correlator series into powers of thos
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,7 +44,13 @@ class SpectrumEntry:
     exponent: complex | None
     algebraic: int
     geometric: int
-    eigenoperators: tuple
+    _eigenoperators: Callable[[], tuple] = field(repr=False, compare=False)
+    _index: int = field(repr=False, compare=False)
+
+    @property
+    def eigenoperators(self) -> tuple:
+        """The geometric-many eigenoperators of kappa; the first read of any entry builds those of all."""
+        return self._eigenoperators()[self._index]
 
 
 @dataclass(frozen=True)
@@ -117,28 +123,39 @@ def correlator_thermo(lam: Isometry, query: CorrelatorQuery) -> complex:
     return correlator_series(lam, query, [query.m])[0][1]
 
 
+def _near(values: np.ndarray, targets: np.ndarray, tol: float) -> tuple:
+    """(i, j, |values[j] - targets[i]|) of the pairs j != i within tol, found in windows of the sorted Re values."""
+    order = values.real.argsort(kind="stable")
+    real = values.real[order]
+    lo = real.searchsorted(targets.real - 2 * tol, "left")  # 2 tol: no rounding drops a pair within tol
+    counts = real.searchsorted(targets.real + 2 * tol, "right") - lo
+    i = np.arange(len(targets)).repeat(counts)
+    j = order[np.arange(len(i)) - (counts.cumsum() - counts - lo).repeat(counts)]
+    dist = np.abs(values[j] - targets[i])
+    keep = (dist <= tol) & (i != j)
+    return i[keep], j[keep], dist[keep]
+
+
 def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Greedy connected-component clustering of complex values at tolerance tol.
+    """Greedy clustering of complex values at tolerance tol.
 
     Values are taken by |value| descending (np.hypot, which rounds as abs() of one value does: np.abs of a
     complex array can differ in the last bit), then Re and Im, each joining the earliest cluster with a member
-    within tol.  When no two values lie within tol, the generic spectrum, the sort alone gives the clusters.
+    within tol.  The close pairs come from :func:`_near`; when there are none, the generic spectrum, the sort
+    alone gives the clusters.
     """
-    order = np.lexsort((values.imag, values.real, -np.hypot(values.real, values.imag))).tolist()
-    close = np.abs(values[:, None] - values[None, :]) <= tol
-    np.fill_diagonal(close, False)
-    if not close.any():
-        return [[i] for i in order]
-    label = np.full(len(values), -1)
-    clusters: list[list[int]] = []
-    for i in order:
-        near = label[close[i] & (label >= 0)]
-        if near.size:
-            label[i] = near.min()
-            clusters[label[i]].append(i)
-        else:
-            label[i] = len(clusters)
-            clusters.append([i])
+    order = np.lexsort((values.imag, values.real, -np.hypot(values.real, values.imag)))
+    i, j, _ = _near(values, values, tol)
+    if not i.size:
+        return [[k] for k in order.tolist()]
+    close = np.split(j[i.argsort(kind="stable")], np.bincount(i, minlength=len(values)).cumsum()[:-1])
+    label, clusters = np.full(len(values), -1), []
+    for k in order.tolist():
+        near = label[close[k]]
+        label[k] = near[near >= 0].min(initial=len(clusters))
+        if label[k] == len(clusters):
+            clusters.append([])
+        clusters[label[k]].append(k)
     return clusters
 
 
@@ -162,15 +179,16 @@ def _canonical(out: list) -> list:
     """
     kappas = np.array([item[0] for item in out], dtype=complex)
     alg = np.array([item[1] for item in out])
-    near = np.abs(kappas[None, :] - kappas.conj()[:, None])  # row i: |kappa_j - conj kappa_i|, j != i
-    np.fill_diagonal(near, np.inf)
-    upper = np.flatnonzero(kappas.imag > CLUSTER_TOL)
-    lower = near[upper].argmin(axis=1)
-    upper, lower = (a[(near[upper, lower] <= CLUSTER_TOL) & (alg[lower] == alg[upper])] for a in (upper, lower))
+    i, j, dist = _near(kappas, kappas.conj(), CLUSTER_TOL)  # |kappa_j - conj kappa_i| within CLUSTER_TOL
+    nearest = np.lexsort((j, dist, i))  # each i's nearest j first, the lowest j of a tie
+    i, j = i[nearest], j[nearest]
+    first = np.diff(i, prepend=-1) > 0
+    upper, lower = (a[first & (kappas.imag[i] > CLUSTER_TOL) & (alg[j] == alg[i])] for a in (i, j))
     snapped = kappas.copy()
     snapped[upper] = (kappas[upper] + kappas[lower].conj()) / 2.0
     snapped[lower] = snapped[upper].conj()
-    real = (np.abs(kappas.imag) <= CLUSTER_TOL) & (near > CLUSTER_TOL).all(axis=1)
+    real = np.abs(kappas.imag) <= CLUSTER_TOL
+    real[i] = False  # a conjugate partner within CLUSTER_TOL
     snapped[real] = kappas[real].real
     modulus = np.hypot(snapped.real, snapped.imag)
     order = np.argsort(-modulus, kind="stable")
@@ -256,12 +274,13 @@ def _sector_eig(lam: Isometry, b: np.ndarray, where: slice) -> tuple:
                        lambda: tuple(map(_frozen_complex, np.linalg.eig(b[where, where]))))
 
 
-def _sector_structure(lam: Isometry) -> list[tuple[complex, int, int, list[np.ndarray]]]:
-    """(kappa, algebraic, geometric, eigenoperators) of the pair-descend adjoint A, in the order of _canonical.
+def _sector_structure(lam: Isometry) -> tuple:
+    """((kappa, algebraic, geometric) in the order of _canonical, eigenoperators) of the pair-descend adjoint A.
 
     In the basis of :func:`channels._sector_basis`, A is real and block upper-triangular with diagonal blocks
     1, D, D, A_sym, A_anti (D: the averaged descend adjoint on traceless operators), and each small
-    block gets one kept eig.  Clusters shared by sectors are resolved on the whole matrix.  The null vectors
+    block gets one kept eig.  Clusters shared by sectors are resolved on the whole matrix.  eigenoperators()
+    gives the eigenoperators of every entry, built on its first call and kept on the isometry: the null vectors
     y of a sector's other clusters lift together to x = (x_low, y), (A_low,low - kappa) x_low =
     -A_low,block y (:func:`_lift`, with the eig of D), and map back as one stack per sector copy.
     """
@@ -270,49 +289,60 @@ def _sector_structure(lam: Isometry) -> list[tuple[complex, int, int, list[np.nd
     eigs = [_sector_eig(lam, b, copies[0]) for copies, _ in sectors]
     items = [(kappa, alg * len(copies), geo * len(copies), null, s) for s, (copies, _) in enumerate(sectors)
              for kappa, alg, geo, null in _eig_structure(b[copies[0], copies[0]], *eigs[s])]
-    entries, found = [], []  # found: (owners, coordinates) of eigenoperators; owner: an entry's first item
+    entries, shared = [], []  # shared: (owners, coordinates) of eigenoperators; owner: an entry's first item
     for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):
         if len(members) > 1:
             alg = sum(items[k][1] for k in members)
             kappa = complex(sum(items[k][0] * items[k][1] for k in members) / alg)
             kappa, alg, geo, null = _resolve_cluster(b, kappa, alg)
-            found.append(([members[0]] * geo, np.stack(null, axis=1)))
+            shared.append(([members[0]] * geo, np.stack(null, axis=1)))
             for k in members:  # nothing left to lift
                 items[k] = (kappa, alg, geo, (), None)
         entries.append(items[members[0]][:3] + (members[0],))
-    for s, (copies, low) in enumerate(sectors):
-        null = [(k, x) for k, item in enumerate(items) if item[4] == s for x in item[3]]
-        if not null:
-            continue
-        y, kappas = np.stack([x for _, x in null], axis=1), np.array([items[k][0] for k, _ in null])
-        for where in copies:
-            x = np.zeros((len(b), len(null)), dtype=complex)
-            x[where] = y
-            if low.stop:
-                x[low] = _lift(b[low, low], -b[low, where] @ y, kappas, *eigs[1])
-            found.append(([k for k, _ in null], x))
-    del b, eigs, items  # free them before the eigenoperators
-    ops = {entry[3]: [] for entry in entries}
-    for owners, x in found:
-        for k, op in zip(owners, ch._sector_operators(x.T, lam.d)):
-            ops[k].append(op)
-    return [entry[:3] + (ops[entry[3]],) for entry in _canonical(entries)]
+    entries = _canonical(entries)
+
+    def build():
+        b, found = ch._sector_matrix(lam), list(shared)
+        for s, (copies, low) in enumerate(sectors):
+            null = [(k, x) for k, item in enumerate(items) if item[4] == s for x in item[3]]
+            if not null:
+                continue
+            y, kappas = np.stack([x for _, x in null], axis=1), np.array([items[k][0] for k, _ in null])
+            for where in copies:
+                x = np.zeros((len(b), len(null)), dtype=complex)
+                x[where] = y
+                if low.stop:
+                    x[low] = _lift(b[low, low], -b[low, where] @ y, kappas, *eigs[1])
+                found.append(([k for k, _ in null], x))
+        del b  # free it before the eigenoperators
+        ops = {entry[3]: [] for entry in entries}
+        for owners, x in found:
+            stack = ch._sector_operators(x.T, lam.d)
+            stack.setflags(write=False)  # kept on the isometry
+            for k, op in zip(owners, stack):
+                ops[k].append(op)
+        return tuple(tuple(ops[entry[3]]) for entry in entries)
+
+    return [entry[:3] for entry in entries], lambda: lam._derive("eigenoperators", build)
 
 
-def _log2_or_none(kappa: complex) -> complex | None:
-    if abs(kappa) <= 1e-14:
-        return None
-    return complex(np.log(kappa) / np.log(2.0))
+def _log2_or_none(kappas: Sequence[complex]) -> list:
+    """log2 of each kappa by one np.log over the array, None where |kappa| <= 1e-14."""
+    kappas = np.asarray(kappas, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = (np.log(kappas) / np.log(2.0)).tolist()
+    return [None if tiny else z for tiny, z in zip((np.hypot(kappas.real, kappas.imag) <= 1e-14).tolist(), logs)]
 
 
 def exponent_spectrum(lam: Isometry) -> SpectrumReport:
     """Full eigenstructure of the pair-descend adjoint, sorted by |kappa| descending.
 
     Computed sector by sector (:func:`_sector_structure`); a geometric
-    multiplicity below the algebraic one is Jordan structure.
+    multiplicity below the algebraic one is Jordan structure.  No eigenoperator is built before one is read.
     """
-    entries = tuple(SpectrumEntry(kappa, _log2_or_none(kappa), alg, geo, tuple(ops))
-                    for kappa, alg, geo, ops in _sector_structure(lam))
+    structure, eigenoperators = _sector_structure(lam)
+    entries = tuple(SpectrumEntry(kappa, exponent, alg, geo, eigenoperators, k) for k, ((kappa, alg, geo), exponent)
+                    in enumerate(zip(structure, _log2_or_none([kappa for kappa, _, _ in structure]))))
     return SpectrumReport(d=lam.d, entries=entries, diagonalizable=all(e.algebraic == e.geometric for e in entries))
 
 
@@ -361,7 +391,7 @@ def powerlaw_check(
     contributing = [kappa for kappa, _, _, terms in clusters if np.abs(terms).max() > CONTRIBUTION_TOL * scale]
     return CorrelatorSeries(
         points=tuple(points), prefactor=g,
-        fitted_exponent=_log2_or_none(max(contributing, key=abs)) if contributing else None,
+        fitted_exponent=_log2_or_none([max(contributing, key=abs)])[0] if contributing else None,
         is_eigenoperator=member, kappa=kappa_est if member else None, degenerate=False,
         log_corrections=any(geo < alg for _, alg, geo, _, _ in items),
         decomposition=tuple((kappa, coefficient) for kappa, _, coefficient, _ in clusters),

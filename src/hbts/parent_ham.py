@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import KernelNotFoundError, ResourceLimitError, ValidationError
-from .tensor_core import DensityOp, Isometry, _integer, _sizes, hermitian_part, numerical_rank, require_isometry, svd_rank
+from .tensor_core import (DensityOp, Isometry, _integer, _sizes, _tolerance, hermitian_part, numerical_rank,
+                          require_isometry, svd_rank)
 from . import channels as ch
 from . import thermo
 
@@ -212,6 +213,7 @@ def assemble(hs: HamiltonianSpec, N: int, max_dim: int = DEFAULT_MAX_DIM) -> Rin
 def diagonalize(ring: RingHamiltonian, tau_gs: float = TAU_GS, bins: int = 50) -> GroundSpaceReport:
     """Full spectrum (the sorted union of the sector spectra), ground degeneracy at absolute
     tolerance, rescaled histogram."""
+    tau_gs = _tolerance(tau_gs, "tau_gs")
     spectrum = np.sort(np.concatenate([
         np.tile(np.linalg.eigvalsh(block), m) for block, m in zip(ring.blocks, ring.multiplicity)
     ]))
@@ -269,6 +271,7 @@ def grown_subspace_check(
     """
     if hs.d != lam.d:
         raise ValueError("isometry has d=%d, interaction d=%d" % (lam.d, hs.d))
+    tau_gs = _tolerance(tau_gs, "tau_gs")
     N = _require_ring(hs, N, max_dim)
     basis = grown_basis(lam, N)                      # refuses an odd N
     h = hs.h_term

@@ -20,6 +20,7 @@ Conventions shared by every module in this package:
 from __future__ import annotations
 
 import json
+import math
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -56,6 +57,17 @@ def _integer(value, what: str, low: int) -> int:
     except TypeError:
         pass
     raise ValueError("%s must be an integer >= %d, got %r" % (what, low, value))
+
+
+def _tolerance(value, what: str) -> float:
+    """value as a float >= 0, else ValueError naming what: NaN, inf, a negative number and a bool are refused."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if math.isfinite(value) and value >= 0:
+                return float(value)
+        except TypeError:
+            pass
+    raise ValueError("%s must be a finite number >= 0, got %r" % (what, value))
 
 
 def _sizes(obj, *names: str) -> None:
@@ -185,6 +197,7 @@ class ValidationReport:
 
 def validate_isometry(lam: Isometry, tol: float = TAU_ISO) -> ValidationReport:
     """Check v^dag v = identity; residual is the max-norm deviation."""
+    tol = _tolerance(tol, "tol")
     gram = lam.v.conj().T @ lam.v
     residual = float(np.abs(gram - np.eye(lam.d)).max())
     return ValidationReport("isometry", residual <= tol, residual, tol)
@@ -201,6 +214,7 @@ def require_isometry(lam: Isometry) -> None:
 
 def validate_top(c: TopTensor, tol: float = TAU_ISO) -> ValidationReport:
     """Check sum of |entries|^2 equals 1; residual is the absolute deviation."""
+    tol = _tolerance(tol, "tol")
     total = float(np.sum(np.abs(c.c) ** 2))
     residual = abs(total - 1.0)
     return ValidationReport("top", residual <= tol, residual, tol)

@@ -249,6 +249,42 @@ def full_exponent_structure(lam):
     return [(kappa, alg, geo) for kappa, alg, geo, _ in spectral_structure(adj)]
 
 
+def eager_spectrum(lam):
+    """Reference for co.exponent_spectrum with its eigenoperators: (kappa, algebraic, geometric, eigenoperators) per
+    entry, in the order of co._canonical, with every null vector lifted and mapped back before the entries are made."""
+    b = ch._sector_matrix(lam)
+    _, sectors = ch._sector_basis(lam.d)
+    eigs = [co._sector_eig(lam, b, copies[0]) for copies, _ in sectors]
+    items = [(kappa, alg * len(copies), geo * len(copies), null, s) for s, (copies, _) in enumerate(sectors)
+             for kappa, alg, geo, null in co._eig_structure(b[copies[0], copies[0]], *eigs[s])]
+    entries, found = [], []  # found: (owners, coordinates) of eigenoperators; owner: an entry's first item
+    for members in co._cluster(np.array([item[0] for item in items]), co.CLUSTER_TOL):
+        if len(members) > 1:
+            alg = sum(items[k][1] for k in members)
+            kappa = complex(sum(items[k][0] * items[k][1] for k in members) / alg)
+            kappa, alg, geo, null = co._resolve_cluster(b, kappa, alg)
+            found.append(([members[0]] * geo, np.stack(null, axis=1)))
+            for k in members:
+                items[k] = (kappa, alg, geo, (), None)
+        entries.append(items[members[0]][:3] + (members[0],))
+    for s, (copies, low) in enumerate(sectors):
+        null = [(k, x) for k, item in enumerate(items) if item[4] == s for x in item[3]]
+        if not null:
+            continue
+        y, kappas = np.stack([x for _, x in null], axis=1), np.array([items[k][0] for k, _ in null])
+        for where in copies:
+            x = np.zeros((len(b), len(null)), dtype=complex)
+            x[where] = y
+            if low.stop:
+                x[low] = co._lift(b[low, low], -b[low, where] @ y, kappas, *eigs[1])
+            found.append(([k for k, _ in null], x))
+    ops = {entry[3]: [] for entry in entries}
+    for owners, x in found:
+        for k, op in zip(owners, ch._sector_operators(x.T, lam.d)):
+            ops[k].append(op)
+    return [entry[:3] + (ops[entry[3]],) for entry in co._canonical(entries)]
+
+
 def loop_cluster(values, tol):
     """Reference for co._cluster: the greedy loop over the values in sorted order, each joining the
     earliest cluster with a member within tol."""

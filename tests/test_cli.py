@@ -404,3 +404,22 @@ def test_bad_tolerance_or_size_exits_two(capsys, argv):
     code, err = run_err(argv, capsys)
     assert code == 2
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["correlate", "--isometry", "paper", "--theta", "z", "--theta-prime", "z", "--m-max", "-1"],
+         "error: --m-max must be an integer >= 0, got -1"),
+        (["parent", "--isometry", "paper", "--weights", "abc"],
+         "error: --weights takes comma-separated positive numbers, got 'abc'"),
+        (["diag", "--isometry", "paper", "--N", "6", "--weights", "1,x", "--tau-gs", "0"],
+         "error: --weights takes comma-separated positive numbers, got '1,x'"),
+        (["validate", "--isometry", "paper", "--tol", "nan"], "error: --tol must be a finite number >= 0, got nan"),
+        (["subspace-check", "--isometry", "paper", "--N", "6", "--tau-gs", "inf"],
+         "error: --tau-gs must be a finite number >= 0, got inf"),
+    ],
+)
+def test_bad_option_is_named_in_its_message(capsys, argv, message):
+    code, err = run_err(argv, capsys)
+    assert code == 2 and err.strip() == message

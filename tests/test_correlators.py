@@ -5,8 +5,8 @@ from hbts import channels as ch
 from hbts import correlators as co
 from hbts import tensor_core as tc
 
-from conftest import (adjoint, apply, full_exponent_structure, level_states_reference, loop_canonical, loop_cluster,
-                      rand_herm, run_capped, sector_matrix_reference, spectral_structure)
+from conftest import (adjoint, apply, eager_spectrum, full_exponent_structure, level_states_reference, loop_canonical,
+                      loop_cluster, rand_herm, run_capped, sector_matrix_reference, spectral_structure)
 
 
 class TestCorrelatorThermo:
@@ -233,6 +233,8 @@ CRAFTED = {
     "real with positive roundoff": np.array([1.0, -0.5 + 1e-16j, 0.2 + 0.1j, 0.2 - 0.1j]),
     "real with negative roundoff": np.array([1.0, -0.5 - 1e-16j, 0.2 + 0.1j, 0.2 - 0.1j]),
     "equal moduli": 0.5 * np.exp(0.25j * np.pi * np.arange(8)),
+    # two values exactly 2^-24 < TOL from the conjugate of the first: the nearest partner is a tie
+    "tied conjugate partners": np.array([0.5 + 0.5j, 0.5 - 0.5j + 2.0 ** -24, 0.5 - 0.5j - 2.0 ** -24, 0.9]),
 }
 
 
@@ -260,11 +262,30 @@ def test_cluster_and_canonical_match_the_loops_on_crafted_values(name):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_cluster_and_canonical_match_the_loops_on_seeded_blocks(d):
+    # a product tree's K blocks hold the one eigenvalue 1/2 (36 and 28 times at d = 3), split by roundoff
     _, sectors = ch._sector_basis(d)
-    for seed in range(16):
-        b = ch._sector_matrix(tc.random_isometry(d, seed))
+    for lam in [tc.product_isometry(d)] + [tc.random_isometry(d, seed) for seed in range(16)]:
+        b = ch._sector_matrix(lam)
         for (where,), _ in sectors[2:]:
             assert_matches_the_loops(np.linalg.eig(b[where, where])[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cluster_and_canonical_match_the_loops_on_a_few_hundred_values(seed):
+    # conjugate clusters, each member and its partner jittered apart within the tolerance, chains along the
+    # real axis, values within the tolerance of the real axis with and without a partner, and exact duplicates
+    rng = np.random.default_rng(seed)
+
+    def jitter(n, scale=0.4 * TOL):
+        return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    centres = np.repeat(rng.standard_normal(80) + 1j * rng.standard_normal(80), rng.integers(1, 4, 80))
+    upper = centres + jitter(len(centres))
+    chain = rng.standard_normal(4).repeat(5) + 0.8 * TOL * np.tile(np.arange(5), 4)
+    axis = rng.standard_normal(40) + 1j * rng.uniform(-TOL, TOL, 40)
+    values = np.concatenate([upper, upper.conj() + jitter(len(upper)), chain, axis, axis[:10].conj(), axis[:5]])
+    clusters = assert_matches_the_loops(values[rng.permutation(len(values))])
+    assert len(values) > 300 and max(len(m) for m in clusters) >= 5
 
 
 class TestSpectralStructure:
@@ -336,7 +357,7 @@ def test_real_negative_kappa_ignores_the_sign_of_roundoff(roundoff):
     structure = spectral_structure(np.diag([1.0, complex(-0.5, roundoff), 0.25]))
     kappa = structure[1][0]
     assert kappa.real == -0.5 and kappa.imag == 0.0 and np.copysign(1.0, kappa.imag) == 1.0
-    assert abs(co._log2_or_none(kappa) - complex(-1.0, np.pi / np.log(2.0))) < 1e-15
+    assert abs(co._log2_or_none([kappa])[0] - complex(-1.0, np.pi / np.log(2.0))) < 1e-15
 
 
 SECTOR_CASES = [("paper", None), ("product", 2), ("product", 3)] + [
@@ -587,6 +608,37 @@ def test_decomposition_kappas_are_the_spectrum_kappas(kind, arg):
     one_site = co._sector_eig(lam, ch._sector_matrix(lam), where)[0]
     for kappa, _ in series.decomposition:
         assert _kappa_bits(kappa) in spectrum or np.abs(one_site - kappa).min() <= co.CLUSTER_TOL
+
+
+@pytest.mark.parametrize("kind, arg", [("paper", None), ("product", 2), ("product", 3)]
+                         + [(d, seed) for d in (2, 3, 4) for seed in range(3)])
+def test_eigenoperators_read_lazily_are_the_eager_ones_bit_for_bit(kind, arg):
+    lam = _case_isometry(kind, arg)
+    reference = eager_spectrum(tc.Isometry(lam.d, lam.v))
+    spec = co.exponent_spectrum(lam)
+    assert [(e.kappa, e.algebraic, e.geometric) for e in spec.entries] == [entry[:3] for entry in reference]
+    for e, (*_, ops) in zip(spec.entries, reference):
+        assert len(e.eigenoperators) == len(ops)
+        assert all(np.array_equal(op, ref) and not op.flags.writeable for op, ref in zip(e.eigenoperators, ops))
+
+
+@pytest.mark.parametrize("kind, arg", [("paper", None), (3, 0), (4, 1)])
+def test_eigenoperators_are_built_on_the_first_read_once_per_isometry(kind, arg, monkeypatch):
+    calls = []
+    for module, name in [(co, "_lift"), (ch, "_sector_operators")]:
+        counted = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, f=counted: calls.append(name) or f(*args))
+    lam = _case_isometry(kind, arg)
+    spec = co.exponent_spectrum(lam)
+    assert calls == []
+    spec.entries[-1].eigenoperators
+    built = list(calls)
+    assert {"_lift", "_sector_operators"} <= set(built)
+    for entry in spec.entries + co.exponent_spectrum(lam).entries:
+        entry.eigenoperators
+    assert calls == built
+    co.exponent_spectrum(_case_isometry(kind, arg)).entries[0].eigenoperators  # a new isometry builds its own
+    assert calls == built * 2
 
 
 @pytest.mark.parametrize("kind, arg", [("paper", None), (3, 0)])

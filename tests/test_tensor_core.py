@@ -270,6 +270,41 @@ class TestIntegerSizes:
                 call(bad)
 
 
+def _paper_ring_call(x, check):
+    lam = tc.paper_isometry()
+    hs = ph.build_interaction(lam)
+    return ph.grown_subspace_check(lam, hs, 6, tau_gs=x) if check else ph.diagonalize(ph.assemble(hs, 6), tau_gs=x)
+
+
+# a call of one tolerance argument and the name it is refused by
+TOLERANCE_ARGUMENTS = {
+    "validate_isometry tol": (lambda x: tc.validate_isometry(tc.paper_isometry(), x), "tol"),
+    "validate_top tol": (lambda x: tc.validate_top(tc.TopTensor(2, np.eye(2) / np.sqrt(2.0)), x), "tol"),
+    "diagonalize tau_gs": (lambda x: _paper_ring_call(x, False), "tau_gs"),
+    "grown_subspace_check tau_gs": (lambda x: _paper_ring_call(x, True), "tau_gs"),
+}
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("case", sorted(TOLERANCE_ARGUMENTS))
+    def test_nan_inf_negative_or_bool_tolerance_is_refused_by_name(self, case):
+        call, name = TOLERANCE_ARGUMENTS[case]
+        for bad in (float("nan"), float("inf"), -1.0, -1e-300, True, np.bool_(False), "1e-10", 1e-10j):
+            with pytest.raises(ValueError, match="^%s must be a finite number >= 0" % name):
+                call(bad)
+
+    @pytest.mark.parametrize("case", sorted(TOLERANCE_ARGUMENTS))
+    def test_zero_int_and_numpy_tolerances_pass(self, case):
+        call, _ = TOLERANCE_ARGUMENTS[case]
+        for good in (0.0, 0, np.float32(1e-6), np.int64(1), 1e-10):
+            report = call(good)
+            if not case.startswith("grown"):  # a subspace report keeps no tolerance
+                assert (report.tau_gs if case.startswith("diag") else report.tol) == good
+
+    def test_tolerance_is_a_float(self):
+        assert type(tc._tolerance(np.float32(0.5), "tol")) is float and tc._tolerance(0, "tol") == 0.0
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 5, 9])
 class TestFileRoundTrips:
