@@ -17,16 +17,20 @@ powers give correlators at distances 2^m; the two-site recursion runs on
 ``RL``; the 2->3 extension is ``(Rg + gL)/2`` and the 2->4 extension is
 ``(gg + RgL after (Rg + gL)/2)/2``.
 
-Each letter is kept once per isometry as its one-site superoperator
-matrix.  States, alone or stacked, go through a word one site at a time,
-one matrix product per site; ``_local`` takes (state, word) terms and
-returns their mean, so it is the one place a tree map is averaged, and
-``_extend`` states the two extensions on it.  A channel from
-nu_in to nu_out sites (local dimension d) is the dense
-``d**(2*nu_out) x d**(2*nu_in)`` matrix of :class:`Channel`: the images of
-all matrix units under that same map (``_superop``).  Only the public
-constructors build one, for their callers and :func:`choi_check`; no
-computation in the library builds or reads one.  Solves and spectra work
+Each letter is kept once per isometry as its Kraus stack (``_kraus``) and
+as its one-site superoperator matrix, the Gram of that stack (``_gram``).
+States, alone or stacked, go through a word one site at a time, one matrix
+product per site; ``_local`` takes (state, word) terms and returns their
+mean.  ``_compose`` takes (Kraus stack, word) terms and returns the Kraus
+stack of their mean, a word's stack being the Kronecker product of its
+letters' stacks.  ``_extend`` states the two extensions once, on either
+engine.  A channel from nu_in to nu_out sites (local dimension d) is the
+dense ``d**(2*nu_out) x d**(2*nu_in)`` matrix of :class:`Channel`: the Gram
+of the Kraus stack of its word mixture, one matrix product.  Pair descend has
+``2 d^2`` Kraus operators, the 2->3 extension ``2 d`` and the 2->4 extension
+``1 + 2 d^3``.  Only the public constructors build one, for their callers
+and :func:`choi_check`, which certifies the matrix and reads no Kraus stack;
+no computation in the library builds or reads one.  Solves and spectra work
 instead in the Hermitian frame E_i (``_hermitian_frame``):
 X has coordinates ``C[i, j] = Tr[(E_i (x) E_j) X]`` (``_to_frame``), and the
 descents are the real ``d^2 x d^2`` matrices ``Lr``, ``Rr`` kept on the
@@ -42,7 +46,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, ValidationError
 from .tensor_core import Isometry, _integer, _sizes
 
 # Bound on every residual in choi_check: a map is certified CP when every Choi eigenvalue is >= -TAU_CHOI.
@@ -77,6 +81,8 @@ class Channel:
                 "superoperator for %d -> %d sites must be %d x %d, got %s"
                 % (self.nu_in, self.nu_out, dout * dout, din * din, mat.shape)
             )
+        if not np.isfinite(mat).all():
+            raise ValidationError("superoperator has a non-finite entry")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -96,19 +102,39 @@ class DescendChannels:
     average: Channel
 
 
-def _letter(lam: Isometry, letter: str) -> np.ndarray:
-    """Superoperator matrix of one letter (``d^2 x d^2``, or ``d^4 x d^2`` for ``g``), kept on the isometry.
+def _kraus(lam: Isometry, word: str) -> np.ndarray:
+    """Kraus stack ``K[k, out, in]`` of a word: the Kronecker product of its letters' stacks, site 1 first.
 
-    Entry ``[(c, r), (c', r')]`` is ``sum_k conj(K_k[c, c']) K_k[r, r']`` over the Kraus stack ``K[out, k, in]``.
+    A letter's stack is kept on the isometry: ``t[:, k, :]`` for ``L``, ``t[k, :, :]`` for ``R``, ``v`` for ``g``.
     """
+    if len(word) == 1:
+        def build():
+            t = lam.as_tensor()  # (l1, l2, u)
+            stack = np.ascontiguousarray({"L": t.transpose(1, 0, 2), "R": t, "g": lam.v[None]}[word])
+            stack.setflags(write=False)
+            return stack
 
+        return lam._derive("kraus-" + word, build)
+    a, b = _kraus(lam, word[0]), _kraus(lam, word[1:])
+    out = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]  # (k_a, k_b, out_a, out_b, in_a, in_b)
+    return out.reshape(len(a) * len(b), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
+
+
+def _gram(stack: np.ndarray) -> np.ndarray:
+    """Superoperator matrix of a Kraus stack ``K[k, out, in]``, as the Gram matrix of its members reordered.
+
+    Entry ``[(c, r), (c', r')]`` is ``sum_k conj(K_k[c, c']) K_k[r, r']``.
+    """
+    n, dout, din = stack.shape
+    a = stack.reshape(n, dout * din)
+    gram = a.conj().T @ a
+    return gram.reshape(dout, din, dout, din).transpose(0, 2, 1, 3).reshape(dout * dout, din * din)
+
+
+def _letter(lam: Isometry, letter: str) -> np.ndarray:
+    """Superoperator matrix of one letter (``d^2 x d^2``, or ``d^4 x d^2`` for ``g``), kept on the isometry."""
     def build():
-        t = lam.as_tensor()  # (l1, l2, u)
-        kraus = {"L": t, "R": t.transpose(1, 0, 2), "g": lam.v[:, None, :]}[letter]
-        dout, n, din = kraus.shape
-        a = kraus.transpose(1, 0, 2).reshape(n, dout * din)
-        gram = a.conj().T @ a
-        mat = gram.reshape(dout, din, dout, din).transpose(0, 2, 1, 3).reshape(dout * dout, din * din)
+        mat = _gram(_kraus(lam, letter))
         mat.setflags(write=False)
         return mat
 
@@ -147,15 +173,32 @@ def _local(lam: Isometry, *terms: tuple[np.ndarray, str], adjoint: bool = False)
     return out
 
 
-def _extend(lam: Isometry, rho2: np.ndarray, rho3: np.ndarray | None = None) -> np.ndarray:
+def _compose(lam: Isometry, *terms: tuple[np.ndarray, str]) -> np.ndarray:
+    """The Kraus stack of the mean of the ``(stack, word)`` terms, each word after the map of its stack.
+
+    A term's members are the products of each word member with each stack member, in one broadcast matmul;
+    the terms' members stand side by side, weighed by ``1/sqrt(len(terms))``.
+    """
+    parts = []
+    for stack, word in terms:
+        k = _kraus(lam, word)
+        parts.append((k[:, None] @ stack[None]).reshape(-1, k.shape[1], stack.shape[2]))
+    out = np.concatenate(parts)
+    out /= math.sqrt(len(terms))
+    return out
+
+
+def _extend(lam: Isometry, rho2: np.ndarray, rho3: np.ndarray | None = None, engine=_local) -> np.ndarray:
     """The 2->3 extension ``(Rg + gL)/2`` of rho2, or with rho3 the 2->4 extension ``(gg rho2 + RgL rho3)/2``.
 
     For the four-site state, ``rho3`` is the 2->3 extension of the two-site
     state one level further up, the input of the middle map ``RgL``; both may be stacks.
+    ``engine`` is :func:`_local` for operators, or :func:`_compose` for Kraus stacks of maps
+    into the two sites, where it returns the Kraus stack of the extension after that map.
     """
     if rho3 is None:
-        return _local(lam, (rho2, "Rg"), (rho2, "gL"))
-    return _local(lam, (rho2, "gg"), (rho3, "RgL"))
+        return engine(lam, (rho2, "Rg"), (rho2, "gL"))
+    return engine(lam, (rho2, "gg"), (rho3, "RgL"))
 
 
 @cache
@@ -267,15 +310,6 @@ def _sector_operators(coords: np.ndarray, d: int) -> np.ndarray:
     return _from_frame(product.reshape(-1, d * d, d * d))
 
 
-def _superop(apply, din: int) -> np.ndarray:
-    """Dense matrix of the linear map ``apply`` on ``din x din`` operators.
-
-    ``apply`` maps the stack of all ``din^2`` matrix units at once; column ``q`` is vec of the image of ``unvec(e_q)``.
-    """
-    units = np.eye(din * din, dtype=complex).reshape(din, din, din * din).transpose(1, 0, 2)
-    return apply(units).transpose(1, 0, 2).reshape(-1, din * din)
-
-
 def descend_channels(lam: Isometry) -> DescendChannels:
     """Left/right single-site descents and their equal-weight mixture.
 
@@ -294,8 +328,8 @@ def descend_channels(lam: Isometry) -> DescendChannels:
 def pair_descend_channel(lam: Isometry) -> Channel:
     """Two sites to two: (left (x) left + right (x) right)/2."""
     def build():
-        mat = _superop(lambda x: _local(lam, (x, "LL"), (x, "RR")), lam.d ** 2)
-        return Channel(lam.d, 2, 2, mat)
+        one = np.eye(lam.d ** 2)[None]  # the Kraus stack of the identity on two sites
+        return Channel(lam.d, 2, 2, _gram(_compose(lam, (one, "LL"), (one, "RR"))))
 
     return lam._derive("pair-descend", build)
 
@@ -307,8 +341,11 @@ def extension_channel(lam: Isometry, nu: int) -> Channel:
     """
     if _integer(nu, "extension window nu", 1) not in (3, 4):
         raise ValueError("extension is defined for nu in {3, 4}, got %r" % (nu,))
-    ext = (lambda x: _extend(lam, x)) if nu == 3 else (lambda x: _extend(lam, x, _extend(lam, x)))
-    return Channel(lam.d, 2, nu, _superop(ext, lam.d ** 2))
+    one = np.eye(lam.d ** 2)[None]  # the Kraus stack of the identity on two sites
+    stack = _extend(lam, one, engine=_compose)
+    if nu == 4:
+        stack = _extend(lam, one, stack, engine=_compose)
+    return Channel(lam.d, 2, nu, _gram(stack))
 
 
 @dataclass(frozen=True)

@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--theta", required=True, help="x|y|z|p0|p1 or observable JSON file")
     p.add_argument("--theta-prime", required=True, help="x|y|z|p0|p1 or observable JSON file")
-    p.add_argument("--m-max", type=int, default=10)
+    p.add_argument("--m-max", type=int, default=10, help="largest m of the distances 2^m, at most 1023")
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("finite-check", help="verify level recursions against brute force")
@@ -314,12 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args) -> None:
-    """Refuse a tolerance that is not a finite number >= 0 and an --m-max below 0, naming the option."""
+    """Refuse a tolerance that is not a finite number >= 0 and an --m-max outside [0, M_MAX], naming the option."""
     for name in ("tol", "tau_gs"):
         if hasattr(args, name):
             tc._tolerance(getattr(args, name), "--" + name.replace("_", "-"))
     if hasattr(args, "m_max"):
-        tc._integer(args.m_max, "--m-max", 0)
+        tc._integer(args.m_max, "--m-max", 0, correlators.M_MAX)
 
 
 def main(argv=None) -> int:

@@ -23,6 +23,8 @@ EIGENOPERATOR_TOL = 1e-8
 SERIES_FLOOR = 1e-14
 CONTRIBUTION_TOL = 1e-12
 LIFT_TOL = 1e-12
+# The largest distance exponent m: 2**1023 is the largest distance 2**m that is a finite float.
+M_MAX = 1023
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,7 @@ class CorrelatorQuery:
     m: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _integer(self.m, "distance exponent m", 0))
+        object.__setattr__(self, "m", _integer(self.m, "distance exponent m", 0, M_MAX))
 
     def block(self) -> np.ndarray:
         return np.kron(self.theta.matrix, self.theta_prime.matrix)
@@ -102,10 +104,10 @@ def pair_descend_series(
 def correlator_series(lam: Isometry, query, m_values: Iterable[int]) -> list[tuple[int, complex]]:
     """``[(2**m, correlator at distance 2**m)]`` of the infinite tree for the distinct m of m_values, ascending.
 
-    ``query`` is a CorrelatorQuery or a two-site block; m_values holds at least one integer >= 0, no bool or
-    float.  A block that is not a finite d^2 x d^2 matrix, or a series that is not finite, is a ValueError.
+    ``query`` is a CorrelatorQuery or a two-site block; m_values holds at least one integer in [0, M_MAX], no bool
+    or float.  A block that is not a finite d^2 x d^2 matrix, or a series that is not finite, is a ValueError.
     """
-    m_values = sorted({_integer(m, "distance exponent m", 0) for m in m_values})
+    m_values = sorted({_integer(m, "distance exponent m", 0, M_MAX) for m in m_values})
     if not m_values:
         raise ValueError("m_values must hold at least one integer >= 0")
     with np.errstate(over="ignore", invalid="ignore"):  # a block or series that is not finite is refused

@@ -49,14 +49,18 @@ def hermitian_part(mat: np.ndarray, what: str) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
 
 
-def _integer(value, what: str, low: int) -> int:
-    """value as an int >= low, else ValueError; by operator.index, so numpy integers pass but 2.0 and a bool do not."""
+def _integer(value, what: str, low: int, high: int | None = None) -> int:
+    """value as an int in [low, high] (no upper bound without high), else ValueError naming what;
+    by operator.index, so numpy integers pass but 2.0 and a bool do not."""
     try:
-        if not isinstance(value, bool) and operator.index(value) >= low:
-            return operator.index(value)
+        n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        pass
-    raise ValueError("%s must be an integer >= %d, got %r" % (what, low, value))
+        n = None
+    if n is None or n < low:
+        raise ValueError("%s must be an integer >= %d, got %r" % (what, low, value))
+    if high is not None and n > high:
+        raise ValueError("%s must be an integer <= %d, got %r" % (what, high, value))
+    return n
 
 
 def _tolerance(value, what: str) -> float:

@@ -179,9 +179,23 @@ class TestKrausForm:
             dim = d ** len(word)
             op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             assert np.abs(ch._local(lam, (op, word)) - apply(dense, op)).max() < 1e-13, word
-            assert np.abs(ch._superop(lambda x: ch._local(lam, (x, word)), dim) - dense.matrix).max() < 1e-13, word
+            assert np.abs(ch._gram(ch._kraus(lam, word)) - dense.matrix).max() < 1e-13, word
             out = rng.standard_normal((dense.dim_out,) * 2) + 1j * rng.standard_normal((dense.dim_out,) * 2)
             assert np.abs(ch._local(lam, (out, word), adjoint=True) - apply(adjoint(dense), out)).max() < 1e-13, word
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_extension_stacks_have_the_choi_rank(self, d, seed):
+        # 2d Kraus operators for 2->3 and 1 + 2d^3 for 2->4, and no fewer: the Choi matrix has exactly that rank
+        lam = tc.random_isometry(d, seed)
+        one = np.eye(d * d)[None]
+        ext3 = ch._extend(lam, one, engine=ch._compose)
+        ext4 = ch._extend(lam, one, ext3, engine=ch._compose)
+        for nu, stack, members in ((3, ext3, 2 * d), (4, ext4, 1 + 2 * d ** 3)):
+            m, n = d * d, d ** nu
+            assert stack.shape == (members, n, m), nu
+            choi = ch.extension_channel(lam, nu).matrix.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(m * n, m * n)
+            assert np.linalg.matrix_rank(choi, tol=ch.TAU_CHOI, hermitian=True) == members, nu
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_words_map_a_stack_as_each_operator_alone(self, d):
@@ -439,6 +453,13 @@ class TestChoi:
         assert not rep.completely_positive
         assert rep.choi_min_eigenvalue > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_matrix_that_is_not_finite_is_refused(self, bad):
+        m = np.eye(4)
+        m[0, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            ch.Channel(2, 1, 1, m)
+
     def test_half_identity_is_not_tp(self):
         rep = checked(ch.Channel(2, 1, 1, np.eye(4) / 2))
         assert not rep.trace_preserving
@@ -482,7 +503,12 @@ def test_only_channels_forms_dense_two_site_superoperators(monkeypatch, tmp_path
     def refuse(*args, **kwargs):
         raise AssertionError("a dense superoperator was formed")
 
-    monkeypatch.setattr(ch, "_superop", refuse)
+    gram = ch._gram
+
+    def one_site_gram(stack):  # the letters of the isometries below (d = 2, 3) are the only maps built dense
+        return gram(stack) if stack.shape[2] in (2, 3) else refuse()
+
+    monkeypatch.setattr(ch, "_gram", one_site_gram)
     monkeypatch.setattr(ch, "pair_descend_channel", refuse)
     monkeypatch.setattr(ch, "descend_channels", refuse)
     monkeypatch.setattr(ch.Channel, "__post_init__", refuse)

@@ -411,6 +411,10 @@ def test_bad_tolerance_or_size_exits_two(capsys, argv):
     [
         (["correlate", "--isometry", "paper", "--theta", "z", "--theta-prime", "z", "--m-max", "-1"],
          "error: --m-max must be an integer >= 0, got -1"),
+        (["correlate", "--isometry", "paper", "--theta", "z", "--theta-prime", "z", "--m-max", "1024"],
+         "error: --m-max must be an integer <= 1023, got 1024"),
+        (["correlate", "--isometry", "paper", "--theta", "z", "--theta-prime", "z", "--m-max", "100000000"],
+         "error: --m-max must be an integer <= 1023, got 100000000"),
         (["parent", "--isometry", "paper", "--weights", "abc"],
          "error: --weights takes comma-separated positive numbers, got 'abc'"),
         (["diag", "--isometry", "paper", "--N", "6", "--weights", "1,x", "--tau-gs", "0"],
@@ -421,5 +425,6 @@ def test_bad_tolerance_or_size_exits_two(capsys, argv):
     ],
 )
 def test_bad_option_is_named_in_its_message(capsys, argv, message):
-    code, err = run_err(argv, capsys)
-    assert code == 2 and err.strip() == message
+    code, captured = main(argv), capsys.readouterr()
+    assert code == 2 and captured.err.strip() == message
+    assert captured.out == ""  # refused before any row or report is written

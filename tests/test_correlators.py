@@ -54,6 +54,17 @@ class TestCorrelatorThermo:
         query = co.CorrelatorQuery(sigma_z, sigma_z, np.int64(2))
         assert type(query.m) is int and query == co.CorrelatorQuery(sigma_z, sigma_z, 2)
 
+    def test_distance_exponent_is_bounded(self, bundled_lam, sigma_z):
+        # 2**M_MAX is the largest distance that is a finite float; above it the exact distances only grow
+        query = co.CorrelatorQuery(sigma_z, sigma_z)
+        distance, _ = co.correlator_series(bundled_lam, query, [co.M_MAX])[0]
+        assert distance == 2 ** 1023 and np.isfinite(float(distance))
+        for m in (co.M_MAX + 1, 10 ** 8):
+            with pytest.raises(ValueError, match="distance exponent m must be an integer <= 1023"):
+                co.correlator_series(bundled_lam, query, [0, m])
+            with pytest.raises(ValueError, match="distance exponent m must be an integer <= 1023"):
+                co.CorrelatorQuery(sigma_z, sigma_z, m)
+
 
 class TestExponentSpectrum:
     def test_product_tree_spectrum(self, product_lam):
