@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diag", help="assemble on N sites and diagonalize")
     add_interaction(p)
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=int, default=50, help="histogram bins, at most %d" % parent_ham.BINS_MAX)
     p.add_argument("--eigenvalues-csv", default=None)
     p.add_argument("--histogram-csv", default=None)
     p.set_defaults(func=cmd_diag)
@@ -314,12 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args) -> None:
-    """Refuse a tolerance that is not a finite number >= 0 and an --m-max outside [0, M_MAX], naming the option."""
+    """Refuse a tolerance that is not a finite number >= 0 and a size outside its range, naming the option."""
     for name in ("tol", "tau_gs"):
         if hasattr(args, name):
             tc._tolerance(getattr(args, name), "--" + name.replace("_", "-"))
-    if hasattr(args, "m_max"):
-        tc._integer(args.m_max, "--m-max", 0, correlators.M_MAX)
+    for name, low, high in [("m_max", 0, correlators.M_MAX), ("bins", 1, parent_ham.BINS_MAX), ("max_dim", 1, None),
+                            ("max_amplitudes", 1, None)]:
+        if hasattr(args, name):
+            tc._integer(getattr(args, name), "--" + name.replace("_", "-"), low, high)
 
 
 def main(argv=None) -> int:

@@ -3,14 +3,14 @@
 The connected correlator of an infinite tree at distance 2^m is the trace of the observable pair against
 the m-th pair-descend image of the difference between the true two-site state and its classical (product
 of marginals) counterpart.  Exponents are base-2 logs of the eigenvalues of the pair-descend adjoint's
-sector blocks, and eigenoperators are the primary blocks.  One eig per block, kept on the isometry, gives
-both the spectrum and the exact split of a correlator series into powers of those eigenvalues.
+sector blocks.  One eig per block, kept on the isometry, gives both the spectrum and the exact split of a
+correlator series into powers of those eigenvalues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ CLUSTER_TOL = 1e-7
 EIGENOPERATOR_TOL = 1e-8
 SERIES_FLOOR = 1e-14
 CONTRIBUTION_TOL = 1e-12
-LIFT_TOL = 1e-12
 # The largest distance exponent m: 2**1023 is the largest distance 2**m that is a finite float.
 M_MAX = 1023
 
@@ -46,13 +45,6 @@ class SpectrumEntry:
     exponent: complex | None
     algebraic: int
     geometric: int
-    _eigenoperators: Callable[[], tuple] = field(repr=False, compare=False)
-    _index: int = field(repr=False, compare=False)
-
-    @property
-    def eigenoperators(self) -> tuple:
-        """The geometric-many eigenoperators of kappa; the first read of any entry builds those of all."""
-        return self._eigenoperators()[self._index]
 
 
 @dataclass(frozen=True)
@@ -252,80 +244,32 @@ def _cluster_terms(matrix: np.ndarray, eig: tuple, x: np.ndarray, u: np.ndarray,
     return out
 
 
-def _lift(a: np.ndarray, r: np.ndarray, kappas: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The columns x_j of (a - kappa_j) x_j = r_j, all at once.
-
-    a is block upper-triangular with diagonal blocks 1, D, D (or the 1 alone), D = w diag(mu) w^-1: each
-    D part is w ((w^-1 r) / (mu_i - kappa_j)), the unit part one division.  A column whose residual
-    exceeds LIFT_TOL (|x_j| + |r_j|) is solved again by LU.
-    """
-    x = np.empty(r.shape, dtype=complex)
-    if len(a) > 1:
-        parts = np.linalg.solve(w, r[1:].reshape(2, len(mu), -1)) / (mu[:, None] - kappas)
-        x[1:] = (w @ parts).reshape(len(x) - 1, -1)
-    x[0] = (r[0] - a[0, 1:] @ x[1:]) / (a[0, 0] - kappas)
-    scale = np.linalg.norm(x, axis=0) + np.linalg.norm(r, axis=0)
-    for j in np.flatnonzero(~(np.linalg.norm(a @ x - x * kappas - r, axis=0) <= LIFT_TOL * scale)):
-        x[:, j] = np.linalg.solve(a - kappas[j] * np.eye(len(a)), r[:, j])
-    return x
-
-
 def _sector_eig(lam: Isometry, b: np.ndarray, where: slice) -> tuple:
     """eig of the diagonal block b[where, where] of the sector matrix b of lam; kept on the isometry, read-only."""
     return lam._derive("sector-eig-%d" % where.start,
                        lambda: tuple(map(_frozen_complex, np.linalg.eig(b[where, where]))))
 
 
-def _sector_structure(lam: Isometry) -> tuple:
-    """((kappa, algebraic, geometric) in the order of _canonical, eigenoperators) of the pair-descend adjoint A.
+def _sector_structure(lam: Isometry) -> list:
+    """(kappa, algebraic, geometric) per cluster of the pair-descend adjoint A, in the order of _canonical.
 
     In the basis of :func:`channels._sector_basis`, A is real and block upper-triangular with diagonal blocks
     1, D, D, A_sym, A_anti (D: the averaged descend adjoint on traceless operators), and each small
-    block gets one kept eig.  Clusters shared by sectors are resolved on the whole matrix.  eigenoperators()
-    gives the eigenoperators of every entry, built on its first call and kept on the isometry: the null vectors
-    y of a sector's other clusters lift together to x = (x_low, y), (A_low,low - kappa) x_low =
-    -A_low,block y (:func:`_lift`, with the eig of D), and map back as one stack per sector copy.
+    block gets one kept eig.  Clusters shared by sectors are resolved on the whole matrix.
     """
     b = ch._sector_matrix(lam)
     _, sectors = ch._sector_basis(lam.d)
-    eigs = [_sector_eig(lam, b, copies[0]) for copies, _ in sectors]
-    items = [(kappa, alg * len(copies), geo * len(copies), null, s) for s, (copies, _) in enumerate(sectors)
-             for kappa, alg, geo, null in _eig_structure(b[copies[0], copies[0]], *eigs[s])]
-    entries, shared = [], []  # shared: (owners, coordinates) of eigenoperators; owner: an entry's first item
+    items = [(kappa, alg * len(copies), geo * len(copies)) for copies, _ in sectors
+             for kappa, alg, geo, _ in _eig_structure(b[copies[0], copies[0]], *_sector_eig(lam, b, copies[0]))]
+    entries = []
     for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):
         if len(members) > 1:
             alg = sum(items[k][1] for k in members)
             kappa = complex(sum(items[k][0] * items[k][1] for k in members) / alg)
-            kappa, alg, geo, null = _resolve_cluster(b, kappa, alg)
-            shared.append(([members[0]] * geo, np.stack(null, axis=1)))
-            for k in members:  # nothing left to lift
-                items[k] = (kappa, alg, geo, (), None)
-        entries.append(items[members[0]][:3] + (members[0],))
-    entries = _canonical(entries)
-
-    def build():
-        b, found = ch._sector_matrix(lam), list(shared)
-        for s, (copies, low) in enumerate(sectors):
-            null = [(k, x) for k, item in enumerate(items) if item[4] == s for x in item[3]]
-            if not null:
-                continue
-            y, kappas = np.stack([x for _, x in null], axis=1), np.array([items[k][0] for k, _ in null])
-            for where in copies:
-                x = np.zeros((len(b), len(null)), dtype=complex)
-                x[where] = y
-                if low.stop:
-                    x[low] = _lift(b[low, low], -b[low, where] @ y, kappas, *eigs[1])
-                found.append(([k for k, _ in null], x))
-        del b  # free it before the eigenoperators
-        ops = {entry[3]: [] for entry in entries}
-        for owners, x in found:
-            stack = ch._sector_operators(x.T, lam.d)
-            stack.setflags(write=False)  # kept on the isometry
-            for k, op in zip(owners, stack):
-                ops[k].append(op)
-        return tuple(tuple(ops[entry[3]]) for entry in entries)
-
-    return [entry[:3] for entry in entries], lambda: lam._derive("eigenoperators", build)
+            entries.append(_resolve_cluster(b, kappa, alg)[:3])
+        else:
+            entries.append(items[members[0]])
+    return _canonical(entries)
 
 
 def _log2_or_none(kappas: Sequence[complex]) -> list:
@@ -337,14 +281,14 @@ def _log2_or_none(kappas: Sequence[complex]) -> list:
 
 
 def exponent_spectrum(lam: Isometry) -> SpectrumReport:
-    """Full eigenstructure of the pair-descend adjoint, sorted by |kappa| descending.
+    """Eigenvalues and multiplicities of the pair-descend adjoint, sorted by |kappa| descending.
 
     Computed sector by sector (:func:`_sector_structure`); a geometric
-    multiplicity below the algebraic one is Jordan structure.  No eigenoperator is built before one is read.
+    multiplicity below the algebraic one is Jordan structure.
     """
-    structure, eigenoperators = _sector_structure(lam)
-    entries = tuple(SpectrumEntry(kappa, exponent, alg, geo, eigenoperators, k) for k, ((kappa, alg, geo), exponent)
-                    in enumerate(zip(structure, _log2_or_none([kappa for kappa, _, _ in structure]))))
+    structure = _sector_structure(lam)
+    entries = tuple(SpectrumEntry(kappa, exponent, alg, geo) for (kappa, alg, geo), exponent
+                    in zip(structure, _log2_or_none([kappa for kappa, _, _ in structure])))
     return SpectrumReport(d=lam.d, entries=entries, diagonalizable=all(e.algebraic == e.geometric for e in entries))
 
 

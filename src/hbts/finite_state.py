@@ -46,7 +46,7 @@ class PureState:
 
 
 def build_state(lam: Isometry, c: TopTensor, n: int, max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> PureState:
-    """Contract the depth-n tree explicitly into a d**(2**n) amplitude vector."""
+    """Contract the depth-n tree explicitly into a d**(2**n) amplitude vector, within the integer max_amplitudes."""
     require_isometry(lam)
     require_top(c)
     if lam.d != c.d:
@@ -54,7 +54,7 @@ def build_state(lam: Isometry, c: TopTensor, n: int, max_amplitudes: int = DEFAU
     n = _integer(n, "tree depth n", 1)
     d = lam.d
     required = d ** (2 ** n)
-    if required > max_amplitudes:
+    if required > _integer(max_amplitudes, "max_amplitudes", 1):
         raise ResourceLimitError(
             "depth %d needs %d amplitudes, budget is %d" % (n, required, max_amplitudes),
             required=required,

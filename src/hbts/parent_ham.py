@@ -24,6 +24,7 @@ from . import thermo
 
 TAU_GS = 1e-10
 DEFAULT_MAX_DIM = 4096
+BINS_MAX = 10_000  # the most histogram bins of a report: 10^5 bins already make a 7.5 MB diag report
 
 
 def _weights(weights, k: int) -> np.ndarray:
@@ -140,10 +141,10 @@ def build_interaction(
 
 
 def _require_ring(hs: HamiltonianSpec, N: int, max_dim: int) -> int:
-    """N as an int, refused unless it is an integer, the ring hosts the term and d^N fits the budget."""
+    """N as an int, refused unless it is an integer, the ring hosts the term and d^N fits the integer budget."""
     N = _integer(N, "the ring size N for a %d-site interaction" % hs.nu, hs.nu)
     dim = hs.d ** N
-    if dim > max_dim:
+    if dim > _integer(max_dim, "max_dim", 1):
         raise ResourceLimitError(
             "a ring of %d sites has dimension d^N = %d^%d = %d, budget is %d" % (N, hs.d, N, dim, max_dim),
             required=dim,
@@ -212,8 +213,8 @@ def assemble(hs: HamiltonianSpec, N: int, max_dim: int = DEFAULT_MAX_DIM) -> Rin
 
 def diagonalize(ring: RingHamiltonian, tau_gs: float = TAU_GS, bins: int = 50) -> GroundSpaceReport:
     """Full spectrum (the sorted union of the sector spectra), ground degeneracy at absolute
-    tolerance, rescaled histogram."""
-    tau_gs = _tolerance(tau_gs, "tau_gs")
+    tolerance, rescaled histogram of an integer count of bins in [1, BINS_MAX]."""
+    tau_gs, bins = _tolerance(tau_gs, "tau_gs"), _integer(bins, "bins", 1, BINS_MAX)
     spectrum = np.sort(np.concatenate([
         np.tile(np.linalg.eigvalsh(block), m) for block, m in zip(ring.blocks, ring.multiplicity)
     ]))

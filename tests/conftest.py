@@ -249,9 +249,32 @@ def full_exponent_structure(lam):
     return [(kappa, alg, geo) for kappa, alg, geo, _ in spectral_structure(adj)]
 
 
+LIFT_TOL = 1e-12
+
+
+def lift(a, r, kappas, mu, w):
+    """The columns x_j of (a - kappa_j) x_j = r_j, all at once.
+
+    a is block upper-triangular with diagonal blocks 1, D, D (or the 1 alone), D = w diag(mu) w^-1: each
+    D part is w ((w^-1 r) / (mu_i - kappa_j)), the unit part one division.  A column whose residual
+    exceeds LIFT_TOL (|x_j| + |r_j|) is solved again by LU.
+    """
+    x = np.empty(r.shape, dtype=complex)
+    if len(a) > 1:
+        parts = np.linalg.solve(w, r[1:].reshape(2, len(mu), -1)) / (mu[:, None] - kappas)
+        x[1:] = (w @ parts).reshape(len(x) - 1, -1)
+    x[0] = (r[0] - a[0, 1:] @ x[1:]) / (a[0, 0] - kappas)
+    scale = np.linalg.norm(x, axis=0) + np.linalg.norm(r, axis=0)
+    for j in np.flatnonzero(~(np.linalg.norm(a @ x - x * kappas - r, axis=0) <= LIFT_TOL * scale)):
+        x[:, j] = np.linalg.solve(a - kappas[j] * np.eye(len(a)), r[:, j])
+    return x
+
+
 def eager_spectrum(lam):
-    """Reference for co.exponent_spectrum with its eigenoperators: (kappa, algebraic, geometric, eigenoperators) per
-    entry, in the order of co._canonical, with every null vector lifted and mapped back before the entries are made."""
+    """The eigenoperators of the pair-descend adjoint, which the library does not build: (kappa, algebraic,
+    geometric, eigenoperators) per entry of co.exponent_spectrum, in its order.  The null vectors y of a sector's
+    unshared clusters lift together to x = (x_low, y), (A_low,low - kappa) x_low = -A_low,block y (:func:`lift`,
+    with the eig of D), and map back as one stack per sector copy; a shared cluster's come from the whole matrix."""
     b = ch._sector_matrix(lam)
     _, sectors = ch._sector_basis(lam.d)
     eigs = [co._sector_eig(lam, b, copies[0]) for copies, _ in sectors]
@@ -276,7 +299,7 @@ def eager_spectrum(lam):
             x = np.zeros((len(b), len(null)), dtype=complex)
             x[where] = y
             if low.stop:
-                x[low] = co._lift(b[low, low], -b[low, where] @ y, kappas, *eigs[1])
+                x[low] = lift(b[low, low], -b[low, where] @ y, kappas, *eigs[1])
             found.append(([k for k, _ in null], x))
     ops = {entry[3]: [] for entry in entries}
     for owners, x in found:

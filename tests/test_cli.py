@@ -422,6 +422,15 @@ def test_bad_tolerance_or_size_exits_two(capsys, argv):
         (["validate", "--isometry", "paper", "--tol", "nan"], "error: --tol must be a finite number >= 0, got nan"),
         (["subspace-check", "--isometry", "paper", "--N", "6", "--tau-gs", "inf"],
          "error: --tau-gs must be a finite number >= 0, got inf"),
+        (["diag", "--isometry", "paper", "--N", "6", "--bins", "0"], "error: --bins must be an integer >= 1, got 0"),
+        (["diag", "--isometry", "paper", "--N", "6", "--bins", "100000000"],
+         "error: --bins must be an integer <= 10000, got 100000000"),
+        (["diag", "--isometry", "paper", "--N", "6", "--max-dim", "0"],
+         "error: --max-dim must be an integer >= 1, got 0"),
+        (["subspace-check", "--isometry", "paper", "--N", "6", "--max-dim", "-1"],
+         "error: --max-dim must be an integer >= 1, got -1"),
+        (["finite-check", "--isometry", "paper", "--top", "diag", "--max-amplitudes", "0"],
+         "error: --max-amplitudes must be an integer >= 1, got 0"),
     ],
 )
 def test_bad_option_is_named_in_its_message(capsys, argv, message):

@@ -5,8 +5,9 @@ from hbts import channels as ch
 from hbts import correlators as co
 from hbts import tensor_core as tc
 
-from conftest import (adjoint, apply, eager_spectrum, full_exponent_structure, level_states_reference, loop_canonical,
-                      loop_cluster, rand_herm, run_capped, sector_matrix_reference, spectral_structure)
+import conftest
+from conftest import (adjoint, apply, eager_spectrum, full_exponent_structure, level_states_reference, lift,
+                      loop_canonical, loop_cluster, rand_herm, run_capped, sector_matrix_reference, spectral_structure)
 
 
 class TestCorrelatorThermo:
@@ -105,12 +106,11 @@ class TestExponentSpectrum:
 
     def test_reported_eigenoperators_are_eigenoperators(self, bundled_lam):
         adj = adjoint(ch.pair_descend_channel(bundled_lam))
-        spec = co.exponent_spectrum(bundled_lam)
-        for entry in spec.entries:
-            assert len(entry.eigenoperators) == entry.geometric
-            for x in entry.eigenoperators:
+        for kappa, _, geometric, ops in eager_spectrum(bundled_lam):
+            assert len(ops) == geometric
+            for x in ops:
                 out = apply(adj, x)
-                assert np.abs(out - entry.kappa * x).max() < 1e-8 * np.abs(x).max()
+                assert np.abs(out - kappa * x).max() < 1e-8 * np.abs(x).max()
 
 
 class TestPowerlawCheck:
@@ -123,9 +123,8 @@ class TestPowerlawCheck:
         assert not series.degenerate
 
     def test_synthetic_injected_eigenoperator(self, bundled_lam):
-        spec = co.exponent_spectrum(bundled_lam)
-        half = next(e for e in spec.entries if abs(e.kappa - 0.5) < 1e-8)
-        series = co.powerlaw_check(bundled_lam, half.eigenoperators[0], range(0, 16))
+        half = next(ops for kappa, _, _, ops in eager_spectrum(bundled_lam) if abs(kappa - 0.5) < 1e-8)
+        series = co.powerlaw_check(bundled_lam, half[0], range(0, 16))
         assert series.is_eigenoperator and not series.degenerate
         assert abs(series.fitted_exponent - (-1.0)) < 1e-8
 
@@ -137,17 +136,16 @@ class TestPowerlawCheck:
     def test_largest_contributing_eigenoperator_ratio(self, bundled_lam):
         # walk eigenoperators by descending |kappa| < 1; the first with a
         # resolvable series must pass the ratio test out to m = 20
-        spec = co.exponent_spectrum(bundled_lam)
         checked = False
-        for entry in spec.entries:
-            if not 1e-6 < abs(entry.kappa) < 1 - 1e-10:
+        for kappa, _, _, ops in eager_spectrum(bundled_lam):
+            if not 1e-6 < abs(kappa) < 1 - 1e-10:
                 continue
-            series = co.powerlaw_check(bundled_lam, entry.eigenoperators[0], range(0, 21))
+            series = co.powerlaw_check(bundled_lam, ops[0], range(0, 21))
             if series.degenerate:
                 continue
             values = [v for _, v in series.points]
             for i in range(len(values) - 1):
-                assert abs(values[i + 1] / values[i] - entry.kappa) < 1e-8
+                assert abs(values[i + 1] / values[i] - kappa) < 1e-8
             checked = True
             break
         assert checked
@@ -335,9 +333,9 @@ def test_seeded_spectrum_properties(d, seed):
     assert all(1 <= e.geometric <= e.algebraic for e in spec.entries)
     assert abs(spec.entries[0].kappa - 1.0) < 1e-10
     assert max(abs(e.kappa) for e in spec.entries) <= 1 + 1e-10
-    for entry in spec.entries:
-        for x in entry.eigenoperators:
-            assert np.abs(apply(adj, x) - entry.kappa * x).max() <= 1e-8 * np.abs(x).max()
+    for kappa, _, _, ops in eager_spectrum(lam):
+        for x in ops:
+            assert np.abs(apply(adj, x) - kappa * x).max() <= 1e-8 * np.abs(x).max()
     kappas = np.array([e.kappa for e in spec.entries])
     dist = np.abs(np.linalg.eigvals(adj.matrix)[:, None] - kappas[None, :])
     assert dist.min(axis=1).max() <= 1e-10 and dist.min(axis=0).max() <= 1e-10
@@ -414,11 +412,11 @@ class TestSectorResolvedSpectrum:
         assert spec.diagonalizable == all(alg == geo for _, alg, geo in reference)
         assert max(abs(e.kappa - kappa) for e, (kappa, _, _) in zip(spec.entries, reference)) <= 1e-12
         adj = adjoint(ch.pair_descend_channel(lam)).matrix
-        for e in spec.entries:
-            assert len(e.eigenoperators) == e.geometric
-            for op in e.eigenoperators:
+        for kappa, _, geometric, ops in eager_spectrum(lam):
+            assert len(ops) == geometric
+            for op in ops:
                 x = ch.vec(op)
-                assert np.linalg.norm(adj @ x - e.kappa * x) <= 1e-8 * np.linalg.norm(x)
+                assert np.linalg.norm(adj @ x - kappa * x) <= 1e-8 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_sectors_are_invariant(self, d):
@@ -463,15 +461,16 @@ class TestSectorResolvedSpectrum:
         evals = np.linalg.eigvals(adj)
         dist = np.abs(evals[:, None] - kappas[None, :])
         assert dist.min(axis=1).max() <= 1e-10 and dist.min(axis=0).max() <= 1e-10
-        ops = np.stack([ch.vec(op) for e in spec.entries for op in e.eigenoperators], axis=1)
-        kappa_of_op = np.array([e.kappa for e in spec.entries for _ in e.eigenoperators])
+        eager = eager_spectrum(lam)
+        ops = np.stack([ch.vec(op) for *_, entry_ops in eager for op in entry_ops], axis=1)
+        kappa_of_op = np.array([kappa for kappa, *_, entry_ops in eager for _ in entry_ops])
         assert ops.shape[1] == sum(e.geometric for e in spec.entries)
         residual = np.linalg.norm(adj @ ops - ops * kappa_of_op, axis=0)
         assert np.all(residual <= 1e-8 * np.linalg.norm(ops, axis=0))
 
     def test_six_site_dimension_fits_in_320_mib(self):
-        # the lift solves each sector with the eig of D, not with a stack of shifted matrices (one
-        # 595 x 71 x 71 complex stack is 46 MB at d = 6), and the map back builds no dense lift matrix
+        # the spectrum reads one eig per sector block and an SVD of the whole matrix per shared cluster;
+        # it builds no eigenoperator
         script = "from hbts import correlators as co, tensor_core as tc\n" \
                  "print(len(co.exponent_spectrum(tc.random_isometry(6, 0)).entries))"
         out = run_capped(["-c", script], 320 << 20)
@@ -511,9 +510,9 @@ def test_lift_solves_again_where_the_eigenbasis_fails(monkeypatch):
     def residual(x):
         return np.linalg.norm(b @ x - x * kappas - r, axis=0) / (np.linalg.norm(x, axis=0) + np.linalg.norm(r, axis=0))
 
-    assert residual(co._lift(b, r, kappas, *np.linalg.eig(jordan))).max() <= 1e-14
-    monkeypatch.setattr(co, "LIFT_TOL", np.inf)  # the solve through the eigenbasis alone
-    assert residual(co._lift(b, r, kappas, *np.linalg.eig(jordan))).min() > 1e-12
+    assert residual(lift(b, r, kappas, *np.linalg.eig(jordan))).max() <= 1e-14
+    monkeypatch.setattr(conftest, "LIFT_TOL", np.inf)  # the solve through the eigenbasis alone
+    assert residual(lift(b, r, kappas, *np.linalg.eig(jordan))).min() > 1e-12
 
 
 @pytest.mark.parametrize("d, seed", [(d, seed) for d in (2, 3, 4) for seed in range(4)])
@@ -550,8 +549,8 @@ def test_two_site_z_block_has_one_exact_weight(bundled_lam, sigma_z):
 
 def test_eigenoperators_carry_only_their_own_power(bundled_lam):
     checked = 0
-    for entry in co.exponent_spectrum(bundled_lam).entries:
-        for op in entry.eigenoperators:
+    for entry, (*_, ops) in zip(co.exponent_spectrum(bundled_lam).entries, eager_spectrum(bundled_lam)):
+        for op in ops:
             series = co.powerlaw_check(bundled_lam, op)
             if series.degenerate:
                 continue
@@ -623,33 +622,11 @@ def test_decomposition_kappas_are_the_spectrum_kappas(kind, arg):
 
 @pytest.mark.parametrize("kind, arg", [("paper", None), ("product", 2), ("product", 3)]
                          + [(d, seed) for d in (2, 3, 4) for seed in range(3)])
-def test_eigenoperators_read_lazily_are_the_eager_ones_bit_for_bit(kind, arg):
+def test_eager_spectrum_is_the_library_spectrum_bit_for_bit(kind, arg):
     lam = _case_isometry(kind, arg)
     reference = eager_spectrum(tc.Isometry(lam.d, lam.v))
-    spec = co.exponent_spectrum(lam)
-    assert [(e.kappa, e.algebraic, e.geometric) for e in spec.entries] == [entry[:3] for entry in reference]
-    for e, (*_, ops) in zip(spec.entries, reference):
-        assert len(e.eigenoperators) == len(ops)
-        assert all(np.array_equal(op, ref) and not op.flags.writeable for op, ref in zip(e.eigenoperators, ops))
-
-
-@pytest.mark.parametrize("kind, arg", [("paper", None), (3, 0), (4, 1)])
-def test_eigenoperators_are_built_on_the_first_read_once_per_isometry(kind, arg, monkeypatch):
-    calls = []
-    for module, name in [(co, "_lift"), (ch, "_sector_operators")]:
-        counted = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, name=name, f=counted: calls.append(name) or f(*args))
-    lam = _case_isometry(kind, arg)
-    spec = co.exponent_spectrum(lam)
-    assert calls == []
-    spec.entries[-1].eigenoperators
-    built = list(calls)
-    assert {"_lift", "_sector_operators"} <= set(built)
-    for entry in spec.entries + co.exponent_spectrum(lam).entries:
-        entry.eigenoperators
-    assert calls == built
-    co.exponent_spectrum(_case_isometry(kind, arg)).entries[0].eigenoperators  # a new isometry builds its own
-    assert calls == built * 2
+    assert [(e.kappa, e.algebraic, e.geometric) for e in co.exponent_spectrum(lam).entries] == \
+        [entry[:3] for entry in reference]
 
 
 @pytest.mark.parametrize("kind, arg", [("paper", None), (3, 0)])

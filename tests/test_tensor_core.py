@@ -243,6 +243,17 @@ SIZE_ARGUMENTS = {
     "grown_basis N": (lambda x: ph.grown_basis(tc.paper_isometry(), x), 6, [6.0], "ring size N"),
     "partial_trace site": (lambda x: tc.partial_trace(tc.DensityOp(2, 2, np.eye(4) / 4.0), [x]), 1, [1.0, True],
                            "site"),
+    # a NaN budget would switch its guard off (x > nan is False); np.histogram would take "auto" or a list as bins
+    "diagonalize bins": (lambda x: ph.diagonalize(ph.assemble(ph.build_interaction(tc.paper_isometry()), 6), bins=x),
+                         50, [0, True, 50.0, "auto", [0.0, 0.5, 1.0], ph.BINS_MAX + 1], "bins"),
+    "assemble max_dim": (lambda x: ph.assemble(ph.build_interaction(tc.paper_isometry()), 6, max_dim=x), 64,
+                         [0, float("nan"), True, 64.0], "max_dim"),
+    "grown_subspace_check max_dim": (lambda x: ph.grown_subspace_check(tc.paper_isometry(),
+                                                                       ph.build_interaction(tc.paper_isometry()), 6,
+                                                                       max_dim=x), 64, [0, float("nan")], "max_dim"),
+    "build_state max_amplitudes": (lambda x: fs.build_state(tc.paper_isometry(), tc.TopTensor(2, np.eye(2) / 2 ** 0.5),
+                                                            2, max_amplitudes=x), 16, [0, float("nan"), 16.0],
+                                   "max_amplitudes"),
 }
 
 
