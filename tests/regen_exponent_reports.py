@@ -65,10 +65,11 @@ CASES = (
      for name, spec, d in NAMED + _seeded(range(4), (2, 3)) + _seeded(range(2), (4,))]
     + [("thermo/%s-nu%d" % (name, nu), ["thermo", "--nu", str(nu)], spec, d)
        for name, spec, d in NAMED + _seeded(range(2), (2, 3, 4)) for nu in (1, 2, 3, 4)]
+    + [("thermo/%s-nu2" % name, ["thermo", "--nu", "2"], spec, d) for name, spec, d in _seeded(range(2), (5, 6))]
     + [("finite-check/%s-%s" % (name, top), ["finite-check", "--top", top, "--n-max", str(N_MAX[d])], spec, d)
        for name, spec, d in NAMED + _seeded(range(2), (2, 3, 4)) for top in ("diag", "corner")]
     + [("correlate/" + name + suffix, ["correlate", "--theta", theta, "--theta-prime", prime, "--m-max", "10"], spec, d)
-       for name, spec, d in NAMED + _seeded(range(2), (2, 3, 4)) + [("flip", flip_isometry(), 2)]
+       for name, spec, d in NAMED + _seeded(range(2), (2, 3, 4, 5, 6)) + [("flip", flip_isometry(), 2)]
        for suffix, theta, prime in _observables(d)]
     + [("parent/" + name, ["parent"], spec, d) for name, spec, d in NAMED + _seeded(range(2), (2, 3))]
     + [("%s/%s-N%d" % (command, name, N), [command, "--N", str(N)], spec, d)
