@@ -47,7 +47,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .tensor_core import Isometry, _integer, _sizes
+from .tensor_core import Isometry, _Value, _integer, _read_only, _sizes
 
 # Bound on every residual in choi_check: a map is certified CP when every Choi eigenvalue is >= -TAU_CHOI.
 TAU_CHOI = 1e-10
@@ -64,7 +64,7 @@ def unvec(v: np.ndarray, rows: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Channel:
+class Channel(_Value):
     """Linear map between operator spaces of nu_in and nu_out sites."""
 
     d: int
@@ -108,13 +108,9 @@ def _kraus(lam: Isometry, word: str) -> np.ndarray:
     A letter's stack is kept on the isometry: ``t[:, k, :]`` for ``L``, ``t[k, :, :]`` for ``R``, ``v`` for ``g``.
     """
     if len(word) == 1:
-        def build():
-            t = lam.as_tensor()  # (l1, l2, u)
-            stack = np.ascontiguousarray({"L": t.transpose(1, 0, 2), "R": t, "g": lam.v[None]}[word])
-            stack.setflags(write=False)
-            return stack
-
-        return lam._derive("kraus-" + word, build)
+        t = lam.as_tensor()  # (l1, l2, u)
+        return lam._derive("kraus-" + word, lambda: np.ascontiguousarray(
+            {"L": t.transpose(1, 0, 2), "R": t, "g": lam.v[None]}[word]))
     a, b = _kraus(lam, word[0]), _kraus(lam, word[1:])
     out = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]  # (k_a, k_b, out_a, out_b, in_a, in_b)
     return out.reshape(len(a) * len(b), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
@@ -133,12 +129,7 @@ def _gram(stack: np.ndarray) -> np.ndarray:
 
 def _letter(lam: Isometry, letter: str) -> np.ndarray:
     """Superoperator matrix of one letter (``d^2 x d^2``, or ``d^4 x d^2`` for ``g``), kept on the isometry."""
-    def build():
-        mat = _gram(_kraus(lam, letter))
-        mat.setflags(write=False)
-        return mat
-
-    return lam._derive("letter-" + letter, build)
+    return lam._derive("letter-" + letter, lambda: _gram(_kraus(lam, letter)))
 
 
 def _local(lam: Isometry, *terms: tuple[np.ndarray, str], adjoint: bool = False) -> np.ndarray:
@@ -220,14 +211,9 @@ def _hermitian_frame(d: int) -> np.ndarray:
 
 def _frame_descents(lam: Isometry) -> tuple[np.ndarray, np.ndarray]:
     """``(Lr, Rr)``, ``Lr[i, j] = Tr[E_i L(E_j)]``, kept on the isometry; row 0 is ``e_0``, as L keeps the trace."""
-    def build():
-        frame = _hermitian_frame(lam.d)
-        out = tuple((frame.conj().T @ _letter(lam, letter) @ frame).real.copy() for letter in "LR")
-        for m in out:
-            m.setflags(write=False)
-        return out
-
-    return lam._derive("frame-descents", build)
+    frame = _hermitian_frame(lam.d)
+    return lam._derive("frame-descents", lambda: tuple((frame.conj().T @ _letter(lam, letter) @ frame).real.copy()
+                                                       for letter in "LR"))
 
 
 def _to_frame(ops: np.ndarray) -> np.ndarray:
@@ -267,47 +253,44 @@ def _sector_basis(d: int) -> tuple:
     s, k = 2 * n - 1, n * (n + 1) // 2 + n - 1
     sectors = (((slice(0, 1),), slice(0, 0)), ((slice(1, n), slice(n, s)), slice(0, 1)),
                ((slice(s, k),), slice(0, s)), ((slice(k, n * n),), slice(0, s)))
-    for a in (p1, p2, w1, w2):
-        a.setflags(write=False)
-    return (p1, p2, w1, w2), sectors
+    return _read_only((p1, p2, w1, w2)), sectors
 
 
 def _sector_matrix(lam: Isometry) -> np.ndarray:
-    """The pair-descend adjoint A in the basis of :func:`_sector_basis`: real and block upper-triangular."""
-    (p1, p2, w1, w2), _ = _sector_basis(lam.d)
-    lr, rr = _frame_descents(lam)
-    out = np.kron(lr.T, lr.T)
-    out += np.kron(rr.T, rr.T)
-    out /= 2.0
-    for shape in ((1, -1), (-1, 1)):  # gather the columns, then the rows; weigh each gathered copy in place
-        first = out.take(p1, shape.index(-1))
-        first *= w1.reshape(shape)
-        out = out.take(p2, shape.index(-1))
-        out *= w2.reshape(shape)
-        out += first
-    return out
+    """The pair-descend adjoint A in the basis of :func:`_sector_basis`: real and block upper-triangular; kept on
+    the isometry, read-only."""
+    def build():
+        (p1, p2, w1, w2), _ = _sector_basis(lam.d)
+        lr, rr = _frame_descents(lam)
+        out = np.kron(lr.T, lr.T)
+        out += np.kron(rr.T, rr.T)
+        out /= 2.0
+        for shape in ((1, -1), (-1, 1)):  # gather the columns, then the rows; weigh each gathered copy in place
+            first = out.take(p1, shape.index(-1))
+            first *= w1.reshape(shape)
+            out = out.take(p2, shape.index(-1))
+            out *= w2.reshape(shape)
+            out += first
+        return out
+
+    return lam._derive("sector-matrix", build)
 
 
 def _sector_coordinates(ops: np.ndarray, d: int) -> np.ndarray:
-    """Coordinates Tr[G_q X] of stacked two-site operators X; the inverse of :func:`_sector_operators`."""
+    """Coordinates Tr[G_q X] of stacked two-site operators X: a gather of their frame coordinates."""
     (p1, p2, w1, w2), _ = _sector_basis(d)
     product = _to_frame(ops).reshape(len(ops), -1)
     return product[:, p1] * w1 + product[:, p2] * w2
 
 
-def _sector_operators(coords: np.ndarray, d: int) -> np.ndarray:
-    """Stacked two-site operators sum_q c_q G_q of the rows c of coords: each product coordinate is the sum of
-    two terms (the swap-symmetric and -antisymmetric ones of its pair, or half a diagonal one twice), each
-    gathered copy weighed in place."""
+def _from_sectors(coords: np.ndarray, d: int) -> np.ndarray:
+    """Stacked frame coordinates of the operators sum_q c_q G_q of the rows c of coords: the scatter that is the
+    transpose of the gather in :func:`_sector_coordinates`, and its inverse, as the G_q are orthonormal."""
     (p1, p2, w1, w2), _ = _sector_basis(d)
-    pairs = np.argsort(np.concatenate([p1, p2]), kind="stable").reshape(-1, 2)
-    q, w = pairs % len(p1), np.concatenate([w1, w2])[pairs]
-    product = coords.take(q[:, 0], axis=1)
-    product *= w[:, 0]
-    second = coords.take(q[:, 1], axis=1)
-    second *= w[:, 1]
-    product += second
-    return _from_frame(product.reshape(-1, d * d, d * d))
+    out = np.zeros((len(coords), d ** 4), dtype=coords.dtype)
+    np.add.at(out, (slice(None), p1), coords * w1)
+    np.add.at(out, (slice(None), p2), coords * w2)
+    return out.reshape(-1, d * d, d * d)
 
 
 def descend_channels(lam: Isometry) -> DescendChannels:

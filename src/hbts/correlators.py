@@ -71,7 +71,7 @@ def pair_difference_infinity(lam: Isometry) -> np.ndarray:
     """Quantum-minus-classical two-site state; traceless, drives all decay."""
     rho2 = thermo.two_site_infinity(lam)
     eta = thermo.classical_pair_infinity(lam)
-    return lam._derive("pair-difference", lambda: _frozen_complex(rho2.matrix - eta.matrix))
+    return lam._derive("pair-difference", lambda: rho2.matrix - eta.matrix)
 
 
 def pair_descend_series(
@@ -244,10 +244,10 @@ def _cluster_terms(matrix: np.ndarray, eig: tuple, x: np.ndarray, u: np.ndarray,
     return out
 
 
-def _sector_eig(lam: Isometry, b: np.ndarray, where: slice) -> tuple:
-    """eig of the diagonal block b[where, where] of the sector matrix b of lam; kept on the isometry, read-only."""
+def _sector_eig(lam: Isometry, where: slice) -> tuple:
+    """eig of the diagonal block [where, where] of the sector matrix of lam; kept on the isometry, read-only."""
     return lam._derive("sector-eig-%d" % where.start,
-                       lambda: tuple(map(_frozen_complex, np.linalg.eig(b[where, where]))))
+                       lambda: tuple(map(_frozen_complex, np.linalg.eig(ch._sector_matrix(lam)[where, where]))))
 
 
 def _sector_structure(lam: Isometry) -> list:
@@ -260,7 +260,7 @@ def _sector_structure(lam: Isometry) -> list:
     b = ch._sector_matrix(lam)
     _, sectors = ch._sector_basis(lam.d)
     items = [(kappa, alg * len(copies), geo * len(copies)) for copies, _ in sectors
-             for kappa, alg, geo, _ in _eig_structure(b[copies[0], copies[0]], *_sector_eig(lam, b, copies[0]))]
+             for kappa, alg, geo, _ in _eig_structure(b[copies[0], copies[0]], *_sector_eig(lam, copies[0]))]
     entries = []
     for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):
         if len(members) > 1:
@@ -328,7 +328,7 @@ def powerlaw_check(
     kappa_est = complex(np.vdot(u, bu) / np.vdot(u, u))
     member = float(np.linalg.norm(bu - kappa_est * u)) <= EIGENOPERATOR_TOL * float(np.linalg.norm(u))
     items = [item for (where,), _ in ch._sector_basis(lam.d)[1][2:] for item in
-             _cluster_terms(b[where, where], _sector_eig(lam, b, where), x[where], parts[:, where], m_values)]
+             _cluster_terms(b[where, where], _sector_eig(lam, where), x[where], parts[:, where], m_values)]
     clusters = []
     for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):
         alg, coefficient, terms = (sum(items[k][i] for k in members) for i in (1, 3, 4))

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .tensor_core import (
     DensityOp,
     Isometry,
     Observable,
     TopTensor,
+    _Value,
+    _budget,
     _frozen_complex,
     _integer,
     _sizes,
@@ -32,7 +33,7 @@ DEFAULT_MAX_AMPLITUDES = 1 << 16
 
 
 @dataclass(frozen=True)
-class PureState:
+class PureState(_Value):
     """N sites of local dimension d on a ring, as a read-only vector of d**N amplitudes."""
 
     d: int
@@ -53,12 +54,8 @@ def build_state(lam: Isometry, c: TopTensor, n: int, max_amplitudes: int = DEFAU
         raise ValueError("isometry and top tensor have different local dimension")
     n = _integer(n, "tree depth n", 1)
     d = lam.d
-    required = d ** (2 ** n)
-    if required > _integer(max_amplitudes, "max_amplitudes", 1):
-        raise ResourceLimitError(
-            "depth %d needs %d amplitudes, budget is %d" % (n, required, max_amplitudes),
-            required=required,
-        )
+    _budget("depth %d needs d^(2^n) amplitudes: %d^(2^%d)" % (n, d, n), d, 2 ** n,
+            _integer(max_amplitudes, "max_amplitudes", 1))
     v = lam.v  # (l1 l2) x u
     amp = np.array(c.c, dtype=complex).reshape(-1)
     sites = 2

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import KernelNotFoundError, ResourceLimitError, ValidationError
-from .tensor_core import (DensityOp, Isometry, _integer, _sizes, _tolerance, hermitian_part, numerical_rank,
-                          require_isometry, svd_rank)
+from .errors import KernelNotFoundError, ValidationError
+from .tensor_core import (DensityOp, Isometry, _Value, _budget, _integer, _sizes, _tolerance, hermitian_part,
+                          numerical_rank, require_isometry, svd_rank)
 from . import channels as ch
 from . import thermo
 
@@ -39,7 +39,7 @@ def _weights(weights, k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HamiltonianSpec:
+class HamiltonianSpec(_Value):
     """Local interaction: d, window size nu, PSD term, kernel size and weights, checked at construction.
 
     The term must be finite and Hermitian within TAU_HERM, and the weights
@@ -69,7 +69,7 @@ class HamiltonianSpec:
 
 
 @dataclass(frozen=True)
-class GroundSpaceReport:
+class GroundSpaceReport(_Value):
     spectrum: np.ndarray
     ground_energy: float
     degeneracy: int
@@ -143,17 +143,12 @@ def build_interaction(
 def _require_ring(hs: HamiltonianSpec, N: int, max_dim: int) -> int:
     """N as an int, refused unless it is an integer, the ring hosts the term and d^N fits the integer budget."""
     N = _integer(N, "the ring size N for a %d-site interaction" % hs.nu, hs.nu)
-    dim = hs.d ** N
-    if dim > _integer(max_dim, "max_dim", 1):
-        raise ResourceLimitError(
-            "a ring of %d sites has dimension d^N = %d^%d = %d, budget is %d" % (N, hs.d, N, dim, max_dim),
-            required=dim,
-        )
+    _budget("a ring of %d sites has dimension d^N = %d^%d" % (N, hs.d, N), hs.d, N, _integer(max_dim, "max_dim", 1))
     return N
 
 
 @dataclass(frozen=True)
-class RingHamiltonian:
+class RingHamiltonian(_Value):
     """A ring Hamiltonian as its momentum-sector blocks; block j's eigenvalues occur multiplicity[j] times.
 
     A real term makes sectors k and -k complex conjugates, so only k = 0..N//2 are kept.

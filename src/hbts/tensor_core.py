@@ -80,6 +80,45 @@ def _sizes(obj, *names: str) -> None:
         object.__setattr__(obj, name, _integer(getattr(obj, name), name, 1))
 
 
+def _budget(what: str, base: int, exponent: int, budget: int) -> int:
+    """base**exponent (base >= 1), or over budget the ResourceLimitError "<what> = <power>, budget is <budget>".
+
+    A power whose lower bound ``2^((bits(base) - 1) exponent)`` has more than twice the budget's bits is refused
+    before it is built, as "<what>, budget is <budget>" with no ``required``: no check builds or prints a huge integer.
+    """
+    if (base.bit_length() - 1) * exponent > 2 * budget.bit_length():
+        raise ResourceLimitError("%s, budget is %d" % (what, budget))
+    power = base ** exponent
+    if power > budget:
+        raise ResourceLimitError("%s = %d, budget is %d" % (what, power, budget), required=power)
+    return power
+
+
+def _read_only(value):
+    """value, with every array in it, in its tuples and lists and in its dict values made read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _read_only(item)
+    elif isinstance(value, dict):
+        _read_only(list(value.values()))
+    return value
+
+
+class _Value:
+    """Base of the frozen dataclasses that hold arrays: every array they hold is read-only, after unpickling too.
+
+    A type without its own ``__post_init__`` freezes the arrays it is given; the others store read-only copies.
+    """
+
+    def __post_init__(self):
+        _read_only(self.__dict__)
+
+    def __setstate__(self, state):
+        self.__dict__.update(_read_only(state))
+
+
 def _frozen_complex(a, shape=None, what="array") -> np.ndarray:
     arr = np.array(a, dtype=complex)
     if shape is not None and arr.shape != shape:
@@ -89,7 +128,7 @@ def _frozen_complex(a, shape=None, what="array") -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Isometry:
+class Isometry(_Value):
     """One-site-into-two embedding, stored as the d^2 x d matrix ``v``.
 
     Channels and states derived from ``v`` are kept in a private memo on the
@@ -110,13 +149,13 @@ class Isometry:
         """The quantity ``key`` of this isometry, built by ``build()`` on first use.
 
         The first derivation runs :func:`require_isometry` and keeps its pass in the memo, so no later or
-        nested one repeats it; a check or builder that raises stores nothing.  Builders return read-only arrays.
+        nested one repeats it; a check or builder that raises stores nothing.  The arrays kept are made read-only.
         """
         if key not in self._memo:
             if "isometric" not in self._memo:
                 require_isometry(self)
                 self._memo["isometric"] = True
-            self._memo[key] = build()
+            self._memo[key] = _read_only(build())
         return self._memo[key]
 
     def as_tensor(self) -> np.ndarray:
@@ -125,7 +164,7 @@ class Isometry:
 
 
 @dataclass(frozen=True)
-class TopTensor:
+class TopTensor(_Value):
     """Tree-closing tensor: d x d matrix of amplitudes with unit Frobenius norm."""
 
     d: int
@@ -137,7 +176,7 @@ class TopTensor:
 
 
 @dataclass(frozen=True)
-class DensityOp:
+class DensityOp(_Value):
     """A nu-site density operator, checked at construction.
 
     The input must be finite, Hermitian within TAU_HERM, of unit trace
@@ -164,8 +203,7 @@ class DensityOp:
         evals = np.linalg.eigvalsh(mat)
         if evals[0] < -TAU_PSD:
             raise ValidationError("density operator not PSD: min eigenvalue %s" % format_float(float(evals[0])))
-        mat.setflags(write=False)
-        evals.setflags(write=False)
+        _read_only((mat, evals))
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "eigenvalues", evals)
 
@@ -175,7 +213,7 @@ class DensityOp:
 
 
 @dataclass(frozen=True)
-class Observable:
+class Observable(_Value):
     """Single-site observable, finite and Hermitian within TAU_HERM.
 
     ``matrix`` holds the exact Hermitian part of the input, read-only.
@@ -328,11 +366,7 @@ def _load_entries(path: str, arity: int) -> tuple[int, np.ndarray]:
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise ShapeError("%s: entries must be a list, got %r" % (path, entries))
-    if d ** arity > MAX_FILE_ENTRIES:
-        raise ResourceLimitError(
-            "%s: d=%d needs %d entries, budget is %d" % (path, d, d ** arity, MAX_FILE_ENTRIES),
-            required=d ** arity,
-        )
+    _budget("%s: d=%d needs d^%d entries: %d^%d" % (path, d, arity, d, arity), d, arity, MAX_FILE_ENTRIES)
     array = np.zeros((d,) * arity, dtype=complex)
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != arity + 2:

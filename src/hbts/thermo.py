@@ -4,8 +4,8 @@ All functions here take only the tree isometry — never the top tensor —
 because every infinite-depth local quantity is independent of how the tree
 is closed at the top.  Each one starts at rho1, the fixed point of the
 averaged descend map, whose mixing rule comes from the real frame descents
-``Lr``, ``Rr`` of :mod:`hbts.channels`; the two-site states are real solves
-there and on the sector K blocks, and wider windows follow the extensions.
+``Lr``, ``Rr`` of :mod:`hbts.channels`; the two-site states sum series there,
+eta's source after a solve on each sector K block, and wider windows follow the extensions.
 """
 
 from __future__ import annotations
@@ -67,22 +67,26 @@ def single_site_infinity(lam: Isometry) -> FixedPointResult:
 
 
 def _pair_solve(lam: Isometry, source: np.ndarray) -> DensityOp:
-    """Solve (Id - RL/2) x = source/2 in the Hermitian frame: (I - kron(Rr, Lr)/2) vec C = vec S/2."""
+    """The state of frame coordinates ``C = sum_k A^k (S/2) B^kT``, the series (Id - RL/2)^-1 S/2 of the source's S.
+
+    Smith's doubling (SIAM J. Appl. Math. 16, 1968), from ``A = Rr/sqrt 2``, ``B = Lr/sqrt 2``: ``C += A C B^T``,
+    ``A, B = A^2, B^2`` doubles the terms summed and leaves the remainder ``A C_inf B^T``.  Descents are CPTP, so
+    rho(A) rho(B) = 1/2, and ``||A||_F ||B||_F <= eps`` after about six steps.
+    """
     lr, rr = ch._frame_descents(lam)
-    n = lam.d ** 2
-    c = np.linalg.solve(np.eye(n * n) - np.kron(rr, lr) / 2.0, ch._to_frame(source).real.reshape(-1) / 2.0)
-    mat = ch._from_frame(c.reshape(n, n))
+    c, a, b = source / 2.0, rr / np.sqrt(2.0), lr / np.sqrt(2.0)
+    while np.linalg.norm(a) * np.linalg.norm(b) > np.finfo(float).eps:
+        c += a @ c @ b.T
+        a, b = a @ a, b @ b
+    mat = ch._from_frame(c)
     return DensityOp(lam.d, 2, mat / np.trace(mat).real)
 
 
 def two_site_infinity(lam: Isometry) -> DensityOp:
-    """Infinite-depth averaged nearest-neighbor state, solved in closed form.
-
-    Sums the geometric series of the pair recursion by a single real linear
-    solve; the series converges because descend maps are non-expansive.
-    """
+    """Infinite-depth averaged nearest-neighbor state: the sum of the pair recursion's geometric series
+    (:func:`_pair_solve`), which converges because descend maps are non-expansive."""
     rho1 = single_site_infinity(lam).state
-    return lam._derive("two-site", lambda: _pair_solve(lam, ch._local(lam, (rho1.matrix, "g"))))
+    return lam._derive("two-site", lambda: _pair_solve(lam, ch._to_frame(ch._local(lam, (rho1.matrix, "g"))).real))
 
 
 def classical_pair_infinity(lam: Isometry) -> DensityOp:
@@ -91,6 +95,7 @@ def classical_pair_infinity(lam: Isometry) -> DensityOp:
     sigma = rho1 (x) rho1 + k is stationary under pair descend P, k in the doubly traceless sectors K_sym, K_anti,
     where P is the transpose of the adjoint's block A_K (:func:`channels._sector_matrix`).  The eigvals of both
     blocks decide mixing; (I - A_K^T) k = x, x the K coordinates of P(rho1 (x) rho1) - rho1 (x) rho1, in two solves.
+    LR(k) adds ``Lr K Rr^T`` to the frame coordinates of LR(rho1 (x) rho1), K the frame coordinates of k.
     """
     rho1 = single_site_infinity(lam).state.matrix
 
@@ -104,9 +109,9 @@ def classical_pair_infinity(lam: Isometry) -> DensityOp:
         k = np.zeros_like(x)  # no 1 (x) O or O (x) 1 part
         for w in k_sectors:
             k[w] = np.linalg.solve(np.eye(w.stop - w.start) - b[w, w].T, x[w])
-        del b  # free the adjoint before the pair solve
-        sigma = product + ch._sector_operators(k[None], lam.d)[0]
-        return _pair_solve(lam, ch._local(lam, (sigma, "LR")))
+        lr, rr = ch._frame_descents(lam)
+        source = ch._to_frame(ch._local(lam, (product, "LR"))).real + lr @ ch._from_sectors(k[None], lam.d)[0] @ rr.T
+        return _pair_solve(lam, source)
 
     return lam._derive("classical-pair", build)
 

@@ -73,6 +73,15 @@ def flip_isometry():
     return tc.Isometry(2, v)
 
 
+def case_isometry(kind, arg):
+    """The bundled isometry ("paper"), product_isometry(arg) ("product") or random_isometry(kind, arg)."""
+    if kind == "paper":
+        return tc.paper_isometry()
+    if kind == "product":
+        return tc.product_isometry(arg)
+    return tc.random_isometry(kind, arg)
+
+
 def write_entries(path, d, entries):
     """Write an entry file (isometry, top tensor or observable) from raw JSON lists."""
     with open(path, "w") as fh:
@@ -192,6 +201,16 @@ def dense_extension(lam, nu):
     return (tensor(grow, grow).matrix + middle @ ext3) / 2.0
 
 
+def pair_solve_reference(lam, source):
+    """Reference for thermo._pair_solve: the frame coordinates C of (I - kron(Rr, Lr)/2) vec C = vec S/2, by one
+    dense LU solve, for the frame coordinates S of a source; the state, trace-normalized."""
+    lr, rr = ch._frame_descents(lam)
+    n = lam.d ** 2
+    c = np.linalg.solve(np.eye(n * n) - np.kron(rr, lr) / 2.0, source.reshape(-1) / 2.0)
+    mat = ch._from_frame(c.reshape(n, n))
+    return mat / np.trace(mat).real
+
+
 def classical_pair_reference(lam):
     """Reference eta: the doubly traceless part k of sigma solved with the dense
     P_K = (kron(Lk, Lk) + kron(Rk, Rk))/2 (Lk = Lr[1:, 1:]), refused through the eigvals of P_K."""
@@ -203,7 +222,7 @@ def classical_pair_reference(lam):
     drift = ch._local(lam, (product, "LL"), (product, "RR")) - product
     k = np.linalg.solve(np.eye(len(p_k)) - p_k, ch._to_frame(drift).real[1:, 1:].reshape(-1))
     sigma = product + ch._from_frame(np.pad(k.reshape(lk.shape), (1, 0)))
-    return thermo._pair_solve(lam, ch._local(lam, (sigma, "LR"))).matrix
+    return pair_solve_reference(lam, ch._to_frame(ch._local(lam, (sigma, "LR"))).real)
 
 
 def sector_matrix_reference(lam):
@@ -277,7 +296,7 @@ def eager_spectrum(lam):
     with the eig of D), and map back as one stack per sector copy; a shared cluster's come from the whole matrix."""
     b = ch._sector_matrix(lam)
     _, sectors = ch._sector_basis(lam.d)
-    eigs = [co._sector_eig(lam, b, copies[0]) for copies, _ in sectors]
+    eigs = [co._sector_eig(lam, copies[0]) for copies, _ in sectors]
     items = [(kappa, alg * len(copies), geo * len(copies), null, s) for s, (copies, _) in enumerate(sectors)
              for kappa, alg, geo, null in co._eig_structure(b[copies[0], copies[0]], *eigs[s])]
     entries, found = [], []  # found: (owners, coordinates) of eigenoperators; owner: an entry's first item
@@ -303,7 +322,7 @@ def eager_spectrum(lam):
             found.append(([k for k, _ in null], x))
     ops = {entry[3]: [] for entry in entries}
     for owners, x in found:
-        for k, op in zip(owners, ch._sector_operators(x.T, lam.d)):
+        for k, op in zip(owners, ch._from_frame(ch._from_sectors(x.T, lam.d))):
             ops[k].append(op)
     return [entry[:3] + (ops[entry[3]],) for entry in co._canonical(entries)]
 

@@ -158,6 +158,13 @@ def test_resource_error_exits_two(capsys):
     assert code == 2
 
 
+def test_a_huge_ring_is_refused_on_its_budget(capsys):
+    # 2^20000 has 6021 digits, more than Python converts to a string: the budget names it as a power
+    code, err = run_err(["diag", "--isometry", "paper", "--N", "20000"], capsys)
+    assert code == 2
+    assert err == "error: a ring of 20000 sites has dimension d^N = 2^20000, budget is 4096\n"
+
+
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
 def test_thermo_of_a_non_mixing_tree_exits_one(tmp_path, capsys, nu):
     # v|0> = |11>, v|1> = |00>: the averaged descend channel has the peripheral eigenvalue -1

@@ -6,8 +6,9 @@ from hbts import correlators as co
 from hbts import tensor_core as tc
 
 import conftest
-from conftest import (adjoint, apply, eager_spectrum, full_exponent_structure, level_states_reference, lift,
-                      loop_canonical, loop_cluster, rand_herm, run_capped, sector_matrix_reference, spectral_structure)
+from conftest import (adjoint, apply, case_isometry, eager_spectrum, full_exponent_structure, level_states_reference,
+                      lift, loop_canonical, loop_cluster, rand_herm, run_capped, sector_matrix_reference,
+                      spectral_structure)
 
 
 class TestCorrelatorThermo:
@@ -374,14 +375,6 @@ SECTOR_CASES = [("paper", None), ("product", 2), ("product", 3)] + [
 ]
 
 
-def _case_isometry(kind, arg):
-    if kind == "paper":
-        return tc.paper_isometry()
-    if kind == "product":
-        return tc.product_isometry(arg)
-    return tc.random_isometry(kind, arg)
-
-
 def _explicit_sector_basis(d):
     """Columns: the vectorized sector basis operators G_q, built from kron products of frame operators."""
     frame = ch._hermitian_frame(d)
@@ -398,14 +391,14 @@ def _explicit_sector_basis(d):
 @pytest.mark.parametrize("kind, arg", [("paper", None)] + [("product", d) for d in (2, 3, 4, 5)]
                          + [(d, seed) for d in (2, 3, 4, 5) for seed in (0, 1)])
 def test_sector_matrix_is_the_reference_bit_for_bit(kind, arg):
-    lam = _case_isometry(kind, arg)
+    lam = case_isometry(kind, arg)
     assert np.array_equal(ch._sector_matrix(lam), sector_matrix_reference(lam))
 
 
 class TestSectorResolvedSpectrum:
     @pytest.mark.parametrize("kind, arg", SECTOR_CASES)
     def test_matches_the_full_matrix_and_gives_eigenoperators(self, kind, arg):
-        lam = _case_isometry(kind, arg)
+        lam = case_isometry(kind, arg)
         spec = co.exponent_spectrum(lam)
         reference = full_exponent_structure(lam)
         assert [(e.algebraic, e.geometric) for e in spec.entries] == [(alg, geo) for _, alg, geo in reference]
@@ -490,9 +483,12 @@ def test_sector_coordinates_invert_the_basis(d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_sector_operators_invert_the_coordinates(d):
+    # the scatter to frame coordinates inverts the gather of the sector coordinates
     rng = np.random.default_rng(d)
     ops = rng.standard_normal((3, d * d, d * d)) + 1j * rng.standard_normal((3, d * d, d * d))
-    assert np.abs(ch._sector_operators(ch._sector_coordinates(ops, d), d) - ops).max() <= 1e-13
+    frame = ch._from_sectors(ch._sector_coordinates(ops, d), d)
+    assert np.abs(frame - ch._to_frame(ops)).max() <= 1e-13
+    assert np.abs(ch._from_frame(frame) - ops).max() <= 1e-13
 
 
 def test_lift_solves_again_where_the_eigenbasis_fails(monkeypatch):
@@ -570,7 +566,7 @@ DECOMPOSITION_CASES = [("paper", None), ("product", 2), ("product", 3)] + [
 
 @pytest.mark.parametrize("kind, arg", DECOMPOSITION_CASES)
 def test_decomposition_is_exact(kind, arg):
-    lam = _case_isometry(kind, arg)
+    lam = case_isometry(kind, arg)
     d = lam.d
     block = rand_herm(np.random.default_rng(7), d * d)
     m_values = range(21)
@@ -609,13 +605,13 @@ def _kappa_bits(kappa):
 def test_decomposition_kappas_are_the_spectrum_kappas(kind, arg):
     # both read the one kept eig of each doubly traceless block; the spectrum alone also averages a cluster
     # with the one-site (S+-) eigenvalues, as the bundled isometry's kappa = 0
-    lam = _case_isometry(kind, arg)
+    lam = case_isometry(kind, arg)
     series = co.powerlaw_check(lam, rand_herm(np.random.default_rng(7), lam.d ** 2), range(21))
     if series.decomposition is None:  # a product tree
         return
     spectrum = {_kappa_bits(e.kappa) for e in co.exponent_spectrum(lam).entries}
     (where, _), _ = ch._sector_basis(lam.d)[1][1]  # the first copy of the one-site block D
-    one_site = co._sector_eig(lam, ch._sector_matrix(lam), where)[0]
+    one_site = co._sector_eig(lam, where)[0]
     for kappa, _ in series.decomposition:
         assert _kappa_bits(kappa) in spectrum or np.abs(one_site - kappa).min() <= co.CLUSTER_TOL
 
@@ -623,7 +619,7 @@ def test_decomposition_kappas_are_the_spectrum_kappas(kind, arg):
 @pytest.mark.parametrize("kind, arg", [("paper", None), ("product", 2), ("product", 3)]
                          + [(d, seed) for d in (2, 3, 4) for seed in range(3)])
 def test_eager_spectrum_is_the_library_spectrum_bit_for_bit(kind, arg):
-    lam = _case_isometry(kind, arg)
+    lam = case_isometry(kind, arg)
     reference = eager_spectrum(tc.Isometry(lam.d, lam.v))
     assert [(e.kappa, e.algebraic, e.geometric) for e in co.exponent_spectrum(lam).entries] == \
         [entry[:3] for entry in reference]
@@ -631,7 +627,7 @@ def test_eager_spectrum_is_the_library_spectrum_bit_for_bit(kind, arg):
 
 @pytest.mark.parametrize("kind, arg", [("paper", None), (3, 0)])
 def test_powerlaw_check_reuses_the_spectrum_eig(kind, arg, monkeypatch):
-    lam = _case_isometry(kind, arg)
+    lam = case_isometry(kind, arg)
     co.exponent_spectrum(lam)
 
     def refuse(*args, **kwargs):

@@ -49,6 +49,14 @@ class TestBuildState:
         with pytest.raises(ResourceLimitError) as err:
             fs.build_state(bundled_lam, diag_top, 5)
         assert err.value.required == 2 ** 32
+        assert str(err.value) == "depth 5 needs d^(2^n) amplitudes: 2^(2^5) = 4294967296, budget is 65536"
+
+    def test_budget_is_checked_before_the_power_is_built(self, bundled_lam, diag_top):
+        # 2^(2^14) has 4933 digits, more than Python converts to a string
+        with pytest.raises(ResourceLimitError) as err:
+            fs.build_state(bundled_lam, diag_top, 14)
+        assert err.value.required is None
+        assert str(err.value) == "depth 14 needs d^(2^n) amplitudes: 2^(2^14), budget is 65536"
 
 
 class TestReducedAvg:

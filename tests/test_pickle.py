@@ -1,4 +1,5 @@
-"""Every public result type survives a pickle round trip, so results can cross process boundaries."""
+"""Every public result type survives a pickle round trip, so results can cross process boundaries, and every array
+it holds stays read-only."""
 
 import dataclasses
 import pickle
@@ -19,8 +20,9 @@ def _z():
 
 
 def _derived(lam):
-    """lam after a spectrum, with the eigs it derived kept in its memo."""
+    """lam after a spectrum and the pair states, with the eigs, matrices and states it derived kept in its memo."""
     co.exponent_spectrum(lam)
+    co.pair_difference_infinity(lam)
     return lam
 
 
@@ -34,10 +36,25 @@ RESULTS = {
     "Channel": ch.pair_descend_channel,
     "ChoiReport": lambda lam: ch.choi_check(ch.pair_descend_channel(lam)),
     "HamiltonianSpec": ph.build_interaction,
+    "RingHamiltonian": lambda lam: ph.assemble(ph.build_interaction(lam), 6),
+    "PureState": lambda lam: fs.build_state(lam, tc.TopTensor(2, np.eye(2) / np.sqrt(2.0)), 3),
+    "Observable": lambda lam: _z(),
     "GroundSpaceReport": lambda lam: ph.diagonalize(ph.assemble(ph.build_interaction(lam), 6)),
     "SubspaceReport": lambda lam: ph.grown_subspace_check(lam, ph.build_interaction(lam), 6),
     "RecursionReport": lambda lam: fs.recursion_check(lam, tc.TopTensor(2, np.eye(2) / np.sqrt(2.0)), 3),
 }
+
+
+def arrays(value):
+    """Every array in value, through dataclass fields (an isometry's memo included), dict values, tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from arrays(getattr(value, f.name))
+    elif isinstance(value, (dict, tuple, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from arrays(item)
 
 
 def assert_same(a, b):
@@ -67,5 +84,7 @@ def test_public_results_pickle(kind):
     assert type(result).__name__ == kind
     copy = pickle.loads(pickle.dumps(result))
     assert_same(copy, result)
+    for value in (result, copy):
+        assert all(a.flags.writeable is False for a in arrays(value))
     if kind == "SpectrumReport":
         assert copy == result

@@ -411,3 +411,12 @@ class TestMalformedEntryFiles:
         path = write_entries(tmp_path / "huge.json", 10 ** 5, [])
         with pytest.raises(ResourceLimitError, match="huge.json"):
             load(path)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_absurd_d_is_refused_on_the_budget(self, tmp_path, kind):
+        # d^2 of d = 10^3000 has 6001 digits, more than Python converts to a string
+        load, arity = LOADERS[kind]
+        path = write_entries(tmp_path / "absurd.json", 10 ** 3000, [])
+        with pytest.raises(ResourceLimitError, match=r"absurd.json: d=10+ needs d\^%d entries: 10+\^%d, budget is %d$"
+                           % (arity, arity, tc.MAX_FILE_ENTRIES)):
+            load(path)

@@ -14,8 +14,9 @@ from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import DegenerateFixedPointError, ValidationError
 
-from conftest import (apply, classical_pair_reference, dense_extension, fixed_point, flip_isometry, growth_channel,
-                      level_states_reference, power_iteration_fixed_point, rand_top, run_capped, tensor)
+from conftest import (apply, case_isometry, classical_pair_reference, dense_extension, fixed_point, flip_isometry,
+                      growth_channel, level_states_reference, pair_solve_reference, power_iteration_fixed_point, rand_top,
+                      run_capped, tensor)
 
 
 def copy_isometry():
@@ -131,6 +132,29 @@ class TestTwoSite:
     def test_degenerate_channel_propagates(self):
         with pytest.raises(DegenerateFixedPointError):
             thermo.two_site_infinity(copy_isometry())
+
+    def test_two_site_state_at_d8_fits_in_320_mib(self):
+        # the dense I - kron(Rr, Lr)/2 of d = 8 alone is 4096^2 doubles (128 MiB); the doubling sum keeps
+        # every array d^2 x d^2
+        script = "from hbts import thermo, tensor_core as tc\n" \
+                 "print(thermo.reduced_infinity(tc.random_isometry(8, 0), 2).nu)"
+        out = run_capped(["-c", script], 320 << 20)
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert out.stdout.split() == ["2"]
+
+
+@pytest.mark.parametrize("kind, arg", [("paper", None), ("product", 2), ("product", 3)]
+                         + [(d, seed) for d in (2, 3, 4, 5) for seed in range(3)])
+def test_pair_states_match_the_dense_lu(kind, arg):
+    # rho2 from the source g(rho1), eta from the dense P_K solve of conftest, each summed by one dense LU
+    lam = case_isometry(kind, arg)
+    rho1 = thermo.single_site_infinity(lam).state.matrix
+    rho2, eta = thermo.two_site_infinity(lam).matrix, thermo.classical_pair_infinity(lam).matrix
+    for got, want in ((rho2, pair_solve_reference(lam, ch._to_frame(ch._local(lam, (rho1, "g"))).real)),
+                      (eta, classical_pair_reference(lam))):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    if kind == "product":
+        assert not (rho2 - eta).any()
 
 
 class TestClassicalPair:
