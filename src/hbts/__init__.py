@@ -21,6 +21,7 @@ from .tensor_core import (
     TopTensor,
     numerical_rank,
     paper_isometry,
+    paper_lambda_path,
     partial_trace,
     product_isometry,
     random_isometry,
@@ -69,7 +70,6 @@ from .parent_ham import (
     kernel_basis,
 )
 from .mera_bounds import MeraBound, mera_rank_bound
-from .cli import paper_lambda_path
 
 __version__ = "0.1.0"
 

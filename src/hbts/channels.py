@@ -28,9 +28,10 @@ engine.  A channel from nu_in to nu_out sites (local dimension d) is the
 dense ``d**(2*nu_out) x d**(2*nu_in)`` matrix of :class:`Channel`: the Gram
 of the Kraus stack of its word mixture, one matrix product.  Pair descend has
 ``2 d^2`` Kraus operators, the 2->3 extension ``2 d`` and the 2->4 extension
-``1 + 2 d^3``.  Only the public constructors build one, for their callers
-and :func:`choi_check`, which certifies the matrix and reads no Kraus stack;
-no computation in the library builds or reads one.  Solves and spectra work
+``1 + 2 d^3``.  Only the public constructors build one, on each call, for
+their callers and :func:`choi_check`, which certifies the matrix and reads no
+Kraus stack; no isometry keeps one, and no computation in the library builds
+or reads one.  Solves and spectra work
 instead in the Hermitian frame E_i (``_hermitian_frame``):
 X has coordinates ``C[i, j] = Tr[(E_i (x) E_j) X]`` (``_to_frame``), and the
 descents are the real ``d^2 x d^2`` matrices ``Lr``, ``Rr`` kept on the
@@ -239,7 +240,7 @@ def _sector_basis(d: int) -> tuple:
     Returns ((p1, p2, w1, w2), sectors), built once per d and read-only: the E_i are the frame of
     :func:`_hermitian_frame` and column q is ``w1[q] e[p1[q]] + w2[q] e[p2[q]]``.
     1, S+ and S- span the O (x) 1 and 1 (x) O; K, the doubly traceless rest, splits by the swap.
-    Each sector comes with the slices of its copies and of the invariant part below it.
+    Each sector is the tuple of the slices of its copies.
     """
     n = d * d
     grid = np.arange(n * n).reshape(n, n)
@@ -251,8 +252,7 @@ def _sector_basis(d: int) -> tuple:
     w1 = np.concatenate([np.where(si == sj, 0.5, np.sqrt(0.5)), np.full(ai.size, np.sqrt(0.5))])[order]
     w2 = np.where(order < si.size, w1, -w1)
     s, k = 2 * n - 1, n * (n + 1) // 2 + n - 1
-    sectors = (((slice(0, 1),), slice(0, 0)), ((slice(1, n), slice(n, s)), slice(0, 1)),
-               ((slice(s, k),), slice(0, s)), ((slice(k, n * n),), slice(0, s)))
+    sectors = ((slice(0, 1),), (slice(1, n), slice(n, s)), (slice(s, k),), (slice(k, n * n),))
     return _read_only((p1, p2, w1, w2)), sectors
 
 
@@ -300,21 +300,15 @@ def descend_channels(lam: Isometry) -> DescendChannels:
     child; both are CPT with Kraus operators sliced out of the isometry:
     ``t[:, k, :]`` for left, ``t[k, :, :]`` for right.
     """
-    def build():
-        left = Channel(lam.d, 1, 1, _letter(lam, "L"))
-        right = Channel(lam.d, 1, 1, _letter(lam, "R"))
-        return DescendChannels(left, right, Channel(lam.d, 1, 1, (left.matrix + right.matrix) / 2.0))
-
-    return lam._derive("descend", build)
+    left = Channel(lam.d, 1, 1, _letter(lam, "L"))
+    right = Channel(lam.d, 1, 1, _letter(lam, "R"))
+    return DescendChannels(left, right, Channel(lam.d, 1, 1, (left.matrix + right.matrix) / 2.0))
 
 
 def pair_descend_channel(lam: Isometry) -> Channel:
     """Two sites to two: (left (x) left + right (x) right)/2."""
-    def build():
-        one = np.eye(lam.d ** 2)[None]  # the Kraus stack of the identity on two sites
-        return Channel(lam.d, 2, 2, _gram(_compose(lam, (one, "LL"), (one, "RR"))))
-
-    return lam._derive("pair-descend", build)
+    one = np.eye(lam.d ** 2)[None]  # the Kraus stack of the identity on two sites
+    return Channel(lam.d, 2, 2, _gram(_compose(lam, (one, "LL"), (one, "RR"))))
 
 
 def extension_channel(lam: Isometry, nu: int) -> Channel:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict
-from importlib import resources
 
 import numpy as np
 
@@ -32,11 +31,6 @@ OBSERVABLES = {
     "p0": np.array([[1, 0], [0, 0]], dtype=complex),
     "p1": np.array([[0, 0], [0, 1]], dtype=complex),
 }
-
-
-def paper_lambda_path() -> str:
-    """Filesystem path of the bundled example isometry."""
-    return str(resources.files("hbts").joinpath("data/paper_lambda.json"))
 
 
 def _of_dimension(tensor, d: int | None, spec: str):

@@ -3,8 +3,8 @@
 The connected correlator of an infinite tree at distance 2^m is the trace of the observable pair against
 the m-th pair-descend image of the difference between the true two-site state and its classical (product
 of marginals) counterpart.  Exponents are base-2 logs of the eigenvalues of the pair-descend adjoint's
-sector blocks.  One eig per block, kept on the isometry, gives both the spectrum and the exact split of a
-correlator series into powers of those eigenvalues.
+sector blocks.  One cluster structure per block, from its one eig and kept on the isometry, gives both the
+spectrum and the exact split of a correlator series into powers of those eigenvalues.
 """
 
 from __future__ import annotations
@@ -205,16 +205,16 @@ def _eig_structure(matrix: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> 
                        for m in _cluster(evals, CLUSTER_TOL)])
 
 
-def _cluster_terms(matrix: np.ndarray, eig: tuple, x: np.ndarray, u: np.ndarray, m_values: Sequence[int]) -> list:
+def _cluster_terms(matrix: np.ndarray, structure: list, x: np.ndarray, u: np.ndarray, m_values: Sequence[int]) -> list:
     """(kappa, algebraic, geometric, coefficient, terms) per cluster c of matrix, in the order of _canonical.
 
-    matrix is a real block A with its eig; x and the rows of u (a block's Hermitian and anti-Hermitian parts) are real.
+    matrix is a real block A and structure its :func:`_eig_structure`, which this reads and does not derive; x and
+    the rows of u (a block's Hermitian and anti-Hermitian parts) are real.
     On A's cluster bases V, u^T (A^T)^m x = sum_c p_c^T J_c^m w_c, p = V^T x and w = V^-1 (u[0] + i u[1]): V_c holds
     eigenvectors and J_c = kappa, or for a defective cluster the generalized eigenspace (last right singular vectors
     of (A - kappa)^algebraic) and J_c = A on it.  As a pair's lower member k has V_k = conj V_j and a real cluster a
     real V_c, p and each part's w take on k their conjugate on j, and on a real cluster their real part.
     """
-    structure = _eig_structure(matrix, *eig)
     eye = np.eye(len(matrix))
     bases = [np.stack(null, axis=1) if geo == alg else
              np.linalg.svd(np.linalg.matrix_power(matrix - (kappa if kappa.imag else kappa.real) * eye,
@@ -244,23 +244,25 @@ def _cluster_terms(matrix: np.ndarray, eig: tuple, x: np.ndarray, u: np.ndarray,
     return out
 
 
-def _sector_eig(lam: Isometry, where: slice) -> tuple:
-    """eig of the diagonal block [where, where] of the sector matrix of lam; kept on the isometry, read-only."""
-    return lam._derive("sector-eig-%d" % where.start,
-                       lambda: tuple(map(_frozen_complex, np.linalg.eig(ch._sector_matrix(lam)[where, where]))))
+def _sector_eig(lam: Isometry, where: slice) -> list:
+    """:func:`_eig_structure` of the diagonal block [where, where] of the sector matrix of lam, from its one eig;
+    kept on the isometry, read-only, so no reader clusters the block or resolves its clusters again."""
+    block = ch._sector_matrix(lam)[where, where]
+    return lam._derive("sector-structure-%d" % where.start,
+                       lambda: _eig_structure(block, *map(_frozen_complex, np.linalg.eig(block))))
 
 
 def _sector_structure(lam: Isometry) -> list:
     """(kappa, algebraic, geometric) per cluster of the pair-descend adjoint A, in the order of _canonical.
 
     In the basis of :func:`channels._sector_basis`, A is real and block upper-triangular with diagonal blocks
-    1, D, D, A_sym, A_anti (D: the averaged descend adjoint on traceless operators), and each small
-    block gets one kept eig.  Clusters shared by sectors are resolved on the whole matrix.
+    1, D, D, A_sym, A_anti (D: the averaged descend adjoint on traceless operators), and each small block's
+    cluster structure is kept (:func:`_sector_eig`).  Clusters shared by sectors are resolved on the whole matrix.
     """
     b = ch._sector_matrix(lam)
     _, sectors = ch._sector_basis(lam.d)
-    items = [(kappa, alg * len(copies), geo * len(copies)) for copies, _ in sectors
-             for kappa, alg, geo, _ in _eig_structure(b[copies[0], copies[0]], *_sector_eig(lam, copies[0]))]
+    items = [(kappa, alg * len(copies), geo * len(copies)) for copies in sectors
+             for kappa, alg, geo, _ in _sector_eig(lam, copies[0])]
     entries = []
     for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):
         if len(members) > 1:
@@ -301,9 +303,9 @@ def powerlaw_check(
 
     ``query`` is a CorrelatorQuery or a finite two-site block B; m_range holds integers >= 0, no bool or float.
     rho2 - eta lies in K_sym + K_anti, where the pair-descend map is the transpose of the adjoint's blocks: each
-    block's kept eig splits the series over its clusters (:func:`_cluster_terms`), merged where blocks share one.
-    ``fitted_exponent`` is log2 of the largest |kappa| whose term exceeds CONTRIBUTION_TOL times the series
-    scale; ``log_corrections`` flags a defective cluster; ``is_eigenoperator`` tests B.
+    block's kept cluster structure splits the series over its clusters (:func:`_cluster_terms`), merged where
+    blocks share one.  ``fitted_exponent`` is log2 of the largest |kappa| whose term exceeds CONTRIBUTION_TOL
+    times the series scale; ``log_corrections`` flags a defective cluster; ``is_eigenoperator`` tests B.
     """
     points = correlator_series(lam, query, m_range)
     block = query.block() if isinstance(query, CorrelatorQuery) else np.asarray(query, dtype=complex)  # checked above
@@ -327,7 +329,7 @@ def powerlaw_check(
     bu = b @ u  # the adjoint applied to B
     kappa_est = complex(np.vdot(u, bu) / np.vdot(u, u))
     member = float(np.linalg.norm(bu - kappa_est * u)) <= EIGENOPERATOR_TOL * float(np.linalg.norm(u))
-    items = [item for (where,), _ in ch._sector_basis(lam.d)[1][2:] for item in
+    items = [item for (where,) in ch._sector_basis(lam.d)[1][2:] for item in
              _cluster_terms(b[where, where], _sector_eig(lam, where), x[where], parts[:, where], m_values)]
     clusters = []
     for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):

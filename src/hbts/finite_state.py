@@ -54,8 +54,11 @@ def build_state(lam: Isometry, c: TopTensor, n: int, max_amplitudes: int = DEFAU
         raise ValueError("isometry and top tensor have different local dimension")
     n = _integer(n, "tree depth n", 1)
     d = lam.d
-    _budget("depth %d needs d^(2^n) amplitudes: %d^(2^%d)" % (n, d, n), d, 2 ** n,
-            _integer(max_amplitudes, "max_amplitudes", 1))
+    budget = _integer(max_amplitudes, "max_amplitudes", 1)
+    # _budget refuses d^(2^n) by its size alone for every n >= bits(budget) + 1, so capping the exponent there
+    # keeps its message and never builds 2 ** n of a huge n
+    _budget("depth %d needs d^(2^n) amplitudes: %d^(2^%d)" % (n, d, n), d,
+            2 ** min(n, budget.bit_length() + 1), budget)
     v = lam.v  # (l1 l2) x u
     amp = np.array(c.c, dtype=complex).reshape(-1)
     sites = 2

@@ -24,6 +24,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import Sequence
 
 import numpy as np
@@ -131,8 +132,12 @@ def _frozen_complex(a, shape=None, what="array") -> np.ndarray:
 class Isometry(_Value):
     """One-site-into-two embedding, stored as the d^2 x d matrix ``v``.
 
-    Channels and states derived from ``v`` are kept in a private memo on the
-    instance (see :meth:`_derive`); ``v`` is read-only, so no entry goes stale.
+    What library computations read, derived from ``v``, is kept in a private
+    memo on the instance (see :meth:`_derive`): the letters' Kraus stacks and
+    matrices, the frame descents, the infinite-depth states (the fixed point,
+    rho2, eta, rho2 - eta, the three- and four-site states), the sector matrix
+    and each sector block's cluster structure.  It holds no dense channel.
+    ``v`` is read-only, so no entry goes stale.
     """
 
     d: int
@@ -320,6 +325,11 @@ def paper_isometry() -> Isometry:
     v[0b00, 1] = 1.0 / np.sqrt(2.0)
     v[0b11, 1] = 1.0 / np.sqrt(2.0)
     return Isometry(2, v)
+
+
+def paper_lambda_path() -> str:
+    """Filesystem path of the bundled example isometry, the entry file of :func:`paper_isometry`."""
+    return str(resources.files("hbts").joinpath("data/paper_lambda.json"))
 
 
 def product_isometry(d: int) -> Isometry:

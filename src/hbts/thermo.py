@@ -101,7 +101,7 @@ def classical_pair_infinity(lam: Isometry) -> DensityOp:
 
     def build():
         b = ch._sector_matrix(lam)
-        k_sectors = [where for (where,), _ in ch._sector_basis(lam.d)[1][2:]]
+        k_sectors = [where for (where,) in ch._sector_basis(lam.d)[1][2:]]
         _refuse_unless_mixing([b[w, w] for w in k_sectors], "pair-descend channel", "K")
         product = np.kron(rho1, rho1)
         drift = ch._local(lam, (product, "LL"), (product, "RR")) - product

@@ -293,12 +293,14 @@ def eager_spectrum(lam):
     """The eigenoperators of the pair-descend adjoint, which the library does not build: (kappa, algebraic,
     geometric, eigenoperators) per entry of co.exponent_spectrum, in its order.  The null vectors y of a sector's
     unshared clusters lift together to x = (x_low, y), (A_low,low - kappa) x_low = -A_low,block y (:func:`lift`,
-    with the eig of D), and map back as one stack per sector copy; a shared cluster's come from the whole matrix."""
+    with its own eig of D), and map back as one stack per sector copy; a shared cluster's come from the whole
+    matrix.  The invariant part below a sector is the unit for D and 1 + S+ + S- for K_sym and K_anti."""
     b = ch._sector_matrix(lam)
     _, sectors = ch._sector_basis(lam.d)
-    eigs = [co._sector_eig(lam, copies[0]) for copies, _ in sectors]
-    items = [(kappa, alg * len(copies), geo * len(copies), null, s) for s, (copies, _) in enumerate(sectors)
-             for kappa, alg, geo, null in co._eig_structure(b[copies[0], copies[0]], *eigs[s])]
+    one_site = sectors[1][0]
+    mu, w = (a.astype(complex) for a in np.linalg.eig(b[one_site, one_site]))
+    items = [(kappa, alg * len(copies), geo * len(copies), null, s) for s, copies in enumerate(sectors)
+             for kappa, alg, geo, null in co._sector_eig(lam, copies[0])]
     entries, found = [], []  # found: (owners, coordinates) of eigenoperators; owner: an entry's first item
     for members in co._cluster(np.array([item[0] for item in items]), co.CLUSTER_TOL):
         if len(members) > 1:
@@ -309,7 +311,8 @@ def eager_spectrum(lam):
             for k in members:
                 items[k] = (kappa, alg, geo, (), None)
         entries.append(items[members[0]][:3] + (members[0],))
-    for s, (copies, low) in enumerate(sectors):
+    for s, copies in enumerate(sectors):
+        low = slice(0, min(copies[0].start, sectors[2][0].start))
         null = [(k, x) for k, item in enumerate(items) if item[4] == s for x in item[3]]
         if not null:
             continue
@@ -318,7 +321,7 @@ def eager_spectrum(lam):
             x = np.zeros((len(b), len(null)), dtype=complex)
             x[where] = y
             if low.stop:
-                x[low] = lift(b[low, low], -b[low, where] @ y, kappas, *eigs[1])
+                x[low] = lift(b[low, low], -b[low, where] @ y, kappas, mu, w)
             found.append(([k for k, _ in null], x))
     ops = {entry[3]: [] for entry in entries}
     for owners, x in found:

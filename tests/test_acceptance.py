@@ -16,7 +16,8 @@ from hbts import mera_bounds as mb
 from hbts import parent_ham as ph
 from hbts import tensor_core as tc
 from hbts import thermo
-from hbts.cli import main, paper_lambda_path
+from hbts.cli import main
+from hbts.tensor_core import paper_lambda_path
 
 from conftest import eager_spectrum, rand_top
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from hbts import parent_ham as ph
 from hbts import tensor_core as tc
-from hbts.cli import main, paper_lambda_path
+from hbts.cli import main
+from hbts.tensor_core import paper_lambda_path
 
 from conftest import flip_isometry, run_capped, write_entries
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,16 @@ class TestBuildState:
             fs.build_state(bundled_lam, diag_top, 14)
         assert err.value.required is None
         assert str(err.value) == "depth 14 needs d^(2^n) amplitudes: 2^(2^14), budget is 65536"
+
+    @pytest.mark.parametrize("n", [10 ** 8, 10 ** 18])
+    def test_a_huge_depth_is_refused_without_building_its_exponent(self, bundled_lam, diag_top, n):
+        # 2 ** (10 ** 8) alone takes about 0.4 s to build; 2 ** (10 ** 18) would not fit in memory
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as err:
+            fs.build_state(bundled_lam, diag_top, n)
+        assert time.perf_counter() - start < 0.05
+        assert err.value.required is None
+        assert str(err.value) == "depth %d needs d^(2^n) amplitudes: 2^(2^%d), budget is 65536" % (n, n)
 
 
 class TestReducedAvg:

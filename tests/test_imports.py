@@ -1,6 +1,7 @@
 """The library runs on numpy alone: importing scipy would load a second BLAS into every process.  And its
-layers import downwards: thermo needs channels, not the correlators built on top of it.  And every module
-uses each name it imports, and every top-level name of the library is read somewhere."""
+layers import downwards: thermo needs channels, not the correlators built on top of it, and the package
+does not need its command-line front end.  And every module uses each name it imports, and every top-level
+name of the library is read somewhere."""
 
 import ast
 import json
@@ -54,6 +55,15 @@ def test_thermo_does_not_import_the_correlators():
     loaded = json.loads(out.stdout)
     assert "hbts.thermo" in loaded and "hbts.channels" in loaded
     assert "hbts.correlators" not in loaded
+
+
+BARE_IMPORT = 'import json, sys\nimport hbts\nprint(json.dumps([name in sys.modules for name in ("hbts.cli", "argparse")]))'
+
+
+def test_import_hbts_loads_neither_the_cli_nor_argparse():
+    out = run_capped(["-c", BARE_IMPORT], 2 << 30)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [False, False]
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -346,6 +346,13 @@ class TestFileRoundTrips:
         assert np.array_equal(again.matrix, obs.matrix)
 
 
+def test_the_bundled_file_is_the_paper_isometry_bit_for_bit():
+    # the two sources of the bundled isometry: its entry file and paper_isometry()
+    loaded, built = tc.load_isometry(tc.paper_lambda_path()), tc.paper_isometry()
+    assert loaded.d == built.d
+    assert loaded.v.dtype == built.v.dtype and loaded.v.tobytes() == built.v.tobytes()
+
+
 BAD_INDICES = {
     "isometry": (tc.load_isometry, [[0, 2, 0, 1, 0], [-1, 0, 0, 1, 0], [0, 0, 2, 1, 0], [0, 0.5, 0, 1, 0]]),
     "top": (tc.load_top, [[2, 0, 1, 0], [0, -1, 1, 0], [0.0, 1, 1, 0]]),

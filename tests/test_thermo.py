@@ -333,12 +333,24 @@ def _derive_everything(lam):
 class TestPerIsometryMemo:
     def test_each_quantity_is_derived_once(self):
         lam = tc.random_isometry(3, 2)
-        for fn in (ch.descend_channels, ch.pair_descend_channel, thermo.single_site_infinity,
-                   thermo.two_site_infinity, thermo.classical_pair_infinity, co.pair_difference_infinity):
+        for fn in (thermo.single_site_infinity, thermo.two_site_infinity, thermo.classical_pair_infinity,
+                   co.pair_difference_infinity):
             assert fn(lam) is fn(lam), fn.__name__
         again = tc.Isometry(3, lam.v)
         assert thermo.two_site_infinity(again) is not thermo.two_site_infinity(lam)
         assert np.array_equal(thermo.two_site_infinity(again).matrix, thermo.two_site_infinity(lam).matrix)
+
+    def test_the_memo_holds_no_dense_channel(self):
+        # the public dense maps are built on each call and kept by no one
+        lam = tc.random_isometry(3, 2)
+        _derive_everything(lam)
+        co.exponent_spectrum(lam)
+        assert not [key for key, value in lam._memo.items() if isinstance(value, (ch.Channel, ch.DescendChannels))]
+        for fn in (ch.descend_channels, ch.pair_descend_channel):
+            first, second = fn(lam), fn(lam)
+            assert first is not second, fn.__name__
+            pairs = list(zip(_arrays(first), _arrays(second)))
+            assert pairs and all(a is not b and np.array_equal(a, b) for a, b in pairs), fn.__name__
 
     def test_reduced_states_are_derived_once_and_shared(self, monkeypatch):
         lam = tc.random_isometry(2, 0)
