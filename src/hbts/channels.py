@@ -17,26 +17,24 @@ powers give correlators at distances 2^m; the two-site recursion runs on
 ``RL``; the 2->3 extension is ``(Rg + gL)/2`` and the 2->4 extension is
 ``(gg + RgL after (Rg + gL)/2)/2``.
 
-Each letter is kept once per isometry as its Kraus stack (``_kraus``) and
-as its one-site superoperator matrix, the Gram of that stack (``_gram``).
-States, alone or stacked, go through a word one site at a time, one matrix
-product per site; ``_local`` takes (state, word) terms and returns their
-mean.  ``_compose`` takes (Kraus stack, word) terms and returns the Kraus
-stack of their mean, a word's stack being the Kronecker product of its
-letters' stacks.  ``_extend`` states the two extensions once, on either
-engine.  A channel from nu_in to nu_out sites (local dimension d) is the
-dense ``d**(2*nu_out) x d**(2*nu_in)`` matrix of :class:`Channel`: the Gram
-of the Kraus stack of its word mixture, one matrix product.  Pair descend has
-``2 d^2`` Kraus operators, the 2->3 extension ``2 d`` and the 2->4 extension
-``1 + 2 d^3``.  Only the public constructors build one, on each call, for
-their callers and :func:`choi_check`, which certifies the matrix and reads no
-Kraus stack; no isometry keeps one, and no computation in the library builds
-or reads one.  Solves and spectra work
-instead in the Hermitian frame E_i (``_hermitian_frame``):
-X has coordinates ``C[i, j] = Tr[(E_i (x) E_j) X]`` (``_to_frame``), and the
-descents are the real ``d^2 x d^2`` matrices ``Lr``, ``Rr`` kept on the
-isometry (``_frame_descents``), so ``LR`` acts as ``C -> Lr C Rr^T``.
-Pair descend has one dense form: its adjoint in swap sectors (``_sector_matrix``).
+Each letter is kept once per isometry, as its Kraus stack (``_kraus``), and
+every map goes through Kraus stacks.  ``_local`` takes (state, word) terms,
+states alone or stacked, and returns their mean, one site and one Kraus
+member at a time; ``_compose`` takes (Kraus stack, word) terms and returns
+the Kraus stack of their mean, a word's stack being the Kronecker product of
+its letters' stacks; ``_extend`` states the two extensions once, for either.
+The dense ``d**(2*nu_out) x d**(2*nu_in)`` matrix of a :class:`Channel` is
+the Gram of a Kraus stack (``_gram``); the public constructors build one on
+each call, for their callers and :func:`choi_check`, and no isometry keeps
+one.  Pair descend has ``2 d^2`` Kraus operators, the 2->3 extension ``2 d``
+and the 2->4 extension ``1 + 2 d^3``.  A library computation builds three
+dense maps only: the ``d^2 x d^2`` Grams of ``L`` and ``R``, for the frame
+descents and the one-site fixed point, and the pair-descend adjoint in swap
+sectors (``_sector_matrix``).  Solves and spectra work in the Hermitian frame
+E_i (``_hermitian_frame``): X has coordinates ``C[i, j] = Tr[(E_i (x) E_j) X]``
+(``_to_frame``), and the descents are the real ``d^2 x d^2`` matrices ``Lr``,
+``Rr`` kept on the isometry (``_frame_descents``), so ``LR`` acts as
+``C -> Lr C Rr^T``.
 """
 
 from __future__ import annotations
@@ -108,10 +106,9 @@ def _kraus(lam: Isometry, word: str) -> np.ndarray:
 
     A letter's stack is kept on the isometry: ``t[:, k, :]`` for ``L``, ``t[k, :, :]`` for ``R``, ``v`` for ``g``.
     """
-    if len(word) == 1:
-        t = lam.as_tensor()  # (l1, l2, u)
+    if len(word) == 1:  # as_tensor() is (l1, l2, u)
         return lam._derive("kraus-" + word, lambda: np.ascontiguousarray(
-            {"L": t.transpose(1, 0, 2), "R": t, "g": lam.v[None]}[word]))
+            {"L": lam.as_tensor().transpose(1, 0, 2), "R": lam.as_tensor(), "g": lam.v[None]}[word]))
     a, b = _kraus(lam, word[0]), _kraus(lam, word[1:])
     out = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]  # (k_a, k_b, out_a, out_b, in_a, in_b)
     return out.reshape(len(a) * len(b), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
@@ -128,39 +125,38 @@ def _gram(stack: np.ndarray) -> np.ndarray:
     return gram.reshape(dout, din, dout, din).transpose(0, 2, 1, 3).reshape(dout * dout, din * din)
 
 
-def _letter(lam: Isometry, letter: str) -> np.ndarray:
-    """Superoperator matrix of one letter (``d^2 x d^2``, or ``d^4 x d^2`` for ``g``), kept on the isometry."""
-    return lam._derive("letter-" + letter, lambda: _gram(_kraus(lam, letter)))
-
-
 def _local(lam: Isometry, *terms: tuple[np.ndarray, str], adjoint: bool = False) -> np.ndarray:
     """The mean of the ``(op, word)`` terms, each operator pushed through its word one site at a time,
     or with ``adjoint`` through the word's dual.
 
-    ``op`` is one ``D x D`` operator or a ``D x D x S`` stack of them, all mapped in the same pass.
-    Each site is one matrix product of its (column, row) index pair with the letter's matrix, or
-    its conjugate transpose for the dual, where ``g`` takes two sites to one.  Maps that shrink a
-    site go first, so growth acts on the smallest operator.  The terms add up in the first one's image.
+    ``op`` is one ``D x D`` operator or a ``D x D x S`` stack of them, all mapped in the same pass.  A site
+    maps ``X -> sum_k K_k X K_k^dag`` by its letter's Kraus stack (:func:`_kraus`; for the dual, by the members'
+    conjugate transposes), one member at a time: a product on the site's row index, then one on its column
+    index, i output rows at a time, so that no intermediate outgrows its input.  Maps that shrink a site go
+    first, so growth acts on the smallest operator.  The terms add up in the first one's image.
     """
     out = None
     for op, word in terms:
-        x = np.asarray(op)
-        n, stack = len(word), x.shape[2:]
-        dims = [lam.d ** 2 if adjoint and letter == "g" else lam.d for letter in word]
-        for j in sorted(range(n), key=lambda j: (word[j] == "g") != adjoint):
-            m = _letter(lam, word[j]).conj().T if adjoint else _letter(lam, word[j])
-            i, o = dims[j], math.isqrt(m.shape[0])
-            before, after = math.prod(dims[:j]), math.prod(dims[j + 1:])
-            # axes (rows before, row j, rows after + columns before, column j, columns after + stack)
-            y = x.reshape(before, i, after * before, i, after * math.prod(stack))
-            y = y.transpose(0, 2, 4, 3, 1).reshape(-1, i * i) @ m.T
-            x = y.reshape(before, after * before, -1, o, o).transpose(0, 4, 1, 3, 2)
-            dims[j] = o
+        x, n, stack = np.asarray(op), len(word), np.shape(op)[2:]
+        kraus = [_kraus(lam, letter) for letter in word]
+        kraus = [k.conj().transpose(0, 2, 1) for k in kraus] if adjoint else kraus
+        dims = [k.shape[2] for k in kraus]
+        x = x.reshape(dims + dims + list(stack))  # axes (rows, columns, stack) between sites
+        for j in sorted(range(n), key=lambda j: kraus[j].shape[1] - kraus[j].shape[2]):
+            order = [j] + [a for a in range(x.ndim) if a not in (j, n + j)] + [n + j]  # row j first, column j last
+            x = x.transpose(order)
+            rest, i, o = x.shape[1:-1], dims[j], kraus[j].shape[1]
+            y, x = x.reshape(i, -1), np.empty((o, x.size // (i * i), o), dtype=complex)
+            for m, (k, k_bar) in enumerate(zip(kraus[j], kraus[j].conj())):
+                for b in range(0, o, i):
+                    rows, image = x[b:b + i].reshape(-1, o), (k[b:b + i] @ y).reshape(-1, i)
+                    if m:
+                        rows += image @ k_bar.T
+                    else:
+                        np.matmul(image, k_bar.T, out=rows)
+            dims[j], x = o, x.reshape((o,) + rest + (o,)).transpose([order.index(a) for a in range(len(order))])
         x = x.reshape((math.prod(dims),) * 2 + stack)
-        if out is None:
-            out = x
-        else:
-            out += x
+        out = x if out is None else np.add(out, x, out=out)
     out /= len(terms)
     return out
 
@@ -213,7 +209,7 @@ def _hermitian_frame(d: int) -> np.ndarray:
 def _frame_descents(lam: Isometry) -> tuple[np.ndarray, np.ndarray]:
     """``(Lr, Rr)``, ``Lr[i, j] = Tr[E_i L(E_j)]``, kept on the isometry; row 0 is ``e_0``, as L keeps the trace."""
     frame = _hermitian_frame(lam.d)
-    return lam._derive("frame-descents", lambda: tuple((frame.conj().T @ _letter(lam, letter) @ frame).real.copy()
+    return lam._derive("frame-descents", lambda: tuple((frame.conj().T @ _gram(_kraus(lam, letter)) @ frame).real.copy()
                                                        for letter in "LR"))
 
 
@@ -300,8 +296,7 @@ def descend_channels(lam: Isometry) -> DescendChannels:
     child; both are CPT with Kraus operators sliced out of the isometry:
     ``t[:, k, :]`` for left, ``t[k, :, :]`` for right.
     """
-    left = Channel(lam.d, 1, 1, _letter(lam, "L"))
-    right = Channel(lam.d, 1, 1, _letter(lam, "R"))
+    left, right = (Channel(lam.d, 1, 1, _gram(_kraus(lam, letter))) for letter in "LR")
     return DescendChannels(left, right, Channel(lam.d, 1, 1, (left.matrix + right.matrix) / 2.0))
 
 

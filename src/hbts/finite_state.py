@@ -13,20 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import (
-    DensityOp,
-    Isometry,
-    Observable,
-    TopTensor,
-    _Value,
-    _budget,
-    _frozen_complex,
-    _integer,
-    _sizes,
-    partial_trace,
-    require_isometry,
-    require_top,
-)
+from .tensor_core import (DensityOp, Isometry, Observable, TopTensor, _Value, _budget, _frozen_complex, _integer,
+                          _shown, _sizes, partial_trace, require_isometry, require_top)
 from . import channels as ch
 
 DEFAULT_MAX_AMPLITUDES = 1 << 16
@@ -57,7 +45,7 @@ def build_state(lam: Isometry, c: TopTensor, n: int, max_amplitudes: int = DEFAU
     budget = _integer(max_amplitudes, "max_amplitudes", 1)
     # _budget refuses d^(2^n) by its size alone for every n >= bits(budget) + 1, so capping the exponent there
     # keeps its message and never builds 2 ** n of a huge n
-    _budget("depth %d needs d^(2^n) amplitudes: %d^(2^%d)" % (n, d, n), d,
+    _budget("depth %s needs d^(2^n) amplitudes: %d^(2^%s)" % (_shown(n), d, _shown(n)), d,
             2 ** min(n, budget.bit_length() + 1), budget)
     v = lam.v  # (l1 l2) x u
     amp = np.array(c.c, dtype=complex).reshape(-1)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import KernelNotFoundError, ValidationError
-from .tensor_core import (DensityOp, Isometry, _Value, _budget, _integer, _sizes, _tolerance, hermitian_part,
+from .tensor_core import (DensityOp, Isometry, _Value, _budget, _integer, _shown, _sizes, _tolerance, hermitian_part,
                           numerical_rank, require_isometry, svd_rank)
 from . import channels as ch
 from . import thermo
@@ -143,7 +143,8 @@ def build_interaction(
 def _require_ring(hs: HamiltonianSpec, N: int, max_dim: int) -> int:
     """N as an int, refused unless it is an integer, the ring hosts the term and d^N fits the integer budget."""
     N = _integer(N, "the ring size N for a %d-site interaction" % hs.nu, hs.nu)
-    _budget("a ring of %d sites has dimension d^N = %d^%d" % (N, hs.d, N), hs.d, N, _integer(max_dim, "max_dim", 1))
+    _budget("a ring of %s sites has dimension d^N = %d^%s" % (_shown(N), hs.d, _shown(N)), hs.d, N,
+            _integer(max_dim, "max_dim", 1))
     return N
 
 

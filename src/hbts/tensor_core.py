@@ -50,6 +50,14 @@ def hermitian_part(mat: np.ndarray, what: str) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
 
 
+def _shown(value) -> str:
+    """repr of value for a message, or ``~10^k`` for an int too long for a decimal string."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "~%s10^%d" % ("-" if value < 0 else "", math.log10(abs(value)))
+
+
 def _integer(value, what: str, low: int, high: int | None = None) -> int:
     """value as an int in [low, high] (no upper bound without high), else ValueError naming what;
     by operator.index, so numpy integers pass but 2.0 and a bool do not."""
@@ -58,9 +66,9 @@ def _integer(value, what: str, low: int, high: int | None = None) -> int:
     except TypeError:
         n = None
     if n is None or n < low:
-        raise ValueError("%s must be an integer >= %d, got %r" % (what, low, value))
+        raise ValueError("%s must be an integer >= %d, got %s" % (what, low, _shown(value)))
     if high is not None and n > high:
-        raise ValueError("%s must be an integer <= %d, got %r" % (what, high, value))
+        raise ValueError("%s must be an integer <= %d, got %s" % (what, high, _shown(value)))
     return n
 
 
@@ -88,10 +96,10 @@ def _budget(what: str, base: int, exponent: int, budget: int) -> int:
     before it is built, as "<what>, budget is <budget>" with no ``required``: no check builds or prints a huge integer.
     """
     if (base.bit_length() - 1) * exponent > 2 * budget.bit_length():
-        raise ResourceLimitError("%s, budget is %d" % (what, budget))
+        raise ResourceLimitError("%s, budget is %s" % (what, _shown(budget)))
     power = base ** exponent
     if power > budget:
-        raise ResourceLimitError("%s = %d, budget is %d" % (what, power, budget), required=power)
+        raise ResourceLimitError("%s = %s, budget is %s" % (what, _shown(power), _shown(budget)), required=power)
     return power
 
 
@@ -133,10 +141,10 @@ class Isometry(_Value):
     """One-site-into-two embedding, stored as the d^2 x d matrix ``v``.
 
     What library computations read, derived from ``v``, is kept in a private
-    memo on the instance (see :meth:`_derive`): the letters' Kraus stacks and
-    matrices, the frame descents, the infinite-depth states (the fixed point,
-    rho2, eta, rho2 - eta, the three- and four-site states), the sector matrix
-    and each sector block's cluster structure.  It holds no dense channel.
+    memo on the instance (see :meth:`_derive`): the letters' Kraus stacks, the
+    frame descents, the infinite-depth states (the fixed point, rho2, eta,
+    rho2 - eta, the three- and four-site states), the sector matrix and each
+    sector block's cluster structure.  It holds no dense map of a letter or word.
     ``v`` is read-only, so no entry goes stale.
     """
 

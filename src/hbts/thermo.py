@@ -46,15 +46,15 @@ def single_site_infinity(lam: Isometry) -> FixedPointResult:
     On the traceless frame coordinates the channel is ``D = (Lr + Rr)[1:, 1:]/2`` (row 0 is ``e_0``: descent
     keeps the trace).  It is mixing when no eigenvalue of D has modulus within ``TAU_SPEC`` of 1; otherwise it
     is refused, with multiplicity 1 plus the eigenvalues of D within ``TAU_SPEC`` of 1.  The state is then one
-    solve of ``(L + R)/2 x = x`` on the letter matrices, the trace equation replacing the redundant one for
-    ``x[0, 0]``, which keeps a product tree's state exact; it must meet its equation within ``TAU_FIX``.
+    solve of ``(L + R)/2 x = x`` on the Grams of the descents' Kraus stacks (kept by no one), the trace equation
+    replacing the redundant one for ``x[0, 0]``, which keeps a product tree's state exact; within ``TAU_FIX``.
     """
 
     def build():
         lr, rr = ch._frame_descents(lam)
         _refuse_unless_mixing([(lr[1:, 1:] + rr[1:, 1:]) / 2.0], "averaged descend channel", "the traceless part")
         n = lam.d ** 2
-        system = (ch._letter(lam, "L") + ch._letter(lam, "R")) / 2.0 - np.eye(n)
+        system = (ch._gram(ch._kraus(lam, "L")) + ch._gram(ch._kraus(lam, "R"))) / 2.0 - np.eye(n)
         system[0] = ch.vec(np.eye(lam.d))
         state = DensityOp(lam.d, 1, ch.unvec(np.linalg.solve(system, np.eye(n)[0]), lam.d))
         residual = float(np.abs(ch._local(lam, (state.matrix, "L"), (state.matrix, "R")) - state.matrix).max())

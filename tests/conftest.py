@@ -147,7 +147,7 @@ def power_iteration_fixed_point(superop, dim, tol=1e-12, max_iter=100_000, seed=
 def growth_channel(lam):
     """Reference dense growth channel, one site to two: rho -> v rho v^dag."""
     tc.require_isometry(lam)
-    return ch.Channel(lam.d, 1, 2, ch._letter(lam, "g"))
+    return ch.Channel(lam.d, 1, 2, ch._gram(ch._kraus(lam, "g")))
 
 
 def adjoint(channel):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -201,12 +202,13 @@ class TestKrausForm:
     def test_words_map_a_stack_as_each_operator_alone(self, d):
         lam = tc.random_isometry(d, 4)
         rng = np.random.default_rng(d)
-        for word in WORDS:
-            dim = d ** len(word)
+        for word, adjoint in itertools.product(WORDS, (False, True)):
+            dim = d ** (len(word) + adjoint * word.count("g"))  # the dual takes the word's output
             ops = rng.standard_normal((dim, dim, 3)) + 1j * rng.standard_normal((dim, dim, 3))
-            stacked = ch._local(lam, (ops, word))
+            stacked = ch._local(lam, (ops, word), adjoint=adjoint)
             for s in range(ops.shape[2]):
-                assert np.abs(stacked[..., s] - ch._local(lam, (ops[..., s], word))).max() < 1e-14, word
+                alone = ch._local(lam, (ops[..., s], word), adjoint=adjoint)
+                assert np.abs(stacked[..., s] - alone).max() < 1e-14, (word, adjoint)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_words_preserve_trace_and_hermiticity_at_d4(self, seed):
@@ -505,8 +507,8 @@ def test_only_channels_forms_dense_two_site_superoperators(monkeypatch, tmp_path
 
     gram = ch._gram
 
-    def one_site_gram(stack):  # the letters of the isometries below (d = 2, 3) are the only maps built dense
-        return gram(stack) if stack.shape[2] in (2, 3) else refuse()
+    def one_site_gram(stack):  # the L and R stacks of the isometries below (d = 2, 3) are the only maps built dense
+        return gram(stack) if stack.shape in ((2, 2, 2), (3, 3, 3)) else refuse()
 
     monkeypatch.setattr(ch, "_gram", one_site_gram)
     monkeypatch.setattr(ch, "pair_descend_channel", refuse)

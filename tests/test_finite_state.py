@@ -70,6 +70,14 @@ class TestBuildState:
         assert err.value.required is None
         assert str(err.value) == "depth %d needs d^(2^n) amplitudes: 2^(2^%d), budget is 65536" % (n, n)
 
+    def test_a_depth_past_the_decimal_string_limit_is_refused_on_the_budget(self, bundled_lam, diag_top):
+        # 10^5000 has more digits than Python converts to a string, so the refusal gives its order of magnitude
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as err:
+            fs.build_state(bundled_lam, diag_top, 10 ** 5000)
+        assert str(err.value) == "depth ~10^5000 needs d^(2^n) amplitudes: 2^(2^~10^5000), budget is 65536"
+        assert time.perf_counter() - start < 0.05
+
 
 class TestReducedAvg:
     def test_bell_single_site(self, bundled_lam, diag_top):

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -160,6 +161,17 @@ class TestAssemble:
     def test_budget(self, paper_interaction):
         with pytest.raises(ResourceLimitError, match=r"dimension d\^N = 2\^16 = 65536, budget is 4096"):
             ph.assemble(paper_interaction, 16)
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_a_ring_past_the_decimal_string_limit_is_refused_on_the_budget(self, bundled_lam, paper_interaction, check):
+        # 10^5000 has more digits than Python converts to a string, so the refusal gives its order of magnitude
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"^a ring of ~10\^5000 sites has dimension d\^N = 2\^~10\^5000, "):
+            if check:
+                ph.grown_subspace_check(bundled_lam, paper_interaction, 10 ** 5000)
+            else:
+                ph.assemble(paper_interaction, 10 ** 5000)
+        assert time.perf_counter() - start < 0.05
 
     def test_embedding_matches_explicit_kron(self):
         rng = np.random.default_rng(4)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -271,6 +272,15 @@ class TestIntegerSizes:
                             nu_in=np.int8(1), nu_out=np.uint16(1))
         for field in SIZE_FIELDS[kind]:
             assert type(getattr(value, field)) is int
+
+    def test_an_integer_past_the_decimal_string_limit_is_refused_by_its_order_of_magnitude(self):
+        # 10^5000 has more digits than Python converts to a string
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^tree depth n must be an integer >= 1, got ~-10\^5000$"):
+            tc._integer(-10 ** 5000, "tree depth n", 1)
+        with pytest.raises(ValueError, match=r"^tree depth n must be an integer <= 3, got ~10\^5000$"):
+            tc._integer(10 ** 5000, "tree depth n", 1, 3)
+        assert time.perf_counter() - start < 0.05
 
     @pytest.mark.parametrize("case", sorted(SIZE_ARGUMENTS))
     def test_float_bool_or_small_size_argument_is_refused_by_name(self, case):

@@ -142,6 +142,15 @@ class TestTwoSite:
         assert out.returncode == 0, out.stderr[-2000:]
         assert out.stdout.split() == ["2"]
 
+    def test_two_site_report_at_d16_fits_in_320_mib(self, tmp_path):
+        # the dense growth map of d = 16 alone is a 4096 x 4096 Gram and a 65536 x 256 matrix (256 MiB each);
+        # growth through v keeps every array of the report within a few d^4
+        path = str(tmp_path / "iso16.json")
+        tc.save_isometry(tc.random_isometry(16, 0), path)
+        out = run_capped(["-m", "hbts", "thermo", "--isometry", path, "--nu", "2"], 320 << 20)
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert json.loads(out.stdout)["nu"] == 2
+
 
 @pytest.mark.parametrize("kind, arg", [("paper", None), ("product", 2), ("product", 3)]
                          + [(d, seed) for d in (2, 3, 4, 5) for seed in range(3)])
@@ -346,6 +355,7 @@ class TestPerIsometryMemo:
         _derive_everything(lam)
         co.exponent_spectrum(lam)
         assert not [key for key, value in lam._memo.items() if isinstance(value, (ch.Channel, ch.DescendChannels))]
+        assert not [key for key in lam._memo if key.startswith("letter-")]  # each letter is kept as its Kraus stack
         for fn in (ch.descend_channels, ch.pair_descend_channel):
             first, second = fn(lam), fn(lam)
             assert first is not second, fn.__name__
