@@ -3,8 +3,9 @@
 The connected correlator of an infinite tree at distance 2^m is the trace of the observable pair against
 the m-th pair-descend image of the difference between the true two-site state and its classical (product
 of marginals) counterpart.  Exponents are base-2 logs of the eigenvalues of the pair-descend adjoint's
-sector blocks.  One cluster structure per block, from its one eig and kept on the isometry, gives both the
-spectrum and the exact split of a correlator series into powers of those eigenvalues.
+sector blocks.  One spectral structure per isometry, from one eig per block and one clustering of all their
+eigenvalues, kept on the isometry as read-only arrays, gives both the spectrum and the exact split of a
+correlator series into powers of those eigenvalues.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .tensor_core import TAU_RANK, Isometry, Observable, _frozen_complex, _integer
+from .tensor_core import TAU_RANK, Isometry, Observable, _integer
 from . import channels as ch
 from . import thermo
 
@@ -153,31 +154,23 @@ def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
-def _resolve_cluster(matrix: np.ndarray, kappa: complex, algebraic: int) -> tuple:
-    """(kappa, algebraic, geometric, null vectors) of a cluster from the SVD of matrix - kappa I (real if kappa is)."""
-    _, s, vh = np.linalg.svd(matrix - (kappa if kappa.imag else kappa.real) * np.eye(matrix.shape[0]))
-    geometric = int(np.count_nonzero(s <= TAU_RANK * (s[0] if s[0] > 0 else 1.0)))
-    return kappa, algebraic, geometric, [vh[-1 - k].conj() for k in range(geometric)]
-
-
-def _canonical(out: list) -> list:
-    """Clusters with exact conjugate pairs and real axis, sorted by |kappa| descending.
+def _canonical(kappas: np.ndarray, algebraic: np.ndarray) -> tuple:
+    """(snapped, order): the kappas of clusters with these algebraic multiplicities made exact, and their order.
 
     The channels here preserve Hermiticity, so their spectra are closed
     under conjugation: two clusters that are conjugate to CLUSTER_TOL get
     exactly conjugate kappas, and a cluster within CLUSTER_TOL of the real
     axis with no conjugate partner is real, with imaginary part +0.0 (so
     log kappa of a negative kappa is +i pi whatever the sign of the
-    roundoff).  Moduli that agree to CLUSTER_TOL are ordered by Re kappa,
-    then Im kappa, descending, so the order does not hang on the last bit.
+    roundoff).  The order is by |kappa| descending; moduli that agree to
+    CLUSTER_TOL are ordered by Re kappa, then Im kappa, descending, so the
+    order does not hang on the last bit.
     """
-    kappas = np.array([item[0] for item in out], dtype=complex)
-    alg = np.array([item[1] for item in out])
     i, j, dist = _near(kappas, kappas.conj(), CLUSTER_TOL)  # |kappa_j - conj kappa_i| within CLUSTER_TOL
     nearest = np.lexsort((j, dist, i))  # each i's nearest j first, the lowest j of a tie
     i, j = i[nearest], j[nearest]
     first = np.diff(i, prepend=-1) > 0
-    upper, lower = (a[first & (kappas.imag[i] > CLUSTER_TOL) & (alg[j] == alg[i])] for a in (i, j))
+    upper, lower = (a[first & (kappas.imag[i] > CLUSTER_TOL) & (algebraic[j] == algebraic[i])] for a in (i, j))
     snapped = kappas.copy()
     snapped[upper] = (kappas[upper] + kappas[lower].conj()) / 2.0
     snapped[lower] = snapped[upper].conj()
@@ -187,91 +180,111 @@ def _canonical(out: list) -> list:
     modulus = np.hypot(snapped.real, snapped.imag)
     order = np.argsort(-modulus, kind="stable")
     runs = np.cumsum(np.diff(modulus[order], prepend=modulus[order[:1]]) < -CLUSTER_TOL)
-    order = order[np.lexsort((-snapped[order].imag, -snapped[order].real, runs))]
-    values = snapped.tolist()
-    return [(values[k],) + out[k][1:] for k in order.tolist()]
+    return snapped, order[np.lexsort((-snapped[order].imag, -snapped[order].real, runs))]
 
 
-def _eig_structure(matrix: np.ndarray, evals: np.ndarray, evecs: np.ndarray) -> list:
-    """(kappa, algebraic, geometric, null vectors) per eigenvalue cluster of matrix, in the order of _canonical.
+def _lower_members(kappa: np.ndarray) -> list:
+    """The clusters whose kappa, with Im < 0, is the exact conjugate of the one before: the lower members of the
+    conjugate pairs, which :func:`_canonical` lists right after their upper members."""
+    return (np.flatnonzero((kappa.imag[1:] < 0) & (kappa[1:] == kappa[:-1].conj())) + 1).tolist()
 
-    The eigendecomposition ``evals, evecs`` gives the clusters (:func:`_cluster`).  A simple eigenvalue is its
-    own kappa, with geometric multiplicity 1 and its eigenvector as null vector; a cluster of two or more goes
-    to :func:`_resolve_cluster`.
+
+def _shifted_svd(matrix: np.ndarray, kappa: complex, power: int = 1) -> tuple:
+    """(rank deficit, right singular vectors) of (matrix - kappa)^power, in real arithmetic if kappa is real; the
+    deficit counts the singular values within TAU_RANK of zero, relative to the largest."""
+    shifted = matrix - (kappa if kappa.imag else kappa.real) * np.eye(len(matrix))
+    _, s, vh = np.linalg.svd(np.linalg.matrix_power(shifted, power))
+    return int(np.count_nonzero(s <= TAU_RANK * (s[0] if s[0] > 0 else 1.0))), vh
+
+
+def _spectral_structure(matrix: np.ndarray, blocks: Sequence[slice], copies: Sequence[int]) -> tuple:
+    """The eigenvalue clusters of a real block upper-triangular matrix whose distinct diagonal blocks are
+    ``matrix[where, where]`` for ``where`` in blocks, each on the diagonal ``copies`` times.
+
+    Returns (kappa, algebraic, geometric, bases, columns, offsets, in_block): per cluster c, in the order of
+    :func:`_canonical`, its kappa and multiplicities; per block s, its eig vectors ``bases[s]``, of which c holds
+    the columns ``columns[s][offsets[s, c]:offsets[s, c + 1]]``, and ``in_block[s, c]``, the block's eigenvectors
+    in c.  One eig per block, one :func:`_cluster` over all their eigenvalues and one :func:`_canonical`; a
+    cluster's kappa is the mean of its eigenvalues, each counted once per copy of its block.  One eigenvalue is
+    simple in each copy.  Two or more in one block hold the null vectors of an SVD of the block minus kappa, last
+    first, or if they are defective their generalized eigenspace; in the lower member of a conjugate pair, the
+    conjugate columns of the upper one.  A cluster that blocks share takes its geometric multiplicity from the
+    SVD of the whole matrix minus kappa.
     """
-    values, vectors = evals.astype(complex).tolist(), list(evecs.T)
-    return _canonical([(values[m[0]], 1, 1, [vectors[m[0]]]) if len(m) == 1 else
-                       _resolve_cluster(matrix, complex(np.mean(evals[m])), len(m))
-                       for m in _cluster(evals, CLUSTER_TOL)])
+    eigs = [np.linalg.eig(matrix[where, where]) for where in blocks]
+    sizes = [len(evals) for evals, _ in eigs]
+    values = np.concatenate([evals for evals, _ in eigs], dtype=complex)
+    weight = np.repeat(copies, sizes)
+    clusters = _cluster(values, CLUSTER_TOL)
+    label = np.empty(len(values), dtype=int)
+    label[[k for m in clusters for k in m]] = [c for c, m in enumerate(clusters) for _ in m]
+    total = np.bincount(label, weight)
+    mean = (np.bincount(label, weight * values.real) + 1j * np.bincount(label, weight * values.imag)) / total
+    snapped, order = _canonical(mean, total.astype(int))
+    n, start = len(order), np.cumsum([0] + sizes)
+    key = np.repeat(np.arange(len(blocks)) * n, sizes) + np.argsort(order)[label]  # (block, cluster) of each value
+    columns = np.argsort(key, kind="stable")
+    offsets = key[columns].searchsorted(np.arange(len(blocks))[:, None] * n + np.arange(n + 1)) - start[:-1, None]
+    columns = tuple(columns[a:b] - a for a, b in zip(start[:-1], start[1:]))
+    bases = tuple(vectors.astype(complex, copy=False) for _, vectors in eigs)
+    kappa, count = snapped[order], np.diff(offsets)
+    in_block, degenerate = count.copy(), np.argwhere(count > 1).tolist()
+    lower = set(_lower_members(kappa)) if degenerate else set()
+    for s, c in degenerate:  # by cluster within a block: a pair's upper member first
+        cols, block = columns[s][offsets[s, c]:offsets[s, c + 1]], matrix[blocks[s], blocks[s]]
+        if c in lower and count[s, c - 1] == count[s, c]:
+            in_block[s, c] = in_block[s, c - 1]
+            bases[s][:, cols] = bases[s][:, columns[s][offsets[s, c - 1]:offsets[s, c]]].conj()
+            continue
+        in_block[s, c], vh = _shifted_svd(block, kappa[c])
+        if in_block[s, c] < count[s, c]:
+            vh = _shifted_svd(block, kappa[c], count[s, c])[1]
+        bases[s][:, cols] = vh[::-1][:count[s, c]].conj().T
+    geometric = np.asarray(copies) @ in_block
+    for c in np.flatnonzero(np.count_nonzero(count, axis=0) > 1).tolist():
+        geometric[c] = _shifted_svd(matrix, kappa[c])[0]
+    return kappa, total[order].astype(int), geometric, bases, columns, offsets, in_block
 
 
-def _cluster_terms(matrix: np.ndarray, structure: list, x: np.ndarray, u: np.ndarray, m_values: Sequence[int]) -> list:
-    """(kappa, algebraic, geometric, coefficient, terms) per cluster c of matrix, in the order of _canonical.
-
-    matrix is a real block A and structure its :func:`_eig_structure`, which this reads and does not derive; x and
-    the rows of u (a block's Hermitian and anti-Hermitian parts) are real.
-    On A's cluster bases V, u^T (A^T)^m x = sum_c p_c^T J_c^m w_c, p = V^T x and w = V^-1 (u[0] + i u[1]): V_c holds
-    eigenvectors and J_c = kappa, or for a defective cluster the generalized eigenspace (last right singular vectors
-    of (A - kappa)^algebraic) and J_c = A on it.  As a pair's lower member k has V_k = conj V_j and a real cluster a
-    real V_c, p and each part's w take on k their conjugate on j, and on a real cluster their real part.
-    """
-    eye = np.eye(len(matrix))
-    bases = [np.stack(null, axis=1) if geo == alg else
-             np.linalg.svd(np.linalg.matrix_power(matrix - (kappa if kappa.imag else kappa.real) * eye,
-                                                  alg))[2][-alg:].conj().T
-             for kappa, alg, geo, null in structure]
-    index = {kappa: k for k, (kappa, *_) in enumerate(structure)}  # _canonical makes pairs exactly conjugate
-    upper = {k: index[kappa.conjugate()] for k, (kappa, *_) in enumerate(structure)
-             if kappa.imag < 0 and kappa.conjugate() in index}
-    bases = [bases[upper[k]].conj() if k in upper else b for k, b in enumerate(bases)]
-    ends = np.cumsum([alg for _, alg, _, _ in structure]).tolist()
-    cols = [slice(end - alg, end) for end, (_, alg, _, _) in zip(ends, structure)]
-    vectors = np.concatenate(bases, axis=1)
-    factors = np.column_stack([vectors.T @ x, np.linalg.solve(vectors, u.T)])  # p, then w of each part
-    out = []
-    for k, ((kappa, alg, geo, _), basis, c) in enumerate(zip(structure, bases, cols)):
-        if k in upper:  # the upper member's factors are never changed
-            factors[c] = factors[cols[upper[k]]].conj()
-        elif not kappa.imag:
-            factors[c] = factors[c].real
-        p, w = factors[c, 0], factors[c, 1] + 1j * factors[c, 2]
-        if geo == alg:
-            terms = (p @ w) * kappa ** np.array(m_values)
-        else:
-            j = np.linalg.solve(vectors, matrix @ basis)[c]
-            terms = np.array([p @ np.linalg.matrix_power(j, m) @ w for m in m_values])
-        out.append((kappa, alg, geo, complex(p @ w), terms))
-    return out
-
-
-def _sector_eig(lam: Isometry, where: slice) -> list:
-    """:func:`_eig_structure` of the diagonal block [where, where] of the sector matrix of lam, from its one eig;
-    kept on the isometry, read-only, so no reader clusters the block or resolves its clusters again."""
-    block = ch._sector_matrix(lam)[where, where]
-    return lam._derive("sector-structure-%d" % where.start,
-                       lambda: _eig_structure(block, *map(_frozen_complex, np.linalg.eig(block))))
-
-
-def _sector_structure(lam: Isometry) -> list:
-    """(kappa, algebraic, geometric) per cluster of the pair-descend adjoint A, in the order of _canonical.
+def _sector_structure(lam: Isometry) -> tuple:
+    """The :func:`_spectral_structure` of the pair-descend adjoint A, kept on the isometry, read-only.
 
     In the basis of :func:`channels._sector_basis`, A is real and block upper-triangular with diagonal blocks
-    1, D, D, A_sym, A_anti (D: the averaged descend adjoint on traceless operators), and each small block's
-    cluster structure is kept (:func:`_sector_eig`).  Clusters shared by sectors are resolved on the whole matrix.
+    1, D, D, A_sym, A_anti (D: the averaged descend adjoint on traceless operators).
     """
-    b = ch._sector_matrix(lam)
     _, sectors = ch._sector_basis(lam.d)
-    items = [(kappa, alg * len(copies), geo * len(copies)) for copies in sectors
-             for kappa, alg, geo, _ in _sector_eig(lam, copies[0])]
-    entries = []
-    for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):
-        if len(members) > 1:
-            alg = sum(items[k][1] for k in members)
-            kappa = complex(sum(items[k][0] * items[k][1] for k in members) / alg)
-            entries.append(_resolve_cluster(b, kappa, alg)[:3])
-        else:
-            entries.append(items[members[0]])
-    return _canonical(entries)
+    return lam._derive("spectral-structure", lambda: _spectral_structure(
+        ch._sector_matrix(lam), [copies[0] for copies in sectors], [len(copies) for copies in sectors]))
+
+
+def _cluster_terms(matrix: np.ndarray, structure: tuple, s: int, x: np.ndarray, u: np.ndarray,
+                   m_values: Sequence[int]) -> tuple:
+    """(coefficient, terms): per cluster c, the weight of kappa_c^m in u^T (A^T)^m x and its term at each of
+    m_values, zero where A, the real diagonal block s of the :func:`_spectral_structure`, does not hold c.
+
+    x and the rows of u (a block's Hermitian and anti-Hermitian parts) are real.  On A's cluster bases V,
+    u^T (A^T)^m x = sum_c p_c^T J_c^m w_c, p = V^T x and w = V^-1 (u[0] + i u[1]): J_c = kappa_c, or for a
+    defective cluster J_c = A on its generalized eigenspace.  As a pair's lower member k has V_k = conj V_j and
+    a real cluster a real V_c, p and each part's w take on k their conjugate on j, and on a real cluster their
+    real part.
+    """
+    kappa, _, _, bases, columns, offsets, in_block = structure
+    basis, columns, offsets, count = bases[s], columns[s], offsets[s], np.diff(offsets[s])
+    factors = np.column_stack([basis.T @ x, np.linalg.solve(basis, u.T)])[columns]  # p, then w of each part
+    for k in _lower_members(kappa):  # the upper member's factors are never changed
+        if count[k] == count[k - 1]:
+            factors[offsets[k]:offsets[k + 1]] = factors[offsets[k - 1]:offsets[k]].conj()
+    real = np.repeat(kappa.imag == 0, count)
+    factors[real] = factors[real].real
+    p, w = factors[:, 0], factors[:, 1] + 1j * factors[:, 2]
+    label, pw = np.repeat(np.arange(len(kappa)), count), p * w
+    coefficient = np.bincount(label, pw.real, len(kappa)) + 1j * np.bincount(label, pw.imag, len(kappa))
+    terms = coefficient[:, None] * kappa[:, None] ** np.array(m_values)
+    for c in np.flatnonzero(in_block[s] < count).tolist():
+        rows = slice(offsets[c], offsets[c + 1])
+        j = np.linalg.solve(basis, matrix @ basis[:, columns[rows]])[columns[rows]]
+        terms[c] = [p[rows] @ np.linalg.matrix_power(j, m) @ w[rows] for m in m_values]
+    return coefficient, terms
 
 
 def _log2_or_none(kappas: Sequence[complex]) -> list:
@@ -283,15 +296,11 @@ def _log2_or_none(kappas: Sequence[complex]) -> list:
 
 
 def exponent_spectrum(lam: Isometry) -> SpectrumReport:
-    """Eigenvalues and multiplicities of the pair-descend adjoint, sorted by |kappa| descending.
-
-    Computed sector by sector (:func:`_sector_structure`); a geometric
-    multiplicity below the algebraic one is Jordan structure.
-    """
-    structure = _sector_structure(lam)
-    entries = tuple(SpectrumEntry(kappa, exponent, alg, geo) for (kappa, alg, geo), exponent
-                    in zip(structure, _log2_or_none([kappa for kappa, _, _ in structure])))
-    return SpectrumReport(d=lam.d, entries=entries, diagonalizable=all(e.algebraic == e.geometric for e in entries))
+    """Eigenvalues and multiplicities of the pair-descend adjoint, sorted by |kappa| descending, from the kept
+    :func:`_sector_structure`; a geometric multiplicity below the algebraic one is Jordan structure."""
+    kappa, algebraic, geometric = _sector_structure(lam)[:3]
+    entries = tuple(map(SpectrumEntry, kappa.tolist(), _log2_or_none(kappa), algebraic.tolist(), geometric.tolist()))
+    return SpectrumReport(d=lam.d, entries=entries, diagonalizable=bool(np.array_equal(algebraic, geometric)))
 
 
 def powerlaw_check(
@@ -302,9 +311,9 @@ def powerlaw_check(
     """Correlator series over distances 2^m, split exactly into powers kappa^m.
 
     ``query`` is a CorrelatorQuery or a finite two-site block B; m_range holds integers >= 0, no bool or float.
-    rho2 - eta lies in K_sym + K_anti, where the pair-descend map is the transpose of the adjoint's blocks: each
-    block's kept cluster structure splits the series over its clusters (:func:`_cluster_terms`), merged where
-    blocks share one.  ``fitted_exponent`` is log2 of the largest |kappa| whose term exceeds CONTRIBUTION_TOL
+    rho2 - eta lies in K_sym + K_anti, where the pair-descend map is the transpose of the adjoint's blocks: the
+    kept structure splits the series over the clusters each block holds (:func:`_cluster_terms`), summed over
+    the two blocks.  ``fitted_exponent`` is log2 of the largest |kappa| whose term exceeds CONTRIBUTION_TOL
     times the series scale; ``log_corrections`` flags a defective cluster; ``is_eigenoperator`` tests B.
     """
     points = correlator_series(lam, query, m_range)
@@ -329,19 +338,20 @@ def powerlaw_check(
     bu = b @ u  # the adjoint applied to B
     kappa_est = complex(np.vdot(u, bu) / np.vdot(u, u))
     member = float(np.linalg.norm(bu - kappa_est * u)) <= EIGENOPERATOR_TOL * float(np.linalg.norm(u))
-    items = [item for (where,) in ch._sector_basis(lam.d)[1][2:] for item in
-             _cluster_terms(b[where, where], _sector_eig(lam, where), x[where], parts[:, where], m_values)]
-    clusters = []
-    for members in _cluster(np.array([item[0] for item in items]), CLUSTER_TOL):
-        alg, coefficient, terms = (sum(items[k][i] for k in members) for i in (1, 3, 4))
-        clusters.append((sum(items[k][0] * items[k][1] for k in members) / alg, alg, coefficient, terms))
-    clusters = _canonical(clusters)
-    contributing = [kappa for kappa, _, _, terms in clusters if np.abs(terms).max() > CONTRIBUTION_TOL * scale]
+    structure = _sector_structure(lam)
+    kappa, *_, offsets, in_block = structure
+    _, _, (sym,), (anti,) = ch._sector_basis(lam.d)[1]
+    split = [_cluster_terms(b[where, where], structure, s, x[where], parts[:, where], m_values)
+             for s, where in ((2, sym), (3, anti))]
+    coefficient, terms = (sum(part) for part in zip(*split))
+    held = np.flatnonzero(np.diff(offsets[2:]).any(axis=0))  # the clusters the K blocks hold
+    terms = terms[held]
+    contributing = kappa[held][np.abs(terms).max(axis=1) > CONTRIBUTION_TOL * scale].tolist()
     return CorrelatorSeries(
         points=tuple(points), prefactor=g,
         fitted_exponent=_log2_or_none([max(contributing, key=abs)])[0] if contributing else None,
         is_eigenoperator=member, kappa=kappa_est if member else None, degenerate=False,
-        log_corrections=any(geo < alg for _, alg, geo, _, _ in items),
-        decomposition=tuple((kappa, coefficient) for kappa, _, coefficient, _ in clusters),
-        residual=float(np.abs(sum(terms for *_, terms in clusters) - values).max()),
+        log_corrections=bool((in_block[2:] < np.diff(offsets[2:])).any()),
+        decomposition=tuple(zip(kappa[held].tolist(), coefficient[held].tolist())),
+        residual=float(np.abs(terms.sum(axis=0) - values).max()),
     )

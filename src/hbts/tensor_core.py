@@ -44,10 +44,14 @@ def hermitian_part(mat: np.ndarray, what: str) -> np.ndarray:
     """The exact Hermitian part of a square matrix, refused unless it is finite and Hermitian within TAU_HERM."""
     if not np.isfinite(mat).all():
         raise ValidationError("%s has a non-finite entry" % what)
-    herm = float(np.abs(mat - mat.conj().T).max())
+    # one full-size array, the adjoint: the deviation is taken over blocks of rows, then mat added in place
+    out, rows = np.conjugate(mat.T, order="C"), max(1, (1 << 16) // len(mat))
+    herm = max(float(np.abs(mat[k:k + rows] - out[k:k + rows]).max()) for k in range(0, len(mat), rows))
     if herm > TAU_HERM:
         raise ValidationError("%s not Hermitian: deviation %s" % (what, format_float(herm)))
-    return (mat + mat.conj().T) / 2.0
+    out += mat
+    out /= 2.0
+    return out
 
 
 def _shown(value) -> str:
@@ -143,8 +147,8 @@ class Isometry(_Value):
     What library computations read, derived from ``v``, is kept in a private
     memo on the instance (see :meth:`_derive`): the letters' Kraus stacks, the
     frame descents, the infinite-depth states (the fixed point, rho2, eta,
-    rho2 - eta, the three- and four-site states), the sector matrix and each
-    sector block's cluster structure.  It holds no dense map of a letter or word.
+    rho2 - eta, the three- and four-site states), the sector matrix and the
+    spectral structure of its blocks.  It holds no dense map of a letter or word.
     ``v`` is read-only, so no entry goes stale.
     """
 
@@ -375,7 +379,10 @@ def _load_entries(path: str, arity: int) -> tuple[int, np.ndarray]:
     MAX_FILE_ENTRIES array entries is refused before anything is allocated.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or an integer too long to convert
+            raise ShapeError("%s: %s" % (path, exc)) from None
     if not isinstance(doc, dict):
         raise ShapeError("%s: expected an object with keys d and entries" % path)
     d = doc.get("d")

@@ -74,9 +74,12 @@ def flip_isometry():
 
 
 def case_isometry(kind, arg):
-    """The bundled isometry ("paper"), product_isometry(arg) ("product") or random_isometry(kind, arg)."""
+    """The bundled isometry ("paper"), :func:`flip_isometry` ("flip"), product_isometry(arg) ("product") or
+    random_isometry(kind, arg)."""
     if kind == "paper":
         return tc.paper_isometry()
+    if kind == "flip":
+        return flip_isometry()
     if kind == "product":
         return tc.product_isometry(arg)
     return tc.random_isometry(kind, arg)
@@ -255,17 +258,52 @@ def dense_ring(hs, N):
     return sum(kron_embedding(hs.h_term, hs.d, hs.nu, N, start) for start in range(N)) / N
 
 
+def _whole(matrix):
+    """co._spectral_structure of a whole matrix, one block on the diagonal once."""
+    return co._spectral_structure(matrix, [slice(0, len(matrix))], [1])
+
+
+def _null_vectors(matrix, structure, s, c):
+    """The eigenvectors in cluster c of the diagonal block s, the matrix, of a co._spectral_structure: its kept
+    columns, or for a defective cluster the null vectors of the SVD of the matrix minus kappa."""
+    kappa, _, _, bases, columns, offsets, in_block = structure
+    cols = columns[s][offsets[s, c]:offsets[s, c + 1]]
+    if in_block[s, c] == len(cols):
+        return bases[s][:, cols]
+    return co._shifted_svd(matrix, kappa[c])[1][::-1][:in_block[s, c]].conj().T
+
+
 def spectral_structure(matrix):
     """(kappa, algebraic, geometric, null vectors) per eigenvalue cluster of a whole matrix, from its one
-    eigendecomposition (co._eig_structure)."""
-    return co._eig_structure(matrix, *np.linalg.eig(matrix))
+    eigendecomposition (co._spectral_structure)."""
+    s = _whole(matrix)
+    return [(kappa, alg, geo, list(_null_vectors(matrix, s, 0, c).T))
+            for c, (kappa, alg, geo) in enumerate(zip(*(a.tolist() for a in s[:3])))]
+
+
+def cluster_terms(matrix, x, u, m_values):
+    """co._cluster_terms of a whole real matrix as (kappa, algebraic, geometric, coefficient, terms) per cluster."""
+    s = _whole(matrix)
+    coefficient, terms = co._cluster_terms(matrix, s, 0, x, u, m_values)
+    return list(zip(*(a.tolist() for a in s[:3]), coefficient.tolist(), terms))
+
+
+def canonical(out):
+    """co._canonical of cluster entries (kappa, algebraic, ...): the entries in its order, with its kappas."""
+    snapped, order = co._canonical(np.array([e[0] for e in out], dtype=complex), np.array([e[1] for e in out]))
+    return [(snapped[k].item(),) + tuple(out[k][1:]) for k in order.tolist()]
 
 
 def full_exponent_structure(lam):
-    """Reference spectrum: (kappa, algebraic, geometric) per cluster of the whole d^4 x d^4
-    pair-descend adjoint, from one eigendecomposition and an SVD per degenerate cluster."""
+    """Reference spectrum: (kappa, algebraic, geometric) per cluster of the whole d^4 x d^4 pair-descend adjoint,
+    from one eigendecomposition, the loops :func:`loop_cluster` and :func:`loop_canonical` and an SVD per
+    degenerate cluster."""
     adj = adjoint(ch.pair_descend_channel(lam)).matrix
-    return [(kappa, alg, geo) for kappa, alg, geo, _ in spectral_structure(adj)]
+    evals = np.linalg.eigvals(adj)
+    clusters = loop_cluster(evals, co.CLUSTER_TOL)
+    kappas = [complex(np.mean(evals[m])) for m in clusters]
+    return loop_canonical((kappa, len(m), 1 if len(m) == 1 else co._shifted_svd(adj, kappa)[0])
+                          for kappa, m in zip(kappas, clusters))
 
 
 LIFT_TOL = 1e-12
@@ -293,41 +331,34 @@ def eager_spectrum(lam):
     """The eigenoperators of the pair-descend adjoint, which the library does not build: (kappa, algebraic,
     geometric, eigenoperators) per entry of co.exponent_spectrum, in its order.  The null vectors y of a sector's
     unshared clusters lift together to x = (x_low, y), (A_low,low - kappa) x_low = -A_low,block y (:func:`lift`,
-    with its own eig of D), and map back as one stack per sector copy; a shared cluster's come from the whole
-    matrix.  The invariant part below a sector is the unit for D and 1 + S+ + S- for K_sym and K_anti."""
+    with its own eig of D), and map back as one stack per sector copy; a shared cluster's come from the SVD of the
+    whole matrix.  The invariant part below a sector is the unit for D and 1 + S+ + S- for K_sym and K_anti."""
     b = ch._sector_matrix(lam)
     _, sectors = ch._sector_basis(lam.d)
     one_site = sectors[1][0]
     mu, w = (a.astype(complex) for a in np.linalg.eig(b[one_site, one_site]))
-    items = [(kappa, alg * len(copies), geo * len(copies), null, s) for s, copies in enumerate(sectors)
-             for kappa, alg, geo, null in co._sector_eig(lam, copies[0])]
-    entries, found = [], []  # found: (owners, coordinates) of eigenoperators; owner: an entry's first item
-    for members in co._cluster(np.array([item[0] for item in items]), co.CLUSTER_TOL):
-        if len(members) > 1:
-            alg = sum(items[k][1] for k in members)
-            kappa = complex(sum(items[k][0] * items[k][1] for k in members) / alg)
-            kappa, alg, geo, null = co._resolve_cluster(b, kappa, alg)
-            found.append(([members[0]] * geo, np.stack(null, axis=1)))
-            for k in members:
-                items[k] = (kappa, alg, geo, (), None)
-        entries.append(items[members[0]][:3] + (members[0],))
-    for s, copies in enumerate(sectors):
+    s = co._sector_structure(lam)
+    kappa, _, geometric, _, _, offsets, _ = s
+    held = np.diff(offsets) > 0
+    ops = [[] for _ in kappa]
+    for c in np.flatnonzero(held.sum(axis=0) > 1).tolist():
+        null = co._shifted_svd(b, kappa[c])[1][::-1][:geometric[c]].conj()
+        ops[c] += list(ch._from_frame(ch._from_sectors(null, lam.d)))
+    for k, copies in enumerate(sectors):
         low = slice(0, min(copies[0].start, sectors[2][0].start))
-        null = [(k, x) for k, item in enumerate(items) if item[4] == s for x in item[3]]
-        if not null:
+        own = [c for c in np.flatnonzero(held[k]).tolist() if held[:, c].sum() == 1]
+        if not own:
             continue
-        y, kappas = np.stack([x for _, x in null], axis=1), np.array([items[k][0] for k, _ in null])
+        null = [(c, y) for c in own for y in _null_vectors(b[copies[0], copies[0]], s, k, c).T]
+        y, kappas = np.stack([y for _, y in null], axis=1), kappa[[c for c, _ in null]]
         for where in copies:
             x = np.zeros((len(b), len(null)), dtype=complex)
             x[where] = y
             if low.stop:
                 x[low] = lift(b[low, low], -b[low, where] @ y, kappas, mu, w)
-            found.append(([k for k, _ in null], x))
-    ops = {entry[3]: [] for entry in entries}
-    for owners, x in found:
-        for k, op in zip(owners, ch._from_frame(ch._from_sectors(x.T, lam.d))):
-            ops[k].append(op)
-    return [entry[:3] + (ops[entry[3]],) for entry in co._canonical(entries)]
+            for (c, _), op in zip(null, ch._from_frame(ch._from_sectors(x.T, lam.d))):
+                ops[c].append(op)
+    return list(zip(*(a.tolist() for a in s[:3]), ops))
 
 
 def loop_cluster(values, tol):

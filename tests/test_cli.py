@@ -277,6 +277,17 @@ def test_huge_d_exits_two(tmp_path, capsys, flag):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("name, text", [("huge_d.json", '{"d": 1%s, "entries": []}' % ("0" * 5000)),
+                                        ("truncated.json", '{"d": 2,\n')], ids=["huge_d", "truncated"])
+def test_entry_file_json_refuses_is_named(tmp_path, capsys, name, text):
+    # a d of 5001 digits exceeds the integer conversion limit of json; the other file ends inside its object
+    path = tmp_path / name
+    path.write_text(text)
+    code, err = run_err(["thermo", "--isometry", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: %s: " % path) and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("value", ["NaN", "1e400"])
 def test_non_finite_observable_exits_two(tmp_path, capsys, value):
     path = tmp_path / "theta.json"

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from hbts import correlators as co
 from hbts import tensor_core as tc
 
 import conftest
-from conftest import (adjoint, apply, case_isometry, eager_spectrum, full_exponent_structure, level_states_reference,
-                      lift, loop_canonical, loop_cluster, rand_herm, run_capped, sector_matrix_reference,
-                      spectral_structure)
+from conftest import (adjoint, apply, canonical, case_isometry, cluster_terms, eager_spectrum, full_exponent_structure,
+                      level_states_reference, lift, loop_canonical, loop_cluster, rand_herm, run_capped,
+                      sector_matrix_reference, spectral_structure)
 
 
 class TestCorrelatorThermo:
@@ -260,7 +262,7 @@ def _bits(out):
 def assert_matches_the_loops(values):
     clusters = co._cluster(values, TOL)
     assert clusters == loop_cluster(values, TOL)
-    assert _bits(co._canonical(_as_entries(values, clusters))) == _bits(loop_canonical(_as_entries(values, clusters)))
+    assert _bits(canonical(_as_entries(values, clusters))) == _bits(loop_canonical(_as_entries(values, clusters)))
     return clusters
 
 
@@ -370,7 +372,7 @@ def test_real_negative_kappa_ignores_the_sign_of_roundoff(roundoff):
     assert abs(co._log2_or_none([kappa])[0] - complex(-1.0, np.pi / np.log(2.0))) < 1e-15
 
 
-SECTOR_CASES = [("paper", None), ("product", 2), ("product", 3)] + [
+SECTOR_CASES = [("paper", None), ("flip", None), ("product", 2), ("product", 3)] + [
     (d, seed) for d in (2, 3, 4) for seed in range(16)
 ]
 
@@ -600,20 +602,18 @@ def _kappa_bits(kappa):
 
 @pytest.mark.parametrize("kind, arg", DECOMPOSITION_CASES)
 def test_decomposition_kappas_are_the_spectrum_kappas(kind, arg):
-    # both read the one kept eig of each doubly traceless block; the spectrum alone also averages a cluster
-    # with the one-site (S+-) eigenvalues, as the bundled isometry's kappa = 0
+    # both read the one kept structure, whose clusters span the blocks: a cluster that a doubly traceless block
+    # shares with the one-site (S+-) eigenvalues, as the bundled isometry's kappa = 0, is one kappa in both
     lam = case_isometry(kind, arg)
     series = co.powerlaw_check(lam, rand_herm(np.random.default_rng(7), lam.d ** 2), range(21))
     if series.decomposition is None:  # a product tree
         return
     spectrum = {_kappa_bits(e.kappa) for e in co.exponent_spectrum(lam).entries}
-    where, _ = ch._sector_basis(lam.d)[1][1]  # the first copy of the one-site block D
-    one_site = np.linalg.eig(ch._sector_matrix(lam)[where, where])[0]
     for kappa, _ in series.decomposition:
-        assert _kappa_bits(kappa) in spectrum or np.abs(one_site - kappa).min() <= co.CLUSTER_TOL
+        assert _kappa_bits(kappa) in spectrum
 
 
-@pytest.mark.parametrize("kind, arg", [("paper", None), ("product", 2), ("product", 3)]
+@pytest.mark.parametrize("kind, arg", [("paper", None), ("flip", None), ("product", 2), ("product", 3), ("product", 4)]
                          + [(d, seed) for d in (2, 3, 4) for seed in range(3)])
 def test_eager_spectrum_is_the_library_spectrum_bit_for_bit(kind, arg):
     lam = case_isometry(kind, arg)
@@ -624,17 +624,55 @@ def test_eager_spectrum_is_the_library_spectrum_bit_for_bit(kind, arg):
 
 @pytest.mark.parametrize("kind, arg", [("paper", None), (3, 0), (4, 1)])
 def test_powerlaw_check_reuses_the_spectrum_eig(kind, arg, monkeypatch):
-    # the kept cluster structure: no eig, and no SVD of a degenerate cluster (the bundled isometry has three)
+    # the kept cluster structure: no eig, no SVD of a degenerate cluster (the bundled isometry has three) and no
+    # clustering or ordering of the clusters again
     lam = case_isometry(kind, arg)
     co.exponent_spectrum(lam)
-    for name in ("eig", "svd"):
+    for module, name in ((np.linalg, "eig"), (np.linalg, "svd"), (co, "_cluster"), (co, "_canonical")):
         def refuse(*args, name=name, **kwargs):
-            raise AssertionError("np.linalg.%s ran again" % name)
+            raise AssertionError("%s ran again" % name)
 
-        monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(module, name, refuse)
     series = co.powerlaw_check(lam, rand_herm(np.random.default_rng(7), lam.d ** 2), range(21))
     assert not series.degenerate
     assert series.residual <= 1e-12 * max(abs(v) for _, v in series.points)
+
+
+def test_a_spectrum_takes_one_eig_per_sector_block_and_one_clustering(monkeypatch):
+    calls = {"eig": 0, "_cluster": 0, "_canonical": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, count)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    for module, name in ((np.linalg, "eig"), (co, "_cluster"), (co, "_canonical")):
+        counted(module, name)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    co.exponent_spectrum(tc.random_isometry(3, 0))
+    assert calls == {"eig": 4, "_cluster": 1, "_canonical": 1}  # the blocks 1, D, K_sym and K_anti
+
+
+@pytest.mark.parametrize("kind, arg", [("paper", None), (3, 0)])
+def test_the_memo_keeps_one_read_only_spectral_structure(kind, arg):
+    lam = case_isometry(kind, arg)
+    co.exponent_spectrum(lam)
+    spectral = [key for key in lam._memo if "spectr" in key or "structure" in key]
+    assert spectral == ["spectral-structure"]
+    for kept in (lam, pickle.loads(pickle.dumps(lam))):
+        structure = kept._memo["spectral-structure"]
+        arrays = [a for field in structure for a in (field if isinstance(field, tuple) else (field,))]
+        # kappa, algebraic, geometric, each block's eig vectors and column order, offsets and in_block
+        assert len(arrays) == 3 + 2 * 4 + 2 and all(isinstance(a, np.ndarray) for a in arrays)
+        assert not any(a.flags.writeable for a in arrays)
+    assert co.exponent_spectrum(pickle.loads(pickle.dumps(lam))) == co.exponent_spectrum(lam)
 
 
 def test_jordan_cluster_terms_reproduce_the_series():
@@ -649,7 +687,7 @@ def test_jordan_cluster_terms_reproduce_the_series():
     x, u = rng.standard_normal(8), rng.standard_normal(8) + 1j * rng.standard_normal(8)
     m_values = range(21)
     series = np.array([u @ np.linalg.matrix_power(matrix, m) @ x for m in m_values])
-    terms = co._cluster_terms(matrix.T, spectral_structure(matrix.T), x, np.stack([u.real, u.imag]), m_values)
+    terms = cluster_terms(matrix.T, x, np.stack([u.real, u.imag]), m_values)
     assert [(alg, geo) for kappa, alg, geo, _, _ in terms if abs(kappa - 0.5) < 1e-6] == [(2, 1)]
     assert sum(alg for _, alg, _, _, _ in terms) == 8
     assert np.abs(sum(t for *_, t in terms) - series).max() <= 1e-12 * np.abs(series).max()
@@ -673,7 +711,7 @@ def test_repeated_real_clusters_have_exactly_real_coefficients(seed):
     x, u = rng.standard_normal(9), rng.standard_normal(9)
     m_values = range(21)
     series = np.array([u @ np.linalg.matrix_power(matrix, m) @ x for m in m_values])
-    terms = co._cluster_terms(matrix.T, spectral_structure(matrix.T), x, np.stack([u.real, u.imag]), m_values)
+    terms = cluster_terms(matrix.T, x, np.stack([u.real, u.imag]), m_values)
     real = sorted((round(kappa.real, 6), alg, geo) for kappa, alg, geo, _, _ in terms if kappa.imag == 0)
     assert real == [(-0.4, 2, 1), (0.2, 1, 1), (0.7, 2, 2)]
     coefficients = {kappa: c for kappa, _, _, c, _ in terms}
@@ -697,6 +735,6 @@ def test_three_by_three_jordan_cluster_terms_reproduce_the_series():
     x, u = rng.standard_normal(8), rng.standard_normal(8) + 1j * rng.standard_normal(8)
     m_values = range(21)
     series = np.array([u @ np.linalg.matrix_power(matrix, m) @ x for m in m_values])
-    terms = co._cluster_terms(matrix.T, spectral_structure(matrix.T), x, np.stack([u.real, u.imag]), m_values)
+    terms = cluster_terms(matrix.T, x, np.stack([u.real, u.imag]), m_values)
     assert [(alg, geo) for kappa, alg, geo, _, _ in terms if abs(kappa - 0.5) < 1e-3] == [(3, 1)]
     assert np.abs(sum(t for *_, t in terms) - series).max() <= 1e-12 * np.abs(series).max()

@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,28 @@ class TestDensityOpInvariants:
         op = tc.DensityOp(2, 3, rand_density(np.random.default_rng(7), 8))
         out = tc.partial_trace(op, [3, 1])
         assert np.array_equal(out.eigenvalues, np.linalg.eigvalsh(out.matrix))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_hermitian_part_is_the_mean_with_the_adjoint_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        mat = rand_herm(rng, n) + 1e-12 * rng.standard_normal((n, n))
+        out = tc.hermitian_part(mat, "matrix")
+        assert np.array_equal(out.view(float), ((mat + mat.conj().T) / 2.0).view(float))  # the sign of zero too
+        assert np.array_equal(out, out.conj().T) and out.flags.c_contiguous
+        mat[0, -1] += 1e-9j
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            tc.hermitian_part(mat, "matrix")
+
+    def test_hermitian_part_holds_one_full_size_array(self):
+        # the conjugate transpose is the one full-size array; the deviation is taken over row blocks
+        mat = rand_herm(np.random.default_rng(8), 1296)
+        tracemalloc.start()
+        try:
+            tc.hermitian_part(mat, "matrix")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * mat.nbytes
 
     def test_one_site_thermodynamic_state_is_a_checked_state(self, bundled_lam):
         out = thermo.reduced_infinity(bundled_lam, 1)
