@@ -191,10 +191,12 @@ def _lower_members(kappa: np.ndarray) -> list:
 
 def _shifted_svd(matrix: np.ndarray, kappa: complex, power: int = 1) -> tuple:
     """(rank deficit, right singular vectors) of (matrix - kappa)^power, in real arithmetic if kappa is real; the
-    deficit counts the singular values within TAU_RANK of zero, relative to the largest."""
+    deficit counts the singular values within TAU_RANK of zero, relative to the largest or, if that is more,
+    to ||matrix||_2^power, so a shifted matrix of roundoff alone has full deficit."""
     shifted = matrix - (kappa if kappa.imag else kappa.real) * np.eye(len(matrix))
     _, s, vh = np.linalg.svd(np.linalg.matrix_power(shifted, power))
-    return int(np.count_nonzero(s <= TAU_RANK * (s[0] if s[0] > 0 else 1.0))), vh
+    scale = max(float(s[0]), float(np.linalg.norm(matrix, 2)) ** power)
+    return int(np.count_nonzero(s <= TAU_RANK * (scale if scale > 0 else 1.0))), vh
 
 
 def _spectral_structure(matrix: np.ndarray, blocks: Sequence[slice], copies: Sequence[int]) -> tuple:

@@ -41,13 +41,15 @@ MAX_FILE_ENTRIES = 1 << 24    # largest d^arity array an entry file may declare 
 
 
 def hermitian_part(mat: np.ndarray, what: str) -> np.ndarray:
-    """The exact Hermitian part of a square matrix, refused unless it is finite and Hermitian within TAU_HERM."""
+    """The exact Hermitian part of a square matrix, refused unless it is finite and Hermitian within TAU_HERM
+    times its largest entry, or within TAU_HERM when no entry exceeds 1."""
     if not np.isfinite(mat).all():
         raise ValidationError("%s has a non-finite entry" % what)
     # one full-size array, the adjoint: the deviation is taken over blocks of rows, then mat added in place
     out, rows = np.conjugate(mat.T, order="C"), max(1, (1 << 16) // len(mat))
-    herm = max(float(np.abs(mat[k:k + rows] - out[k:k + rows]).max()) for k in range(0, len(mat), rows))
-    if herm > TAU_HERM:
+    blocks = range(0, len(mat), rows)
+    herm = max(float(np.abs(mat[k:k + rows] - out[k:k + rows]).max()) for k in blocks)
+    if herm > TAU_HERM and herm > TAU_HERM * max(float(np.abs(mat[k:k + rows]).max()) for k in blocks):
         raise ValidationError("%s not Hermitian: deviation %s" % (what, format_float(herm)))
     out += mat
     out /= 2.0

@@ -9,6 +9,7 @@ import pytest
 
 from hbts import channels as ch
 from hbts import correlators as co
+from hbts import parent_ham as ph
 from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import DegenerateFixedPointError, ShapeError
@@ -256,6 +257,31 @@ def dense_ring(hs, N):
     """Reference ring Hamiltonian: the 1/N-normalized cyclic sum of the stored (Hermitian) term
     as one dense d^N x d^N matrix, real when the term is real."""
     return sum(kron_embedding(hs.h_term, hs.d, hs.nu, N, start) for start in range(N)) / N
+
+
+def assemble_reference(hs, N):
+    """Reference for ph.assemble at every ring size: all amplitudes folded by shift and orbit pair into one (N, n, n)
+    array, then one FFT over the shift; sector k keeps the orbits whose period allows k."""
+    h = hs.h_term
+    real = not np.iscomplexobj(h)
+    period, orbit, shift = ph._orbits(hs.d, N)
+    n = len(period)
+    lag = shift.reshape(len(h), -1)
+    which = orbit.reshape(len(h), -1)
+    index = (((lag[:, None] - lag[None]) % N * n + which[:, None]) * n + which[None]).reshape(-1)
+    root = np.sqrt(period[which])
+    amplitude = (h[:, :, None] / (root[:, None] * root[None])).reshape(-1)
+    folded = np.bincount(index, amplitude.real, N * n * n).astype(h.dtype, copy=False)
+    if not real:
+        folded.imag = np.bincount(index, amplitude.imag, N * n * n)
+    sectors = (np.fft.rfft if real else np.fft.fft)(folded.reshape(N, n, n), axis=0)
+    blocks, multiplicity = [], []
+    for k, sector in enumerate(sectors):
+        kept = np.flatnonzero(k * period % N == 0)
+        block = sector[np.ix_(kept, kept)]
+        blocks.append(block.real if real and 2 * k % N == 0 else block)
+        multiplicity.append(2 if real and 2 * k % N else 1)
+    return ph.RingHamiltonian(blocks=tuple(blocks), multiplicity=tuple(multiplicity))
 
 
 def _whole(matrix):

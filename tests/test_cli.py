@@ -120,6 +120,20 @@ def test_diag_fig_report(tmp_path, capsys):
     assert len(open(eigs).read().strip().splitlines()) == 257
 
 
+@pytest.mark.parametrize("weights", ["1e7,1,1,1", "1e12,1,1,1"])
+def test_parent_takes_large_weights(weights, capsys):
+    # the term's roundoff asymmetry grows with its largest weight; it is judged relative to the term
+    assert run(["parent", "--isometry", "paper", "--weights", weights], capsys)[0] == 0
+
+
+def test_diag_ground_tolerance_is_absolute(capsys):
+    argv = ["diag", "--isometry", "paper", "--N", "8", "--weights", "1e7,1,1,1"]
+    code, out = run(argv + ["--tau-gs", "1e-6"], capsys)
+    assert code == 0 and json.loads(out)["degeneracy"] == 32
+    code, out = run(argv + ["--tau-gs", "1e-10"], capsys)
+    assert code == 0 and json.loads(out)["degeneracy"] == 1
+
+
 def test_subspace_check(tmp_path, capsys):
     out_file = str(tmp_path / "s.json")
     code, _ = run(["subspace-check", "--isometry", "paper", "--N", "8", "-o", out_file], capsys)

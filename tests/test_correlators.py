@@ -316,6 +316,20 @@ class TestSpectralStructure:
         assert abs(structure[0][0] - 1.0) < 1e-12 and abs(structure[1][0] - 0.5) < 1e-7
         assert_null_vectors(a, structure)
 
+    def test_a_multiple_of_the_identity_has_every_eigenvector(self):
+        # the block minus kappa is roundoff alone, so its rank is judged against the block's norm, not its own
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+        kappa, algebraic, geometric, _, _, _, in_block = co._spectral_structure(q @ (0.5 * np.eye(3)) @ q.T,
+                                                                                 [slice(0, 3)], [1])
+        assert abs(kappa[0] - 0.5) < 1e-15
+        assert algebraic.tolist() == geometric.tolist() == in_block.ravel().tolist() == [3]
+
+    @pytest.mark.parametrize("d, held", [(2, [0, 3, 6, 3]), (3, [0, 8, 36, 28])])
+    def test_every_block_holds_all_its_eigenvectors_of_a_product_tree(self, d, held):
+        kappa, _, _, _, _, offsets, in_block = co._sector_structure(tc.product_isometry(d))
+        c = int(np.argmin(np.abs(kappa - 0.5)))
+        assert np.diff(offsets)[:, c].tolist() == in_block[:, c].tolist() == held
+
     def test_non_normal_matrix_with_simple_eigenvalues(self):
         rng = np.random.default_rng(5)
         a = np.diag([0.9, 0.6, 0.3, 0.1]) + np.triu(rng.standard_normal((4, 4)), 1)

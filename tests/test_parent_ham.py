@@ -11,7 +11,7 @@ from hbts import tensor_core as tc
 from hbts import thermo
 from hbts.errors import ResourceLimitError, ValidationError
 
-from conftest import adjoint, apply, dense_ring, embedded_term, rand_herm, rand_top
+from conftest import adjoint, apply, assemble_reference, dense_ring, embedded_term, rand_herm, rand_top
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +88,15 @@ class TestHamiltonianSpec:
         h = np.eye(4, dtype=complex)
         h[0, 1] = np.nan if broken == "nan" else 1e-3
         with pytest.raises(ValidationError):
+            ph.HamiltonianSpec(d=2, nu=2, h_term=h, kernel_dim=4, weights=np.ones(4))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e7, 1e12])
+    def test_hermiticity_is_judged_relative_to_a_term_past_one(self, scale):
+        h = scale * np.diag([1.0, 0.5, 0.25, 0.0]).astype(complex)
+        h[0, 1] = 0.5e-10 * scale            # within TAU_HERM of the largest entry
+        assert ph.HamiltonianSpec(d=2, nu=2, h_term=h, kernel_dim=4, weights=np.ones(4)).h_term[0, 1] == h[0, 1] / 2
+        h[0, 1] = 1e-8 * scale
+        with pytest.raises(ValidationError, match="not Hermitian"):
             ph.HamiltonianSpec(d=2, nu=2, h_term=h, kernel_dim=4, weights=np.ones(4))
 
     @pytest.mark.parametrize("weights", [[1.0] * 3, [1.0] * 5, [1.0, 1.0, 1.0, 0.0], [1.0, 1.0, -1.0, 1.0],
@@ -262,6 +271,68 @@ class TestRingPlacement:
         basis = ph.grown_basis(bundled_lam, 6)
         columns = np.stack([ph.translate_state(basis[:, j], 2, 6) for j in range(basis.shape[1])], axis=1)
         assert np.array_equal(ph.translate_state(basis, 2, 6), columns)
+
+
+def _folds(hs, N):
+    """Whether ph.assemble folds the ring over the shift: the (N, n, n) fold over n orbits fits ph.FOLD_BUDGET."""
+    return N * len(ph._orbits(hs.d, N)[0]) ** 2 * hs.h_term.itemsize <= ph.FOLD_BUDGET
+
+
+def _no_fft(*args, **kwargs):
+    raise AssertionError("an FFT ran above the fold budget")
+
+
+class TestFoldBudget:
+    """assemble against the fold and its one FFT (assemble_reference): the same blocks bit for bit while the fold
+    fits FOLD_BUDGET, within 1e-15 of their scale above it, where no FFT runs."""
+
+    @staticmethod
+    def check(hs, N, monkeypatch):
+        want = assemble_reference(hs, N)
+        if not _folds(hs, N):
+            monkeypatch.setattr(np.fft, "rfft", _no_fft)
+            monkeypatch.setattr(np.fft, "fft", _no_fft)
+        got = ph.assemble(hs, N, max_dim=hs.d ** N)
+        assert got.multiplicity == want.multiplicity
+        assert [b.dtype for b in got.blocks] == [b.dtype for b in want.blocks]
+        assert [b.shape for b in got.blocks] == [b.shape for b in want.blocks]
+        if _folds(hs, N):
+            assert all(np.array_equal(a, b) for a, b in zip(got.blocks, want.blocks))
+        else:
+            scale = max(float(np.abs(b).max()) for b in want.blocks)
+            assert max(float(np.abs(a - b).max()) for a, b in zip(got.blocks, want.blocks)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("d, nu, N", RINGS)
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("budget", [None, 0])
+    def test_rings_on_both_sides(self, d, nu, N, real, budget, monkeypatch):
+        h = rand_herm(np.random.default_rng(10 * N + d), d ** nu)
+        hs = ph.HamiltonianSpec(d=d, nu=nu, h_term=h.real if real else h, kernel_dim=1, weights=np.ones(1))
+        if budget is not None:
+            monkeypatch.setattr(ph, "FOLD_BUDGET", budget)
+        assert _folds(hs, N) == (budget is None)
+        self.check(hs, N, monkeypatch)
+
+    @pytest.mark.parametrize("N", range(9, 14))
+    def test_bundled_rings(self, paper_interaction, N, monkeypatch):
+        assert _folds(paper_interaction, N) == (N <= 10)
+        self.check(paper_interaction, N, monkeypatch)
+
+    @pytest.mark.parametrize("N", range(5, 8))
+    def test_spin1_rings(self, N, monkeypatch):
+        hs = ph.build_interaction(tc.random_isometry(3, 0))
+        assert np.iscomplexobj(hs.h_term) and _folds(hs, N) == (N <= 6)
+        self.check(hs, N, monkeypatch)
+
+    def test_traced_peak_is_within_half_the_blocks_again(self, paper_interaction):
+        ph.assemble(paper_interaction, 12)           # the orbits and numpy's first calls, outside the trace
+        tracemalloc.start()
+        try:
+            ring = ph.assemble(paper_interaction, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sum(block.nbytes for block in ring.blocks)
 
 
 def _qr_isometry(d, seed):
