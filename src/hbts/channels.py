@@ -155,8 +155,10 @@ def _local(lam: Isometry, *terms: tuple[np.ndarray, str], adjoint: bool = False)
                     else:
                         np.matmul(image, k_bar.T, out=rows)
             dims[j], x = o, x.reshape((o,) + rest + (o,)).transpose([order.index(a) for a in range(len(order))])
-        x = x.reshape((math.prod(dims),) * 2 + stack)
-        out = x if out is None else np.add(out, x, out=out)
+        if out is None:
+            out = x.reshape((math.prod(dims),) * 2 + stack)  # the one copy to canonical layout
+        else:
+            np.add(out.reshape(x.shape), x, out=out.reshape(x.shape))  # a view of out: no copy of x
     out /= len(terms)
     return out
 

@@ -5,9 +5,9 @@ infinite-depth reduced state, of dimension d^nu less its numerical rank, so
 the full Hamiltonian is PSD and kills the tree state.  Everything ground-space
 related (degeneracy, the grown subspace and its translate, unfrustration,
 adjoint nullity) is verified numerically: the spectrum one translation sector
-at a time, and the grown subspace term by term, neither forming H.  The sector
-blocks come from one FFT of the ring folded over the shift while that fold
-fits FOLD_BUDGET, and are accumulated one sector at a time above it.
+at a time, and the grown subspace term by term, neither forming H.  Each
+sector block is accumulated on its own, so assembly holds the blocks and one
+sector.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from . import thermo
 
 TAU_GS = 1e-10
 DEFAULT_MAX_DIM = 4096
-FOLD_BUDGET = 2 ** 21  # bytes: assemble folds the ring over the shift only while the fold fits
 BINS_MAX = 10_000  # the most histogram bins of a report: 10^5 bins already make a 7.5 MB diag report
 
 
@@ -180,13 +179,12 @@ def assemble(hs: HamiltonianSpec, N: int, max_dim: int = DEFAULT_MAX_DIM) -> Rin
     on sites 1..nu: h takes |x r> to |y r> with amplitude h[y, x].  Each state
     t is T^-l_t of its orbit's smallest state, and sector k keeps the orbits
     whose period allows k:
-    ``B_k[b, a] = sum h[y, x] exp(-ik(l_t' - l_t)) / sqrt(p_a p_b)``.
-    While the (N, n, n) fold over n orbits fits FOLD_BUDGET, the amplitudes
-    are folded by l_t' - l_t mod N and the orbits a of t and b of t', and one
-    FFT over the shift gives every sector.  A larger fold is never formed:
-    each kept sector is accumulated on its own, its amplitudes weighted by
-    phases from one table of N roots of unity, so assembly holds the blocks
-    and one sector.  The d^N x d^N matrix is never formed.
+    ``B_k[b, a] = sum h[y, x] exp(-2 pi i k (l_t' - l_t)/N) / sqrt(p_a p_b)``.
+    Each kept sector is accumulated on its own: the amplitudes, weighted by
+    phases read from a table of the N roots of unity, go by one bincount of
+    their real and imaginary parts into the slots of their orbit pairs, so
+    assembly holds the blocks and one sector.  The d^N x d^N matrix is never
+    formed.
     """
     N = _require_ring(hs, N, max_dim)
     h = hs.h_term
@@ -196,40 +194,22 @@ def assemble(hs: HamiltonianSpec, N: int, max_dim: int = DEFAULT_MAX_DIM) -> Rin
     lag = shift.reshape(len(h), -1)                  # [x, r]: l_t of the state |x r>, x on sites 1..nu
     which = orbit.reshape(len(h), -1)
     step = ((lag[:, None] - lag[None]) % N).reshape(-1)  # [y, x, r]: l_t' - l_t mod N
-    pair = (which[:, None] * n + which[None]).reshape(-1)   # [y, x, r]: b n + a
+    pair = 2 * (which[:, None] * n + which[None]).reshape(-1)  # [y, x, r]: 2 (b n + a)
+    slot = np.stack([pair, pair + 1], axis=1).reshape(-1)  # the real and imaginary parts of entry b n + a
     root = np.sqrt(period[which])
     amplitude = (h[:, :, None] / (root[:, None] * root[None])).reshape(-1)  # [y, x, r]: h[y, x] / sqrt(p_b p_a)
-    del lag, which, root
-    if N * n * n * h.itemsize <= FOLD_BUDGET:
-        index = step * (n * n) + pair
-        folded = np.bincount(index, amplitude.real, N * n * n).astype(h.dtype, copy=False)
-        if not real:
-            folded.imag = np.bincount(index, amplitude.imag, N * n * n)
-        # folded[l, b, a]: the amplitudes from orbit a to b at shift l
-        sector_of = (np.fft.rfft if real else np.fft.fft)(folded.reshape(N, n, n), axis=0).__getitem__
-        del index, folded
-    else:
-        slot = (2 * pair[:, None] + np.arange(2)).reshape(-1)  # the real and imaginary parts of entry b n + a
-        sector_of = functools.partial(_sector, step, slot, amplitude, N, n)
-    del pair
+    del lag, which, pair, root
     blocks, multiplicity = [], []
     for k in range(N // 2 + 1 if real else N):
         kept = np.flatnonzero(k * period % N == 0)
-        sector = sector_of(k)
+        phase = np.exp(-2j * np.pi * (k * np.arange(N) % N) / N)
+        sector = np.bincount(slot, (amplitude * phase[step]).view(float), 2 * n * n).view(complex).reshape(n, n)
         if real and 2 * k % N == 0:
             sector = sector.real                     # sectors 0 and N/2 of a real term are real
         blocks.append(sector[np.ix_(kept, kept)])
         del sector                                   # before the next sector is formed
         multiplicity.append(2 if real and 2 * k % N else 1)
     return RingHamiltonian(blocks=tuple(blocks), multiplicity=tuple(multiplicity))
-
-
-def _sector(step: np.ndarray, slot: np.ndarray, amplitude: np.ndarray, N: int, n: int, k: int) -> np.ndarray:
-    """Sector k's n x n block, ``B[b, a] = sum amplitude exp(-2 pi i k step / N)`` over the entries of orbit pair
-    b n + a: one bincount of the weights' real and imaginary parts into their slots, the phases read from a
-    table of the N roots of unity."""
-    weight = amplitude * np.exp(-2j * np.pi * (k * np.arange(N) % N) / N)[step]
-    return np.bincount(slot, weight.view(float), 2 * n * n).view(complex).reshape(n, n)
 
 
 def diagonalize(ring: RingHamiltonian, tau_gs: float = TAU_GS, bins: int = 50) -> GroundSpaceReport:

@@ -273,55 +273,41 @@ class TestRingPlacement:
         assert np.array_equal(ph.translate_state(basis, 2, 6), columns)
 
 
-def _folds(hs, N):
-    """Whether ph.assemble folds the ring over the shift: the (N, n, n) fold over n orbits fits ph.FOLD_BUDGET."""
-    return N * len(ph._orbits(hs.d, N)[0]) ** 2 * hs.h_term.itemsize <= ph.FOLD_BUDGET
-
-
 def _no_fft(*args, **kwargs):
-    raise AssertionError("an FFT ran above the fold budget")
+    raise AssertionError("assemble ran an FFT")
 
 
-class TestFoldBudget:
-    """assemble against the fold and its one FFT (assemble_reference): the same blocks bit for bit while the fold
-    fits FOLD_BUDGET, within 1e-15 of their scale above it, where no FFT runs."""
+class TestSectorAccumulation:
+    """assemble, one sector at a time with no FFT, against the fold over the shift and its one FFT
+    (assemble_reference): the same multiplicities, dtypes and shapes, and blocks within 1e-15 of their scale."""
 
     @staticmethod
     def check(hs, N, monkeypatch):
         want = assemble_reference(hs, N)
-        if not _folds(hs, N):
-            monkeypatch.setattr(np.fft, "rfft", _no_fft)
-            monkeypatch.setattr(np.fft, "fft", _no_fft)
+        monkeypatch.setattr(np.fft, "rfft", _no_fft)
+        monkeypatch.setattr(np.fft, "fft", _no_fft)
         got = ph.assemble(hs, N, max_dim=hs.d ** N)
         assert got.multiplicity == want.multiplicity
         assert [b.dtype for b in got.blocks] == [b.dtype for b in want.blocks]
         assert [b.shape for b in got.blocks] == [b.shape for b in want.blocks]
-        if _folds(hs, N):
-            assert all(np.array_equal(a, b) for a, b in zip(got.blocks, want.blocks))
-        else:
-            scale = max(float(np.abs(b).max()) for b in want.blocks)
-            assert max(float(np.abs(a - b).max()) for a, b in zip(got.blocks, want.blocks)) <= 1e-15 * scale
+        scale = max(float(np.abs(b).max()) for b in want.blocks)
+        assert max(float(np.abs(a - b).max()) for a, b in zip(got.blocks, want.blocks)) <= 1e-15 * scale
 
     @pytest.mark.parametrize("d, nu, N", RINGS)
     @pytest.mark.parametrize("real", [True, False])
-    @pytest.mark.parametrize("budget", [None, 0])
-    def test_rings_on_both_sides(self, d, nu, N, real, budget, monkeypatch):
+    def test_rings(self, d, nu, N, real, monkeypatch):
         h = rand_herm(np.random.default_rng(10 * N + d), d ** nu)
         hs = ph.HamiltonianSpec(d=d, nu=nu, h_term=h.real if real else h, kernel_dim=1, weights=np.ones(1))
-        if budget is not None:
-            monkeypatch.setattr(ph, "FOLD_BUDGET", budget)
-        assert _folds(hs, N) == (budget is None)
         self.check(hs, N, monkeypatch)
 
     @pytest.mark.parametrize("N", range(9, 14))
     def test_bundled_rings(self, paper_interaction, N, monkeypatch):
-        assert _folds(paper_interaction, N) == (N <= 10)
         self.check(paper_interaction, N, monkeypatch)
 
     @pytest.mark.parametrize("N", range(5, 8))
     def test_spin1_rings(self, N, monkeypatch):
         hs = ph.build_interaction(tc.random_isometry(3, 0))
-        assert np.iscomplexobj(hs.h_term) and _folds(hs, N) == (N <= 6)
+        assert np.iscomplexobj(hs.h_term)
         self.check(hs, N, monkeypatch)
 
     def test_traced_peak_is_within_half_the_blocks_again(self, paper_interaction):

@@ -305,6 +305,21 @@ class TestKrausExtensions:
             tracemalloc.stop()
         assert peak < 120e6
 
+    def test_later_terms_add_into_the_first_image(self):
+        # The second term adds into a view of the first one's image; copied back to canonical layout first,
+        # it peaked at 3.08 images.
+        lam = tc.random_isometry(5, 1)
+        rho2 = thermo.two_site_infinity(lam).matrix
+        rho3 = thermo.reduced_infinity(lam, 3).matrix
+        image = ch._extend(lam, rho2, rho3)
+        tracemalloc.start()
+        try:
+            ch._extend(lam, rho2, rho3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * image.nbytes
+
     def test_four_site_state_at_d4_fits_small_memory(self):
         # The dense 3->4 superoperator alone would be 4^14 complex entries (4 GiB): under the
         # 3 GiB cap only a construction that never forms it can finish.
