@@ -300,6 +300,28 @@ class TestSectorAccumulation:
         hs = ph.HamiltonianSpec(d=d, nu=nu, h_term=h.real if real else h, kernel_dim=1, weights=np.ones(1))
         self.check(hs, N, monkeypatch)
 
+    @pytest.mark.parametrize("d, nu, N", RINGS)
+    @pytest.mark.parametrize("real", [True, False])
+    def test_blocks_are_the_ring_in_its_momentum_states(self, d, nu, N, real):
+        # Sector k's states sum exp(-2 pi i k l / N) T^l over each kept orbit's smallest state, so translate_state
+        # multiplies them by exp(2 pi i k / N); block k is the dense ring between them, with no FFT in the reference.
+        h = rand_herm(np.random.default_rng(10 * N + d), d ** nu)
+        hs = ph.HamiltonianSpec(d=d, nu=nu, h_term=h.real if real else h, kernel_dim=1, weights=np.ones(1))
+        ham = dense_ring(hs, N)
+        powers = [np.eye(d ** N)]
+        for _ in range(N - 1):
+            powers.append(ph.translate_state(powers[-1], d, N))
+        smallest = sorted({min(int(np.argmax(p[:, s])) for p in powers) for s in range(d ** N)})
+        ring = ph.assemble(hs, N)
+        assert len(ring.blocks) == (N // 2 + 1 if real else N)
+        for k, block in enumerate(ring.blocks):
+            roots = np.exp(-2j * np.pi * k * np.arange(N) / N)
+            states = [sum(r * p[:, s] for r, p in zip(roots, powers)) for s in smallest]
+            basis = np.stack([v / np.linalg.norm(v) for v in states if np.linalg.norm(v) > 1e-9], axis=1)
+            assert basis.shape[1] == len(block)
+            assert np.abs(ph.translate_state(basis, d, N) - np.exp(2j * np.pi * k / N) * basis).max() < 1e-13
+            assert np.abs(basis.conj().T @ ham @ basis - block).max() < 1e-13
+
     @pytest.mark.parametrize("N", range(9, 14))
     def test_bundled_rings(self, paper_interaction, N, monkeypatch):
         self.check(paper_interaction, N, monkeypatch)
